@@ -14,7 +14,6 @@ from .embedding import (
     Face,
     build_dual,
     build_embedding,
-    enumerate_faces,
     validate_embedding,
 )
 from .biconnect import articulation_count, biconnect
@@ -62,7 +61,6 @@ from .dist import (
     DistSeparatorOutput,
     dist_bfs,
     dist_compute_separator,
-    dist_mark_separator,
     dist_multi,
 )
 

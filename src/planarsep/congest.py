@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .embedding import Dart, EmbeddedPlanarGraph
 from .errors import (
@@ -25,6 +25,7 @@ from .errors import (
     InvalidPartition,
     RoundLimitExceeded,
 )
+from .treecotree import part_bfs_trees
 
 Payload = tuple[int, ...]
 
@@ -264,34 +265,6 @@ def validate_partition(g: EmbeddedPlanarGraph, partition: Partition) -> dict[int
     return parts
 
 
-def part_trees(g: EmbeddedPlanarGraph, parts: Mapping[int, list[int]]):
-    """Per-part BFS trees (root = minimum id, smallest-id parent ties)."""
-    parent: dict[int, int | None] = {}
-    children: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    depth: dict[int, int] = {}
-    for pid in sorted(parts):
-        members = set(parts[pid])
-        root = min(members)
-        parent[root] = None
-        depth[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = set()
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u in members and u not in depth:
-                        nxt.add(u)
-            for u in sorted(nxt):
-                depth[u] = depth[frontier[0]] + 1
-                best = min(
-                    x for x in g.neighbors(u) if x in members and depth.get(x) == depth[u] - 1
-                )
-                parent[u] = best
-                children[best].append(u)
-            frontier = sorted(nxt)
-    return parent, children, depth
-
-
 _UP, _DOWN = 1, 2
 
 
@@ -366,7 +339,12 @@ def pa_aggregate(
     if backend != "honest":
         raise ValueError(f"unknown backend {backend}")
 
-    parent, children, depth = part_trees(g, parts)
+    trees = part_bfs_trees(g, partition.part_of)
+    parent = [trees[pid].parent[v] for v, pid in enumerate(partition.part_of)]
+    children: list[list[int]] = [[] for _ in range(g.n)]
+    for v, p in enumerate(parent):
+        if p is not None:
+            children[p].append(v)
     know = [
         {
             "vid": v,

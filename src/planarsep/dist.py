@@ -1,5 +1,9 @@
 """Message-passing implementation of the separator pipeline.
 
+One driver, dist_multi, runs the pipeline concurrently in every part of a
+vertex-disjoint partition; dist_compute_separator is dist_multi with one
+part holding every vertex.
+
 Every phase is a vertex program run on the synchronous simulator; the
 only channels are the darts of the (per-part, augmented) rotation
 systems installed as local knowledge.  Face-level work rides on the fact
@@ -48,7 +52,8 @@ from .separator import (
     exceeds_beta,
     is_balanced,
 )
-from .treecotree import SpanningTree
+from .treecotree import SpanningTree, diameter_estimate
+from .treecotree import part_bfs_trees  # re-exported for callers of planarsep.dist
 from .weights import check_proper
 
 # message tags, with payload arity (tag excluded)
@@ -742,31 +747,6 @@ class DistSeparatorOutput:
         return "\n".join(lines) + "\n"
 
 
-def _diameter_estimate(g: EmbeddedPlanarGraph) -> int:
-    """Double-sweep eccentricity; exact on the suite's graph families."""
-
-    def bfs_far(src: int) -> tuple[int, int]:
-        depth = {src: 0}
-        frontier = [src]
-        far, far_d = src, 0
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u not in depth:
-                        depth[u] = depth[v] + 1
-                        nxt.append(u)
-                        if depth[u] > far_d or (depth[u] == far_d and u < far):
-                            far, far_d = u, depth[u]
-            frontier = nxt
-        return far, far_d
-
-    a, _ = bfs_far(0)
-    b, da = bfs_far(a)
-    _, db = bfs_far(b)
-    return max(da, db)
-
-
 # -- the pipeline --------------------------------------------------------------
 
 
@@ -809,7 +789,7 @@ class DistPipeline:
             config.bit_budget if config.bit_budget is not None else default_bit_budget(g.n)
         )
         self.trace = RoundTrace()
-        self.diameter = _diameter_estimate(g)
+        self.diameter = diameter_estimate(g)
         self._unit = config.c_pa * self.diameter * log2ceil(g.n + 1) ** config.exponent
 
         tree_edges = {pid: t.edges for pid, t in trees.items()}
@@ -868,7 +848,6 @@ class DistPipeline:
         states = self._run("tree_root", TreeRootProgram(), charge_units=1)
         parent_dart = [states[v]["parent_dart"] for v in range(self.n)]
         self._store("tree_parent_dart", parent_dart)
-        self._store("tree_depth", [states[v]["depth"] for v in range(self.n)])
         children = []
         for v in range(self.n):
             kids = sorted(
@@ -982,7 +961,6 @@ class DistPipeline:
                 crit_in.append(0)
         crit = self._pa(pt, crit_in, "MAX")
 
-        kind, face_of_part = {}, {}
         case_code, case_face = [None] * n, [None] * n
         for v in range(n):
             if bal[v] > 0:
@@ -1207,13 +1185,19 @@ def _part_knowledge(
 
     Each part's induced sub-embedding is built (locally relabeled in
     ascending member order, which preserves the relative id order and
-    hence canonical-dart comparisons), bi-connected, and mapped back.
+    hence canonical-dart comparisons), bi-connected, and mapped back.  A
+    part holding every vertex induces g itself, so g is bi-connected
+    directly, without a rebuild or relabelling.
     """
     parts: dict[int, list[int]] = {}
     for v, pid in enumerate(part_of):
         parts.setdefault(pid, []).append(v)
     global_rot: dict[int, tuple[Dart, ...]] = {}
     for pid, members in sorted(parts.items()):
+        if len(members) == g.n:
+            gp = biconnect(g)
+            global_rot.update((v, tuple(gp.rotation[v])) for v in members)
+            continue
         to_local = {v: i for i, v in enumerate(members)}
         to_global = {i: v for v, i in to_local.items()}
         rot = []
@@ -1247,33 +1231,13 @@ def dist_compute_separator(
     max_rounds: int = 10**6,
     scramble: Optional[int] = None,
 ) -> tuple[DistSeparatorOutput, RoundTrace]:
-    """End-to-end distributed pipeline on a single graph."""
-    w = list(weights) if weights is not None else list(g.vertex_weight)
-    verdict = check_proper(w, PROPERNESS)
-    if verdict.degenerate:
-        raise DegenerateTotal("total vertex weight is zero")
-    if not verdict.proper:
-        raise NotProper(
-            f"max weight {verdict.max_weight} exceeds {PROPERNESS} of total {verdict.total}"
-        )
-    gp = biconnect(g)
-    config = PipelineConfig(
-        backend=backend, bit_budget=bit_budget, c_pa=c_pa, exponent=exponent,
-        max_rounds=max_rounds, scramble=scramble,
+    """End-to-end distributed pipeline on a single graph: dist_multi with
+    one part holding every vertex."""
+    outputs, trace = dist_multi(
+        g, [0] * g.n, {0: tree}, weights, backend=backend, bit_budget=bit_budget,
+        c_pa=c_pa, exponent=exponent, max_rounds=max_rounds, scramble=scramble,
     )
-    pipeline = DistPipeline(
-        g=g,
-        part_of=[0] * g.n,
-        global_rot={v: tuple(gp.rotation[v]) for v in range(g.n)},
-        trees={0: tree},
-        tree_roots={0: tree.root},
-        weights=w,
-        config=config,
-    )
-    # installing the central augmentation into local knowledge is charged
-    pipeline.trace.phase("biconnect").charged_rounds += 2 * pipeline._unit
-    outputs = pipeline.run_all()
-    return outputs[0], pipeline.trace
+    return outputs[0], trace
 
 
 def dist_multi(
@@ -1285,6 +1249,7 @@ def dist_multi(
     bit_budget: Optional[int] = None,
     c_pa: int = 1,
     exponent: int = 2,
+    max_rounds: int = 10**6,
     scramble: Optional[int] = None,
 ) -> tuple[dict[int, DistSeparatorOutput], RoundTrace]:
     """Concurrent separator runs in every part of a vertex-disjoint partition."""
@@ -1293,16 +1258,18 @@ def dist_multi(
     for v, pid in enumerate(part_of):
         parts.setdefault(pid, []).append(v)
     for pid, members in sorted(parts.items()):
-        pw = [w[v] for v in members]
-        verdict = check_proper(pw, PROPERNESS)
+        verdict = check_proper([w[v] for v in members], PROPERNESS)
         if verdict.degenerate:
             raise DegenerateTotal(f"part {pid}: total weight is zero")
         if not verdict.proper:
-            raise NotProper(f"part {pid}: weights are not 1/12-proper")
+            raise NotProper(
+                f"part {pid}: max weight {verdict.max_weight} exceeds {PROPERNESS} "
+                f"of total {verdict.total}"
+            )
     global_rot = _part_knowledge(g, part_of)
     config = PipelineConfig(
         backend=backend, bit_budget=bit_budget, c_pa=c_pa, exponent=exponent,
-        scramble=scramble,
+        max_rounds=max_rounds, scramble=scramble,
     )
     pipeline = DistPipeline(
         g=g,
@@ -1313,54 +1280,13 @@ def dist_multi(
         weights=w,
         config=config,
     )
+    # installing the augmentation into local knowledge is charged
     pipeline.trace.phase("biconnect").charged_rounds += 2 * pipeline._unit
     outputs = pipeline.run_all()
     return outputs, pipeline.trace
 
 
-def part_bfs_trees(
-    g: EmbeddedPlanarGraph, part_of: Sequence[int]
-) -> dict[int, SpanningTree]:
-    """Per-part BFS trees in global ids (minimum-id roots and parents)."""
-    parts: dict[int, list[int]] = {}
-    for v, pid in enumerate(part_of):
-        parts.setdefault(pid, []).append(v)
-    trees: dict[int, SpanningTree] = {}
-    for pid, members in sorted(parts.items()):
-        memb = set(members)
-        root = min(members)
-        depth = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = set()
-            for v in frontier:
-                for u in g.neighbors(v):
-                    if u in memb and u not in depth:
-                        nxt.add(u)
-            for u in nxt:
-                depth[u] = depth[frontier[0]] + 1
-            frontier = sorted(nxt)
-        parent = [None] * g.n
-        parent_edge = [None] * g.n
-        dep = [0] * g.n
-        edges = set()
-        for v in members:
-            dep[v] = depth[v]
-            if v == root:
-                continue
-            best = min(
-                u for u in g.neighbors(v) if u in memb and depth.get(u) == depth[v] - 1
-            )
-            parent[v] = best
-            parent_edge[v] = (min(v, best), max(v, best), 0)
-            edges.add(parent_edge[v])
-        trees[pid] = SpanningTree(
-            root=root, parent=parent, parent_edge=parent_edge, depth=dep, edges=edges
-        )
-    return trees
-
-
-# -- standalone phase operations (spec surface) -----------------------------------
+# -- standalone BFS (spec surface) --------------------------------------------------
 
 
 def dist_bfs(
@@ -1394,87 +1320,3 @@ def dist_bfs(
         SpanningTree(root=root, parent=parent, parent_edge=parent_edge, depth=depth, edges=edges),
         trace,
     )
-
-
-def _bare_pipeline(g: EmbeddedPlanarGraph, tree: SpanningTree, **kw) -> DistPipeline:
-    config = PipelineConfig(**kw)
-    return DistPipeline(
-        g=g,
-        part_of=[0] * g.n,
-        global_rot={v: tuple(g.rotation[v]) for v in range(g.n)},
-        trees={0: tree},
-        tree_roots={0: tree.root},
-        weights=list(g.vertex_weight),
-        config=config,
-    )
-
-
-def dist_learn_faces(g: EmbeddedPlanarGraph, **kw):
-    """Face ids and per-edge dual endpoints, per vertex."""
-    from .treecotree import bfs_tree
-
-    pipe = _bare_pipeline(g, bfs_tree(g, 0), **kw)
-    pipe.run_learn_faces()
-    faces = {v: dict(pipe.know[v].store["face"]) for v in range(g.n)}
-    rev = {v: dict(pipe.know[v].store["rev_face"]) for v in range(g.n)}
-    return faces, rev, pipe.trace
-
-
-def dist_learn_cotree(g: EmbeddedPlanarGraph, tree: SpanningTree, **kw):
-    pipe = _bare_pipeline(g, tree, **kw)
-    pipe.run_learn_faces()
-    pipe.run_learn_cotree()
-    return {v: dict(pipe.know[v].store["cotree_flag"]) for v in range(g.n)}, pipe.trace
-
-
-def dist_face_weights(g: EmbeddedPlanarGraph, tree: SpanningTree, **kw):
-    pipe = _bare_pipeline(g, tree, **kw)
-    pipe.run_learn_faces()
-    pipe.run_face_weights()
-    chosen = [pipe.know[v].store["chosen"] for v in range(g.n)]
-    fw = {v: dict(pipe.know[v].store["face_weight"]) for v in range(g.n)}
-    return chosen, fw, pipe.trace
-
-
-def dist_dual_subtree_sums(g: EmbeddedPlanarGraph, tree: SpanningTree, **kw):
-    pipe = _bare_pipeline(g, tree, **kw)
-    pipe.run_tree_root()
-    pipe.run_learn_faces()
-    pipe.run_learn_cotree()
-    pipe.run_face_weights()
-    pipe.run_root_election()
-    pipe.run_dual_sums()
-    sums = {v: dict(pipe.know[v].store["face_total"]) for v in range(g.n)}
-    rooted = {v: dict(pipe.know[v].store["dual_rooted"]) for v in range(g.n)}
-    return sums, rooted, pipe.trace
-
-
-def dist_detect_node(g: EmbeddedPlanarGraph, tree: SpanningTree, **kw):
-    pipe = _bare_pipeline(g, tree, **kw)
-    pipe.run_tree_root()
-    pipe.run_learn_faces()
-    pipe.run_learn_cotree()
-    pipe.run_face_weights()
-    pipe.run_root_election()
-    pipe.run_dual_sums()
-    pipe.run_detect()
-    store0 = pipe.know[0].store
-    kind = "balanced" if store0["case_code"] == CASE_BALANCED else "critical"
-    return kind, store0["case_face"], store0["case_subtree"], pipe.trace
-
-
-def dist_mark_separator(g: EmbeddedPlanarGraph, tree: SpanningTree, **kw):
-    """Marking on an already bi-connected graph: per-vertex path flags and
-    endpoint knowledge, given the verdict the earlier phases elect."""
-    pipe = _bare_pipeline(g, tree, **kw)
-    pipe.run_tree_root()
-    pipe.run_learn_faces()
-    pipe.run_learn_cotree()
-    pipe.run_face_weights()
-    pipe.run_root_election()
-    pipe.run_dual_sums()
-    pipe.run_detect()
-    pipe.run_prefix()
-    per_part = pipe.run_search()
-    pipe.run_mark()
-    return pipe.assemble(per_part)[0], pipe.trace

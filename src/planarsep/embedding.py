@@ -303,11 +303,6 @@ def build_embedding(
     )
 
 
-def enumerate_faces(g: EmbeddedPlanarGraph) -> list[Face]:
-    """Faces in deterministic order (sorted by canonical id)."""
-    return list(g.faces)
-
-
 def validate_embedding(g: EmbeddedPlanarGraph) -> EmbeddingReport:
     return EmbeddingReport(
         n=g.n,

@@ -74,10 +74,6 @@ class InvalidPartition(PlanarSepError):
     """A partition part is empty, missing vertices, or disconnected."""
 
 
-class OperatorOverflow(PlanarSepError):
-    """An aggregate result exceeded the message width (widened internally)."""
-
-
 class BadParams(PlanarSepError):
     """Generator parameters are out of the documented range."""
 

@@ -47,11 +47,12 @@ def parse_graph(text: str) -> EmbeddedPlanarGraph:
         try:
             if kind == "planar":
                 n, m_declared = int(parts[1]), int(parts[2])
-            elif kind == "rot":
+            elif kind in ("rot", "w"):
                 v = int(parts[1])
-                rotations[v] = [int(x) for x in parts[2:]]
-            elif kind == "w":
-                weights[int(parts[1])] = int(parts[2])
+                records = rotations if kind == "rot" else weights
+                if v in records:
+                    raise BadParams(f"line {lineno}: duplicate '{kind}' record for vertex {v}")
+                records[v] = [int(x) for x in parts[2:]] if kind == "rot" else int(parts[2])
             elif kind == "outer":
                 outer = Dart(int(parts[1]), int(parts[2]), 0)
             else:
@@ -61,6 +62,9 @@ def parse_graph(text: str) -> EmbeddedPlanarGraph:
 
     if n is None:
         raise BadParams("missing 'planar' header")
+    for v in sorted(rotations.keys() | weights.keys()):
+        if not 0 <= v < n:
+            raise BadParams(f"record for vertex {v} outside 0..{n - 1}")
     rotation = []
     for v in range(n):
         if v not in rotations:

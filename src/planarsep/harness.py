@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .congest import default_bit_budget, log2ceil
-from .dist import _diameter_estimate, dist_compute_separator
+from .dist import dist_compute_separator
 from .embedding import EmbeddedPlanarGraph
 from .errors import BadParams, InsufficientData, NotProper
 from .generators import (
@@ -29,7 +29,7 @@ from .generators import (
 )
 from .oracles import oracle_all_fundamental_cycles
 from .separator import compute_separator, sep_records, serialize_separator
-from .treecotree import bfs_tree, cotree, fundamental_cycle, fundamental_cut
+from .treecotree import bfs_tree, cotree, diameter_estimate, fundamental_cycle, fundamental_cut
 from .verify import verify_separator
 from .weights import transfer_weights
 
@@ -93,7 +93,7 @@ def run_experiment(spec: ExperimentSpec, deep_checks: bool = True) -> dict:
     g, _partition = generate(spec.generator, spec.params, spec.seed)
     w = _instance_weights(spec, g)
     tree = bfs_tree(g, 0)
-    diameter = _diameter_estimate(g)
+    diameter = diameter_estimate(g)
     record: dict = {
         "instance": spec.name,
         "generator": spec.generator,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .embedding import DualGraph, EdgeId, EmbeddedPlanarGraph, FaceId, build_dual
 from .errors import (
     EdgeInTree,
     EdgeNotInCotree,
+    InvalidPartition,
     NotSpanningTree,
     UnknownRoot,
 )
@@ -47,10 +48,11 @@ class SpanningTree:
         return path
 
 
-def bfs_tree(g: EmbeddedPlanarGraph, root: int) -> SpanningTree:
-    """BFS layers with the smallest-id parent on ties."""
-    if not (0 <= root < g.n):
-        raise UnknownRoot(f"root {root} not in 0..{g.n - 1}")
+def _bfs_layers(
+    g: EmbeddedPlanarGraph, root: int, inside: Sequence[bool] | None = None
+) -> list[int]:
+    """Hop distance from root, moving only through vertices v with
+    inside[v] (every vertex when inside is None); -1 where unreached."""
     depth = [-1] * g.n
     depth[root] = 0
     frontier = [root]
@@ -58,26 +60,73 @@ def bfs_tree(g: EmbeddedPlanarGraph, root: int) -> SpanningTree:
         nxt = []
         for v in frontier:
             for d in g.rotation[v]:
-                if depth[d.head] == -1:
-                    depth[d.head] = depth[v] + 1
-                    nxt.append(d.head)
-        frontier = sorted(set(nxt))
+                u = d.head
+                if depth[u] == -1 and (inside is None or inside[u]):
+                    depth[u] = depth[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return depth
+
+
+def _layered_tree(
+    g: EmbeddedPlanarGraph, root: int, inside: Sequence[bool] | None = None
+) -> SpanningTree:
+    """The BFS tree both engines share: every reached vertex hangs from its
+    smallest-id neighbour one layer up, over the smallest edge to it."""
+    depth = _bfs_layers(g, root, inside)
     parent: list[int | None] = [None] * g.n
     parent_edge: list[EdgeId | None] = [None] * g.n
     edges: set[EdgeId] = set()
     for v in range(g.n):
-        if v == root:
-            continue
-        best = None
-        for d in g.rotation[v]:
-            if depth[d.head] == depth[v] - 1:
-                cand = (d.head, d.edge())
-                if best is None or cand < best:
-                    best = cand
-        parent[v] = best[0]
-        parent_edge[v] = best[1]
-        edges.add(best[1])
+        if depth[v] > 0:
+            parent[v], parent_edge[v] = min(
+                (d.head, d.edge()) for d in g.rotation[v] if depth[d.head] == depth[v] - 1
+            )
+            edges.add(parent_edge[v])
     return SpanningTree(root=root, parent=parent, parent_edge=parent_edge, depth=depth, edges=edges)
+
+
+def bfs_tree(g: EmbeddedPlanarGraph, root: int) -> SpanningTree:
+    """BFS layers with the smallest-id parent on ties."""
+    if not (0 <= root < g.n):
+        raise UnknownRoot(f"root {root} not in 0..{g.n - 1}")
+    return _layered_tree(g, root)
+
+
+def part_bfs_trees(
+    g: EmbeddedPlanarGraph, part_of: Sequence[int]
+) -> dict[int, SpanningTree]:
+    """Per-part BFS trees in global ids, rooted at each part's minimum id.
+
+    A tree lists depth -1 and no parent for the vertices of other parts.
+    """
+    parts: dict[int, list[int]] = {}
+    for v, pid in enumerate(part_of):
+        parts.setdefault(pid, []).append(v)
+    trees: dict[int, SpanningTree] = {}
+    for pid, members in sorted(parts.items()):
+        tree = _layered_tree(g, members[0], [p == pid for p in part_of])
+        if any(tree.depth[v] == -1 for v in members):
+            raise InvalidPartition(f"part {pid} induces a disconnected subgraph")
+        trees[pid] = tree
+    return trees
+
+
+def diameter_estimate(g: EmbeddedPlanarGraph) -> int:
+    """Double-sweep eccentricity; exact on the suite's graph families.
+
+    Each sweep continues from the smallest id at the largest depth.
+    """
+
+    def sweep(src: int) -> tuple[int, int]:
+        depth = _bfs_layers(g, src)
+        far_d = max(depth)
+        return depth.index(far_d), far_d
+
+    a, _ = sweep(0)
+    b, da = sweep(a)
+    _, db = sweep(b)
+    return max(da, db)
 
 
 def tree_from_edges(g: EmbeddedPlanarGraph, edges: Iterable[EdgeId], root: int) -> SpanningTree:

@@ -13,14 +13,7 @@ from planarsep import (
     transfer_weights,
     tree_from_edges,
 )
-from planarsep.dist import (
-    dist_detect_node,
-    dist_dual_subtree_sums,
-    dist_face_weights,
-    dist_learn_cotree,
-    dist_learn_faces,
-    part_bfs_trees,
-)
+from planarsep.dist import CASE_BALANCED, DistPipeline, PipelineConfig, part_bfs_trees
 from planarsep.errors import ConflictingRoot, NotProper
 from planarsep.generators import (
     cycle_chords,
@@ -35,6 +28,22 @@ from planarsep.generators import (
 from planarsep.separator import find_balanced_or_critical
 from planarsep.treecotree import dual_subtree_sums
 from planarsep.verify import verify_separator
+
+
+def _full_run(g, tree=None):
+    """Every vertex's store after run_all on g's own rotations, one part."""
+    tree = tree if tree is not None else bfs_tree(g, 0)
+    pipe = DistPipeline(
+        g=g,
+        part_of=[0] * g.n,
+        global_rot={v: tuple(g.rotation[v]) for v in range(g.n)},
+        trees={0: tree},
+        tree_roots={0: tree.root},
+        weights=list(g.vertex_weight),
+        config=PipelineConfig(),
+    )
+    outputs = pipe.run_all()
+    return [pipe.know[v].store for v in range(g.n)], outputs[0]
 
 
 def test_dist_bfs_equals_sequential(grid4):
@@ -63,56 +72,56 @@ def test_conflicting_roots_detected(grid4):
 
 
 def test_learn_faces_matches_canonical_ids(grid4):
-    faces, rev, trace = dist_learn_faces(grid4)
+    stores, _ = _full_run(grid4)
     for v in range(grid4.n):
         for d in grid4.rotation[v]:
-            assert faces[v][d] == grid4.face_of[d]
-            assert rev[v][d] == grid4.face_of[d.reverse()]
+            assert stores[v]["face"][d] == grid4.face_of[d]
+            assert stores[v]["rev_face"][d] == grid4.face_of[d.reverse()]
 
 
 def test_learn_faces_triangle(c3):
-    faces, _, _ = dist_learn_faces(c3)
+    stores, _ = _full_run(c3)
     for v in range(3):
-        assert len(set(faces[v].values())) == 2
+        assert len(set(stores[v]["face"].values())) == 2
 
 
 def test_learn_faces_triangulation_dual_endpoints():
     g = random_triangulation(200, seed=6)
-    faces, rev, _ = dist_learn_faces(g)
+    stores, _ = _full_run(g)
     for e in g.edges():
         da, db = g.darts_of_edge(e)
-        assert faces[da.tail][da] == g.face_of[da]
-        assert rev[da.tail][da] == g.face_of[db]
+        assert stores[da.tail]["face"][da] == g.face_of[da]
+        assert stores[da.tail]["rev_face"][da] == g.face_of[db]
 
 
 def test_learn_cotree_flags(grid4):
     t = bfs_tree(grid4, 0)
-    flags, _ = dist_learn_cotree(grid4, t)
+    stores, _ = _full_run(grid4, t)
     for v in range(grid4.n):
-        for d, is_cotree in flags[v].items():
+        for d, is_cotree in stores[v]["cotree_flag"].items():
             assert is_cotree == (d.edge() not in t.edges)
 
 
 def test_face_weights_match_sequential(grid4):
     t = bfs_tree(grid4, 0)
-    chosen, fw, _ = dist_face_weights(grid4, t)
+    stores, _ = _full_run(grid4, t)
     seq = transfer_weights(grid4)
-    assert chosen == seq.chosen_face
+    assert [st["chosen"] for st in stores] == seq.chosen_face
     for v in range(grid4.n):
-        for fid, w in fw[v].items():
+        for fid, w in stores[v]["face_weight"].items():
             assert w == seq.face_weight[fid]
 
 
 def test_dual_subtree_sums_match_sequential(tri60):
     t = bfs_tree(tri60, 0)
-    sums, rooted, _ = dist_dual_subtree_sums(tri60, t)
+    stores, _ = _full_run(tri60, t)
     pair = cotree(tri60, t)
     seq = dual_subtree_sums(pair, transfer_weights(tri60).face_weight)
     for v in range(tri60.n):
-        for fid, (total, has_children) in sums[v].items():
+        for fid, (total, has_children) in stores[v]["face_total"].items():
             assert total == seq[fid]
             assert has_children == (len(pair.dual_children[fid]) > 0)
-        for d, (depth, pdart) in rooted[v].items():
+        for d, (depth, pdart) in stores[v]["dual_rooted"].items():
             fid = tri60.face_of[d]
             assert depth == pair.dual_depth[fid]
             if pdart is None:
@@ -124,7 +133,9 @@ def test_dual_subtree_sums_match_sequential(tri60):
 def test_detect_matches_sequential(grid4, tri60, c12):
     for g in (grid4, tri60, c12):
         t = bfs_tree(g, 0)
-        kind, face, subtree, _ = dist_detect_node(g, t)
+        stores, _ = _full_run(g, t)
+        kind = "balanced" if stores[0]["case_code"] == CASE_BALANCED else "critical"
+        face, subtree = stores[0]["case_face"], stores[0]["case_subtree"]
         pair = cotree(g, t)
         seq = find_balanced_or_critical(pair, transfer_weights(g).face_weight)
         assert (kind, face, subtree) == (seq.kind, seq.face, seq.subtree_weight)
@@ -146,13 +157,14 @@ ENGINE_CASES = [
 @pytest.mark.parametrize("name,make,weights", ENGINE_CASES)
 def test_engine_equivalence(name, make, weights):
     g = make()
-    t = bfs_tree(g, 0)
-    seq = compute_separator(g, t, weights)
-    out, trace = dist_compute_separator(g, t, weights)
-    assert serialize_separator(out.result) == serialize_separator(seq)
-    assert out.records() == sep_records(g, t, seq)
-    assert trace.max_bits_per_edge_per_round <= default_bit_budget(g.n)
-    assert verify_separator(g, weights, out.result.path).passed
+    for root in (0, g.n // 2, g.n - 1):
+        t = bfs_tree(g, root)
+        seq = compute_separator(g, t, weights)
+        out, trace = dist_compute_separator(g, t, weights)
+        assert serialize_separator(out.result) == serialize_separator(seq)
+        assert out.records() == sep_records(g, t, seq)
+        assert trace.max_bits_per_edge_per_round <= default_bit_budget(g.n)
+        assert verify_separator(g, weights, out.result.path).passed
 
 
 def test_pinned_critical_both_engines():
@@ -198,10 +210,8 @@ def test_not_proper_surfaces(grid4):
 
 
 def test_mark_separator_output_contract(grid4):
-    from planarsep import dist_mark_separator
-
     t = bfs_tree(grid4, 0)
-    out, _ = dist_mark_separator(grid4, t)
+    _, out = _full_run(grid4, t)
     res = out.result
     flagged = {v for v, view in out.views.items() if view.p_darts}
     assert flagged == set(res.path)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import validate_embedding
-from planarsep.dist import _diameter_estimate
+from planarsep.treecotree import diameter_estimate
 from planarsep.errors import BadParams
 from planarsep.generators import (
     WEIGHT_SCHEMES,
@@ -31,7 +31,7 @@ def test_cylinder_counts():
 
 
 def test_cylinder_constant_diameter_family():
-    diams = [_diameter_estimate(cylinder(4, w)) for w in (8, 16, 32, 64)]
+    diams = [diameter_estimate(cylinder(4, w)) for w in (8, 16, 32, 64)]
     assert max(diams) == min(diams)  # capped drums: diameter set by height
 
 

@@ -39,3 +39,13 @@ def test_missing_rotation_rejected():
 def test_unknown_record_rejected():
     with pytest.raises(BadParams):
         parse_graph("planar 1 0\nrot 0\nbogus 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["rot 7 0", "w 3 2", "w -1 2", "rot 0 2 1", "w 0 3\nw 0 4"],
+    ids=["rot-out-of-range", "w-out-of-range", "w-negative-id", "rot-duplicate", "w-duplicate"],
+)
+def test_bad_record_rejected(extra):
+    with pytest.raises(BadParams):
+        parse_graph(f"planar 3 3\nrot 0 1 2\nrot 1 2 0\nrot 2 0 1\n{extra}\n")

@@ -16,12 +16,13 @@ from planarsep import (
 from planarsep.errors import (
     EdgeInTree,
     EdgeNotInCotree,
+    InvalidPartition,
     NotSpanningTree,
     UnknownRoot,
 )
 from planarsep.generators import path_graph
 from planarsep.oracles import enclosed_faces
-from planarsep.treecotree import dot_export, tree_path
+from planarsep.treecotree import dot_export, part_bfs_trees, tree_path
 
 
 def test_bfs_depths_grid(grid4, grid4_tree):
@@ -43,6 +44,13 @@ def test_bfs_on_tree_returns_the_tree():
 def test_bfs_unknown_root(c3):
     with pytest.raises(UnknownRoot):
         bfs_tree(c3, 7)
+
+
+def test_part_bfs_trees_reject_disconnected_part(grid4):
+    part_of = [0] * 16
+    part_of[0] = part_of[15] = 1  # opposite corners share a part
+    with pytest.raises(InvalidPartition):
+        part_bfs_trees(grid4, part_of)
 
 
 def test_cotree_sizes(grid4, grid4_tree, c3):
