@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from planarsep import (
@@ -28,6 +31,22 @@ from planarsep.generators import (
 from planarsep.separator import find_balanced_or_critical
 from planarsep.treecotree import dual_subtree_sums
 from planarsep.verify import verify_separator
+
+# Serialized separators and `sep` records of fixed runs, pinned so that a
+# change both engines share (result building, closing edges, records)
+# cannot drift unnoticed.  Regenerate only when a change sets out to alter
+# the results:
+#
+#     PYTHONPATH=src python3 tests/test_dist.py
+GOLDEN_RESULTS = Path(__file__).parent / "golden" / "results.json"
+
+
+def _result_snapshot(separator: str, records: str) -> dict:
+    return {"separator": separator, "records": records}
+
+
+def _golden(key: str) -> dict:
+    return json.loads(GOLDEN_RESULTS.read_text())[key]
 
 
 def _full_run(g, tree=None):
@@ -154,15 +173,22 @@ ENGINE_CASES = [
 ]
 
 
+def _roots(g):
+    return (0, g.n // 2, g.n - 1)
+
+
 @pytest.mark.parametrize("name,make,weights", ENGINE_CASES)
 def test_engine_equivalence(name, make, weights):
     g = make()
-    for root in (0, g.n // 2, g.n - 1):
+    for root in _roots(g):
         t = bfs_tree(g, root)
         seq = compute_separator(g, t, weights)
         out, trace = dist_compute_separator(g, t, weights)
         assert serialize_separator(out.result) == serialize_separator(seq)
         assert out.records() == sep_records(g, t, seq)
+        assert _result_snapshot(
+            serialize_separator(seq), sep_records(g, t, seq)
+        ) == _golden(f"{name} root {root}")
         assert trace.max_bits_per_edge_per_round <= default_bit_budget(g.n)
         assert verify_separator(g, weights, out.result.path).passed
 
@@ -176,6 +202,10 @@ def test_pinned_critical_both_engines():
     assert serialize_separator(out.result) == serialize_separator(seq)
     assert out.result.closing.kind == "virtual"
     assert trace.probes >= 1
+    assert out.records() == sep_records(g, t, seq)
+    assert _result_snapshot(
+        serialize_separator(seq), sep_records(g, t, seq)
+    ) == _golden("pinned-critical")
 
 
 def test_scramble_leaves_output_unchanged(grid4):
@@ -243,6 +273,9 @@ def test_multi_quadrants_verify():
     assert len(outs) == 4
     members = {pid: [v for v in range(g.n) if part_of[v] == pid] for pid in outs}
     for pid, out in outs.items():
+        assert _result_snapshot(
+            serialize_separator(out.result), out.records()
+        ) == _golden(f"parts8x2 part {pid}")
         # remove everything outside the part plus its separator path
         removed = set(out.result.path) | (set(range(g.n)) - set(members[pid]))
         rep = verify_separator(g, None, removed)
@@ -262,3 +295,32 @@ def test_multi_interval_lengths_published():
     _, trace = dist_multi(g, part_of, trees)
     assert trace.interval_lengths
     assert sum(trace.interval_lengths) == trace.rounds_executed
+
+
+def _golden_snapshots() -> dict:
+    snaps = {}
+    for name, make, weights in ENGINE_CASES:
+        g = make()
+        for root in _roots(g):
+            t = bfs_tree(g, root)
+            seq = compute_separator(g, t, weights)
+            snaps[f"{name} root {root}"] = _result_snapshot(
+                serialize_separator(seq), sep_records(g, t, seq)
+            )
+    g, tree_edges, _, _ = pinned_critical_instance()
+    t = tree_from_edges(g, tree_edges, root=0)
+    seq = compute_separator(g, t)
+    snaps["pinned-critical"] = _result_snapshot(
+        serialize_separator(seq), sep_records(g, t, seq)
+    )
+    g, part_of = two_level_parts(8, 2)
+    outs, _ = dist_multi(g, part_of, part_bfs_trees(g, part_of))
+    for pid, out in outs.items():
+        snaps[f"parts8x2 part {pid}"] = _result_snapshot(
+            serialize_separator(out.result), out.records()
+        )
+    return snaps
+
+
+if __name__ == "__main__":
+    GOLDEN_RESULTS.write_text(json.dumps(_golden_snapshots(), indent=1, sort_keys=True) + "\n")
