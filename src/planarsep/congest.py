@@ -9,7 +9,7 @@ Each dart carries at most one payload per round and its encoded size
 Two part-wise aggregation backends share one result contract: "honest"
 executes a convergecast + broadcast on a BFS tree of every part and
 counts true rounds; "charged" computes the folds out-of-band and books
-c_pa * D * ceil(log2 n)^exponent rounds per call, the cost model for the
+D * ceil(log2(n+1))^2 rounds per call (pa_charge), the cost model for the
 shortcut-based aggregation the literature provides.
 """
 
@@ -44,6 +44,11 @@ def default_bit_budget(n: int) -> int:
 
 def log2ceil(n: int) -> int:
     return max(1, (n - 1).bit_length())
+
+
+def pa_charge(diameter: int, n: int) -> int:
+    """Rounds booked for one charged part-wise aggregation: D * ceil(log2(n+1))^2."""
+    return diameter * log2ceil(n + 1) ** 2
 
 
 @dataclass
@@ -312,8 +317,6 @@ def pa_aggregate(
     trace: PhaseTrace,
     bit_budget: Optional[int] = None,
     diameter: Optional[int] = None,
-    c_pa: int = 1,
-    exponent: int = 2,
     scramble: Optional[int] = None,
 ) -> list[int]:
     """Every vertex learns the fold of its part's inputs; returns the list."""
@@ -326,7 +329,7 @@ def pa_aggregate(
     }
     budget = bit_budget if bit_budget is not None else default_bit_budget(g.n)
     d_est = diameter if diameter is not None else g.n
-    charge = c_pa * d_est * log2ceil(g.n + 1) ** exponent
+    charge = pa_charge(d_est, g.n)
     trace.pa_calls += 1
 
     wide = any(r.bit_length() + 4 > budget for r in expected.values())

@@ -29,7 +29,6 @@ parents, maximum-id elections), so results serialize byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .biconnect import biconnect
@@ -40,21 +39,23 @@ from .congest import (
     Simulator,
     VertexProgram,
     default_bit_budget,
-    log2ceil,
     pa_aggregate,
+    pa_charge,
 )
 from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, FaceId, build_embedding
-from .errors import ConflictingRoot, DegenerateTotal, NotBiconnected, NotProper
+from .errors import ConflictingRoot, DegenerateTotal, NotBiconnected
 from .separator import (
     ClosingEdge,
-    PROPERNESS,
     SeparatorResult,
     exceeds_beta,
     is_balanced,
+    make_result,
+    next_copy,
+    require_proper,
+    sep_line,
 )
 from .treecotree import SpanningTree, diameter_estimate
 from .treecotree import part_bfs_trees  # re-exported for callers of planarsep.dist
-from .weights import check_proper
 
 # message tags, with payload arity (tag excluded)
 T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
@@ -131,9 +132,6 @@ class LocalKnowledge:
 
     def rot_next(self, d: Dart) -> Dart:
         return self.rotation[(self._pos[d] + 1) % len(self.rotation)]
-
-    def rot_prev(self, d: Dart) -> Dart:
-        return self.rotation[(self._pos[d] - 1) % len(self.rotation)]
 
 
 # -- tree construction and rooting ------------------------------------------
@@ -436,15 +434,10 @@ class PrefixProgram(VertexProgram):
         }
         if store.get("case_code") != CASE_VIRTUAL:
             return st
-        f = store["case_face"]
-        for d in know.rotation:
-            if store["face"].get(d) != f:
-                continue
-            st["active"] = True
-            depth, pdart = store["dual_rooted"][d]
-            anchor = pdart if pdart is not None else f
-            if anchor == d:
-                st["anchor"] = d
+        anchor = store["case_anchor"]  # known exactly at the face's corners
+        st["active"] = anchor is not None
+        if st["active"] and anchor.tail == know.vid:
+            st["anchor"] = anchor
         return st
 
     def _contrib(self, know, pos: Dart) -> tuple[int, int]:
@@ -503,24 +496,18 @@ class SearchProgram(VertexProgram):
     One probe = one broadcast down the tree plus one max-convergecast up;
     the part coordinator (tree root) bisects on the enclosed weight and
     asserts its monotonicity.  Non-virtual parts skip straight to the
-    endpoint phase.
+    endpoint phase.  Each wave (probe down, answer up, endpoint claim
+    down, claim up, endpoint broadcast) is one routine, shared by the root
+    and the frame handlers.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
         return {
-            "seq": -1, "mode": "idle", "agg": 0, "got": 0,
-            "agg_uv": (0, 0), "uv_got": 0, "u": None, "v": None,
-            "probes": [], "lo": None, "hi": None, "s_lo": None, "s_hi": None,
-            "j": None, "interior": None, "probe_t": None,
+            "seq": -1, "agg": 0, "got": 0, "agg_uv": (0, 0), "uv_got": 0,
+            "u": None, "v": None, "done": False,
+            "probes": [], "lo": None, "hi": None, "s_hi": None,
+            "interior": None, "probe_t": None,
         }
-
-    # -- helpers ----------------------------------------------------------
-
-    def _children(self, know) -> list[tuple[int, Dart]]:
-        return know.store["tree_children"]
-
-    def _parent_dart(self, know) -> Optional[Dart]:
-        return know.store["tree_parent_dart"]
 
     def _my_answer(self, know, t: int) -> int:
         store = know.store
@@ -532,49 +519,72 @@ class SearchProgram(VertexProgram):
             return s_t + 1
         return 0
 
-    def _uv_claim(self, know, st) -> tuple[int, int]:
+    def _uv_claim(self, know, j: int) -> tuple[int, int]:
+        """(u + 1, v + 1) where this vertex is that endpoint, else 0; only
+        corners of the chosen face claim.  A balanced face is never the
+        dual root, so its anchor is its dual parent dart."""
         store = know.store
-        code = store.get("case_code")
-        u = v = 0
+        ad = store["case_anchor"]
+        if ad is None:
+            return 0, 0
+        code = store["case_code"]
         if code == CASE_BALANCED:
-            pd = store.get("case_parent_dart")
-            if pd is not None:
-                lo, hi = sorted((pd.tail, pd.head))
-                if know.vid == lo:
-                    u = know.vid + 1
-                if know.vid == hi:
-                    v = know.vid + 1
+            u, v = sorted((ad.tail, ad.head))
         elif code == CASE_LEAF:
-            ad = store.get("case_anchor")
-            if ad is not None:
-                if know.vid == ad.head:
-                    u = know.vid + 1
-                if know.vid == ad.tail:
-                    v = know.vid + 1
-        elif code == CASE_VIRTUAL:
-            if st.get("is_u"):
-                u = know.vid + 1
-            ad = store.get("case_anchor")
-            if ad is not None and know.vid == ad.tail:
-                v = know.vid + 1
-        return u, v
+            u, v = ad.head, ad.tail
+        else:
+            u = know.vid if store.get("prefix_idx") == j + 1 else None
+            v = ad.tail
+        me = know.vid
+        return (me + 1 if me == u else 0), (me + 1 if me == v else 0)
+
+    # -- waves ------------------------------------------------------------
+
+    def _probe_down(self, know, st, seq: int, t: int, out):
+        st["seq"], st["probe_t"] = seq, t
+        st["agg"], st["got"] = self._my_answer(know, t), 0
+        children = know.store["tree_children"]
+        for _c, d in children:
+            out.append((d, pack((T_PROBE, seq, t))))
+        if not children:
+            self._answer_up(know, st, out)
+
+    def _answer_up(self, know, st, out):
+        if know.vid == know.tree_root:
+            self._bisect(know, st, out)
+        else:
+            out.append((know.store["tree_parent_dart"], pack((T_ANS, st["seq"], st["agg"]))))
+
+    def _claim_down(self, know, st, seq: int, j: int, out):
+        store = know.store
+        st["seq"] = seq
+        st["agg_uv"], st["uv_got"] = self._uv_claim(know, j), 0
+        if store["case_code"] == CASE_VIRTUAL and st["agg_uv"][0]:
+            st["slot_u"] = store["prefix_pos"]  # u's rotation slot for the new edge
+        children = store["tree_children"]
+        for _c, d in children:
+            out.append((d, pack((T_RES, seq, j))))
+        if not children:
+            self._claim_up(know, st, out)
+
+    def _claim_up(self, know, st, out):
+        if know.vid == know.tree_root:
+            self._broadcast(know, st, *st["agg_uv"], out)
+        else:
+            out.append((know.store["tree_parent_dart"], pack((T_UV, *st["agg_uv"]))))
+
+    def _broadcast(self, know, st, u: int, v: int, out):
+        st["u"], st["v"] = u - 1, v - 1
+        for _c, d in know.store["tree_children"]:
+            out.append((d, pack((T_UV, u, v))))
+        st["done"] = True
 
     # -- coordinator ------------------------------------------------------
 
-    def _launch_probe(self, know, st, t: int, out):
-        st["seq"] += 1
-        st["mode"] = "probe"
-        st["probe_t"] = t
-        st["agg"] = self._my_answer(know, t)
-        st["got"] = 0
-        for _c, d in self._children(know):
-            out.append((d, pack((T_PROBE, st["seq"], t))))
-        if not self._children(know):
-            self._probe_done(know, st, out)
-
-    def _probe_done(self, know, st, out):
-        store = know.store
-        W = store["total_weight"]
+    def _bisect(self, know, st, out):
+        """The root's step once a probe's answer is in: narrow [lo, hi],
+        then probe the midpoint or start the endpoint claim at j = lo."""
+        W = know.store["total_weight"]
         t, s_t = st["probe_t"], st["agg"] - 1
         assert st["agg"] > 0, "probe reached no boundary position"
         st["probes"].append((t, s_t))
@@ -585,49 +595,14 @@ class SearchProgram(VertexProgram):
             assert not exceeds_beta(s_t, W), "last triangle subtree exceeds 3/4"
             st["s_hi"] = s_t
         elif exceeds_beta(s_t, W):
-            st["lo"], st["s_lo"] = t, s_t
+            st["lo"] = t
         else:
             st["hi"], st["s_hi"] = t, s_t
         if st["hi"] - st["lo"] <= 1:
-            st["j"] = st["lo"]
             st["interior"] = st["s_hi"]
-            self._start_res(know, st, out)
+            self._claim_down(know, st, st["seq"] + 1, st["lo"], out)
         else:
-            self._launch_probe(know, st, (st["lo"] + st["hi"]) // 2, out)
-
-    def _start_res(self, know, st, out):
-        st["seq"] += 1
-        st["mode"] = "res"
-        j = st["j"] if st["j"] is not None else 0
-        self._apply_res(know, st, j)
-        st["agg_uv"] = self._uv_claim(know, st)
-        st["uv_got"] = 0
-        for _c, d in self._children(know):
-            out.append((d, pack((T_RES, st["seq"], j))))
-        if not self._children(know):
-            self._finish_uv(know, st, out)
-
-    # -- shared -----------------------------------------------------------
-
-    def _apply_res(self, know, st, j: int):
-        store = know.store
-        if (
-            store.get("case_code") == CASE_VIRTUAL
-            and store.get("prefix_idx") == j + 1
-        ):
-            st["is_u"] = True
-            st["slot_u"] = store["prefix_pos"]
-
-    def _finish_uv(self, know, st, out):
-        u, v = st["agg_uv"]
-        if know.vid == know.tree_root:
-            st["u"], st["v"] = u - 1, v - 1
-            for _c, d in self._children(know):
-                out.append((d, pack((T_UV, u, v))))
-            st["mode"] = "done"
-        else:
-            out.append((self._parent_dart(know), pack((T_UV, u, v))))
-            st["mode"] = "uv_sent"
+            self._probe_down(know, st, st["seq"] + 1, (st["lo"] + st["hi"]) // 2, out)
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         out = []
@@ -635,60 +610,32 @@ class SearchProgram(VertexProgram):
         if r == 0 and know.vid == know.tree_root:
             if store.get("case_code") == CASE_VIRTUAL:
                 st["lo"], st["hi"] = 1, store["case_k"] - 2
-                st["s_lo"] = store["case_subtree"]
-                self._launch_probe(know, st, st["hi"], out)
+                self._probe_down(know, st, 0, st["hi"], out)
             else:
-                st["j"] = 0
-                self._start_res(know, st, out)
-            return out, st["mode"] == "done"
+                self._claim_down(know, st, 0, 0, out)
+            return out, st["done"]
         for k, payload in inbox.items():
             for frame in unpack(payload):
                 tag = frame[0]
                 if tag == T_PROBE:
-                    st["seq"], t = frame[1], frame[2]
-                    st["mode"] = "probe"
-                    st["probe_t"] = t
-                    st["agg"] = self._my_answer(know, t)
-                    st["got"] = 0
-                    for _c, d in self._children(know):
-                        out.append((d, pack((T_PROBE, st["seq"], t))))
-                    if not self._children(know):
-                        out.append(
-                            (self._parent_dart(know), pack((T_ANS, st["seq"], st["agg"])))
-                        )
+                    self._probe_down(know, st, frame[1], frame[2], out)
                 elif tag == T_ANS:
                     assert frame[1] == st["seq"]
                     st["agg"] = max(st["agg"], frame[2])
                     st["got"] += 1
-                    if st["got"] == len(self._children(know)):
-                        if know.vid == know.tree_root:
-                            self._probe_done(know, st, out)
-                        else:
-                            out.append(
-                                (self._parent_dart(know), pack((T_ANS, st["seq"], st["agg"])))
-                            )
+                    if st["got"] == len(store["tree_children"]):
+                        self._answer_up(know, st, out)
                 elif tag == T_RES:
-                    st["seq"], j = frame[1], frame[2]
-                    self._apply_res(know, st, j)
-                    st["agg_uv"] = self._uv_claim(know, st)
-                    st["uv_got"] = 0
-                    for _c, d in self._children(know):
-                        out.append((d, pack((T_RES, st["seq"], j))))
-                    if not self._children(know):
-                        self._finish_uv(know, st, out)
+                    self._claim_down(know, st, frame[1], frame[2], out)
+                elif tag == T_UV and k == store["tree_parent_dart"]:
+                    self._broadcast(know, st, frame[1], frame[2], out)
                 elif tag == T_UV:
-                    if k == self._parent_dart(know):
-                        st["u"], st["v"] = frame[1] - 1, frame[2] - 1
-                        for _c, d in self._children(know):
-                            out.append((d, pack((T_UV, frame[1], frame[2]))))
-                        st["mode"] = "done"
-                    else:
-                        cu, cv = st["agg_uv"]
-                        st["agg_uv"] = (max(cu, frame[1]), max(cv, frame[2]))
-                        st["uv_got"] += 1
-                        if st["uv_got"] == len(self._children(know)):
-                            self._finish_uv(know, st, out)
-        return out, st["mode"] == "done"
+                    cu, cv = st["agg_uv"]
+                    st["agg_uv"] = (max(cu, frame[1]), max(cv, frame[2]))
+                    st["uv_got"] += 1
+                    if st["uv_got"] == len(store["tree_children"]):
+                        self._claim_up(know, st, out)
+        return out, st["done"]
 
 
 class MarkProgram(VertexProgram):
@@ -739,11 +686,7 @@ class DistSeparatorOutput:
     probes: int
 
     def records(self) -> str:
-        lines = []
-        for vid in sorted(self.views):
-            view = self.views[vid]
-            body = ",".join(f"{d.tail}-{d.head}-{d.copy}" for d in view.p_darts) or "-"
-            lines.append(f"sep {vid} {view.role} {body}")
+        lines = [sep_line(x, view.role, view.p_darts) for x, view in sorted(self.views.items())]
         return "\n".join(lines) + "\n"
 
 
@@ -754,8 +697,6 @@ class DistSeparatorOutput:
 class PipelineConfig:
     backend: str = "honest"
     bit_budget: Optional[int] = None
-    c_pa: int = 1
-    exponent: int = 2
     max_rounds: int = 10**6
     scramble: Optional[int] = None
 
@@ -790,7 +731,7 @@ class DistPipeline:
         )
         self.trace = RoundTrace()
         self.diameter = diameter_estimate(g)
-        self._unit = config.c_pa * self.diameter * log2ceil(g.n + 1) ** config.exponent
+        self._unit = pa_charge(self.diameter, g.n)
 
         tree_edges = {pid: t.edges for pid, t in trees.items()}
         self.know = []
@@ -833,8 +774,6 @@ class DistPipeline:
             name_trace,
             bit_budget=self.budget,
             diameter=self.diameter,
-            c_pa=self.config.c_pa,
-            exponent=self.config.exponent,
             scramble=self.config.scramble,
         )
 
@@ -1002,18 +941,16 @@ class DistPipeline:
         self._store("case_subtree", subtree)
         self.trace.interval_lengths.append(pt.honest_rounds)
 
-        # corners of the chosen face publish its parent/anchor dart locally
+        # corners of the chosen face publish its anchor locally: the face's
+        # side of its dual parent edge, or its canonical dart at the root
         for v in range(n):
             store = self.know[v].store
             f = store["case_face"]
-            store["case_parent_dart"] = None
             store["case_anchor"] = None
             for d in self.know[v].rotation:
                 if store["face"][d] == f:
-                    depth, pdart = store["dual_rooted"][d]
-                    anchor = pdart if pdart is not None else f
-                    store["case_parent_dart"] = pdart
-                    store["case_anchor"] = anchor
+                    pdart = store["dual_rooted"][d][1]
+                    store["case_anchor"] = pdart if pdart is not None else f
 
     def run_prefix(self):
         states = self._run("mark_prefix", PrefixProgram(), charge_units=1)
@@ -1068,8 +1005,6 @@ class DistPipeline:
         any_store = self.know[members[0]].store
         code = any_store["case_code"]
         u, v = any_store["sep_u"], any_store["sep_v"]
-        W = any_store["total_weight"]
-        subtree_f = any_store["case_subtree"]
 
         # path edges from the marking sums
         path_edges = set()
@@ -1089,60 +1024,40 @@ class DistPipeline:
             role = "u" if x == u else "v" if x == v else "p" if darts else "-"
             views[x] = VertexSeparatorView(vid=x, role=role, p_darts=tuple(sorted(darts)))
 
-        path = self._walk_path(u, v, path_edges)
-
-        if code == CASE_BALANCED:
-            pd = None
-            for x in members:
-                if self.know[x].store["case_parent_dart"] is not None:
-                    pd = self.know[x].store["case_parent_dart"]
-            closing = ClosingEdge(kind="real", endpoints=(u, v), copy=pd.copy)
-            interior = subtree_f
-            ratio = Fraction(max(interior, W - interior), W)
-        elif code == CASE_LEAF:
-            anchor = None
-            for x in members:
-                if self.know[x].store["case_anchor"] is not None:
-                    anchor = self.know[x].store["case_anchor"]
-            closing = ClosingEdge(kind="real", endpoints=(u, v), copy=anchor.copy)
-            interior = subtree_f
-            ratio = Fraction(W - interior, W)
-        else:
-            anchor = self.know[v].store["case_anchor"]
-            slot_u = self._search_states[u].get("slot_u")
-            if slot_u is None:
-                slot_u = self.know[u].store["prefix_pos"]
-            existing = {d.copy for d in self.know[u].rotation if d.head == v}
+        # v is a corner of the chosen face in every case, so its store holds
+        # the face's anchor
+        anchor = self.know[v].store["case_anchor"]
+        if code == CASE_VIRTUAL:
+            slot_u = self._search_states[u]["slot_u"]
             closing = ClosingEdge(
                 kind="virtual",
                 endpoints=(u, v),
-                copy=max(existing, default=-1) + 1,
+                copy=next_copy(self.know[u].rotation, v),
                 insert_before_u=slot_u,
                 insert_before_v=anchor,
             )
             interior = root_state["interior"]
-            ratio = Fraction(max(interior, W - interior), W)
             views[u].peer = v
             views[u].insert_before = slot_u
             views[v].peer = u
             views[v].insert_before = anchor
+        else:
+            closing = ClosingEdge(kind="real", endpoints=(u, v), copy=anchor.copy)
+            interior = any_store["case_subtree"]
 
-        result = SeparatorResult(
-            case=_CASE_NAMES[code],
-            u=u,
-            v=v,
-            path=tuple(path),
-            closing=closing,
-            interior_weight=interior,
-            exterior_weight=W - interior,
-            balance_ratio=ratio,
+        result = make_result(
+            _CASE_NAMES[code],
+            self._walk_path(u, v, path_edges),
+            closing,
+            interior,
+            any_store["total_weight"],
         )
         return DistSeparatorOutput(
             part=pid,
-            case=_CASE_NAMES[code],
+            case=result.case,
             result=result,
             views=views,
-            probes=len(root_state.get("probes", [])),
+            probes=len(root_state["probes"]),
         )
 
     def _walk_path(self, u: int, v: int, path_edges: set[EdgeId]) -> list[int]:
@@ -1226,8 +1141,6 @@ def dist_compute_separator(
     weights: Optional[Sequence[int]] = None,
     backend: str = "honest",
     bit_budget: Optional[int] = None,
-    c_pa: int = 1,
-    exponent: int = 2,
     max_rounds: int = 10**6,
     scramble: Optional[int] = None,
 ) -> tuple[DistSeparatorOutput, RoundTrace]:
@@ -1235,7 +1148,7 @@ def dist_compute_separator(
     one part holding every vertex."""
     outputs, trace = dist_multi(
         g, [0] * g.n, {0: tree}, weights, backend=backend, bit_budget=bit_budget,
-        c_pa=c_pa, exponent=exponent, max_rounds=max_rounds, scramble=scramble,
+        max_rounds=max_rounds, scramble=scramble,
     )
     return outputs[0], trace
 
@@ -1247,8 +1160,6 @@ def dist_multi(
     weights: Optional[Sequence[int]] = None,
     backend: str = "honest",
     bit_budget: Optional[int] = None,
-    c_pa: int = 1,
-    exponent: int = 2,
     max_rounds: int = 10**6,
     scramble: Optional[int] = None,
 ) -> tuple[dict[int, DistSeparatorOutput], RoundTrace]:
@@ -1258,18 +1169,10 @@ def dist_multi(
     for v, pid in enumerate(part_of):
         parts.setdefault(pid, []).append(v)
     for pid, members in sorted(parts.items()):
-        verdict = check_proper([w[v] for v in members], PROPERNESS)
-        if verdict.degenerate:
-            raise DegenerateTotal(f"part {pid}: total weight is zero")
-        if not verdict.proper:
-            raise NotProper(
-                f"part {pid}: max weight {verdict.max_weight} exceeds {PROPERNESS} "
-                f"of total {verdict.total}"
-            )
+        require_proper([w[v] for v in members], f"part {pid}: ")
     global_rot = _part_knowledge(g, part_of)
     config = PipelineConfig(
-        backend=backend, bit_budget=bit_budget, c_pa=c_pa, exponent=exponent,
-        max_rounds=max_rounds, scramble=scramble,
+        backend=backend, bit_budget=bit_budget, max_rounds=max_rounds, scramble=scramble,
     )
     pipeline = DistPipeline(
         g=g,

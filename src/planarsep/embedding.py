@@ -69,9 +69,6 @@ class DualEdge:
     def is_self_loop(self) -> bool:
         return self.face_a == self.face_b
 
-    def other(self, f: FaceId) -> FaceId:
-        return self.face_b if f == self.face_a else self.face_a
-
 
 @dataclass
 class EmbeddedPlanarGraph:
@@ -106,9 +103,6 @@ class EmbeddedPlanarGraph:
     def f(self) -> int:
         return len(self.faces)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def darts(self) -> Iterable[Dart]:
         for rot in self.rotation:
             yield from rot
@@ -122,19 +116,8 @@ class EmbeddedPlanarGraph:
     def neighbors(self, v: int) -> list[int]:
         return [d.head for d in self.rotation[v]]
 
-    def is_virtual(self, d: Dart) -> bool:
-        return d.edge() in self.virtual_edges
-
     def face(self, fid: FaceId) -> Face:
         return self._face_by_id[fid]
-
-    def incident_faces(self, v: int) -> list[FaceId]:
-        seen = []
-        for d in self.rotation[v]:
-            fid = self.face_of[d]
-            if fid not in seen:
-                seen.append(fid)
-        return seen
 
     # -- rotation / face traversal --------------------------------------
 
@@ -142,15 +125,8 @@ class EmbeddedPlanarGraph:
         rot = self.rotation[d.tail]
         return rot[(self._rot_pos[d] + 1) % len(rot)]
 
-    def rot_prev(self, d: Dart) -> Dart:
-        rot = self.rotation[d.tail]
-        return rot[(self._rot_pos[d] - 1) % len(rot)]
-
     def face_succ(self, d: Dart) -> Dart:
         return self.rot_next(d.reverse())
-
-    def face_pred(self, d: Dart) -> Dart:
-        return self.rot_prev(d).reverse()
 
     def euler_residual(self) -> int:
         return self.n - self.m + self.f - 2
@@ -317,23 +293,6 @@ def validate_embedding(g: EmbeddedPlanarGraph) -> EmbeddingReport:
 class DualGraph:
     nodes: tuple[FaceId, ...]
     dual_edges: tuple[DualEdge, ...]
-
-    def adjacency(self) -> dict[FaceId, list[tuple[EdgeId, FaceId]]]:
-        adj: dict[FaceId, list[tuple[EdgeId, FaceId]]] = {f: [] for f in self.nodes}
-        for de in self.dual_edges:
-            adj[de.face_a].append((de.primal, de.face_b))
-            if not de.is_self_loop():
-                adj[de.face_b].append((de.primal, de.face_a))
-        return adj
-
-    def degree(self, f: FaceId) -> int:
-        deg = 0
-        for de in self.dual_edges:
-            if de.face_a == f:
-                deg += 1
-            if de.face_b == f:
-                deg += 1
-        return deg
 
 
 def build_dual(g: EmbeddedPlanarGraph) -> DualGraph:

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .congest import default_bit_budget, log2ceil
+from .congest import default_bit_budget, pa_charge
 from .dist import dist_compute_separator
 from .embedding import EmbeddedPlanarGraph
 from .errors import BadParams, InsufficientData, NotProper
@@ -114,20 +114,21 @@ def run_experiment(spec: ExperimentSpec, deep_checks: bool = True) -> dict:
         record["ok"] = False
         record["failures"].append(reason)
 
+    seq = dist_out = None
     try:
-        seq = compute_separator(g, tree, w) if spec.engine in ("sequential", "both") else None
+        if spec.engine in ("sequential", "both"):
+            seq = compute_separator(g, tree, w)
+        if spec.engine in ("distributed", "both"):
+            dist_out, trace = dist_compute_separator(
+                g, tree, w, backend=spec.pa_backend, bit_budget=spec.bit_budget,
+                max_rounds=spec.max_rounds,
+            )
     except NotProper:
-        record["ok"] = False
-        record["failures"].append("not-proper")
+        fail("not-proper")
         record["error"] = "NotProper"
         return record
 
-    dist_out = None
-    if spec.engine in ("distributed", "both"):
-        dist_out, trace = dist_compute_separator(
-            g, tree, w, backend=spec.pa_backend, bit_budget=spec.bit_budget,
-            max_rounds=spec.max_rounds,
-        )
+    if dist_out is not None:
         record["honest_rounds"] = trace.rounds_executed
         record["charged_rounds"] = trace.charged_rounds
         record["max_bits"] = trace.max_bits_per_edge_per_round
@@ -217,7 +218,7 @@ def scaling_report(records: list[dict]) -> dict:
         raise InsufficientData("need at least four sizes of one family")
     fits = []
     for r in sorted(rows, key=lambda r: r["n"]):
-        denom = r["diameter"] * log2ceil(r["n"] + 1) ** 2
+        denom = pa_charge(r["diameter"], r["n"])
         fits.append(
             {
                 "n": r["n"],

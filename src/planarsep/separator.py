@@ -165,6 +165,59 @@ def serialize_separator(res: SeparatorResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def make_result(
+    case: str,
+    path: Sequence[int],
+    closing: ClosingEdge,
+    interior: int,
+    total: int,
+    diagnostics: Optional[dict] = None,
+) -> SeparatorResult:
+    """The result contract both engines build through: u and v are the
+    closing edge's endpoints, and the exterior and balance follow from the
+    interior weight.  A critical leaf face has an empty strict interior, so
+    only the exterior side can form components and its share is the bound.
+    """
+    exterior = total - interior
+    worst = exterior if case == "critical-leaf" else max(interior, exterior)
+    u, v = closing.endpoints
+    return SeparatorResult(
+        case=case,
+        u=u,
+        v=v,
+        path=tuple(path),
+        closing=closing,
+        interior_weight=interior,
+        exterior_weight=exterior,
+        balance_ratio=Fraction(worst, total),
+        diagnostics=diagnostics if diagnostics is not None else {},
+    )
+
+
+def next_copy(rotation_u: Sequence[Dart], v: int) -> int:
+    """Copy index of a new u-v edge: one above the copy of every u-v dart."""
+    return max((d.copy for d in rotation_u if d.head == v), default=-1) + 1
+
+
+def sep_line(x: int, role: str, darts: Sequence[Dart]) -> str:
+    """One vertex's `sep` record: its role and its incident path darts."""
+    body = ",".join(f"{d.tail}-{d.head}-{d.copy}" for d in darts) or "-"
+    return f"sep {x} {role} {body}"
+
+
+def require_proper(weights: Sequence[int], where: str = "") -> None:
+    """Refuse zero totals and weights that are not 1/12-proper; `where`
+    prefixes the message (e.g. "part 3: ")."""
+    verdict = check_proper(weights, PROPERNESS)
+    if verdict.degenerate:
+        raise DegenerateTotal(f"{where}total vertex weight is zero")
+    if not verdict.proper:
+        raise NotProper(
+            f"{where}max weight {verdict.max_weight} exceeds {PROPERNESS} "
+            f"of total {verdict.total}"
+        )
+
+
 def sep_records(g: EmbeddedPlanarGraph, tree: SpanningTree, res: SeparatorResult) -> str:
     """Per-vertex view of the marked path, one canonical line per vertex."""
     path_edges = {
@@ -186,13 +239,8 @@ def sep_records(g: EmbeddedPlanarGraph, tree: SpanningTree, res: SeparatorResult
             for (a, b, c) in path_edges
             if x in (a, b)
         )
-        body = ",".join(f"{d.tail}-{d.head}-{d.copy}" for d in darts) or "-"
-        lines.append(f"sep {x} {role} {body}")
+        lines.append(sep_line(x, role, darts))
     return "\n".join(lines) + "\n"
-
-
-def _balance(interior: int, exterior: int, total: int) -> Fraction:
-    return Fraction(max(interior, exterior), total)
 
 
 def separator_from_balanced(
@@ -201,22 +249,14 @@ def separator_from_balanced(
     weighting: FaceWeighting,
 ) -> SeparatorResult:
     assert verdict.kind == "balanced"
-    f = verdict.face
-    e = pair.dual_parent_edge[f]
-    a, b, cp = e
+    a, b, cp = pair.dual_parent_edge[verdict.face]
     u, v = (a, b) if a < b else (b, a)
-    path = tree_path(pair.tree, u, v)
-    interior = verdict.subtree_weight
-    exterior = verdict.total - interior
-    return SeparatorResult(
-        case="balanced",
-        u=u,
-        v=v,
-        path=tuple(path),
-        closing=ClosingEdge(kind="real", endpoints=(u, v), copy=cp),
-        interior_weight=interior,
-        exterior_weight=exterior,
-        balance_ratio=_balance(interior, exterior, verdict.total),
+    return make_result(
+        "balanced",
+        tree_path(pair.tree, u, v),
+        ClosingEdge(kind="real", endpoints=(u, v), copy=cp),
+        verdict.subtree_weight,
+        verdict.total,
     )
 
 
@@ -326,21 +366,13 @@ def separator_from_critical(
         u, v = scan.vs[0], scan.vs[-1]
         path = tree_path(pair.tree, u, v)
         assert set(path) == set(scan.vs), "leaf face boundary is not the tree path"
-        interior = verdict.subtree_weight
-        # the strict interior of the face is empty, so only the exterior
-        # side can form components; that is the guaranteed bound here
-        return SeparatorResult(
-            case="critical-leaf",
-            u=u,
-            v=v,
-            path=tuple(path),
-            closing=ClosingEdge(
-                kind="real", endpoints=(u, v), copy=scan.anchor.copy
-            ),
-            interior_weight=interior,
-            exterior_weight=W - interior,
-            balance_ratio=Fraction(W - interior, W),
-            diagnostics={"scan": scan},
+        return make_result(
+            "critical-leaf",
+            path,
+            ClosingEdge(kind="real", endpoints=(u, v), copy=scan.anchor.copy),
+            verdict.subtree_weight,
+            W,
+            {"scan": scan},
         )
 
     s = scan.triangle_subtrees()
@@ -352,25 +384,20 @@ def separator_from_critical(
     assert 4 * s_next > W and 4 * s_next <= 3 * W, "selected triangle not balanced"
 
     u, v = scan.vs[j], scan.vs[k - 1]
-    path = tree_path(pair.tree, u, v)
-    existing = {c for (a, b, c) in g.edges() if (a, b) == (min(u, v), max(u, v))}
-    copy = max(existing, default=-1) + 1
-    return SeparatorResult(
-        case="critical-virtual",
-        u=u,
-        v=v,
-        path=tuple(path),
-        closing=ClosingEdge(
-            kind="virtual",
-            endpoints=(u, v),
-            copy=copy,
-            insert_before_u=scan.boundary[j],
-            insert_before_v=scan.anchor,
-        ),
-        interior_weight=s_next,
-        exterior_weight=W - s_next,
-        balance_ratio=_balance(s_next, W - s_next, W),
-        diagnostics={"scan": scan, "j": j, "s": s, "triangle_weights": tri_w},
+    closing = ClosingEdge(
+        kind="virtual",
+        endpoints=(u, v),
+        copy=next_copy(g.rotation[u], v),
+        insert_before_u=scan.boundary[j],
+        insert_before_v=scan.anchor,
+    )
+    return make_result(
+        "critical-virtual",
+        tree_path(pair.tree, u, v),
+        closing,
+        s_next,
+        W,
+        {"scan": scan, "j": j, "s": s, "triangle_weights": tri_w},
     )
 
 
@@ -385,13 +412,7 @@ def compute_separator(
     3/4-balanced separator of the original graph.
     """
     w = list(weights) if weights is not None else list(g.vertex_weight)
-    verdict = check_proper(w, PROPERNESS)
-    if verdict.degenerate:
-        raise DegenerateTotal("total vertex weight is zero")
-    if not verdict.proper:
-        raise NotProper(
-            f"max weight {verdict.max_weight} exceeds {PROPERNESS} of total {verdict.total}"
-        )
+    require_proper(w)
     gp = biconnect(g)
     pair = cotree(gp, tree)
     weighting = transfer_weights(gp, policy="min", weights=w)

@@ -41,12 +41,6 @@ class SpanningTree:
     def height(self) -> int:
         return max(self.depth)
 
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
-
 
 def _bfs_layers(
     g: EmbeddedPlanarGraph, root: int, inside: Sequence[bool] | None = None
@@ -172,9 +166,6 @@ class TreeCotreePair:
     dual_parent_edge: dict[FaceId, EdgeId | None]
     dual_depth: dict[FaceId, int]
     dual_children: dict[FaceId, list[tuple[EdgeId, FaceId]]] = field(repr=False)
-
-    def primal_of(self, e: EdgeId) -> EdgeId:
-        return e  # dual edges are named by their primal edge
 
 
 def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .embedding import DualGraph, EmbeddedPlanarGraph, FaceId
+from .embedding import EmbeddedPlanarGraph, FaceId
 
 
 @dataclass
@@ -18,7 +18,6 @@ class FaceWeighting:
 
 def transfer_weights(
     g: EmbeddedPlanarGraph,
-    dual: Optional[DualGraph] = None,
     policy: str = "min",
     weights: Optional[Sequence[int]] = None,
 ) -> FaceWeighting:

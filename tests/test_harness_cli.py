@@ -40,14 +40,16 @@ def test_run_experiment_record_fields():
 
 
 def test_adversarial_weights_surface_not_proper():
-    spec = ExperimentSpec(
-        name="bad", generator="grid", params={"rows": 4, "cols": 4},
-        weights="adversarial-heavy-vertex", engine="sequential",
-    )
-    rec = run_experiment(spec)
-    assert rec["error"] == "NotProper" and not rec["ok"]
-    _, summary = run_suite([spec])
-    assert summary["coverage"]["not-proper"] == 1
+    for engine in ("sequential", "distributed", "both"):
+        spec = ExperimentSpec(
+            name="bad", generator="grid", params={"rows": 4, "cols": 4},
+            weights="adversarial-heavy-vertex", engine=engine,
+        )
+        rec = run_experiment(spec)
+        assert rec["error"] == "NotProper" and not rec["ok"]
+        assert rec["failures"] == ["not-proper"]
+        _, summary = run_suite([spec])
+        assert summary["coverage"]["not-proper"] == 1
 
 
 def test_report_bytes_reproducible():
