@@ -210,10 +210,11 @@ def test_pinned_critical_both_engines():
 
 def test_scramble_leaves_output_unchanged(grid4):
     t = bfs_tree(grid4, 0)
-    base, _ = dist_compute_separator(grid4, t)
+    base, base_trace = dist_compute_separator(grid4, t)
     for scramble in (3, 77):
-        again, _ = dist_compute_separator(grid4, t, scramble=scramble)
+        again, trace = dist_compute_separator(grid4, t, scramble=scramble)
         assert serialize_separator(again.result) == serialize_separator(base.result)
+        assert trace == base_trace
 
 
 def test_charged_backend_same_output(grid4):

@@ -37,10 +37,13 @@ def _single(make, backend="honest"):
     return run
 
 
-def _multi():
-    g, part_of = two_level_parts(8, 2)
-    _, trace = dist_multi(g, part_of, part_bfs_trees(g, part_of))
-    return trace
+def _multi(backend="honest"):
+    def run():
+        g, part_of = two_level_parts(8, 2)
+        _, trace = dist_multi(g, part_of, part_bfs_trees(g, part_of), backend=backend)
+        return trace
+
+    return run
 
 
 RUNS = {
@@ -49,7 +52,8 @@ RUNS = {
     "c20c5": _single(lambda: cycle_chords(20, 5, seed=2)),
     "cut3x10": _single(lambda: cut_chain(3, 10, seed=1)),
     "tri200": _single(lambda: random_triangulation(200, seed=11)),
-    "parts8x2": _multi,
+    "parts8x2": _multi(),
+    "parts8x2-charged": _multi(backend="charged"),
 }
 
 
