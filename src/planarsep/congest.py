@@ -20,12 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .embedding import Dart, EmbeddedPlanarGraph
-from .errors import (
-    BitBudgetExceeded,
-    InvalidPartition,
-    RoundLimitExceeded,
-)
-from .treecotree import part_bfs_trees
+from .errors import BitBudgetExceeded, RoundLimitExceeded
+from .treecotree import part_bfs_trees, part_members
 
 Payload = tuple[int, ...]
 
@@ -244,31 +240,6 @@ def fold(op: str, values: Sequence[int]) -> int:
 class Partition:
     part_of: tuple[int, ...]
 
-    def parts(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for v, p in enumerate(self.part_of):
-            out.setdefault(p, []).append(v)
-        return out
-
-
-def validate_partition(g: EmbeddedPlanarGraph, partition: Partition) -> dict[int, list[int]]:
-    if len(partition.part_of) != g.n:
-        raise InvalidPartition(f"partition covers {len(partition.part_of)} of {g.n} vertices")
-    parts = partition.parts()
-    for pid, members in parts.items():
-        member_set = set(members)
-        seen = {members[0]}
-        stack = [members[0]]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if u in member_set and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if seen != member_set:
-            raise InvalidPartition(f"part {pid} induces a disconnected subgraph")
-    return parts
-
 
 _UP, _DOWN = 1, 2
 
@@ -322,10 +293,10 @@ def pa_aggregate(
     """Every vertex learns the fold of its part's inputs; returns the list."""
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator}")
-    parts = validate_partition(g, partition)
+    trees = part_bfs_trees(g, partition.part_of)  # also the partition check
     expected = {
-        pid: fold(operator, [inputs[v] for v in sorted(members)])
-        for pid, members in parts.items()
+        pid: fold(operator, [inputs[v] for v in members])
+        for pid, members in part_members(partition.part_of).items()
     }
     budget = bit_budget if bit_budget is not None else default_bit_budget(g.n)
     d_est = diameter if diameter is not None else g.n
@@ -342,7 +313,6 @@ def pa_aggregate(
     if backend != "honest":
         raise ValueError(f"unknown backend {backend}")
 
-    trees = part_bfs_trees(g, partition.part_of)
     parent = [trees[pid].parent[v] for v, pid in enumerate(partition.part_of)]
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v, p in enumerate(parent):

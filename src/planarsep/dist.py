@@ -42,8 +42,8 @@ from .congest import (
     pa_aggregate,
     pa_charge,
 )
-from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, FaceId, build_embedding
-from .errors import ConflictingRoot, DegenerateTotal, NotBiconnected
+from .embedding import Dart, EmbeddedPlanarGraph, FaceId, build_embedding
+from .errors import ConflictingRoot, DegenerateTotal, InvalidPartition, NotBiconnected
 from .separator import (
     ClosingEdge,
     SeparatorResult,
@@ -54,8 +54,13 @@ from .separator import (
     require_proper,
     sep_line,
 )
-from .treecotree import SpanningTree, diameter_estimate
-from .treecotree import part_bfs_trees  # re-exported for callers of planarsep.dist
+from .treecotree import (
+    SpanningTree,
+    diameter_estimate,
+    part_bfs_trees,  # also re-exported for callers of planarsep.dist
+    part_members,
+    require_part_tree,
+)
 
 # message tags, with payload arity (tag excluded)
 T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
@@ -119,9 +124,7 @@ class LocalKnowledge:
     """Everything a vertex may read; the store grows phase by phase."""
 
     vid: int
-    n: int
     weight: int
-    part: int
     rotation: tuple[Dart, ...]
     tree_darts: frozenset[Dart]
     tree_root: int
@@ -187,7 +190,7 @@ class TreeRootProgram(VertexProgram):
     """Depth flood along tree darts only; parents are forced, no ties."""
 
     def init(self, know: LocalKnowledge) -> dict:
-        return {"depth": None, "parent": None, "parent_dart": None}
+        return {"depth": None, "tree_parent_dart": None}
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         tree = sorted(know.tree_darts)
@@ -198,8 +201,7 @@ class TreeRootProgram(VertexProgram):
             frame = next(unpack(payload))
             if frame[0] == T_DEPTH and st["depth"] is None:
                 st["depth"] = frame[1] + 1
-                st["parent"] = k.head
-                st["parent_dart"] = k
+                st["tree_parent_dart"] = k
                 out = [(d, pack((T_DEPTH, st["depth"]))) for d in tree if d != k]
                 return out, True
         return [], st["depth"] is not None
@@ -245,10 +247,7 @@ class LearnFacesProgram(VertexProgram):
                         out.append((slot, pack((T_TOK,) + dart3(t))))
                 else:
                     st["rev_face"][k] = Dart(frame[1], frame[2], frame[3])
-        done = len(st["face"]) == len(know.rotation) and len(st["rev_face"]) == len(
-            know.rotation
-        )
-        return out, done
+        return out, len(st["face"]) == len(st["rev_face"]) == len(know.rotation)
 
 
 class FaceWeightsProgram(VertexProgram):
@@ -258,19 +257,17 @@ class FaceWeightsProgram(VertexProgram):
         faces = know.store["face"]
         chosen = min(faces.values())
         corner = min(d for d in know.rotation if faces[d] == chosen)
-        val = {d: (know.weight if d == corner else 0) for d in know.rotation}
         return {
             "chosen": chosen,
-            "acc": dict(val),
+            "acc": {d: (know.weight if d == corner else 0) for d in know.rotation},
             "recv": {d: 0 for d in know.rotation},
-            "init": val,
         }
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         sizes = know.store["size"]
         if r == 0:
             out = [
-                (d, pack((T_CH, st["init"][d])))
+                (d, pack((T_CH, st["acc"][d])))
                 for d in know.rotation
                 if sizes[d] > 1
             ]
@@ -304,10 +301,8 @@ class DualSumsProgram(VertexProgram):
 
     def init(self, know: LocalKnowledge) -> dict:
         return {
-            "tree_edges": {t.edge() for t in know.tree_darts},
-            "rooted": {},        # position -> (depth, parent_dart | None)
-            "child_edge": {},    # position -> bool
-            "child_sum": {},     # position -> subtree weight behind this edge
+            "dual_rooted": {},   # position -> (depth, parent_dart | None)
+            "child_sum": {},     # child-edge position -> subtree weight behind it
             "expected": {},      # entry position -> census count (None = pending)
             "got": {},
             "acc": {},
@@ -316,15 +311,10 @@ class DualSumsProgram(VertexProgram):
             "ring_done": set(),
         }
 
-    def _child_flag(self, st, pos: Dart, pdart: Dart, depth: int) -> bool:
-        if pos.edge() in st["tree_edges"]:
-            return False
-        return depth == 0 or pos != pdart
-
-    def _start_ring(self, st, entry: Dart, depth: int, emit) -> None:
-        flag = self._child_flag(st, entry, entry, depth)
-        st["rooted"][entry] = (depth, None if depth == 0 else entry)
-        st["child_edge"][entry] = flag
+    def _start_ring(self, know, st, entry: Dart, depth: int, emit) -> None:
+        # a non-root entry sits on the parent edge, never on a child edge
+        flag = depth == 0 and know.store["cotree_flag"][entry]
+        st["dual_rooted"][entry] = (depth, None if depth == 0 else entry)
         st["expected"][entry] = None
         st["got"].setdefault(entry, 0)
         st["acc"].setdefault(entry, 0)
@@ -344,7 +334,7 @@ class DualSumsProgram(VertexProgram):
         if r == 0:
             for d in know.rotation:
                 if faces[d] == root_face and d == root_face:
-                    self._start_ring(st, d, 0, emit)
+                    self._start_ring(know, st, d, 0, emit)
 
         for k, payload in inbox.items():
             for frame in unpack(payload):
@@ -356,14 +346,13 @@ class DualSumsProgram(VertexProgram):
                     if slot == pdart:
                         st["expected"][slot] = count  # census complete
                     else:
-                        flag = self._child_flag(st, slot, pdart, depth)
-                        st["rooted"][slot] = (depth, None if depth == 0 else pdart)
-                        st["child_edge"][slot] = flag
+                        flag = know.store["cotree_flag"][slot]
+                        st["dual_rooted"][slot] = (depth, None if depth == 0 else pdart)
                         emit(slot, (T_RB, depth, pt, ph, pc, count + int(flag)))
                         if flag:
                             emit(slot, (T_RA, depth + 1))
                 elif tag == T_RA:
-                    self._start_ring(st, k, frame[1], emit)
+                    self._start_ring(know, st, k, frame[1], emit)
                 elif tag == T_CH:
                     st["child_sum"][k] = frame[1]
                     if k in st["expected"]:
@@ -393,7 +382,7 @@ class DualSumsProgram(VertexProgram):
             if expected is None or entry in st["total"]:
                 continue
             if st["got"][entry] == expected:
-                depth, _pdart = st["rooted"][entry]
+                depth, _pdart = st["dual_rooted"][entry]
                 total = wf[faces[entry]] + st["acc"][entry]
                 has_children = 1 if expected > 0 else 0
                 st["total"][entry] = (total, has_children)
@@ -428,9 +417,9 @@ class PrefixProgram(VertexProgram):
     def init(self, know: LocalKnowledge) -> dict:
         store = know.store
         st = {
-            "anchor": None, "idx": None, "pos": None,
-            "pc_excl": None, "pc_incl": None, "pcs_excl": None,
-            "total_cs": None, "anchor_done": False, "active": False, "k": None,
+            "anchor": None, "prefix_idx": None, "prefix_pos": None,
+            "prefix_pc_incl": None, "prefix_pcs_excl": None, "prefix_total_cs": None,
+            "anchor_done": False, "active": False, "k": None,
         }
         if store.get("case_code") != CASE_VIRTUAL:
             return st
@@ -443,7 +432,7 @@ class PrefixProgram(VertexProgram):
     def _contrib(self, know, pos: Dart) -> tuple[int, int]:
         store = know.store
         choice = know.weight if store["chosen"] == store["case_face"] else 0
-        cs = store["child_sum"].get(pos, 0) if store["child_edge"].get(pos) else 0
+        cs = store["child_sum"].get(pos, 0)
         return choice, cs
 
     def step(self, r, know: LocalKnowledge, st, inbox):
@@ -460,30 +449,30 @@ class PrefixProgram(VertexProgram):
                     i, pc, pcs = frame[1], frame[2], frame[3]
                     slot = know.rot_next(k)
                     if slot == st["anchor"]:
-                        st["k"] = i          # boundary length
-                        st["total_cs"] = pcs  # cs over edges 1..k-1
+                        st["k"] = i                  # boundary length
+                        st["prefix_total_cs"] = pcs  # cs over edges 1..k-1
                         out.append((slot, pack((T_IDXT, pcs))))
                     else:
-                        if st["idx"] is not None:
+                        if st["prefix_idx"] is not None:
                             raise NotBiconnected(
                                 f"vertex {know.vid} appears twice on face "
                                 f"{know.store['case_face']}"
                             )
                         choice, cs = self._contrib(know, slot)
-                        st["idx"], st["pos"] = i, slot
-                        st["pc_excl"], st["pcs_excl"] = pc, pcs
-                        st["pc_incl"] = pc + choice
+                        st["prefix_idx"], st["prefix_pos"] = i, slot
+                        st["prefix_pcs_excl"] = pcs
+                        st["prefix_pc_incl"] = pc + choice
                         out.append((slot, pack((T_IDX, i + 1, pc + choice, pcs + cs))))
                 elif frame[0] == T_IDXT:
                     slot = know.rot_next(k)
                     if slot == st["anchor"]:
                         st["anchor_done"] = True
                     else:
-                        st["total_cs"] = frame[1]
+                        st["prefix_total_cs"] = frame[1]
                         out.append((slot, pack((T_IDXT, frame[1]))))
         if st["anchor"] is not None:
             return out, st["anchor_done"]
-        return out, st["total_cs"] is not None
+        return out, st["prefix_total_cs"] is not None
 
 
 # -- endpoint search and dissemination ----------------------------------------
@@ -504,7 +493,7 @@ class SearchProgram(VertexProgram):
     def init(self, know: LocalKnowledge) -> dict:
         return {
             "seq": -1, "agg": 0, "got": 0, "agg_uv": (0, 0), "uv_got": 0,
-            "u": None, "v": None, "done": False,
+            "sep_u": None, "sep_v": None, "slot_u": None, "done": False,
             "probes": [], "lo": None, "hi": None, "s_hi": None,
             "interior": None, "probe_t": None,
         }
@@ -574,7 +563,7 @@ class SearchProgram(VertexProgram):
             out.append((know.store["tree_parent_dart"], pack((T_UV, *st["agg_uv"]))))
 
     def _broadcast(self, know, st, u: int, v: int, out):
-        st["u"], st["v"] = u - 1, v - 1
+        st["sep_u"], st["sep_v"] = u - 1, v - 1
         for _c, d in know.store["tree_children"]:
             out.append((d, pack((T_UV, u, v))))
         st["done"] = True
@@ -647,22 +636,22 @@ class MarkProgram(VertexProgram):
 
     def init(self, know: LocalKnowledge) -> dict:
         inp = 1 if know.vid in (know.store["sep_u"], know.store["sep_v"]) else 0
-        return {"acc": inp, "got": 0, "sum": None, "child_sums": {}}
+        return {"acc": inp, "got": 0, "mark_sum": None, "mark_child_sums": {}}
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         children = know.store["tree_children"]
         for k, payload in inbox.items():
             frame = next(unpack(payload))
-            st["child_sums"][k.head] = frame[1]
+            st["mark_child_sums"][k.head] = frame[1]
             st["acc"] += frame[1]
             st["got"] += 1
-        if st["got"] == len(children) and st["sum"] is None:
-            st["sum"] = st["acc"]
+        if st["got"] == len(children) and st["mark_sum"] is None:
+            st["mark_sum"] = st["acc"]
             pd = know.store["tree_parent_dart"]
             if pd is not None:
-                return [(pd, pack((T_UP, st["sum"])))], True
+                return [(pd, pack((T_UP, st["mark_sum"])))], True
             return [], True
-        return [], st["sum"] is not None
+        return [], st["mark_sum"] is not None
 
 
 # -- per-vertex output and assembly -------------------------------------------
@@ -722,8 +711,6 @@ class DistPipeline:
         config: PipelineConfig,
     ):
         self.g = g
-        self.part_of = list(part_of)
-        self.trees = trees
         self.config = config
         self.n = g.n
         self.budget = (
@@ -733,35 +720,38 @@ class DistPipeline:
         self.diameter = diameter_estimate(g)
         self._unit = pa_charge(self.diameter, g.n)
 
-        tree_edges = {pid: t.edges for pid, t in trees.items()}
-        self.know = []
-        for v in range(g.n):
-            pid = self.part_of[v]
-            self.know.append(
-                LocalKnowledge(
-                    vid=v,
-                    n=g.n,
-                    weight=weights[v],
-                    part=pid,
-                    rotation=global_rot[v],
-                    tree_darts=frozenset(
-                        d for d in global_rot[v] if d.edge() in tree_edges[pid]
-                    ),
-                    tree_root=tree_roots[pid],
-                )
+        self.know = [
+            LocalKnowledge(
+                vid=v,
+                weight=weights[v],
+                rotation=global_rot[v],
+                tree_darts=frozenset(
+                    d for d in global_rot[v] if d.edge() in trees[pid].edges
+                ),
+                tree_root=tree_roots[pid],
             )
+            for v, pid in enumerate(part_of)
+        ]
         self.channels = [self.know[v].rotation for v in range(g.n)]
-        self.partition = Partition(tuple(self.part_of))
-        self.parts = sorted(set(self.part_of))
+        self.partition = Partition(tuple(part_of))
+        self.members = part_members(part_of)
 
     # -- small helpers ------------------------------------------------------
 
-    def _run(self, name: str, program: VertexProgram, charge_units: int = 0) -> list[dict]:
+    def _run(
+        self, name: str, program: VertexProgram, charge_units: int = 0,
+        publish: Sequence[str] = (),
+    ) -> list[dict]:
+        """One simulator run as phase `name`; copies the state keys in
+        `publish` into every vertex's store."""
         pt = self.trace.phase(name)
         sim = Simulator(self.channels, bit_budget=self.budget, scramble=self.config.scramble)
         states = sim.run(program, self.know, pt, max_rounds=self.config.max_rounds)
         pt.charged_rounds += charge_units * self._unit
         self.trace.interval_lengths.append(pt.honest_rounds)
+        for know, st in zip(self.know, states):
+            for key in publish:
+                know.store[key] = st[key]
         return states
 
     def _pa(self, name_trace: PhaseTrace, inputs: list[int], op: str) -> list[int]:
@@ -784,48 +774,38 @@ class DistPipeline:
     # -- phases --------------------------------------------------------------
 
     def run_tree_root(self):
-        states = self._run("tree_root", TreeRootProgram(), charge_units=1)
-        parent_dart = [states[v]["parent_dart"] for v in range(self.n)]
-        self._store("tree_parent_dart", parent_dart)
-        children = []
-        for v in range(self.n):
-            kids = sorted(
+        self._run("tree_root", TreeRootProgram(), charge_units=1, publish=("tree_parent_dart",))
+        # a child is the head of a tree dart whose reverse is its parent dart
+        self._store("tree_children", [
+            [
                 (d.head, d)
-                for d in self.know[v].tree_darts
-                if parent_dart[v] is None or d != parent_dart[v]
-            )
-            # a tree dart to the parent is not a child edge
-            kids = [
-                (c, d)
-                for c, d in kids
-                if parent_dart[c] is not None and parent_dart[c].head == v
+                for d in sorted(know.tree_darts)
+                if self.know[d.head].store["tree_parent_dart"] == d.reverse()
             ]
-            children.append(kids)
-        self._store("tree_children", children)
+            for know in self.know
+        ])
 
     def run_learn_faces(self):
-        states = self._run("learn_faces", LearnFacesProgram(), charge_units=1)
-        for key in ("face", "size", "rev_face"):
-            self._store(key, [states[v][key] for v in range(self.n)])
+        self._run(
+            "learn_faces", LearnFacesProgram(), charge_units=1,
+            publish=("face", "size", "rev_face"),
+        )
 
     def run_learn_cotree(self):
-        pt = self.trace.phase("learn_cotree")  # purely local: 0 rounds
+        self.trace.phase("learn_cotree")  # purely local: 0 rounds
         self.trace.interval_lengths.append(0)
-        flags = []
-        for v in range(self.n):
-            know = self.know[v]
-            tree_edges = {t.edge() for t in know.tree_darts}
-            flags.append({d: d.edge() not in tree_edges for d in know.rotation})
-        self._store("cotree_flag", flags)
+        self._store("cotree_flag", [
+            {d: d not in know.tree_darts for d in know.rotation} for know in self.know
+        ])
 
     def run_face_weights(self):
-        states = self._run("face_weights", FaceWeightsProgram(), charge_units=1)
-        self._store("chosen", [states[v]["chosen"] for v in range(self.n)])
-        fw = []
-        for v in range(self.n):
-            faces = self.know[v].store["face"]
-            fw.append({faces[d]: states[v]["acc"][d] for d in self.know[v].rotation})
-        self._store("face_weight", fw)
+        states = self._run(
+            "face_weights", FaceWeightsProgram(), charge_units=1, publish=("chosen",)
+        )
+        self._store("face_weight", [
+            {know.store["face"][d]: st["acc"][d] for d in know.rotation}
+            for know, st in zip(self.know, states)
+        ])
 
     def run_root_election(self):
         pt = self.trace.phase("root_election")
@@ -838,34 +818,25 @@ class DistPipeline:
         self._store("dual_root", [dec_face(e, self.n) for e in encs])
 
     def run_dual_sums(self):
-        states = self._run("dual_subtree_sums", DualSumsProgram(), charge_units=2)
-        self._store("dual_rooted", [states[v]["rooted"] for v in range(self.n)])
-        self._store("child_edge", [states[v]["child_edge"] for v in range(self.n)])
-        self._store("child_sum", [states[v]["child_sum"] for v in range(self.n)])
-        sums = []
-        for v in range(self.n):
-            faces = self.know[v].store["face"]
-            sums.append(
-                {
-                    faces[d]: states[v]["total"][d]
-                    for d in self.know[v].rotation
-                }
-            )
-        self._store("face_total", sums)
+        states = self._run(
+            "dual_subtree_sums", DualSumsProgram(), charge_units=2,
+            publish=("dual_rooted", "child_sum"),
+        )
+        self._store("face_total", [
+            {know.store["face"][d]: st["total"][d] for d in know.rotation}
+            for know, st in zip(self.know, states)
+        ])
 
     def run_detect(self):
         pt = self.trace.phase("detect")
         n = self.n
         # W: every root-face corner knows the root subtree total
-        w_in = []
-        for v in range(n):
-            store = self.know[v].store
-            root_face = store["dual_root"]
-            w_in.append(store["face_total"].get(root_face, (0, 0))[0])
+        w_in = [
+            know.store["face_total"].get(know.store["dual_root"], (0, 0))[0] for know in self.know
+        ]
         totals = self._pa(pt, w_in, "MAX")
         self._store("total_weight", totals)
-        for pid in self.parts:
-            members = [v for v in range(n) if self.part_of[v] == pid]
+        for pid, members in self.members.items():
             if totals[members[0]] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
@@ -895,132 +866,95 @@ class DistPipeline:
                     if exceeds_beta(s, W):
                         depth = store["dual_rooted"][d][0]
                         best = max(best, depth * depth_space + enc_face(f, n) + 1)
-                crit_in.append(best)
-            else:
-                crit_in.append(0)
+            crit_in.append(best)
         crit = self._pa(pt, crit_in, "MAX")
 
-        case_code, case_face = [None] * n, [None] * n
-        for v in range(n):
-            if bal[v] > 0:
-                case_face[v] = dec_face(bal[v] - 1, n)
-                case_code[v] = CASE_BALANCED
-            else:
-                assert crit[v] > 0
-                case_face[v] = dec_face((crit[v] - 1) % depth_space, n)
-                case_code[v] = None  # leaf or virtual: resolved below
-        self._store("case_face", case_face)
+        self._store("case_face", [
+            dec_face(bal[v] - 1, n) if bal[v] > 0 else dec_face((crit[v] - 1) % depth_space, n)
+            for v in range(n)
+        ])
 
-        # case + boundary length, known to the chosen face's corners
+        # one pass over the chosen face's corners: case + boundary length for
+        # the election, and the face's anchor, published locally (the face's
+        # side of its dual parent edge, or its canonical dart at the root)
         kbits = (8 * n).bit_length() + 1
         case_in = []
         for v in range(n):
             store = self.know[v].store
-            f = case_face[v]
+            f = store["case_face"]
             code_k = 0
+            store["case_anchor"] = None
             for d in self.know[v].rotation:
                 if store["face"][d] == f:
-                    s, has_children = store["face_total"][f]
-                    if case_code[v] == CASE_BALANCED:
+                    if bal[v] > 0:
                         code = CASE_BALANCED
                     else:
-                        code = CASE_VIRTUAL if has_children else CASE_LEAF
+                        code = CASE_VIRTUAL if store["face_total"][f][1] else CASE_LEAF
                     code_k = (code << kbits) | store["size"][d]
+                    pdart = store["dual_rooted"][d][1]
+                    store["case_anchor"] = pdart if pdart is not None else f
             case_in.append(code_k)
         case_k = self._pa(pt, case_in, "MAX")
         subtree_in = []
         for v in range(n):
             store = self.know[v].store
-            f = case_face[v]
-            code_k = case_k[v]
-            case_code[v] = code_k >> kbits
-            store["case_code"] = case_code[v]
-            store["case_k"] = code_k & ((1 << kbits) - 1)
-            subtree_in.append(store["face_total"].get(f, (0, 0))[0])
+            store["case_code"] = case_k[v] >> kbits
+            store["case_k"] = case_k[v] & ((1 << kbits) - 1)
+            subtree_in.append(store["face_total"].get(store["case_face"], (0, 0))[0])
         subtree = self._pa(pt, subtree_in, "MAX")
         self._store("case_subtree", subtree)
         self.trace.interval_lengths.append(pt.honest_rounds)
 
-        # corners of the chosen face publish its anchor locally: the face's
-        # side of its dual parent edge, or its canonical dart at the root
-        for v in range(n):
-            store = self.know[v].store
-            f = store["case_face"]
-            store["case_anchor"] = None
-            for d in self.know[v].rotation:
-                if store["face"][d] == f:
-                    pdart = store["dual_rooted"][d][1]
-                    store["case_anchor"] = pdart if pdart is not None else f
-
     def run_prefix(self):
-        states = self._run("mark_prefix", PrefixProgram(), charge_units=1)
-        for v in range(self.n):
-            st = states[v]
-            store = self.know[v].store
-            store["prefix_idx"] = st["idx"]
-            store["prefix_pos"] = st["pos"]
-            store["prefix_pc_incl"] = st["pc_incl"]
-            store["prefix_pcs_excl"] = st["pcs_excl"]
-            store["prefix_total_cs"] = st["total_cs"]
+        states = self._run(
+            "mark_prefix", PrefixProgram(), charge_units=1,
+            publish=(
+                "prefix_idx", "prefix_pos", "prefix_pc_incl", "prefix_pcs_excl",
+                "prefix_total_cs",
+            ),
+        )
+        for know, st in zip(self.know, states):
             if st["anchor"] is not None and st["k"] is not None:
-                assert st["k"] == store["case_k"], "ring length mismatch"
+                assert st["k"] == know.store["case_k"], "ring length mismatch"
 
     def run_search(self) -> dict[int, dict]:
-        states = self._run("mark_search", SearchProgram(), charge_units=1)
-        per_part: dict[int, dict] = {}
-        for v in range(self.n):
-            if v == self.trees[self.part_of[v]].root:
-                per_part[self.part_of[v]] = states[v]
+        states = self._run(
+            "mark_search", SearchProgram(), charge_units=1,
+            publish=("sep_u", "sep_v", "slot_u"),
+        )
+        per_part = {pid: states[self.know[ms[0]].tree_root] for pid, ms in self.members.items()}
         # parts probe concurrently; the schedule pays for the longest search
-        max_probes = 0
-        for pid in self.parts:
-            root_state = per_part[pid]
-            self.trace.phases[-1].probes += len(root_state["probes"])
-            max_probes = max(max_probes, len(root_state["probes"]))
-        self.trace.phases[-1].charged_rounds += max_probes * self._unit
-        # endpoint ids reach every vertex
-        for v in range(self.n):
-            pid = self.part_of[v]
-            root = self.trees[pid].root
-            u, w = states[root]["u"], states[root]["v"]
-            self.know[v].store["sep_u"] = u
-            self.know[v].store["sep_v"] = w
-        self._search_states = states
+        probes = [len(root_state["probes"]) for root_state in per_part.values()]
+        self.trace.phases[-1].probes += sum(probes)
+        self.trace.phases[-1].charged_rounds += max(probes) * self._unit
         return per_part
 
     def run_mark(self):
-        states = self._run("mark_path", MarkProgram(), charge_units=1)
-        self._mark_states = states
+        self._run(
+            "mark_path", MarkProgram(), charge_units=1,
+            publish=("mark_sum", "mark_child_sums"),
+        )
 
     # -- assembly -------------------------------------------------------------
 
     def assemble(self, per_part_search: dict[int, dict]) -> dict[int, DistSeparatorOutput]:
-        outputs = {}
-        for pid in self.parts:
-            outputs[pid] = self._assemble_part(pid, per_part_search[pid])
-        return outputs
+        return {
+            pid: self._assemble_part(pid, per_part_search[pid]) for pid in self.members
+        }
 
     def _assemble_part(self, pid: int, root_state: dict) -> DistSeparatorOutput:
-        members = [v for v in range(self.n) if self.part_of[v] == pid]
+        members = self.members[pid]
         any_store = self.know[members[0]].store
         code = any_store["case_code"]
         u, v = any_store["sep_u"], any_store["sep_v"]
 
-        # path edges from the marking sums
-        path_edges = set()
+        # path darts from the marking sums
         views = {}
         for x in members:
-            st = self._mark_states[x]
-            know = self.know[x]
-            darts = []
-            pd = know.store["tree_parent_dart"]
-            if st["sum"] == 1 and pd is not None:
-                darts.append(pd)
-                path_edges.add(pd.edge())
-            for c, d in know.store["tree_children"]:
-                if st["child_sums"].get(c) == 1:
-                    darts.append(d)
-                    path_edges.add(d.edge())
+            store = self.know[x].store
+            darts = [d for c, d in store["tree_children"] if store["mark_child_sums"][c] == 1]
+            if store["mark_sum"] == 1 and store["tree_parent_dart"] is not None:
+                darts.append(store["tree_parent_dart"])
             role = "u" if x == u else "v" if x == v else "p" if darts else "-"
             views[x] = VertexSeparatorView(vid=x, role=role, p_darts=tuple(sorted(darts)))
 
@@ -1028,7 +962,7 @@ class DistPipeline:
         # the face's anchor
         anchor = self.know[v].store["case_anchor"]
         if code == CASE_VIRTUAL:
-            slot_u = self._search_states[u]["slot_u"]
+            slot_u = self.know[u].store["slot_u"]
             closing = ClosingEdge(
                 kind="virtual",
                 endpoints=(u, v),
@@ -1047,7 +981,7 @@ class DistPipeline:
 
         result = make_result(
             _CASE_NAMES[code],
-            self._walk_path(u, v, path_edges),
+            self._walk_path(u, v, views),
             closing,
             interior,
             any_store["total_weight"],
@@ -1060,15 +994,12 @@ class DistPipeline:
             probes=len(root_state["probes"]),
         )
 
-    def _walk_path(self, u: int, v: int, path_edges: set[EdgeId]) -> list[int]:
-        adj: dict[int, list[int]] = {}
-        for (a, b, _c) in path_edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
+    def _walk_path(self, u: int, v: int, views: dict[int, VertexSeparatorView]) -> list[int]:
+        """u to v over the path darts; each path edge shows at both ends."""
         path = [u]
         prev = None
         while path[-1] != v:
-            nxts = [x for x in adj[path[-1]] if x != prev]
+            nxts = [d.head for d in views[path[-1]].p_darts if d.head != prev]
             assert len(nxts) == 1, "marked edges do not form a simple path"
             prev = path[-1]
             path.append(nxts[0])
@@ -1104,33 +1035,24 @@ def _part_knowledge(
     part holding every vertex induces g itself, so g is bi-connected
     directly, without a rebuild or relabelling.
     """
-    parts: dict[int, list[int]] = {}
-    for v, pid in enumerate(part_of):
-        parts.setdefault(pid, []).append(v)
     global_rot: dict[int, tuple[Dart, ...]] = {}
-    for pid, members in sorted(parts.items()):
+    for pid, members in part_members(part_of).items():
         if len(members) == g.n:
             gp = biconnect(g)
             global_rot.update((v, tuple(gp.rotation[v])) for v in members)
             continue
         to_local = {v: i for i, v in enumerate(members)}
-        to_global = {i: v for v, i in to_local.items()}
-        rot = []
-        for v in members:
-            rot.append(
-                [
-                    Dart(to_local[v], to_local[d.head], d.copy)
-                    for d in g.rotation[v]
-                    if part_of[d.head] == pid
-                ]
-            )
+        rot = [
+            [Dart(i, to_local[d.head], d.copy) for d in g.rotation[v] if part_of[d.head] == pid]
+            for i, v in enumerate(members)
+        ]
         sub = build_embedding(
             len(members), rot, [g.vertex_weight[v] for v in members]
         )
         sub = biconnect(sub)
         for i, v in enumerate(members):
             global_rot[v] = tuple(
-                Dart(v, to_global[d.head], d.copy) for d in sub.rotation[i]
+                Dart(v, members[d.head], d.copy) for d in sub.rotation[i]
             )
     return global_rot
 
@@ -1163,12 +1085,18 @@ def dist_multi(
     max_rounds: int = 10**6,
     scramble: Optional[int] = None,
 ) -> tuple[dict[int, DistSeparatorOutput], RoundTrace]:
-    """Concurrent separator runs in every part of a vertex-disjoint partition."""
+    """Concurrent separator runs in every part of a vertex-disjoint partition.
+
+    Before any phase runs: InvalidPartition for a bad partition or trees not
+    keyed by its part ids, NotSpanningTree for a tree not spanning its part.
+    """
     w = list(weights) if weights is not None else list(g.vertex_weight)
-    parts: dict[int, list[int]] = {}
-    for v, pid in enumerate(part_of):
-        parts.setdefault(pid, []).append(v)
-    for pid, members in sorted(parts.items()):
+    part_bfs_trees(g, part_of)  # the partition check
+    parts = part_members(part_of)
+    if sorted(trees) != list(parts):
+        raise InvalidPartition(f"trees for parts {sorted(trees)}, partition has {list(parts)}")
+    for pid, members in parts.items():
+        require_part_tree(g, trees[pid], members)
         require_proper([w[v] for v in members], f"part {pid}: ")
     global_rot = _part_knowledge(g, part_of)
     config = PipelineConfig(
@@ -1204,7 +1132,7 @@ def dist_bfs(
     pt = trace.phase("bfs")
     know = [
         LocalKnowledge(
-            vid=v, n=g.n, weight=g.vertex_weight[v], part=0,
+            vid=v, weight=g.vertex_weight[v],
             rotation=tuple(g.rotation[v]), tree_darts=frozenset(),
             tree_root=(roots_override[v] if roots_override else root),
         )

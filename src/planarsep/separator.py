@@ -33,7 +33,7 @@ from .treecotree import (
     SpanningTree,
     TreeCotreePair,
     cotree,
-    dual_subtree_sums,
+    subtree_sums,
     tree_path,
     _tree_edge_between,
 )
@@ -51,6 +51,7 @@ class NodeVerdict:
     subtree_weight: int
     depth: int
     total: int
+    sums: Mapping[FaceId, int] = field(compare=False, repr=False)  # dual subtree sums
 
 
 def is_balanced(subtree: int, total: int) -> bool:
@@ -76,9 +77,14 @@ def find_balanced_or_critical_in_tree(
     the deepest node whose subtree exceeds 3/4 of the total (unique,
     since two disjoint subtrees cannot both exceed 3/4), ties by id.
     """
-    from .treecotree import subtree_sums
+    return _pick_node(children, root, subtree_sums(children, root, values))
 
-    sums = subtree_sums(children, root, values)
+
+def _pick_node(
+    children: Mapping[Hashable, Sequence[Hashable]],
+    root: Hashable,
+    sums: Mapping[Hashable, int],
+) -> tuple[str, Hashable, int, int]:
     total = sums[root]
     if total == 0:
         raise DegenerateTotal("total weight is zero")
@@ -102,15 +108,15 @@ def find_balanced_or_critical_in_tree(
 
 def find_balanced_or_critical(pair: TreeCotreePair, face_weight: Mapping[FaceId, int]) -> NodeVerdict:
     kids = {f: [h for _, h in pair.dual_children[f]] for f in pair.dual_children}
-    kind, face, subtree, depth = find_balanced_or_critical_in_tree(
-        kids, pair.dual_root, face_weight
-    )
+    sums = subtree_sums(kids, pair.dual_root, face_weight)
+    kind, face, subtree, depth = _pick_node(kids, pair.dual_root, sums)
     return NodeVerdict(
         kind=kind,
         face=face,
         subtree_weight=subtree,
         depth=depth,
-        total=sum(face_weight.values()),
+        total=sums[pair.dual_root],
+        sums=sums,
     )
 
 
@@ -328,12 +334,11 @@ def critical_scan(
         weights[v] if weighting.chosen_face[v] == f else 0 for v in vs
     )
     child_sub = []
-    sums = dual_subtree_sums(pair, weighting.face_weight)
     for d in boundary[:-1]:
         e = d.edge()
         other = g.face_of[d.reverse()]
         if e in pair.cotree_edges and pair.dual_parent_edge.get(other) == e:
-            child_sub.append(sums[other])
+            child_sub.append(verdict.sums[other])
         else:
             child_sub.append(0)
     return CriticalScan(
@@ -343,7 +348,7 @@ def critical_scan(
         vs=vs,
         choice=choice,
         child_sub=tuple(child_sub),
-        subtree_f=sums[f],
+        subtree_f=verdict.sums[f],
     )
 
 

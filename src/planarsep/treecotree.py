@@ -87,23 +87,50 @@ def bfs_tree(g: EmbeddedPlanarGraph, root: int) -> SpanningTree:
     return _layered_tree(g, root)
 
 
+def part_members(part_of: Sequence[int]) -> dict[int, list[int]]:
+    """The vertices of every part: parts in ascending id, members ascending."""
+    parts: dict[int, list[int]] = {}
+    for v, pid in enumerate(part_of):
+        parts.setdefault(pid, []).append(v)
+    return dict(sorted(parts.items()))
+
+
 def part_bfs_trees(
     g: EmbeddedPlanarGraph, part_of: Sequence[int]
 ) -> dict[int, SpanningTree]:
     """Per-part BFS trees in global ids, rooted at each part's minimum id.
 
     A tree lists depth -1 and no parent for the vertices of other parts.
+    This is the partition check: InvalidPartition unless part_of names a
+    part for each vertex of g and every part induces a connected subgraph.
     """
-    parts: dict[int, list[int]] = {}
-    for v, pid in enumerate(part_of):
-        parts.setdefault(pid, []).append(v)
+    if len(part_of) != g.n:
+        raise InvalidPartition(f"partition covers {len(part_of)} of {g.n} vertices")
     trees: dict[int, SpanningTree] = {}
-    for pid, members in sorted(parts.items()):
+    for pid, members in part_members(part_of).items():
         tree = _layered_tree(g, members[0], [p == pid for p in part_of])
         if any(tree.depth[v] == -1 for v in members):
             raise InvalidPartition(f"part {pid} induces a disconnected subgraph")
         trees[pid] = tree
     return trees
+
+
+def require_part_tree(
+    g: EmbeddedPlanarGraph, tree: SpanningTree, members: Sequence[int]
+) -> None:
+    """NotSpanningTree unless tree's edges are edges of g that join exactly
+    `members` into one tree containing tree.root."""
+    inside = set(members)
+    reached = {tree.root} & inside
+    stack = list(reached)
+    while stack:
+        for d in g.rotation[stack.pop()]:
+            if d.head in inside and d.head not in reached and d.edge() in tree.edges:
+                reached.add(d.head)
+                stack.append(d.head)
+    # connected through its own edges, with no edge to spare
+    if reached != inside or len(tree.edges) != len(members) - 1:
+        raise NotSpanningTree(f"tree rooted at {tree.root} does not span its part")
 
 
 def diameter_estimate(g: EmbeddedPlanarGraph) -> int:

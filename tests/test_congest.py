@@ -12,9 +12,10 @@ from planarsep import (
     broadcast_root,
     pa_aggregate,
 )
-from planarsep.congest import fold, validate_partition
+from planarsep.congest import fold
 from planarsep.errors import BitBudgetExceeded, InvalidPartition, RoundLimitExceeded
 from planarsep.generators import grid, random_triangulation
+from planarsep.treecotree import part_bfs_trees
 
 
 class FloodProgram(VertexProgram):
@@ -155,7 +156,10 @@ def test_invalid_partition(grid4):
     part[15] = 1
     part[0] = 1  # vertices 0 and 15 are not adjacent: part 1 disconnected
     with pytest.raises(InvalidPartition):
-        validate_partition(grid4, Partition(tuple(part)))
+        part_bfs_trees(grid4, part)
+    for wrong_length in ([0] * 15, [0] * 17):
+        with pytest.raises(InvalidPartition):
+            part_bfs_trees(grid4, wrong_length)
 
 
 def test_operator_overflow_flagged(grid4):

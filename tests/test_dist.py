@@ -17,7 +17,7 @@ from planarsep import (
     tree_from_edges,
 )
 from planarsep.dist import CASE_BALANCED, DistPipeline, PipelineConfig, part_bfs_trees
-from planarsep.errors import ConflictingRoot, NotProper
+from planarsep.errors import ConflictingRoot, InvalidPartition, NotProper, NotSpanningTree
 from planarsep.generators import (
     cycle_chords,
     cut_chain,
@@ -238,6 +238,37 @@ def test_not_proper_surfaces(grid4):
     t = bfs_tree(grid4, 0)
     with pytest.raises(NotProper):
         dist_compute_separator(grid4, t, [100] + [1] * 15)
+
+
+def test_multi_rejects_partition_of_wrong_length(grid4):
+    t = bfs_tree(grid4, 0)
+    for part_of in ([0] * 15, [0] * 17):
+        with pytest.raises(InvalidPartition):
+            dist_multi(grid4, part_of, {0: t})
+
+
+def test_multi_rejects_disconnected_part(grid4):
+    part_of = [0] * 16
+    part_of[0] = part_of[15] = 1  # opposite corners share a part
+    t = bfs_tree(grid4, 0)
+    with pytest.raises(InvalidPartition):
+        dist_multi(grid4, part_of, {0: t, 1: t})
+
+
+def test_multi_rejects_trees_for_other_parts():
+    g, part_of = joined_grids(4, 4)
+    trees = part_bfs_trees(g, part_of)
+    with pytest.raises(InvalidPartition):
+        dist_multi(g, part_of, {0: trees[0], 2: trees[1]})
+
+
+def test_tree_not_spanning_its_part_is_typed(grid4):
+    t = bfs_tree(grid4, 0)
+    t.edges = t.edges - {t.parent_edge[15]}  # vertex 15 hangs from nothing
+    with pytest.raises(NotSpanningTree):
+        compute_separator(grid4, t)
+    with pytest.raises(NotSpanningTree):
+        dist_compute_separator(grid4, t)
 
 
 def test_mark_separator_output_contract(grid4):

@@ -70,9 +70,9 @@ def test_two_level_parts_partition():
     g, part_of = two_level_parts(8, 2)
     assert len(part_of) == 64
     assert sorted(set(part_of)) == [0, 1, 2, 3]
-    from planarsep.congest import Partition, validate_partition
+    from planarsep.treecotree import part_bfs_trees
 
-    validate_partition(g, Partition(tuple(part_of)))
+    part_bfs_trees(g, part_of)
 
 
 def test_joined_grids_bridge():

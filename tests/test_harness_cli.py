@@ -3,7 +3,7 @@ import json
 import pytest
 
 from planarsep.cli import main
-from planarsep.errors import InsufficientData
+from planarsep.errors import BadParams, InsufficientData
 from planarsep.graphio import parse_graph, write_graph
 from planarsep.harness import (
     ExperimentSpec,
@@ -21,6 +21,21 @@ def test_spec_json_roundtrip():
         name="x", generator="grid", params={"rows": 4, "cols": 4}, seed=3
     )
     assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+def test_malformed_spec_is_bad_params(tmp_path, capsys):
+    good = json.loads(
+        ExperimentSpec(name="x", generator="grid", params={"rows": 4, "cols": 4}).to_json()
+    )
+    unknown = json.dumps({**good, "colour": "red"})
+    missing = json.dumps({k: v for k, v in good.items() if k != "generator"})
+    for text in (unknown, missing, "{not json", "[1, 2]"):
+        with pytest.raises(BadParams):
+            ExperimentSpec.from_json(text)
+    spec_file = tmp_path / "specs.ndjson"
+    spec_file.write_text(unknown + "\n")
+    assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "r.ndjson")]) == 2
+    assert "bad experiment spec" in capsys.readouterr().err
 
 
 def test_generate_dispatch():
