@@ -12,7 +12,7 @@ from planarsep import (
     broadcast_root,
     pa_aggregate,
 )
-from planarsep.congest import fold
+from planarsep.congest import fold, payload_bits
 from planarsep.errors import BitBudgetExceeded, InvalidPartition, RoundLimitExceeded
 from planarsep.generators import grid, random_triangulation
 from planarsep.treecotree import part_bfs_trees
@@ -92,6 +92,104 @@ def test_scramble_determinism(grid4):
         states = sim.run(FloodProgram(), flood_knowledge(grid4), tr)
         out.append(([s["round_heard"] for s in states], tr.honest_rounds, tr.messages))
     assert out[0] == out[1] == out[2]
+
+
+def _one_shot(grid4, send):
+    """Vertex 0 returns send(rotation) at round 0; everyone halts at once."""
+
+    class OneShot(VertexProgram):
+        def step(self, r, know, st, inbox):
+            return (send(grid4.rotation) if know["vid"] == 0 else []), True
+
+    return OneShot()
+
+
+def test_send_on_foreign_dart_raises(grid4):
+    for send in (
+        lambda rot: [(rot[1][0], (1,))],        # a dart of vertex 1
+        lambda rot: [(rot[0][0]._replace(copy=3), (1,))],  # no such channel
+    ):
+        with pytest.raises(AssertionError, match="foreign dart"):
+            Simulator(grid4.rotation).run(
+                _one_shot(grid4, send), flood_knowledge(grid4), PhaseTrace("x")
+            )
+
+
+def test_two_sends_on_one_dart_raise(grid4):
+    send = lambda rot: [(rot[0][0], (1,)), (rot[0][0], (2,))]
+    with pytest.raises(AssertionError, match="duplicate send"):
+        Simulator(grid4.rotation).run(
+            _one_shot(grid4, send), flood_knowledge(grid4), PhaseTrace("x")
+        )
+
+
+def test_deadlock_raises(grid4):
+    class Idle(VertexProgram):
+        def step(self, r, know, st, inbox):
+            return [], False
+
+    with pytest.raises(AssertionError, match="deadlock at round 1"):
+        Simulator(grid4.rotation).run(Idle(), flood_knowledge(grid4), PhaseTrace("x"))
+
+
+@pytest.mark.parametrize("scramble", [None, 5])
+def test_dropped_counts_halted_receivers_and_final_flight(grid4, scramble):
+    """Round 0: all send on every dart, all but vertex 0 halt.  Round 1:
+    46 messages reach halted vertices, vertex 0 answers its 2 and halts,
+    leaving 2 in flight at termination."""
+
+    class Fanout(VertexProgram):
+        def step(self, r, know, st, inbox):
+            out = [(d, (r + 1,)) for d in know["rot"]]
+            if r == 0:
+                return out, know["vid"] != 0
+            st["heard"] = sorted(inbox.values())
+            return out, True
+
+    tr = PhaseTrace("x")
+    states = Simulator(grid4.rotation, scramble=scramble).run(
+        Fanout(), flood_knowledge(grid4), tr
+    )
+    assert states[0]["heard"] == [(1,), (1,)]
+    assert (tr.messages, tr.dropped, tr.honest_rounds) == (50, 48, 2)
+
+
+def test_wake_steps_next_round_with_empty_inbox(grid4):
+    class Sleeper(VertexProgram):
+        def step(self, r, know, st, inbox):
+            if know["vid"] != 0:
+                return [], True
+            if r == 0:
+                st["_wake"] = True
+                return [], False
+            st["woken"] = (r, dict(inbox), "_wake" in st)
+            return [], True
+
+    tr = PhaseTrace("x")
+    states = Simulator(grid4.rotation).run(Sleeper(), flood_knowledge(grid4), tr)
+    assert states[0]["woken"] == (1, {}, False)
+    assert tr.honest_rounds == 2
+
+
+def test_bit_accounting_matches_payload_bits(grid4):
+    rng = random.Random(3)
+    payloads = [
+        tuple(rng.choice([0, 0, 1, rng.randint(0, 1 << 30)]) for _ in range(rng.randint(1, 4)))
+        for _ in range(grid4.n * 4)
+    ]
+
+    class Random(VertexProgram):
+        def step(self, r, know, st, inbox):
+            v = know["vid"]
+            return [(d, payloads[4 * v + i]) for i, d in enumerate(know["rot"])], True
+
+    tr = PhaseTrace("x")
+    Simulator(grid4.rotation, bit_budget=200).run(Random(), flood_knowledge(grid4), tr)
+    sent = [payloads[4 * v + i] for v in range(grid4.n) for i in range(grid4.degree(v))]
+    assert any(0 in p for p in sent)
+    assert tr.messages == len(sent)
+    assert tr.total_bits == sum(map(payload_bits, sent))
+    assert tr.max_bits == max(map(payload_bits, sent))
 
 
 def test_pa_single_part_sum(grid4):
