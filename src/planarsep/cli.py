@@ -8,12 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import PlanarSepError
+from .congest import PA_BACKENDS
+from .errors import BadParams, PlanarSepError
 from .generators import WEIGHT_SCHEMES
 from .graphio import parse_graph, write_graph
 from .harness import (
+    ENGINES,
     ExperimentSpec,
     generate,
     render_report,
@@ -42,8 +45,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None)
 
 
+def _gen_params(args) -> dict:
+    """The generator parameters of --kind; BadParams when one is missing."""
+    if args.kind is None:
+        raise BadParams("give --spec, --suite or --kind")
+    params = {k: getattr(args, k) for k in _GEN_PARAMS[args.kind]}
+    missing = ["--" + k.replace("_", "-") for k, x in params.items() if x is None]
+    if missing:
+        raise BadParams(f"--kind {args.kind} needs {' '.join(missing)}")
+    return params
+
+
 def cmd_gen(args) -> int:
-    params = {k: getattr(args, k.replace("-", "_")) for k in _GEN_PARAMS[args.kind]}
+    params = _gen_params(args)
     g, part_of = generate(args.kind, params, args.seed)
     if args.weights != "unit":
         w = WEIGHT_SCHEMES[args.weights](g.n, args.seed)
@@ -70,31 +84,22 @@ def cmd_run(args) -> int:
     elif args.suite:
         specs = standard_suite(max_n=args.max_n)
     else:
-        params = {k: getattr(args, k.replace("-", "_")) for k in _GEN_PARAMS[args.kind]}
         specs = [
             ExperimentSpec(
                 name=f"{args.kind}-cli",
                 generator=args.kind,
-                params=params,
+                params=_gen_params(args),
                 weights=args.weights,
-                engine=args.engine,
-                pa_backend=args.pa_backend,
-                bit_budget=args.bit_budget,
                 seed=args.seed,
             )
         ]
-    specs = [
-        ExperimentSpec(
-            **{
-                **s.__dict__,
-                "engine": args.engine,
-                "pa_backend": args.pa_backend,
-                "bit_budget": args.bit_budget,
-                "max_rounds": args.max_rounds,
-            }
-        )
-        for s in specs
-    ]
+    # a flag overrides the specs only when it is given
+    overrides = {
+        key: getattr(args, key)
+        for key in ("engine", "pa_backend", "bit_budget", "max_rounds")
+        if getattr(args, key) is not None
+    }
+    specs = [replace(s, **overrides) for s in specs]
     records, summary = run_suite(specs)
     text = render_report(records, summary)
     if args.out:
@@ -118,8 +123,8 @@ def _write_debug_artifacts(spec, args) -> None:
         Path(args.dot).write_text(dot_export(cotree(g, tree), res.path))
     if args.trace_out:
         _, trace = dist_compute_separator(
-            g, tree, backend=args.pa_backend, bit_budget=args.bit_budget,
-            max_rounds=args.max_rounds,
+            g, tree, backend=spec.pa_backend, bit_budget=spec.bit_budget,
+            max_rounds=spec.max_rounds,
         )
         Path(args.trace_out).write_text(trace.export_text())
 
@@ -206,10 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--spec", type=str, default=None, help="NDJSON spec file")
     r.add_argument("--suite", action="store_true", help="run the standard suite")
     r.add_argument("--max-n", type=int, default=5000)
-    r.add_argument("--engine", choices=["sequential", "distributed", "both"], default="both")
-    r.add_argument("--pa-backend", choices=["honest", "charged"], default="honest")
+    # unset flags leave each spec's own value (the spec defaults: both,
+    # honest, the default budget, 10**6 rounds)
+    r.add_argument("--engine", choices=ENGINES, default=None)
+    r.add_argument("--pa-backend", choices=PA_BACKENDS, default=None)
     r.add_argument("--bit-budget", type=int, default=None)
-    r.add_argument("--max-rounds", type=int, default=10**6)
+    r.add_argument("--max-rounds", type=int, default=None)
     r.add_argument("--dot", type=str, default=None,
                    help="write a DOT rendering of G, T, T* and P (single instance)")
     r.add_argument("--trace-out", type=str, default=None,
@@ -229,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--family", choices=["grid", "cylinder"], default="grid")
     s.add_argument("--sizes", default="8,16,32,64")
     s.add_argument("--height", type=int, default=4)
-    s.add_argument("--pa-backend", choices=["honest", "charged"], default="charged")
+    s.add_argument("--pa-backend", choices=PA_BACKENDS, default="charged")
     _add_common(s)
     s.set_defaults(func=cmd_scale)
     return ap

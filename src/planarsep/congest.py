@@ -27,6 +27,8 @@ Payload = tuple[int, ...]
 
 
 def payload_bits(p: Payload) -> int:
+    """Encoded size: the sum of bit lengths, a zero counting one bit.  The
+    reference for the simulator's inline count."""
     total = 0
     for x in p:
         b = x.bit_length()
@@ -122,19 +124,32 @@ class VertexProgram:
 
 
 class Simulator:
+    """Lock-step engine over fixed channels; one instance runs many programs.
+
+    channels[v] lists v's own darts.  The routing table of sender v maps
+    each of its darts to the receiver's own copy of the reverse dart: the
+    key under which the payload lands in the inbox of the receiver, its
+    tail.
+    """
+
     def __init__(
         self,
         channels: Sequence[Sequence[Dart]],
         bit_budget: Optional[int] = None,
         scramble: Optional[int] = None,
     ):
-        self.channels = [list(c) for c in channels]
-        self.n = len(self.channels)
-        self.dart_set = {d for row in self.channels for d in row}
+        self.n = len(channels)
+        own = {d: d for row in channels for d in row}
+        self._route: list[dict[Dart, Dart]] = [{} for _ in range(self.n)]
+        for d in own:
+            rev = d.reverse()
+            self._route[d.tail][d] = own.get(rev, rev)
         self.bit_budget = bit_budget if bit_budget is not None else default_bit_budget(self.n)
         self._order = list(range(self.n))
+        self._rank: Optional[dict[int, int]] = None  # None: ascending ids
         if scramble is not None:
             random.Random(scramble).shuffle(self._order)
+            self._rank = {v: i for i, v in enumerate(self._order)}
 
     def run(
         self,
@@ -145,72 +160,91 @@ class Simulator:
         allow_wide: bool = False,
     ) -> list[dict]:
         states = [program.init(knowledge[v]) for v in range(self.n)]
+        step = program.step
+        route = self._route
+        budget = self.bit_budget
+        bit_length = int.bit_length
         halted = [False] * self.n
         unhalted = self.n
-        inflight: list[tuple[Dart, Payload]] = []
+        # this round's inboxes by receiver; a message sent in round r is
+        # written straight into round r+1's inbox of its receiver
+        inboxes: dict[int, dict[Dart, Payload]] = {}
         # only messaged or self-woken vertices step (plus everyone at round 0)
         candidates: list[int] = list(self._order)
-        rank = {v: i for i, v in enumerate(self._order)}
+        rank = self._rank
         round_no = 0
-        while True:
-            if unhalted == 0:
-                trace.dropped += len(inflight)
-                break
-            if round_no > max_rounds:
-                raise RoundLimitExceeded(
-                    f"{trace.name}: {self.n - unhalted}/{self.n} halted after {max_rounds} rounds"
-                )
-            inboxes: dict[int, dict[Dart, Payload]] = {}
-            for d, p in inflight:
-                recv = d.head
-                if halted[recv]:
-                    trace.dropped += 1
-                    continue
-                inboxes.setdefault(recv, {})[d.reverse()] = p
-            inflight = []
-            stepped = False
-            wake_next: set[int] = set()
-            for v in candidates:
-                if halted[v]:
-                    continue
-                inbox = inboxes.get(v)
-                if inbox is None and round_no > 0 and not states[v].get("_wake"):
-                    continue
-                states[v].pop("_wake", None)
-                stepped = True
-                outbox, halt = program.step(round_no, knowledge[v], states[v], inbox or {})
-                if halt:
-                    halted[v] = True
-                    unhalted -= 1
-                if states[v].get("_wake"):
-                    wake_next.add(v)
-                for d, p in outbox:
-                    if d.tail != v or d not in self.dart_set:
-                        raise AssertionError(f"vertex {v} sent on foreign dart {d}")
-                    bits = payload_bits(p)
-                    if bits > self.bit_budget:
-                        if allow_wide:
-                            trace.overflow_flags += 1
+        # counters accumulate locally and reach the trace even when a guard raises
+        messages = total_bits = dropped = 0
+        max_bits = trace.max_bits
+        try:
+            while True:
+                if unhalted == 0:
+                    dropped += sum(map(len, inboxes.values()))
+                    break
+                if round_no > max_rounds:
+                    raise RoundLimitExceeded(
+                        f"{trace.name}: {self.n - unhalted}/{self.n} halted "
+                        f"after {max_rounds} rounds"
+                    )
+                nxt: dict[int, dict[Dart, Payload]] = {}
+                woken = []
+                stepped = False
+                for v in candidates:
+                    inbox = inboxes.get(v)
+                    if halted[v]:  # every receiver is a candidate
+                        if inbox:
+                            dropped += len(inbox)
+                        continue
+                    st = states[v]
+                    if inbox is None:
+                        if round_no > 0 and not st.get("_wake"):
+                            continue
+                        inbox = {}
+                    st.pop("_wake", None)
+                    stepped = True
+                    outbox, halt = step(round_no, knowledge[v], st, inbox)
+                    if halt:
+                        halted[v] = True
+                        unhalted -= 1
+                    if st.get("_wake"):
+                        woken.append(v)
+                    table = route[v]
+                    for d, p in outbox:
+                        key = table.get(d)
+                        if key is None:
+                            raise AssertionError(f"vertex {v} sent on foreign dart {d}")
+                        bits = sum(map(bit_length, p)) + p.count(0)  # == payload_bits(p)
+                        if bits > budget:
+                            if allow_wide:
+                                trace.overflow_flags += 1
+                            else:
+                                raise BitBudgetExceeded(round_no, d, bits, budget)
+                        messages += 1
+                        total_bits += bits
+                        if bits > max_bits:
+                            max_bits = bits
+                        recv = key[0]
+                        box = nxt.get(recv)
+                        if box is None:
+                            nxt[recv] = {key: p}
+                        elif key in box:
+                            # one sender may use each dart at most once per round
+                            raise AssertionError(f"duplicate send on dart {d}")
                         else:
-                            raise BitBudgetExceeded(round_no, d, bits, self.bit_budget)
-                    trace.messages += 1
-                    trace.total_bits += bits
-                    if bits > trace.max_bits:
-                        trace.max_bits = bits
-                    inflight.append((d, p))
-            if not stepped and not inflight:
-                raise AssertionError(f"{trace.name}: deadlock at round {round_no}")
-            # one sender may use each dart at most once per round
-            seen = set()
-            for d, _ in inflight:
-                if d in seen:
-                    raise AssertionError(f"duplicate send on dart {d}")
-                seen.add(d)
-            candidates = sorted(
-                wake_next.union(d.head for d, _ in inflight), key=rank.__getitem__
-            )
-            round_no += 1
-            trace.honest_rounds += 1
+                            box[key] = p
+                if not stepped and not nxt:
+                    raise AssertionError(f"{trace.name}: deadlock at round {round_no}")
+                inboxes = nxt
+                wake = set(nxt)
+                wake.update(woken)
+                candidates = sorted(wake, key=rank.__getitem__) if rank else sorted(wake)
+                round_no += 1
+                trace.honest_rounds += 1
+        finally:
+            trace.messages += messages
+            trace.total_bits += total_bits
+            trace.max_bits = max_bits
+            trace.dropped += dropped
         return states
 
 
@@ -251,32 +285,96 @@ class _PAProgram(VertexProgram):
         self.op = op
 
     def init(self, know) -> dict:
-        return {"acc": know["input"], "pending": len(know["children"]), "sent": False}
+        return {"acc": know["input"], "pending": len(know["down"]), "sent": False}
 
     def step(self, r, know, st, inbox):
         f = OPERATORS[self.op]
-        out = []
-        for d, payload in inbox.items():
+        for payload in inbox.values():
             tag, value = payload
             if tag == _UP:
                 st["acc"] = f(st["acc"], value)
                 st["pending"] -= 1
             else:
                 st["result"] = value
-                out.extend(
-                    (Dart(know["vid"], c), (_DOWN, value)) for c in know["children"]
-                )
-                return out, True
+                return [(d, (_DOWN, value)) for d in know["down"]], True
         if st["pending"] == 0 and not st["sent"]:
             st["sent"] = True
-            if know["parent"] is None:
+            if know["up"] is None:
                 st["result"] = st["acc"]
-                out = [
-                    (Dart(know["vid"], c), (_DOWN, st["acc"])) for c in know["children"]
-                ]
-                return out, True
-            return [(Dart(know["vid"], know["parent"]), (_UP, st["acc"]))], False
-        return out, False
+                return [(d, (_DOWN, st["acc"])) for d in know["down"]], True
+            return [(know["up"], (_UP, st["acc"]))], False
+        return [], False
+
+
+PA_BACKENDS = ("honest", "charged")
+
+
+class PartAggregator:
+    """Part-wise aggregation over one fixed partition of g.
+
+    Built once per partition: the partition check, the per-part BFS trees
+    (children in ascending id), the tree darts and, for the honest
+    backend, the simulator.  Each call is one aggregation: every vertex
+    learns the fold of its part's inputs.
+    """
+
+    def __init__(
+        self,
+        g: EmbeddedPlanarGraph,
+        partition: Partition,
+        backend: str,
+        bit_budget: Optional[int] = None,
+        diameter: Optional[int] = None,
+        scramble: Optional[int] = None,
+    ):
+        trees = part_bfs_trees(g, partition.part_of)  # also the partition check
+        if backend not in PA_BACKENDS:
+            raise ValueError(f"unknown backend {backend}")
+        self.part_of = partition.part_of
+        self.members = part_members(partition.part_of)
+        self.budget = bit_budget if bit_budget is not None else default_bit_budget(g.n)
+        self.charge = pa_charge(diameter if diameter is not None else g.n, g.n)
+        self.sim: Optional[Simulator] = None
+        if backend == "charged":
+            return
+        parent = [trees[pid].parent[v] for v, pid in enumerate(self.part_of)]
+        children: list[list[int]] = [[] for _ in range(g.n)]
+        for v, p in enumerate(parent):
+            if p is not None:
+                children[p].append(v)
+        self.know = [
+            {
+                "up": None if parent[v] is None else Dart(v, parent[v]),
+                "down": [Dart(v, c) for c in children[v]],
+                "input": None,
+            }
+            for v in range(g.n)
+        ]
+        self.sim = Simulator(g.rotation, bit_budget=self.budget, scramble=scramble)
+
+    def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
+        if operator not in OPERATORS:
+            raise ValueError(f"unknown operator {operator}")
+        expected = {
+            pid: fold(operator, [inputs[v] for v in members])
+            for pid, members in self.members.items()
+        }
+        folds = [expected[pid] for pid in self.part_of]
+        trace.pa_calls += 1
+        wide = any(r.bit_length() + 4 > self.budget for r in expected.values())
+        if wide:
+            trace.overflow_flags += 1
+        if self.sim is None:
+            trace.charged_rounds += self.charge
+            return folds
+        for know, x in zip(self.know, inputs):
+            know["input"] = x
+        before = trace.honest_rounds
+        states = self.sim.run(_PAProgram(operator), self.know, trace, allow_wide=wide)
+        trace.charged_rounds += max(self.charge, trace.honest_rounds - before)
+        results = [st["result"] for st in states]
+        assert results == folds
+        return results
 
 
 def pa_aggregate(
@@ -290,51 +388,10 @@ def pa_aggregate(
     diameter: Optional[int] = None,
     scramble: Optional[int] = None,
 ) -> list[int]:
-    """Every vertex learns the fold of its part's inputs; returns the list."""
-    if operator not in OPERATORS:
-        raise ValueError(f"unknown operator {operator}")
-    trees = part_bfs_trees(g, partition.part_of)  # also the partition check
-    expected = {
-        pid: fold(operator, [inputs[v] for v in members])
-        for pid, members in part_members(partition.part_of).items()
-    }
-    budget = bit_budget if bit_budget is not None else default_bit_budget(g.n)
-    d_est = diameter if diameter is not None else g.n
-    charge = pa_charge(d_est, g.n)
-    trace.pa_calls += 1
-
-    wide = any(r.bit_length() + 4 > budget for r in expected.values())
-    if wide:
-        trace.overflow_flags += 1
-
-    if backend == "charged":
-        trace.charged_rounds += charge
-        return [expected[partition.part_of[v]] for v in range(g.n)]
-    if backend != "honest":
-        raise ValueError(f"unknown backend {backend}")
-
-    parent = [trees[pid].parent[v] for v, pid in enumerate(partition.part_of)]
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v, p in enumerate(parent):
-        if p is not None:
-            children[p].append(v)
-    know = [
-        {
-            "vid": v,
-            "parent": parent[v],
-            "children": children[v],
-            "input": inputs[v],
-        }
-        for v in range(g.n)
-    ]
-    sim = Simulator(g.rotation, bit_budget=budget, scramble=scramble)
-    before = trace.honest_rounds
-    states = sim.run(_PAProgram(operator), know, trace, allow_wide=wide)
-    honest_delta = trace.honest_rounds - before
-    trace.charged_rounds += max(charge, honest_delta)
-    results = [states[v]["result"] for v in range(g.n)]
-    assert results == [expected[partition.part_of[v]] for v in range(g.n)]
-    return results
+    """Every vertex learns the fold of its part's inputs; returns the list.
+    One call of a PartAggregator built for this call alone."""
+    agg = PartAggregator(g, partition, backend, bit_budget, diameter, scramble)
+    return agg(inputs, operator, trace)
 
 
 class _BroadcastProgram(VertexProgram):

@@ -33,13 +33,12 @@ from typing import Optional, Sequence
 
 from .biconnect import biconnect
 from .congest import (
+    PartAggregator,
     Partition,
-    PhaseTrace,
     RoundTrace,
     Simulator,
     VertexProgram,
     default_bit_budget,
-    pa_aggregate,
     pa_charge,
 )
 from .embedding import Dart, EmbeddedPlanarGraph, FaceId, build_embedding
@@ -81,6 +80,10 @@ _ARITY = {
 
 
 def pack(*frames: tuple) -> tuple[int, ...]:
+    if len(frames) == 1:
+        f = frames[0]
+        assert len(f) - 1 == _ARITY[f[0]], f
+        return tuple(f)
     out: list[int] = []
     for f in frames:
         assert len(f) - 1 == _ARITY[f[0]], f
@@ -88,13 +91,16 @@ def pack(*frames: tuple) -> tuple[int, ...]:
     return tuple(out)
 
 
-def unpack(payload: tuple[int, ...]):
+def unpack(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
+    if len(payload) == 1 + _ARITY[payload[0]]:
+        return [payload]
+    frames = []
     i = 0
     while i < len(payload):
-        tag = payload[i]
-        k = _ARITY[tag]
-        yield payload[i : i + 1 + k]
+        k = _ARITY[payload[i]]
+        frames.append(payload[i : i + 1 + k])
         i += 1 + k
+    return frames
 
 
 def dart3(d: Dart) -> tuple[int, int, int]:
@@ -131,10 +137,10 @@ class LocalKnowledge:
     store: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._pos = {d: i for i, d in enumerate(self.rotation)}
+        self._succ = dict(zip(self.rotation, self.rotation[1:] + self.rotation[:1]))
 
     def rot_next(self, d: Dart) -> Dart:
-        return self.rotation[(self._pos[d] + 1) % len(self.rotation)]
+        return self._succ[d]
 
 
 # -- tree construction and rooting ------------------------------------------
@@ -198,7 +204,7 @@ class TreeRootProgram(VertexProgram):
             st["depth"] = 0
             return [(d, pack((T_DEPTH, 0))) for d in tree], True
         for k, payload in inbox.items():
-            frame = next(unpack(payload))
+            frame = unpack(payload)[0]
             if frame[0] == T_DEPTH and st["depth"] is None:
                 st["depth"] = frame[1] + 1
                 st["tree_parent_dart"] = k
@@ -274,7 +280,7 @@ class FaceWeightsProgram(VertexProgram):
             return out, all(sizes[d] <= 1 for d in know.rotation)
         out = []
         for k, payload in inbox.items():
-            frame = next(unpack(payload))
+            frame = unpack(payload)[0]
             v = frame[1]
             slot = know.rot_next(k)
             st["acc"][slot] += v
@@ -641,7 +647,7 @@ class MarkProgram(VertexProgram):
     def step(self, r, know: LocalKnowledge, st, inbox):
         children = know.store["tree_children"]
         for k, payload in inbox.items():
-            frame = next(unpack(payload))
+            frame = unpack(payload)[0]
             st["mark_child_sums"][k.head] = frame[1]
             st["acc"] += frame[1]
             st["got"] += 1
@@ -732,8 +738,14 @@ class DistPipeline:
             )
             for v, pid in enumerate(part_of)
         ]
-        self.channels = [self.know[v].rotation for v in range(g.n)]
-        self.partition = Partition(tuple(part_of))
+        self.sim = Simulator(
+            [know.rotation for know in self.know], bit_budget=self.budget,
+            scramble=config.scramble,
+        )
+        self.aggregate = PartAggregator(
+            g, Partition(tuple(part_of)), config.backend, bit_budget=self.budget,
+            diameter=self.diameter, scramble=config.scramble,
+        )
         self.members = part_members(part_of)
 
     # -- small helpers ------------------------------------------------------
@@ -745,27 +757,13 @@ class DistPipeline:
         """One simulator run as phase `name`; copies the state keys in
         `publish` into every vertex's store."""
         pt = self.trace.phase(name)
-        sim = Simulator(self.channels, bit_budget=self.budget, scramble=self.config.scramble)
-        states = sim.run(program, self.know, pt, max_rounds=self.config.max_rounds)
+        states = self.sim.run(program, self.know, pt, max_rounds=self.config.max_rounds)
         pt.charged_rounds += charge_units * self._unit
         self.trace.interval_lengths.append(pt.honest_rounds)
         for know, st in zip(self.know, states):
             for key in publish:
                 know.store[key] = st[key]
         return states
-
-    def _pa(self, name_trace: PhaseTrace, inputs: list[int], op: str) -> list[int]:
-        return pa_aggregate(
-            self.g,
-            self.partition,
-            inputs,
-            op,
-            self.config.backend,
-            name_trace,
-            bit_budget=self.budget,
-            diameter=self.diameter,
-            scramble=self.config.scramble,
-        )
 
     def _store(self, key: str, values) -> None:
         for v in range(self.n):
@@ -813,7 +811,7 @@ class DistPipeline:
             max(enc_face(f, self.n) for f in self.know[v].store["face"].values())
             for v in range(self.n)
         ]
-        encs = self._pa(pt, inputs, "MAX")
+        encs = self.aggregate(inputs, "MAX", pt)
         self.trace.interval_lengths.append(pt.honest_rounds)
         self._store("dual_root", [dec_face(e, self.n) for e in encs])
 
@@ -834,7 +832,7 @@ class DistPipeline:
         w_in = [
             know.store["face_total"].get(know.store["dual_root"], (0, 0))[0] for know in self.know
         ]
-        totals = self._pa(pt, w_in, "MAX")
+        totals = self.aggregate(w_in, "MAX", pt)
         self._store("total_weight", totals)
         for pid, members in self.members.items():
             if totals[members[0]] == 0:
@@ -850,7 +848,7 @@ class DistPipeline:
                 if is_balanced(s, W):
                     best = max(best, enc_face(f, n) + 1)
             bal_in.append(best)
-        bal = self._pa(pt, bal_in, "MAX")
+        bal = self.aggregate(bal_in, "MAX", pt)
 
         # critical election: deepest face with subtree above 3/4, ties by id
         depth_space = enc_face(Dart(n, n, 15), n) + 2
@@ -867,7 +865,7 @@ class DistPipeline:
                         depth = store["dual_rooted"][d][0]
                         best = max(best, depth * depth_space + enc_face(f, n) + 1)
             crit_in.append(best)
-        crit = self._pa(pt, crit_in, "MAX")
+        crit = self.aggregate(crit_in, "MAX", pt)
 
         self._store("case_face", [
             dec_face(bal[v] - 1, n) if bal[v] > 0 else dec_face((crit[v] - 1) % depth_space, n)
@@ -894,14 +892,14 @@ class DistPipeline:
                     pdart = store["dual_rooted"][d][1]
                     store["case_anchor"] = pdart if pdart is not None else f
             case_in.append(code_k)
-        case_k = self._pa(pt, case_in, "MAX")
+        case_k = self.aggregate(case_in, "MAX", pt)
         subtree_in = []
         for v in range(n):
             store = self.know[v].store
             store["case_code"] = case_k[v] >> kbits
             store["case_k"] = case_k[v] & ((1 << kbits) - 1)
             subtree_in.append(store["face_total"].get(store["case_face"], (0, 0))[0])
-        subtree = self._pa(pt, subtree_in, "MAX")
+        subtree = self.aggregate(subtree_in, "MAX", pt)
         self._store("case_subtree", subtree)
         self.trace.interval_lengths.append(pt.honest_rounds)
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .congest import default_bit_budget, pa_charge
+from .congest import PA_BACKENDS, default_bit_budget, pa_charge
 from .dist import dist_compute_separator
 from .embedding import EmbeddedPlanarGraph
 from .errors import BadParams, InsufficientData, NotProper
@@ -34,6 +34,9 @@ from .verify import verify_separator
 from .weights import transfer_weights
 
 
+ENGINES = ("sequential", "distributed", "both")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
@@ -46,6 +49,14 @@ class ExperimentSpec:
     bit_budget: Optional[int] = None
     max_rounds: int = 10**6
     seed: int = 0
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise BadParams(f"unknown engine {self.engine!r}, expected one of {ENGINES}")
+        if self.pa_backend not in PA_BACKENDS:
+            raise BadParams(
+                f"unknown pa_backend {self.pa_backend!r}, expected one of {PA_BACKENDS}"
+            )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

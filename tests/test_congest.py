@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import (
+    PartAggregator,
     Partition,
     PhaseTrace,
     Simulator,
@@ -215,6 +216,24 @@ def test_pa_charged_same_values(grid4):
     assert tr2.honest_rounds == 0
     assert tr2.charged_rounds == 6 * 5 ** 2
     assert tr1.charged_rounds >= tr1.honest_rounds
+
+
+@pytest.mark.parametrize("backend, scramble", [("honest", None), ("charged", None), ("honest", 7)])
+def test_reused_aggregator_matches_fresh_calls(backend, scramble):
+    g = grid(6, 6)
+    bands = Partition(tuple(v // 12 for v in range(g.n)))  # three 2x6 bands
+    agg = PartAggregator(g, bands, backend, diameter=10, scramble=scramble)
+    rng = random.Random(2)
+    reused, fresh = PhaseTrace("pa"), PhaseTrace("pa")
+    for i, op in enumerate(("SUM", "MIN", "MAX", "OR", "AND", "SUM")):
+        inputs = [rng.randint(0, 99) for _ in range(g.n)]
+        if i == 5:
+            inputs = [x << 45 for x in inputs]  # sums wider than the 48-bit budget
+        got = agg(inputs, op, reused)
+        want = pa_aggregate(g, bands, inputs, op, backend, fresh, diameter=10, scramble=scramble)
+        assert got == want
+        assert reused == fresh
+    assert reused.pa_calls == 6 and reused.overflow_flags >= 1
 
 
 def test_pa_random_partition_matches_fold():

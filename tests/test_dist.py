@@ -65,6 +65,19 @@ def _full_run(g, tree=None):
     return [pipe.know[v].store for v in range(g.n)], outputs[0]
 
 
+def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
+    import planarsep.congest as congest
+
+    calls = []
+    real = congest.part_bfs_trees
+    monkeypatch.setattr(
+        congest, "part_bfs_trees", lambda *a: calls.append(1) or real(*a)
+    )
+    _, out = _full_run(grid4)
+    assert out.case == "critical-virtual"
+    assert len(calls) <= 1
+
+
 def test_dist_bfs_equals_sequential(grid4):
     t = bfs_tree(grid4, 0)
     dt, trace = dist_bfs(grid4, 0)

@@ -38,6 +38,44 @@ def test_malformed_spec_is_bad_params(tmp_path, capsys):
     assert "bad experiment spec" in capsys.readouterr().err
 
 
+def test_spec_line_settings_survive_unset_flags(tmp_path):
+    spec = ExperimentSpec(
+        name="g4", generator="grid", params={"rows": 4, "cols": 4},
+        engine="distributed", pa_backend="charged", bit_budget=64,
+    )
+    spec_file = tmp_path / "specs.ndjson"
+    spec_file.write_text(spec.to_json() + "\n")
+    out = tmp_path / "r.ndjson"
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert rec["bit_budget"] == 64
+    assert rec == run_experiment(spec)
+    honest = run_experiment(ExperimentSpec(**{**spec.__dict__, "pa_backend": "honest"}))
+    assert rec["honest_rounds"] < honest["honest_rounds"]  # charged PA runs no rounds
+    # a flag given on the command line still overrides the spec
+    assert main(["run", "--spec", str(spec_file), "--bit-budget", "80", "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["bit_budget"] == 80
+
+
+@pytest.mark.parametrize("field", ["engine", "pa_backend"])
+def test_unknown_engine_or_backend_is_bad_params(field):
+    with pytest.raises(BadParams, match=field):
+        run_experiment(
+            ExperimentSpec(
+                name="x", generator="grid", params={"rows": 4, "cols": 4}, **{field: "bogus"}
+            )
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [(["run", "--kind", "grid"], "--rows --cols"), (["run"], "--kind")],
+)
+def test_cli_run_without_generator_params_exits_2(argv, needs, capsys):
+    assert main(argv) == 2
+    assert needs in capsys.readouterr().err
+
+
 def test_generate_dispatch():
     g, parts = generate("grid", {"rows": 3, "cols": 5})
     assert g.n == 15 and parts is None
