@@ -361,7 +361,10 @@ class PartAggregator:
         }
         folds = [expected[pid] for pid in self.part_of]
         trace.pa_calls += 1
-        wide = any(r.bit_length() + 4 > self.budget for r in expected.values())
+        # a MIN or AND convergecast forwards partial folds wider than its
+        # result, so the widest input bounds the payload as well
+        widest = max(max(inputs, default=0), max(expected.values(), default=0))
+        wide = widest.bit_length() + 4 > self.budget
         if wide:
             trace.overflow_flags += 1
         if self.sim is None:

@@ -287,6 +287,16 @@ def test_operator_overflow_flagged(grid4):
     assert tr.overflow_flags >= 1
 
 
+def test_wide_partial_folds_widen_the_budget(grid4):
+    # MIN's result fits the 40-bit budget, but its partial folds do not
+    inputs = [2**60] * 15 + [1]
+    for backend in ("honest", "charged"):
+        tr = PhaseTrace("pa")
+        res = pa_aggregate(grid4, Partition((0,) * 16), inputs, "MIN", backend, tr, diameter=6)
+        assert res == [1] * 16
+        assert tr.overflow_flags >= 1
+
+
 def test_broadcast_rounds(grid4):
     t = bfs_tree(grid4, 0)
     tr = PhaseTrace("bc")
