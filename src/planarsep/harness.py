@@ -71,23 +71,30 @@ class ExperimentSpec:
 
 
 def generate(kind: str, params: dict, seed: int = 0):
-    """Instance dispatcher; returns (graph, partition-or-None)."""
+    """Instance dispatcher; returns (graph, partition-or-None).  BadParams
+    for an unknown kind or a parameter the kind needs that params lacks."""
+
+    def need(key: str):
+        if key not in params:
+            raise BadParams(f"generator {kind!r} needs parameter {key!r}")
+        return params[key]
+
     if kind == "grid":
-        return grid(params["rows"], params["cols"]), None
+        return grid(need("rows"), need("cols")), None
     if kind == "cylinder":
-        return cylinder(params["height"], params["width"], params.get("capped", True)), None
+        return cylinder(need("height"), need("width"), params.get("capped", True)), None
     if kind == "random-triangulation":
-        return random_triangulation(params["n"], seed), None
+        return random_triangulation(need("n"), seed), None
     if kind == "cycle-chords":
-        return cycle_chords(params["n"], params.get("chords", 0), seed), None
+        return cycle_chords(need("n"), params.get("chords", 0), seed), None
     if kind == "two-level-parts":
-        g, part_of = two_level_parts(params["size"], params.get("parts_per_side", 2))
+        g, part_of = two_level_parts(need("size"), params.get("parts_per_side", 2))
         return g, part_of
     if kind == "joined-grids":
-        g, part_of = joined_grids(params["rows"], params["cols"])
+        g, part_of = joined_grids(need("rows"), need("cols"))
         return g, part_of
     if kind == "cut-chain":
-        return cut_chain(params["blobs"], params["blob_size"], seed), None
+        return cut_chain(need("blobs"), need("blob_size"), seed), None
     if kind == "pinned-critical":
         g, _, _, _ = pinned_critical_instance()
         return g, None

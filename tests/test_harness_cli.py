@@ -57,6 +57,15 @@ def test_spec_line_settings_survive_unset_flags(tmp_path):
     assert json.loads(out.read_text().splitlines()[0])["bit_budget"] == 80
 
 
+def test_spec_missing_generator_param_is_bad_params(tmp_path, capsys):
+    with pytest.raises(BadParams, match="'cols'"):
+        generate("grid", {"rows": 4})
+    spec_file = tmp_path / "specs.ndjson"
+    spec_file.write_text(json.dumps({"name": "x", "generator": "grid", "params": {"rows": 4}}) + "\n")
+    assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "r.ndjson")]) == 2
+    assert "needs parameter 'cols'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["engine", "pa_backend"])
 def test_unknown_engine_or_backend_is_bad_params(field):
     with pytest.raises(BadParams, match=field):
