@@ -196,10 +196,10 @@ class TreeRootProgram(VertexProgram):
     """Depth flood along tree darts only; parents are forced, no ties."""
 
     def init(self, know: LocalKnowledge) -> dict:
-        return {"depth": None, "tree_parent_dart": None}
+        return {"depth": None, "tree_parent_dart": None, "tree": sorted(know.tree_darts)}
 
     def step(self, r, know: LocalKnowledge, st, inbox):
-        tree = sorted(know.tree_darts)
+        tree = st["tree"]
         if r == 0 and know.vid == know.tree_root:
             st["depth"] = 0
             return [(d, pack((T_DEPTH, 0))) for d in tree], True
@@ -235,24 +235,27 @@ class LearnFacesProgram(VertexProgram):
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         if r == 0:
-            return [(d, pack((T_TOK,) + dart3(d))) for d in know.rotation], False
+            return [(d, (T_TOK,) + d) for d in know.rotation], False
         out = []
+        best, steps = st["best"], st["steps"]
+        # every payload is one frame; a token (tail, head, copy) compares
+        # with darts as a plain tuple, and a Dart is built only for a face id
         for k, payload in inbox.items():
-            for frame in unpack(payload):
-                if frame[0] == T_TOK:
-                    t = Dart(frame[1], frame[2], frame[3])
-                    slot = know.rot_next(k)
-                    st["steps"][slot] += 1
-                    if t < st["best"][slot]:
-                        st["best"][slot] = t
-                    if t == slot:
-                        st["face"][slot] = st["best"][slot]
-                        st["size"][slot] = st["steps"][slot]
-                        out.append((slot, pack((T_FACE,) + dart3(st["best"][slot]))))
-                    else:
-                        out.append((slot, pack((T_TOK,) + dart3(t))))
+            if payload[0] == T_TOK:
+                t = payload[1:]
+                slot = know.rot_next(k)
+                steps[slot] += 1
+                if t < best[slot]:
+                    best[slot] = t
+                if t == slot:
+                    face = Dart(*best[slot])
+                    st["face"][slot] = face
+                    st["size"][slot] = steps[slot]
+                    out.append((slot, (T_FACE,) + face))
                 else:
-                    st["rev_face"][k] = Dart(frame[1], frame[2], frame[3])
+                    out.append((slot, payload))
+            else:
+                st["rev_face"][k] = Dart(*payload[1:])
         return out, len(st["face"]) == len(st["rev_face"]) == len(know.rotation)
 
 
