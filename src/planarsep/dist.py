@@ -6,21 +6,25 @@ part holding every vertex.
 
 Every phase is a vertex program run on the synchronous simulator; the
 only channels are the darts of the (per-part, augmented) rotation
-systems installed as local knowledge.  Face-level work rides on the fact
-that consecutive boundary darts of a face share a vertex, so a face is a
-communication ring: a token forwarded from position dart d lands at
-head(d), which derives the receiving position locally as the rotation
-successor of the arrival dart.
+systems installed as local knowledge.  Three phases work on face
+rings: consecutive boundary darts of a face share a vertex, so a face is
+a communication ring, and a token forwarded from position dart d lands
+at head(d), which derives the receiving position locally as the rotation
+successor of the arrival dart.  Learning face ids, aggregating face
+weights and the critical case's boundary prefixes use them; everything
+else runs on T, on single cotree edges, or by part-wise aggregation.
 
 Phase order: root the given tree, learn face ids (token rotation around
 each ring), derive cotree flags locally, aggregate face weights, elect
-the maximum face id as dual root, root the dual tree and convergecast
-subtree sums ring by ring, elect a balanced or critical node, and mark
-the path by a subtree sum over the tree with unit inputs at the two
-endpoints.  The critical case precomputes boundary prefix sums in one
-ring pass and then binary-searches the enclosed weight from the tree
-root; the probed quantity is the suffix of boundary choice-weights plus
-hanging child subtrees, exactly the sequential engine's formula.
+the maximum face id as dual root, compute every dual subtree's weight and
+dart count from prefix sums along the contour of T (two waves over T and
+one exchange across each cotree edge), elect a balanced or critical
+node, and mark the path by a subtree sum over the tree with unit inputs
+at the two endpoints.  The critical case precomputes boundary prefix
+sums in one ring pass and then binary-searches the enclosed weight from
+the tree root; the probed quantity is the suffix of boundary
+choice-weights plus hanging child subtrees, exactly the sequential
+engine's formula.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
 parents, maximum-id elections), so results serialize byte-identically.
@@ -29,7 +33,7 @@ parents, maximum-id elections), so results serialize byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .biconnect import biconnect
 from .congest import (
@@ -64,18 +68,18 @@ from .treecotree import (
 # message tags, with payload arity (tag excluded)
 T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
 T_TOK, T_FACE = 4, 5
-T_RB, T_RA, T_CH, T_FW, T_TT = 6, 7, 8, 9, 10
+T_CUT, T_PRE, T_CH, T_POS, T_SUBD = 6, 7, 8, 9, 10
 T_IDX, T_IDXT = 11, 12
 T_PROBE, T_ANS, T_RES, T_UV = 13, 14, 15, 16
-T_UP = 17
+T_UP, T_SUBW, T_LEN = 17, 18, 19
 
 _ARITY = {
     T_BFS: 2, T_CLAIM: 1, T_DEPTH: 1,
     T_TOK: 3, T_FACE: 3,
-    T_RB: 5, T_RA: 1, T_CH: 1, T_FW: 1, T_TT: 2,
+    T_CUT: 2, T_PRE: 2, T_CH: 1, T_POS: 2, T_SUBD: 2,
     T_IDX: 3, T_IDXT: 1,
     T_PROBE: 2, T_ANS: 2, T_RES: 2, T_UV: 2,
-    T_UP: 1,
+    T_UP: 1, T_SUBW: 1, T_LEN: 1,
 }
 
 
@@ -101,10 +105,6 @@ def unpack(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
         frames.append(payload[i : i + 1 + k])
         i += 1 + k
     return frames
-
-
-def dart3(d: Dart) -> tuple[int, int, int]:
-    return (d.tail, d.head, d.copy)
 
 
 def enc_face(f: FaceId, n: int) -> int:
@@ -268,6 +268,7 @@ class FaceWeightsProgram(VertexProgram):
         corner = min(d for d in know.rotation if faces[d] == chosen)
         return {
             "chosen": chosen,
+            "corner": corner,
             "acc": {d: (know.weight if d == corner else 0) for d in know.rotation},
             "recv": {d: 0 for d in know.rotation},
         }
@@ -294,125 +295,189 @@ class FaceWeightsProgram(VertexProgram):
         return out, done
 
 
-# -- dual tree rooting + subtree sums ----------------------------------------
+# -- dual subtree sums from the contour of T ---------------------------------
 
 
-class DualSumsProgram(VertexProgram):
-    """Ring-structured rooting and convergecast over the dual tree.
+class DualSubtree(NamedTuple):
+    """A face's dual subtree, as the endpoints of its dual parent edge learn
+    it (and the tail of its canonical dart, at the dual root)."""
 
-    Per face, a rooting-and-census token makes one full loop from the
-    entry position (the face's side of its dual parent edge; the
-    canonical dart for the root face), counting child edges.  A child
-    face whose total is known reports it across the shared edge; reports
-    relay around the ring to the entry, which finally loops a
-    total-and-has-children token and reports its own total upward.
+    weight: int         # face weights summed over the subtree
+    darts: int          # boundary darts summed over the subtree
+    parent_dart: Dart   # the face's side of its dual parent edge; its canonical dart at the root
+    size: int           # the face's own boundary length
+
+
+class ContourProgram(VertexProgram):
+    """Dual subtree sums from prefix sums along the contour of T.
+
+    The contour lists the 2m darts of a part: from the tree root's first
+    dart, a tree dart d is followed by rot_next(reverse(d)), any other
+    dart d by rot_next(d).  So every subtree of T owns one segment of it:
+    its root's darts in rotation order after the parent dart, each child's
+    segment right after the dart to that child.  For a cotree edge whose
+    darts sit at positions i < j, positions i+1..j hold the darts of the
+    faces on one side of its fundamental cycle, the side of the face at
+    j; when the dual root's canonical dart lies among them, the other side
+    is the dual subtree below the edge instead.  With every vertex's
+    weight marked at its corner dart (its dart in its chosen face), the
+    side's weight is a difference of weight prefixes and its dart count
+    the length of the interval.
+
+    Each field travels in its own frame, so no payload grows wide: up T,
+    every subtree's dart count (with the offset of the dual root's
+    canonical dart, on the path that holds it), then its weight; down T,
+    every child's contour position (with the dual root's), its weight
+    prefix (with the part's total weight), then the contour length; and
+    one frame of position and weight prefix across each cotree edge.
+    Each endpoint then resolves the edge locally.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
+        rot = know.rotation
+        pd = know.store["tree_parent_dart"]
+        k = 0 if pd is None else rot.index(pd) + 1
         return {
-            "dual_rooted": {},   # position -> (depth, parent_dart | None)
-            "child_sum": {},     # child-edge position -> subtree weight behind it
-            "expected": {},      # entry position -> census count (None = pending)
-            "got": {},
-            "acc": {},
-            "queue": {d: [] for d in know.rotation},
-            "total": {},         # position -> (total, has_children)
-            "ring_done": set(),
+            "order": rot[k:] + rot[:k],
+            "kid_darts": {},     # child dart -> (its subtree's dart count, root offset)
+            "kid_weight": {},    # child dart -> its subtree's weight
+            "rel": None,         # own dart -> offset in the subtree's segment
+            "root_off": 0,       # 1 + offset of the dual root's canonical dart, 0 if outside
+            "darts": None,
+            "darts_round": None,
+            "weight": None,
+            "first": None,       # contour position of the segment's first dart
+            "root_pos": None,
+            "total_weight": None,
+            "total_darts": None,
+            "len_sent": False,
+            "cuts": sum(know.store["cotree_flag"].values()),
+            "incl": {},          # cotree dart -> weight marks up to and including it
+            "cut": {},           # cotree dart -> (position, incl) of its reverse
+            "subtrees": {},      # face -> DualSubtree, for faces whose parent edge is here
+            "child_sum": {},     # dart on a parent face's side -> weight behind the edge
         }
 
-    def _start_ring(self, know, st, entry: Dart, depth: int, emit) -> None:
-        # a non-root entry sits on the parent edge, never on a child edge
-        flag = depth == 0 and know.store["cotree_flag"][entry]
-        st["dual_rooted"][entry] = (depth, None if depth == 0 else entry)
-        st["expected"][entry] = None
-        st["got"].setdefault(entry, 0)
-        st["acc"].setdefault(entry, 0)
-        emit(entry, (T_RB, depth, *dart3(entry), int(flag)))
-        if flag:
-            emit(entry, (T_RA, depth + 1))
+    def _segment(self, know, st) -> None:
+        """Offsets of the own darts, the subtree's dart count, and where in
+        the segment the dual root's canonical dart lies."""
+        root_face = know.store["dual_root"]
+        kids = st["kid_darts"]
+        rel = {}
+        p = 0
+        for d in st["order"]:
+            rel[d] = p
+            if d == root_face:
+                st["root_off"] = p + 1
+            p += 1
+            if d in kids:
+                count, off = kids[d]
+                if off:
+                    st["root_off"] = p + off
+                p += count
+        st["rel"], st["darts"] = rel, p
+
+    def _place(self, know, st, first: int, root_pos: int, out) -> None:
+        st["first"], st["root_pos"] = first, root_pos
+        for _c, d in know.store["tree_children"]:
+            out.append((d, (T_POS, first + st["rel"][d] + 1, root_pos)))
+
+    def _prefix(self, know, st, before: int, total: int, out) -> None:
+        """Weight prefixes of the own darts, sent down T and across T*."""
+        st["total_weight"] = total
+        corner = know.store["corner"]
+        flags = know.store["cotree_flag"]
+        kids = st["kid_weight"]
+        acc = before
+        for d in st["order"]:
+            if d == corner:
+                acc += know.weight
+            if d in kids:
+                out.append((d, (T_PRE, acc, total)))
+                acc += kids[d]
+            elif flags[d]:
+                st["incl"][d] = acc
+                out.append((d, (T_CUT, st["first"] + st["rel"][d], acc)))
+
+    def _send_len(self, know, st, out) -> None:
+        st["len_sent"] = True
+        for _c, d in know.store["tree_children"]:
+            out.append((d, (T_LEN, st["total_darts"])))
+
+    def _resolve(self, know, st) -> None:
+        """Each cotree edge here: which side is the dual subtree below it,
+        and that subtree's weight and dart count."""
+        store = know.store
+        faces, sizes = store["face"], store["size"]
+        W, M, R = st["total_weight"], st["total_darts"], st["root_pos"]
+        for d, (q, q_incl) in st["cut"].items():
+            p, p_incl = st["first"] + st["rel"][d], st["incl"][d]
+            (i, i_incl), (j, j_incl) = sorted(((p, p_incl), (q, q_incl)))
+            weight, darts, inner = j_incl - i_incl, j - i, j
+            if i < R <= j:  # the dual root is on j's side: the subtree is i's
+                weight, darts, inner = W - weight, M - darts, i
+            if inner == p:  # d's own face is the child
+                st["subtrees"][faces[d]] = DualSubtree(weight, darts, d, sizes[d])
+            else:  # d lies on the parent face; its successor on the child
+                st["child_sum"][d] = weight
+                child_side = know.rot_next(d)
+                st["subtrees"][faces[child_side]] = DualSubtree(
+                    weight, darts, d.reverse(), sizes[child_side]
+                )
+        root_face = store["dual_root"]
+        if root_face.tail == know.vid:
+            st["subtrees"][root_face] = DualSubtree(W, M, root_face, sizes[root_face])
 
     def step(self, r, know: LocalKnowledge, st, inbox):
-        faces = know.store["face"]
-        wf = know.store["face_weight"]
-        root_face = know.store["dual_root"]
-        send: dict[Dart, list[tuple]] = {}
-
-        def emit(slot, frame):
-            send.setdefault(slot, []).append(frame)
-
-        if r == 0:
-            for d in know.rotation:
-                if faces[d] == root_face and d == root_face:
-                    self._start_ring(know, st, d, 0, emit)
-
+        store = know.store
+        is_root = know.vid == know.tree_root
+        out = []
         for k, payload in inbox.items():
-            for frame in unpack(payload):
-                tag = frame[0]
-                if tag == T_RB:
-                    depth, pt, ph, pc, count = frame[1:]
-                    pdart = Dart(pt, ph, pc)
-                    slot = know.rot_next(k)
-                    if slot == pdart:
-                        st["expected"][slot] = count  # census complete
-                    else:
-                        flag = know.store["cotree_flag"][slot]
-                        st["dual_rooted"][slot] = (depth, None if depth == 0 else pdart)
-                        emit(slot, (T_RB, depth, pt, ph, pc, count + int(flag)))
-                        if flag:
-                            emit(slot, (T_RA, depth + 1))
-                elif tag == T_RA:
-                    self._start_ring(know, st, k, frame[1], emit)
-                elif tag == T_CH:
-                    st["child_sum"][k] = frame[1]
-                    if k in st["expected"]:
-                        st["got"][k] += 1
-                        st["acc"][k] += frame[1]
-                    else:
-                        st["queue"][k].append((T_FW, frame[1]))
-                        st["_wake"] = True
-                elif tag == T_FW:
-                    slot = know.rot_next(k)
-                    if slot in st["expected"]:
-                        st["got"][slot] += 1
-                        st["acc"][slot] += frame[1]
-                    else:
-                        st["queue"][slot].append((T_FW, frame[1]))
-                        st["_wake"] = True
-                elif tag == T_TT:
-                    slot = know.rot_next(k)
-                    if slot in st["total"]:
-                        st["ring_done"].add(slot)
-                    else:
-                        st["total"][slot] = (frame[1], frame[2])
-                        emit(slot, (T_TT, frame[1], frame[2]))
-
-        # an entry with census done and all children in loops the total
-        for entry, expected in st["expected"].items():
-            if expected is None or entry in st["total"]:
-                continue
-            if st["got"][entry] == expected:
-                depth, _pdart = st["dual_rooted"][entry]
-                total = wf[faces[entry]] + st["acc"][entry]
-                has_children = 1 if expected > 0 else 0
-                st["total"][entry] = (total, has_children)
-                emit(entry, (T_TT, total, has_children))
-                if depth > 0:
-                    emit(entry, (T_CH, total))
-
-        # drain one queued relay per free position per round
-        for pos, q in st["queue"].items():
-            if q:
-                if pos not in send:
-                    send[pos] = [q.pop(0)]
-                if q:
-                    st["_wake"] = True
-
-        out = [(slot, pack(*frames)) for slot, frames in send.items()]
-        done = (
-            all(d in st["total"] for d in know.rotation)
-            and all(not q for q in st["queue"].values())
-            and all(e in st["ring_done"] for e in st["expected"])
-        )
+            tag = payload[0]
+            if tag == T_SUBD:
+                st["kid_darts"][k] = payload[1:]
+            elif tag == T_SUBW:
+                st["kid_weight"][k] = payload[1]
+            elif tag == T_POS:
+                self._place(know, st, payload[1], payload[2], out)
+            elif tag == T_PRE:
+                self._prefix(know, st, payload[1], payload[2], out)
+            elif tag == T_LEN:
+                st["total_darts"] = payload[1]
+                self._send_len(know, st, out)
+            else:
+                st["cut"][k] = payload[1:]
+        # at most one new frame per dart and round: dart count, then weight,
+        # then (at the tree root) the contour length
+        kids = len(store["tree_children"])
+        if st["darts"] is None and len(st["kid_darts"]) == kids:
+            self._segment(know, st)
+            st["darts_round"] = r
+            if is_root:
+                st["total_darts"] = st["darts"]
+                self._place(know, st, 0, st["root_off"] - 1, out)
+            else:
+                out.append((store["tree_parent_dart"], (T_SUBD, st["darts"], st["root_off"])))
+        elif (
+            st["weight"] is None and len(st["kid_weight"]) == kids and r > st["darts_round"]
+        ):
+            st["weight"] = know.weight + sum(st["kid_weight"].values())
+            if is_root:
+                self._prefix(know, st, 0, st["weight"], out)
+            else:
+                out.append((store["tree_parent_dart"], (T_SUBW, st["weight"])))
+        elif is_root and st["weight"] is not None and not st["len_sent"]:
+            self._send_len(know, st, out)
+        # a leaf's weight and the root's contour length are due next round
+        # with no message to wake them
+        if st["weight"] is None:
+            if st["darts"] is not None and len(st["kid_weight"]) == kids:
+                st["_wake"] = True
+        elif is_root and not st["len_sent"]:
+            st["_wake"] = True
+        done = st["len_sent"] and len(st["cut"]) == st["cuts"]
+        if done:
+            self._resolve(know, st)
         return out, done
 
 
@@ -432,9 +497,10 @@ class PrefixProgram(VertexProgram):
         }
         if store.get("case_code") != CASE_VIRTUAL:
             return st
-        anchor = store["case_anchor"]  # known exactly at the face's corners
-        st["active"] = anchor is not None
-        if st["active"] and anchor.tail == know.vid:
+        # the ring is the face's corners; its anchor's tail starts the pass
+        st["active"] = store["case_face"] in store["face"].values()
+        anchor = store["case_anchor"]
+        if anchor is not None and anchor.tail == know.vid:
             st["anchor"] = anchor
         return st
 
@@ -518,21 +584,23 @@ class SearchProgram(VertexProgram):
         return 0
 
     def _uv_claim(self, know, j: int) -> tuple[int, int]:
-        """(u + 1, v + 1) where this vertex is that endpoint, else 0; only
-        corners of the chosen face claim.  A balanced face is never the
-        dual root, so its anchor is its dual parent dart."""
+        """(u + 1, v + 1) where this vertex is that endpoint, else 0.  The
+        endpoints of the chosen face's anchor know it; a balanced face is
+        never the dual root, so its anchor is its dual parent dart.  In the
+        virtual case, u is the corner at boundary index j + 1."""
         store = know.store
         ad = store["case_anchor"]
-        if ad is None:
-            return 0, 0
         code = store["case_code"]
-        if code == CASE_BALANCED:
-            u, v = sorted((ad.tail, ad.head))
-        elif code == CASE_LEAF:
-            u, v = ad.head, ad.tail
-        else:
+        u = v = None
+        if code == CASE_VIRTUAL:
             u = know.vid if store.get("prefix_idx") == j + 1 else None
-            v = ad.tail
+            v = ad.tail if ad is not None else None
+        elif ad is None:
+            return 0, 0
+        elif code == CASE_BALANCED:
+            u, v = sorted((ad.tail, ad.head))
+        else:
+            u, v = ad.head, ad.tail
         me = know.vid
         return (me + 1 if me == u else 0), (me + 1 if me == v else 0)
 
@@ -801,7 +869,7 @@ class DistPipeline:
 
     def run_face_weights(self):
         states = self._run(
-            "face_weights", FaceWeightsProgram(), charge_units=1, publish=("chosen",)
+            "face_weights", FaceWeightsProgram(), charge_units=1, publish=("chosen", "corner")
         )
         self._store("face_weight", [
             {know.store["face"][d]: st["acc"][d] for d in know.rotation}
@@ -819,91 +887,76 @@ class DistPipeline:
         self._store("dual_root", [dec_face(e, self.n) for e in encs])
 
     def run_dual_sums(self):
-        states = self._run(
-            "dual_subtree_sums", DualSumsProgram(), charge_units=2,
-            publish=("dual_rooted", "child_sum"),
+        self._run(
+            "dual_subtree_sums", ContourProgram(), charge_units=2,
+            publish=("subtrees", "child_sum", "total_weight", "total_darts"),
         )
-        self._store("face_total", [
-            {know.store["face"][d]: st["total"][d] for d in know.rotation}
-            for know, st in zip(self.know, states)
-        ])
 
     def run_detect(self):
         pt = self.trace.phase("detect")
         n = self.n
-        # W: every root-face corner knows the root subtree total
-        w_in = [
-            know.store["face_total"].get(know.store["dual_root"], (0, 0))[0] for know in self.know
-        ]
-        totals = self.aggregate(w_in, "MAX", pt)
-        self._store("total_weight", totals)
+        stores = [know.store for know in self.know]
         for pid, members in self.members.items():
-            if totals[members[0]] == 0:
+            if stores[members[0]]["total_weight"] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
-        # balanced election: maximum face id among balanced candidates
-        bal_in = []
-        for v in range(n):
-            store = self.know[v].store
-            W = totals[v]
-            best = 0
-            for f, (s, _hc) in store["face_total"].items():
-                if is_balanced(s, W):
-                    best = max(best, enc_face(f, n) + 1)
-            bal_in.append(best)
-        bal = self.aggregate(bal_in, "MAX", pt)
+        # every election input comes from the holders of a face's subtree
+        # sums.  Balanced election: maximum face id among balanced candidates
+        bal = self.aggregate([
+            max(
+                (
+                    enc_face(f, n) + 1 for f, sub in store["subtrees"].items()
+                    if is_balanced(sub.weight, store["total_weight"])
+                ),
+                default=0,
+            )
+            for store in stores
+        ], "MAX", pt)
 
-        # critical election: deepest face with subtree above 3/4, ties by id
-        depth_space = enc_face(Dart(n, n, 15), n) + 2
-        crit_in = []
-        for v in range(n):
-            store = self.know[v].store
-            W = totals[v]
-            best = 0
-            if bal[v] == 0:
-                for d in self.know[v].rotation:
-                    f = store["face"][d]
-                    s, _hc = store["face_total"][f]
-                    if exceeds_beta(s, W):
-                        depth = store["dual_rooted"][d][0]
-                        best = max(best, depth * depth_space + enc_face(f, n) + 1)
-            crit_in.append(best)
-        crit = self.aggregate(crit_in, "MAX", pt)
+        # critical election: the deepest face with subtree above 3/4.  The
+        # heavy faces form a chain down from the dual root along which the
+        # subtree's dart count strictly drops, so the deepest one has the
+        # fewest darts: the largest key M + 1 - darts
+        def heavy_key(store, sub: DualSubtree) -> int:
+            if exceeds_beta(sub.weight, store["total_weight"]):
+                return store["total_darts"] + 1 - sub.darts
+            return 0
 
-        self._store("case_face", [
-            dec_face(bal[v] - 1, n) if bal[v] > 0 else dec_face((crit[v] - 1) % depth_space, n)
-            for v in range(n)
-        ])
+        crit = self.aggregate([
+            0 if bal[v] else max(
+                (heavy_key(store, sub) for sub in store["subtrees"].values()), default=0
+            )
+            for v, store in enumerate(stores)
+        ], "MAX", pt)
 
-        # one pass over the chosen face's corners: case + boundary length for
-        # the election, and the face's anchor, published locally (the face's
+        # the chosen face's holders publish its id, its case and boundary
+        # length, and its subtree weight, and keep its anchor (the face's
         # side of its dual parent edge, or its canonical dart at the root)
         kbits = (8 * n).bit_length() + 1
-        case_in = []
-        for v in range(n):
-            store = self.know[v].store
-            f = store["case_face"]
-            code_k = 0
+        face_in, case_in, subtree_in = [0] * n, [0] * n, [0] * n
+        for v, store in enumerate(stores):
             store["case_anchor"] = None
-            for d in self.know[v].rotation:
-                if store["face"][d] == f:
-                    if bal[v] > 0:
-                        code = CASE_BALANCED
-                    else:
-                        code = CASE_VIRTUAL if store["face_total"][f][1] else CASE_LEAF
-                    code_k = (code << kbits) | store["size"][d]
-                    pdart = store["dual_rooted"][d][1]
-                    store["case_anchor"] = pdart if pdart is not None else f
-            case_in.append(code_k)
+            for f, sub in store["subtrees"].items():
+                if bal[v]:
+                    chosen, code = enc_face(f, n) + 1 == bal[v], CASE_BALANCED
+                else:
+                    # a face has dual children iff its subtree has more darts
+                    chosen = heavy_key(store, sub) == crit[v]
+                    code = CASE_VIRTUAL if sub.darts > sub.size else CASE_LEAF
+                if not chosen:
+                    continue
+                store["case_anchor"] = sub.parent_dart
+                face_in[v] = enc_face(f, n) + 1
+                case_in[v] = (code << kbits) | sub.size
+                subtree_in[v] = sub.weight
+        face = self.aggregate(face_in, "MAX", pt)
         case_k = self.aggregate(case_in, "MAX", pt)
-        subtree_in = []
-        for v in range(n):
-            store = self.know[v].store
+        subtree = self.aggregate(subtree_in, "MAX", pt)
+        for v, store in enumerate(stores):
+            store["case_face"] = dec_face(face[v] - 1, n)
             store["case_code"] = case_k[v] >> kbits
             store["case_k"] = case_k[v] & ((1 << kbits) - 1)
-            subtree_in.append(store["face_total"].get(store["case_face"], (0, 0))[0])
-        subtree = self.aggregate(subtree_in, "MAX", pt)
-        self._store("case_subtree", subtree)
+            store["case_subtree"] = subtree[v]
         self.trace.interval_lengths.append(pt.honest_rounds)
 
     def run_prefix(self):

@@ -18,9 +18,11 @@ from planarsep import (
 )
 from planarsep.dist import CASE_BALANCED, DistPipeline, PipelineConfig, part_bfs_trees
 from planarsep.errors import ConflictingRoot, InvalidPartition, NotProper, NotSpanningTree
+from planarsep.congest import log2ceil
 from planarsep.generators import (
     cycle_chords,
     cut_chain,
+    cylinder,
     grid,
     joined_grids,
     pinned_critical_instance,
@@ -149,17 +151,50 @@ def test_dual_subtree_sums_match_sequential(tri60):
     stores, _ = _full_run(tri60, t)
     pair = cotree(tri60, t)
     seq = dual_subtree_sums(pair, transfer_weights(tri60).face_weight)
+    # the critical election ranks heavy faces by their subtree's dart count
+    darts = dual_subtree_sums(pair, {f.id: f.size for f in tri60.faces})
+    holders = {}
     for v in range(tri60.n):
-        for fid, (total, has_children) in stores[v]["face_total"].items():
-            assert total == seq[fid]
+        for fid, sub in stores[v]["subtrees"].items():
+            holders.setdefault(fid, set()).add(v)
+            assert sub.weight == seq[fid]
+            assert sub.darts == darts[fid]
+            assert sub.size == tri60.face(fid).size
+            has_children = sub.darts > sub.size
             assert has_children == (len(pair.dual_children[fid]) > 0)
-        for d, (depth, pdart) in stores[v]["dual_rooted"].items():
-            fid = tri60.face_of[d]
-            assert depth == pair.dual_depth[fid]
-            if pdart is None:
-                assert fid == pair.dual_root
+            assert tri60.face_of[sub.parent_dart] == fid
+            if fid == pair.dual_root:
+                assert sub.parent_dart == fid
             else:
-                assert pdart.edge() == pair.dual_parent_edge[fid]
+                assert sub.parent_dart.edge() == pair.dual_parent_edge[fid]
+        for d, weight in stores[v]["child_sum"].items():
+            child = tri60.face_of[d.reverse()]
+            assert pair.dual_parent_edge[child] == d.edge()
+            assert weight == seq[child]
+    # a face's sums sit at the endpoints of its dual parent edge, the dual
+    # root's at the tail of its canonical dart
+    for f in tri60.faces:
+        if f.id == pair.dual_root:
+            assert holders[f.id] == {f.id.tail}
+        else:
+            assert holders[f.id] == set(pair.dual_parent_edge[f.id][:2])
+
+
+def test_phase_rounds_flat_at_constant_diameter():
+    """Capped cylinders of height 4 keep their diameter as they widen, so
+    no phase's honest rounds may grow by more than a log factor; the dual
+    subtree sums take two waves over T and one exchange."""
+    rounds, sizes = [], []
+    for width in (16, 32, 64, 128, 256):
+        g = cylinder(4, width)
+        t = bfs_tree(g, 0)
+        _, trace = dist_compute_separator(g, t)
+        rounds.append({p.name: p.honest_rounds for p in trace.phases})
+        sizes.append(g.n)
+        assert rounds[-1]["dual_subtree_sums"] <= 2 * t.height() + 3
+    log_factor = log2ceil(sizes[-1] + 1) / log2ceil(sizes[0] + 1)
+    for name, first in rounds[0].items():
+        assert rounds[-1][name] <= first * log_factor, name
 
 
 def test_detect_matches_sequential(grid4, tri60, c12):
