@@ -309,7 +309,8 @@ class DualSubtree(NamedTuple):
 
 
 class ContourProgram(VertexProgram):
-    """Dual subtree sums from prefix sums along the contour of T.
+    """Dual subtree sums from prefix sums along the contour of T, the Euler
+    tour technique of Tarjan and Vishkin (SIAM J. Comput. 1985).
 
     The contour lists the 2m darts of a part: from the tree root's first
     dart, a tree dart d is followed by rot_next(reverse(d)), any other
@@ -324,8 +325,8 @@ class ContourProgram(VertexProgram):
     side's weight is a difference of weight prefixes and its dart count
     the length of the interval.
 
-    Each field travels in its own frame, so no payload grows wide: up T,
-    every subtree's dart count (with the offset of the dual root's
+    The fields travel at most two to a frame, so no payload grows wide:
+    up T, every subtree's dart count (with the offset of the dual root's
     canonical dart, on the path that holds it), then its weight; down T,
     every child's contour position (with the dual root's), its weight
     prefix (with the part's total weight), then the contour length; and
@@ -344,7 +345,6 @@ class ContourProgram(VertexProgram):
             "rel": None,         # own dart -> offset in the subtree's segment
             "root_off": 0,       # 1 + offset of the dual root's canonical dart, 0 if outside
             "darts": None,
-            "darts_round": None,
             "weight": None,
             "first": None,       # contour position of the segment's first dart
             "root_pos": None,
@@ -452,15 +452,12 @@ class ContourProgram(VertexProgram):
         kids = len(store["tree_children"])
         if st["darts"] is None and len(st["kid_darts"]) == kids:
             self._segment(know, st)
-            st["darts_round"] = r
             if is_root:
                 st["total_darts"] = st["darts"]
                 self._place(know, st, 0, st["root_off"] - 1, out)
             else:
                 out.append((store["tree_parent_dart"], (T_SUBD, st["darts"], st["root_off"])))
-        elif (
-            st["weight"] is None and len(st["kid_weight"]) == kids and r > st["darts_round"]
-        ):
+        elif st["darts"] is not None and st["weight"] is None and len(st["kid_weight"]) == kids:
             st["weight"] = know.weight + sum(st["kid_weight"].values())
             if is_root:
                 self._prefix(know, st, 0, st["weight"], out)
