@@ -235,11 +235,12 @@ class LearnFacesProgram(VertexProgram):
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         if r == 0:
-            return [(d, (T_TOK,) + d) for d in know.rotation], False
+            return [(d, pack((T_TOK,) + d)) for d in know.rotation], False
         out = []
         best, steps = st["best"], st["steps"]
-        # every payload is one frame; a token (tail, head, copy) compares
-        # with darts as a plain tuple, and a Dart is built only for a face id
+        # every payload is one packed frame, read in place (a token is
+        # forwarded as it came); a token (tail, head, copy) compares with
+        # darts as a plain tuple, and a Dart is built only for a face id
         for k, payload in inbox.items():
             if payload[0] == T_TOK:
                 t = payload[1:]
@@ -251,7 +252,7 @@ class LearnFacesProgram(VertexProgram):
                     face = Dart(*best[slot])
                     st["face"][slot] = face
                     st["size"][slot] = steps[slot]
-                    out.append((slot, (T_FACE,) + face))
+                    out.append((slot, pack((T_FACE,) + face)))
                 else:
                     out.append((slot, payload))
             else:
@@ -380,7 +381,7 @@ class ContourProgram(VertexProgram):
     def _place(self, know, st, first: int, root_pos: int, out) -> None:
         st["first"], st["root_pos"] = first, root_pos
         for _c, d in know.store["tree_children"]:
-            out.append((d, (T_POS, first + st["rel"][d] + 1, root_pos)))
+            out.append((d, pack((T_POS, first + st["rel"][d] + 1, root_pos))))
 
     def _prefix(self, know, st, before: int, total: int, out) -> None:
         """Weight prefixes of the own darts, sent down T and across T*."""
@@ -393,16 +394,16 @@ class ContourProgram(VertexProgram):
             if d == corner:
                 acc += know.weight
             if d in kids:
-                out.append((d, (T_PRE, acc, total)))
+                out.append((d, pack((T_PRE, acc, total))))
                 acc += kids[d]
             elif flags[d]:
                 st["incl"][d] = acc
-                out.append((d, (T_CUT, st["first"] + st["rel"][d], acc)))
+                out.append((d, pack((T_CUT, st["first"] + st["rel"][d], acc))))
 
     def _send_len(self, know, st, out) -> None:
         st["len_sent"] = True
         for _c, d in know.store["tree_children"]:
-            out.append((d, (T_LEN, st["total_darts"])))
+            out.append((d, pack((T_LEN, st["total_darts"]))))
 
     def _resolve(self, know, st) -> None:
         """Each cotree edge here: which side is the dual subtree below it,
@@ -433,20 +434,21 @@ class ContourProgram(VertexProgram):
         is_root = know.vid == know.tree_root
         out = []
         for k, payload in inbox.items():
-            tag = payload[0]
+            frame = unpack(payload)[0]
+            tag = frame[0]
             if tag == T_SUBD:
-                st["kid_darts"][k] = payload[1:]
+                st["kid_darts"][k] = frame[1:]
             elif tag == T_SUBW:
-                st["kid_weight"][k] = payload[1]
+                st["kid_weight"][k] = frame[1]
             elif tag == T_POS:
-                self._place(know, st, payload[1], payload[2], out)
+                self._place(know, st, frame[1], frame[2], out)
             elif tag == T_PRE:
-                self._prefix(know, st, payload[1], payload[2], out)
+                self._prefix(know, st, frame[1], frame[2], out)
             elif tag == T_LEN:
-                st["total_darts"] = payload[1]
+                st["total_darts"] = frame[1]
                 self._send_len(know, st, out)
             else:
-                st["cut"][k] = payload[1:]
+                st["cut"][k] = frame[1:]
         # at most one new frame per dart and round: dart count, then weight,
         # then (at the tree root) the contour length
         kids = len(store["tree_children"])
@@ -456,13 +458,13 @@ class ContourProgram(VertexProgram):
                 st["total_darts"] = st["darts"]
                 self._place(know, st, 0, st["root_off"] - 1, out)
             else:
-                out.append((store["tree_parent_dart"], (T_SUBD, st["darts"], st["root_off"])))
+                out.append((store["tree_parent_dart"], pack((T_SUBD, st["darts"], st["root_off"]))))
         elif st["darts"] is not None and st["weight"] is None and len(st["kid_weight"]) == kids:
             st["weight"] = know.weight + sum(st["kid_weight"].values())
             if is_root:
                 self._prefix(know, st, 0, st["weight"], out)
             else:
-                out.append((store["tree_parent_dart"], (T_SUBW, st["weight"])))
+                out.append((store["tree_parent_dart"], pack((T_SUBW, st["weight"]))))
         elif is_root and st["weight"] is not None and not st["len_sent"]:
             self._send_len(know, st, out)
         # a leaf's weight and the root's contour length are due next round
@@ -1009,8 +1011,8 @@ class DistPipeline:
             role = "u" if x == u else "v" if x == v else "p" if darts else "-"
             views[x] = VertexSeparatorView(vid=x, role=role, p_darts=tuple(sorted(darts)))
 
-        # v is a corner of the chosen face in every case, so its store holds
-        # the face's anchor
+        # v is an endpoint of the chosen face's anchor, so its store holds
+        # the anchor (see _uv_claim)
         anchor = self.know[v].store["case_anchor"]
         if code == CASE_VIRTUAL:
             slot_u = self.know[u].store["slot_u"]
