@@ -915,44 +915,44 @@ class DistPipeline:
         # critical election: the deepest face with subtree above 3/4.  The
         # heavy faces form a chain down from the dual root along which the
         # subtree's dart count strictly drops, so the deepest one has the
-        # fewest darts: the largest key M + 1 - darts
-        def heavy_key(store, sub: DualSubtree) -> int:
+        # fewest darts: the largest key (M + 1 - darts) * space + id
+        space = enc_face(Dart(n, n, 15), n) + 2
+
+        def heavy_key(store, f: FaceId, sub: DualSubtree) -> int:
             if exceeds_beta(sub.weight, store["total_weight"]):
-                return store["total_darts"] + 1 - sub.darts
+                return (store["total_darts"] + 1 - sub.darts) * space + enc_face(f, n) + 1
             return 0
 
         crit = self.aggregate([
             0 if bal[v] else max(
-                (heavy_key(store, sub) for sub in store["subtrees"].values()), default=0
+                (heavy_key(store, f, sub) for f, sub in store["subtrees"].items()), default=0
             )
             for v, store in enumerate(stores)
         ], "MAX", pt)
 
-        # the chosen face's holders publish its id, its case and boundary
-        # length, and its subtree weight, and keep its anchor (the face's
-        # side of its dual parent edge, or its canonical dart at the root)
+        # every vertex decodes the chosen face from its election key; the
+        # face's holders publish its case and boundary length, and its
+        # subtree weight, and keep its anchor (the face's side of its dual
+        # parent edge, or its canonical dart at the root)
         kbits = (8 * n).bit_length() + 1
-        face_in, case_in, subtree_in = [0] * n, [0] * n, [0] * n
+        case_in, subtree_in = [0] * n, [0] * n
         for v, store in enumerate(stores):
+            store["case_face"] = dec_face((bal[v] or crit[v] % space) - 1, n)
             store["case_anchor"] = None
-            for f, sub in store["subtrees"].items():
-                if bal[v]:
-                    chosen, code = enc_face(f, n) + 1 == bal[v], CASE_BALANCED
-                else:
-                    # a face has dual children iff its subtree has more darts
-                    chosen = heavy_key(store, sub) == crit[v]
-                    code = CASE_VIRTUAL if sub.darts > sub.size else CASE_LEAF
-                if not chosen:
-                    continue
-                store["case_anchor"] = sub.parent_dart
-                face_in[v] = enc_face(f, n) + 1
-                case_in[v] = (code << kbits) | sub.size
-                subtree_in[v] = sub.weight
-        face = self.aggregate(face_in, "MAX", pt)
+            sub = store["subtrees"].get(store["case_face"])
+            if sub is None:
+                continue
+            if bal[v]:
+                code = CASE_BALANCED
+            else:
+                # a face has dual children iff its subtree has more darts
+                code = CASE_VIRTUAL if sub.darts > sub.size else CASE_LEAF
+            store["case_anchor"] = sub.parent_dart
+            case_in[v] = (code << kbits) | sub.size
+            subtree_in[v] = sub.weight
         case_k = self.aggregate(case_in, "MAX", pt)
         subtree = self.aggregate(subtree_in, "MAX", pt)
         for v, store in enumerate(stores):
-            store["case_face"] = dec_face(face[v] - 1, n)
             store["case_code"] = case_k[v] >> kbits
             store["case_k"] = case_k[v] & ((1 << kbits) - 1)
             store["case_subtree"] = subtree[v]
