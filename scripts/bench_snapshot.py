@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Engine benchmark snapshot of one commit, written to BENCH_<short sha>.json.
 
-    python3 scripts/bench_snapshot.py [--runs 3] [--seed 1] [--seconds 30]
+    python3 scripts/bench_snapshot.py
 
 Runs ``perfbench/run.py --trace 0`` on every workload that BENCHMARK.json
-declares, ``--runs`` times each (the workloads take turns, so a slow
-spell of a shared host hits them alike), from the root of this checkout.
-The file at the repository root holds:
+declares, RUNS times each with seed SEED and BENCHMARK.json's
+``run_seconds`` (the workloads take turns, so a slow spell of a shared
+host hits them alike), from the root of this checkout.  The file at the
+repository root holds:
 
 - per workload, the perfbench stamp of its first run (Python, host,
   commit, source digest);
@@ -22,7 +23,6 @@ that fails the benchmark's correctness gate exits 1 and writes nothing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -31,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PHASE_FIELDS = ("honest_rounds", "messages", "total_bits", "max_bits")
+RUNS = 3
+SEED = 1
 
 
 def _git(*args: str) -> str:
@@ -60,13 +62,7 @@ def _run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     return result, json.loads(out.read_text())
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--runs", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30)
-    args = ap.parse_args(argv)
-
+def main() -> int:
     if _git("status", "--porcelain", "--", "src", "perfbench"):
         print("bench_snapshot: src/ or perfbench/ differs from HEAD", file=sys.stderr)
         return 2
@@ -77,13 +73,14 @@ def main(argv=None) -> int:
         return 2
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     metric_names = [m["name"] for m in spec["end_to_end"]]
     samples = {w: {m: [] for m in metric_names} for w in workloads}
     phases, stamps = {}, {}
-    for i in range(args.runs):
+    for i in range(RUNS):
         for w in workloads:
-            result, record = _run(w, args.seed, args.seconds)
+            result, record = _run(w, SEED, seconds)
             if not result["correct"]:
                 print(f"bench_snapshot: {w} run {i + 1} failed: {record['failures']}",
                       file=sys.stderr)
@@ -95,13 +92,13 @@ def main(argv=None) -> int:
                 {"name": p["name"], **{f: p[f] for f in PHASE_FIELDS}}
                 for p in record["fingerprint"]["round_trace"]["phases"]
             ]
-            print(f"run {i + 1}/{args.runs} {w}: dist_s "
+            print(f"run {i + 1}/{RUNS} {w}: dist_s "
                   f"{result['metrics']['dist_s']['value']:.3f}", flush=True)
 
     snapshot = {
-        "runs": args.runs,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "runs": RUNS,
+        "seed": SEED,
+        "seconds": seconds,
         "workloads": {
             w: {
                 "stamp": stamps[w],
