@@ -14,7 +14,10 @@ repository root holds:
 - per workload, the median and quartiles over runs of every end-to-end
   metric BENCHMARK.json declares;
 - per workload, the honest rounds, messages, total bits and widest message
-  of every RoundTrace phase, from the run's fingerprint.
+  of every RoundTrace phase, from the run's fingerprint;
+- the wall time (raw, not scaled) and outcome counts of one run of the
+  tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
+  with src/ on PYTHONPATH), made before the benchmark runs.
 
 The sources under src/ and perfbench/ must match the commit, and an
 existing snapshot is never overwritten; either refusal exits 2.  A run
@@ -24,9 +27,12 @@ that fails the benchmark's correctness gate exits 1 and writes nothing.
 from __future__ import annotations
 
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +68,21 @@ def _run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     return result, json.loads(out.read_text())
 
 
+def _tier1() -> dict:
+    """Wall time and outcome counts ("passed", "failed", ...) of one tier-1 run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1]
+    counts = {kind: int(k) for k, kind in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])}
+    return {"wall_s": wall, "exit": proc.returncode, **counts}
+
+
 def main() -> int:
     if _git("status", "--porcelain", "--", "src", "perfbench"):
         print("bench_snapshot: src/ or perfbench/ differs from HEAD", file=sys.stderr)
@@ -78,6 +99,8 @@ def main() -> int:
     metric_names = [m["name"] for m in spec["end_to_end"]]
     samples = {w: {m: [] for m in metric_names} for w in workloads}
     phases, stamps = {}, {}
+    tier1 = _tier1()
+    print(f"tier-1: {tier1}", flush=True)
     for i in range(RUNS):
         for w in workloads:
             result, record = _run(w, SEED, seconds)
@@ -99,6 +122,7 @@ def main() -> int:
         "runs": RUNS,
         "seed": SEED,
         "seconds": seconds,
+        "tier1": tier1,
         "workloads": {
             w: {
                 "stamp": stamps[w],

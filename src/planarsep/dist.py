@@ -18,13 +18,13 @@ Phase order: root the given tree, learn face ids (token rotation around
 each ring), derive cotree flags locally, aggregate face weights, elect
 the maximum face id as dual root, compute every dual subtree's weight and
 dart count from prefix sums along the contour of T (two waves over T and
-one exchange across each cotree edge), elect a balanced or critical
-node, and mark the path by a subtree sum over the tree with unit inputs
-at the two endpoints.  The critical case precomputes boundary prefix
-sums in one ring pass and then binary-searches the enclosed weight from
-the tree root; the probed quantity is the suffix of boundary
-choice-weights plus hanging child subtrees, exactly the sequential
-engine's formula.
+one exchange across each cotree edge), elect a balanced or critical node
+in three part-wise aggregations, claim the endpoints up T and broadcast
+them, and mark the path locally from the claims.  The critical case
+precomputes boundary prefix sums in one ring pass and then
+binary-searches the enclosed weight from the tree root; the probed
+quantity is the suffix of boundary choice-weights plus hanging child
+subtrees, exactly the sequential engine's formula.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
 parents, maximum-id elections), so results serialize byte-identically.
@@ -71,7 +71,7 @@ T_TOK, T_FACE = 4, 5
 T_CUT, T_PRE, T_CH, T_POS, T_SUBD = 6, 7, 8, 9, 10
 T_IDX, T_IDXT = 11, 12
 T_PROBE, T_ANS, T_RES, T_UV = 13, 14, 15, 16
-T_UP, T_SUBW, T_LEN = 17, 18, 19
+T_SUBW, T_LEN = 18, 19
 
 _ARITY = {
     T_BFS: 2, T_CLAIM: 1, T_DEPTH: 1,
@@ -79,32 +79,14 @@ _ARITY = {
     T_CUT: 2, T_PRE: 2, T_CH: 1, T_POS: 2, T_SUBD: 2,
     T_IDX: 3, T_IDXT: 1,
     T_PROBE: 2, T_ANS: 2, T_RES: 2, T_UV: 2,
-    T_UP: 1, T_SUBW: 1, T_LEN: 1,
+    T_SUBW: 1, T_LEN: 1,
 }
 
 
-def pack(*frames: tuple) -> tuple[int, ...]:
-    if len(frames) == 1:
-        f = frames[0]
-        assert len(f) - 1 == _ARITY[f[0]], f
-        return tuple(f)
-    out: list[int] = []
-    for f in frames:
-        assert len(f) - 1 == _ARITY[f[0]], f
-        out.extend(f)
-    return tuple(out)
-
-
-def unpack(payload: tuple[int, ...]) -> list[tuple[int, ...]]:
-    if len(payload) == 1 + _ARITY[payload[0]]:
-        return [payload]
-    frames = []
-    i = 0
-    while i < len(payload):
-        k = _ARITY[payload[i]]
-        frames.append(payload[i : i + 1 + k])
-        i += 1 + k
-    return frames
+def pack(frame: tuple) -> tuple[int, ...]:
+    """A message is one frame: its tag, then exactly the tag's arity."""
+    assert len(frame) - 1 == _ARITY[frame[0]], frame
+    return tuple(frame)
 
 
 def enc_face(f: FaceId, n: int) -> int:
@@ -155,18 +137,17 @@ class BfsProgram(VertexProgram):
     def step(self, r, know: LocalKnowledge, st, inbox):
         out = []
         announcers = []
-        for k, payload in inbox.items():
-            for frame in unpack(payload):
-                if frame[0] == T_BFS:
-                    root_id, d = frame[1], frame[2]
-                    if root_id != know.tree_root or know.vid == know.tree_root:
-                        raise ConflictingRoot(
-                            f"vertex {know.vid} (root {know.tree_root}) heard a wave "
-                            f"rooted at {root_id} from {k.head}"
-                        )
-                    announcers.append((k.head, d))
-                elif frame[0] == T_CLAIM:
-                    st["children"].append(k.head)
+        for k, frame in inbox.items():
+            if frame[0] == T_BFS:
+                root_id, d = frame[1], frame[2]
+                if root_id != know.tree_root or know.vid == know.tree_root:
+                    raise ConflictingRoot(
+                        f"vertex {know.vid} (root {know.tree_root}) heard a wave "
+                        f"rooted at {root_id} from {k.head}"
+                    )
+                announcers.append((k.head, d))
+            elif frame[0] == T_CLAIM:
+                st["children"].append(k.head)
         if r == 0 and know.vid == know.tree_root:
             st["depth"] = 0
             st["announce_round"] = 0
@@ -193,24 +174,25 @@ class BfsProgram(VertexProgram):
 
 
 class TreeRootProgram(VertexProgram):
-    """Depth flood along tree darts only; parents are forced, no ties."""
+    """Depth flood along tree darts only; parents are forced, no ties.  A
+    vertex's children are the heads of its tree darts other than its
+    parent dart."""
 
     def init(self, know: LocalKnowledge) -> dict:
-        return {"depth": None, "tree_parent_dart": None, "tree": sorted(know.tree_darts)}
+        return {"depth": None, "tree_parent_dart": None, "tree_children": []}
 
     def step(self, r, know: LocalKnowledge, st, inbox):
-        tree = st["tree"]
         if r == 0 and know.vid == know.tree_root:
             st["depth"] = 0
-            return [(d, pack((T_DEPTH, 0))) for d in tree], True
-        for k, payload in inbox.items():
-            frame = unpack(payload)[0]
-            if frame[0] == T_DEPTH and st["depth"] is None:
-                st["depth"] = frame[1] + 1
-                st["tree_parent_dart"] = k
-                out = [(d, pack((T_DEPTH, st["depth"]))) for d in tree if d != k]
-                return out, True
-        return [], st["depth"] is not None
+        elif inbox:  # only the parent sends, once
+            (k, frame), = inbox.items()
+            st["depth"], st["tree_parent_dart"] = frame[1] + 1, k
+        else:
+            return [], False
+        st["tree_children"] = [
+            (d.head, d) for d in sorted(know.tree_darts) if d != st["tree_parent_dart"]
+        ]
+        return [(d, pack((T_DEPTH, st["depth"]))) for _c, d in st["tree_children"]], True
 
 
 # -- face discovery ----------------------------------------------------------
@@ -284,8 +266,7 @@ class FaceWeightsProgram(VertexProgram):
             ]
             return out, all(sizes[d] <= 1 for d in know.rotation)
         out = []
-        for k, payload in inbox.items():
-            frame = unpack(payload)[0]
+        for k, frame in inbox.items():
             v = frame[1]
             slot = know.rot_next(k)
             st["acc"][slot] += v
@@ -433,8 +414,7 @@ class ContourProgram(VertexProgram):
         store = know.store
         is_root = know.vid == know.tree_root
         out = []
-        for k, payload in inbox.items():
-            frame = unpack(payload)[0]
+        for k, frame in inbox.items():
             tag = frame[0]
             if tag == T_SUBD:
                 st["kid_darts"][k] = frame[1:]
@@ -517,33 +497,32 @@ class PrefixProgram(VertexProgram):
             if st["anchor"] is not None:
                 out.append((st["anchor"], pack((T_IDX, 1, 0, 0))))
             return out, False
-        for k, payload in inbox.items():
-            for frame in unpack(payload):
-                if frame[0] == T_IDX:
-                    i, pc, pcs = frame[1], frame[2], frame[3]
-                    slot = know.rot_next(k)
-                    if slot == st["anchor"]:
-                        st["k"] = i                  # boundary length
-                        st["prefix_total_cs"] = pcs  # cs over edges 1..k-1
-                        out.append((slot, pack((T_IDXT, pcs))))
-                    else:
-                        if st["prefix_idx"] is not None:
-                            raise NotBiconnected(
-                                f"vertex {know.vid} appears twice on face "
-                                f"{know.store['case_face']}"
-                            )
-                        choice, cs = self._contrib(know, slot)
-                        st["prefix_idx"], st["prefix_pos"] = i, slot
-                        st["prefix_pcs_excl"] = pcs
-                        st["prefix_pc_incl"] = pc + choice
-                        out.append((slot, pack((T_IDX, i + 1, pc + choice, pcs + cs))))
-                elif frame[0] == T_IDXT:
-                    slot = know.rot_next(k)
-                    if slot == st["anchor"]:
-                        st["anchor_done"] = True
-                    else:
-                        st["prefix_total_cs"] = frame[1]
-                        out.append((slot, pack((T_IDXT, frame[1]))))
+        for k, frame in inbox.items():
+            if frame[0] == T_IDX:
+                i, pc, pcs = frame[1], frame[2], frame[3]
+                slot = know.rot_next(k)
+                if slot == st["anchor"]:
+                    st["k"] = i                  # boundary length
+                    st["prefix_total_cs"] = pcs  # cs over edges 1..k-1
+                    out.append((slot, pack((T_IDXT, pcs))))
+                else:
+                    if st["prefix_idx"] is not None:
+                        raise NotBiconnected(
+                            f"vertex {know.vid} appears twice on face "
+                            f"{know.store['case_face']}"
+                        )
+                    choice, cs = self._contrib(know, slot)
+                    st["prefix_idx"], st["prefix_pos"] = i, slot
+                    st["prefix_pcs_excl"] = pcs
+                    st["prefix_pc_incl"] = pc + choice
+                    out.append((slot, pack((T_IDX, i + 1, pc + choice, pcs + cs))))
+            elif frame[0] == T_IDXT:
+                slot = know.rot_next(k)
+                if slot == st["anchor"]:
+                    st["anchor_done"] = True
+                else:
+                    st["prefix_total_cs"] = frame[1]
+                    out.append((slot, pack((T_IDXT, frame[1]))))
         if st["anchor"] is not None:
             return out, st["anchor_done"]
         return out, st["prefix_total_cs"] is not None
@@ -561,12 +540,13 @@ class SearchProgram(VertexProgram):
     asserts its monotonicity.  Non-virtual parts skip straight to the
     endpoint phase.  Each wave (probe down, answer up, endpoint claim
     down, claim up, endpoint broadcast) is one routine, shared by the root
-    and the frame handlers.
+    and the frame handlers.  The claims kept from the convergecast mark
+    the path.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
         return {
-            "seq": -1, "agg": 0, "got": 0, "agg_uv": (0, 0), "uv_got": 0,
+            "seq": -1, "agg": 0, "got": 0, "agg_uv": (0, 0), "kid_uv": {},
             "sep_u": None, "sep_v": None, "slot_u": None, "done": False,
             "probes": [], "lo": None, "hi": None, "s_hi": None,
             "interior": None, "probe_t": None,
@@ -623,7 +603,7 @@ class SearchProgram(VertexProgram):
     def _claim_down(self, know, st, seq: int, j: int, out):
         store = know.store
         st["seq"] = seq
-        st["agg_uv"], st["uv_got"] = self._uv_claim(know, j), 0
+        st["agg_uv"] = self._uv_claim(know, j)
         if store["case_code"] == CASE_VIRTUAL and st["agg_uv"][0]:
             st["slot_u"] = store["prefix_pos"]  # u's rotation slot for the new edge
         children = store["tree_children"]
@@ -679,55 +659,32 @@ class SearchProgram(VertexProgram):
             else:
                 self._claim_down(know, st, 0, 0, out)
             return out, st["done"]
-        for k, payload in inbox.items():
-            for frame in unpack(payload):
-                tag = frame[0]
-                if tag == T_PROBE:
-                    self._probe_down(know, st, frame[1], frame[2], out)
-                elif tag == T_ANS:
-                    assert frame[1] == st["seq"]
-                    st["agg"] = max(st["agg"], frame[2])
-                    st["got"] += 1
-                    if st["got"] == len(store["tree_children"]):
-                        self._answer_up(know, st, out)
-                elif tag == T_RES:
-                    self._claim_down(know, st, frame[1], frame[2], out)
-                elif tag == T_UV and k == store["tree_parent_dart"]:
-                    self._broadcast(know, st, frame[1], frame[2], out)
-                elif tag == T_UV:
-                    cu, cv = st["agg_uv"]
-                    st["agg_uv"] = (max(cu, frame[1]), max(cv, frame[2]))
-                    st["uv_got"] += 1
-                    if st["uv_got"] == len(store["tree_children"]):
-                        self._claim_up(know, st, out)
+        for k, frame in inbox.items():
+            tag = frame[0]
+            if tag == T_PROBE:
+                self._probe_down(know, st, frame[1], frame[2], out)
+            elif tag == T_ANS:
+                assert frame[1] == st["seq"]
+                st["agg"] = max(st["agg"], frame[2])
+                st["got"] += 1
+                if st["got"] == len(store["tree_children"]):
+                    self._answer_up(know, st, out)
+            elif tag == T_RES:
+                self._claim_down(know, st, frame[1], frame[2], out)
+            elif tag == T_UV and k == store["tree_parent_dart"]:
+                self._broadcast(know, st, frame[1], frame[2], out)
+            elif tag == T_UV:
+                cu, cv = st["agg_uv"]
+                st["agg_uv"] = (max(cu, frame[1]), max(cv, frame[2]))
+                st["kid_uv"][k] = frame[1:]
+                if len(st["kid_uv"]) == len(store["tree_children"]):
+                    self._claim_up(know, st, out)
         return out, st["done"]
 
 
-class MarkProgram(VertexProgram):
-    """Subtree sums over the tree with unit inputs at the endpoints.
-
-    A tree edge belongs to the path iff its lower endpoint's sum is
-    exactly 1; the LCA (sum 2) is flagged through its path children.
-    """
-
-    def init(self, know: LocalKnowledge) -> dict:
-        inp = 1 if know.vid in (know.store["sep_u"], know.store["sep_v"]) else 0
-        return {"acc": inp, "got": 0, "mark_sum": None, "mark_child_sums": {}}
-
-    def step(self, r, know: LocalKnowledge, st, inbox):
-        children = know.store["tree_children"]
-        for k, payload in inbox.items():
-            frame = unpack(payload)[0]
-            st["mark_child_sums"][k.head] = frame[1]
-            st["acc"] += frame[1]
-            st["got"] += 1
-        if st["got"] == len(children) and st["mark_sum"] is None:
-            st["mark_sum"] = st["acc"]
-            pd = know.store["tree_parent_dart"]
-            if pd is not None:
-                return [(pd, pack((T_UP, st["mark_sum"])))], True
-            return [], True
-        return [], st["mark_sum"] is not None
+def _one_end(claim: tuple[int, int]) -> bool:
+    """Whether a claim (u + 1 or 0, v + 1 or 0) names exactly one endpoint."""
+    return (claim[0] > 0) != (claim[1] > 0)
 
 
 # -- per-vertex output and assembly -------------------------------------------
@@ -842,16 +799,10 @@ class DistPipeline:
     # -- phases --------------------------------------------------------------
 
     def run_tree_root(self):
-        self._run("tree_root", TreeRootProgram(), charge_units=1, publish=("tree_parent_dart",))
-        # a child is the head of a tree dart whose reverse is its parent dart
-        self._store("tree_children", [
-            [
-                (d.head, d)
-                for d in sorted(know.tree_darts)
-                if self.know[d.head].store["tree_parent_dart"] == d.reverse()
-            ]
-            for know in self.know
-        ])
+        self._run(
+            "tree_root", TreeRootProgram(), charge_units=1,
+            publish=("tree_parent_dart", "tree_children"),
+        )
 
     def run_learn_faces(self):
         self._run(
@@ -931,11 +882,11 @@ class DistPipeline:
         ], "MAX", pt)
 
         # every vertex decodes the chosen face from its election key; the
-        # face's holders publish its case and boundary length, and its
-        # subtree weight, and keep its anchor (the face's side of its dual
-        # parent edge, or its canonical dart at the root)
+        # face's holders publish its case and boundary length, and keep its
+        # anchor (the face's side of its dual parent edge, or its canonical
+        # dart at the root) next to its subtree sums
         kbits = (8 * n).bit_length() + 1
-        case_in, subtree_in = [0] * n, [0] * n
+        case_in = [0] * n
         for v, store in enumerate(stores):
             store["case_face"] = dec_face((bal[v] or crit[v] % space) - 1, n)
             store["case_anchor"] = None
@@ -949,13 +900,10 @@ class DistPipeline:
                 code = CASE_VIRTUAL if sub.darts > sub.size else CASE_LEAF
             store["case_anchor"] = sub.parent_dart
             case_in[v] = (code << kbits) | sub.size
-            subtree_in[v] = sub.weight
         case_k = self.aggregate(case_in, "MAX", pt)
-        subtree = self.aggregate(subtree_in, "MAX", pt)
         for v, store in enumerate(stores):
             store["case_code"] = case_k[v] >> kbits
             store["case_k"] = case_k[v] & ((1 << kbits) - 1)
-            store["case_subtree"] = subtree[v]
         self.trace.interval_lengths.append(pt.honest_rounds)
 
     def run_prefix(self):
@@ -973,7 +921,7 @@ class DistPipeline:
     def run_search(self) -> dict[int, dict]:
         states = self._run(
             "mark_search", SearchProgram(), charge_units=1,
-            publish=("sep_u", "sep_v", "slot_u"),
+            publish=("sep_u", "sep_v", "slot_u", "agg_uv", "kid_uv"),
         )
         per_part = {pid: states[self.know[ms[0]].tree_root] for pid, ms in self.members.items()}
         # parts probe concurrently; the schedule pays for the longest search
@@ -983,10 +931,16 @@ class DistPipeline:
         return per_part
 
     def run_mark(self):
-        self._run(
-            "mark_path", MarkProgram(), charge_units=1,
-            publish=("mark_sum", "mark_child_sums"),
-        )
+        # a tree edge is on the path iff the subtree below it holds exactly
+        # one endpoint, as the claim wave told both of its ends: 0 rounds
+        self.trace.phase("mark_path")
+        self.trace.interval_lengths.append(0)
+        for know in self.know:
+            store = know.store
+            darts = [d for _c, d in store["tree_children"] if _one_end(store["kid_uv"][d])]
+            if _one_end(store["agg_uv"]):  # never at the root, which holds both
+                darts.append(store["tree_parent_dart"])
+            store["path_darts"] = tuple(sorted(darts))
 
     # -- assembly -------------------------------------------------------------
 
@@ -1001,19 +955,16 @@ class DistPipeline:
         code = any_store["case_code"]
         u, v = any_store["sep_u"], any_store["sep_v"]
 
-        # path darts from the marking sums
         views = {}
         for x in members:
-            store = self.know[x].store
-            darts = [d for c, d in store["tree_children"] if store["mark_child_sums"][c] == 1]
-            if store["mark_sum"] == 1 and store["tree_parent_dart"] is not None:
-                darts.append(store["tree_parent_dart"])
+            darts = self.know[x].store["path_darts"]
             role = "u" if x == u else "v" if x == v else "p" if darts else "-"
-            views[x] = VertexSeparatorView(vid=x, role=role, p_darts=tuple(sorted(darts)))
+            views[x] = VertexSeparatorView(vid=x, role=role, p_darts=darts)
 
         # v is an endpoint of the chosen face's anchor, so its store holds
-        # the anchor (see _uv_claim)
-        anchor = self.know[v].store["case_anchor"]
+        # the anchor and the face's subtree sums (see _uv_claim)
+        v_store = self.know[v].store
+        anchor = v_store["case_anchor"]
         if code == CASE_VIRTUAL:
             slot_u = self.know[u].store["slot_u"]
             closing = ClosingEdge(
@@ -1030,7 +981,7 @@ class DistPipeline:
             views[v].insert_before = anchor
         else:
             closing = ClosingEdge(kind="real", endpoints=(u, v), copy=anchor.copy)
-            interior = any_store["case_subtree"]
+            interior = v_store["subtrees"][v_store["case_face"]].weight
 
         result = make_result(
             _CASE_NAMES[code],

@@ -72,12 +72,16 @@ class ExperimentSpec:
 
 def generate(kind: str, params: dict, seed: int = 0):
     """Instance dispatcher; returns (graph, partition-or-None).  BadParams
-    for an unknown kind or a parameter the kind needs that params lacks."""
+    for an unknown kind, or for a size parameter the kind needs that params
+    lacks or that is not an int."""
 
-    def need(key: str):
-        if key not in params:
+    def need(key: str, default=None):
+        value = params.get(key, default)
+        if value is None:
             raise BadParams(f"generator {kind!r} needs parameter {key!r}")
-        return params[key]
+        if type(value) is not int:
+            raise BadParams(f"generator {kind!r} parameter {key!r} must be an int, got {value!r}")
+        return value
 
     if kind == "grid":
         return grid(need("rows"), need("cols")), None
@@ -86,9 +90,9 @@ def generate(kind: str, params: dict, seed: int = 0):
     if kind == "random-triangulation":
         return random_triangulation(need("n"), seed), None
     if kind == "cycle-chords":
-        return cycle_chords(need("n"), params.get("chords", 0), seed), None
+        return cycle_chords(need("n"), need("chords", 0), seed), None
     if kind == "two-level-parts":
-        g, part_of = two_level_parts(need("size"), params.get("parts_per_side", 2))
+        g, part_of = two_level_parts(need("size"), need("parts_per_side", 2))
         return g, part_of
     if kind == "joined-grids":
         g, part_of = joined_grids(need("rows"), need("cols"))

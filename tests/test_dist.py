@@ -16,7 +16,13 @@ from planarsep import (
     transfer_weights,
     tree_from_edges,
 )
-from planarsep.dist import CASE_BALANCED, DistPipeline, PipelineConfig, part_bfs_trees
+from planarsep.dist import (
+    CASE_BALANCED,
+    DistPipeline,
+    PipelineConfig,
+    _part_knowledge,
+    part_bfs_trees,
+)
 from planarsep.errors import ConflictingRoot, InvalidPartition, NotProper, NotSpanningTree
 from planarsep.congest import log2ceil
 from planarsep.generators import (
@@ -103,6 +109,47 @@ def test_conflicting_roots_detected(grid4):
     override[15] = 15  # vertex 15 believes it is a second root
     with pytest.raises(ConflictingRoot):
         dist_bfs(grid4, 0, roots_override=override)
+
+
+def _snake(rows, cols):
+    """A Hamiltonian path through grid(rows, cols), row by row."""
+    edges = [(r * cols + c, r * cols + c + 1, 0) for r in range(rows) for c in range(cols - 1)]
+    for r in range(rows - 1):
+        c = cols - 1 if r % 2 == 0 else 0
+        edges.append((r * cols + c, (r + 1) * cols + c, 0))
+    return edges
+
+
+def test_tree_root_learns_the_given_tree(grid4):
+    """After run_tree_root each vertex's parent dart and child darts are
+    exactly the given tree's parent and children(), for a BFS tree, a
+    Hamiltonian path rooted mid-way and the BFS trees of a partition."""
+    g6 = grid(6, 6)
+    snake = tree_from_edges(g6, _snake(6, 6), 14)
+    assert snake.height() > bfs_tree(g6, 14).height()
+    gp, part_of = two_level_parts(8, 2)
+    for g, part_of, trees in [
+        (grid4, [0] * grid4.n, {0: bfs_tree(grid4, 5)}),
+        (g6, [0] * g6.n, {0: snake}),
+        (gp, part_of, part_bfs_trees(gp, part_of)),
+    ]:
+        pipe = DistPipeline(
+            g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
+            tree_roots={pid: t.root for pid, t in trees.items()},
+            weights=list(g.vertex_weight), config=PipelineConfig(),
+        )
+        pipe.run_tree_root()
+        children = {pid: t.children() for pid, t in trees.items()}
+        for v, pid in enumerate(part_of):
+            tree, store = trees[pid], pipe.know[v].store
+            pd = store["tree_parent_dart"]
+            if tree.parent[v] is None:
+                assert pd is None
+            else:
+                assert (pd.tail, pd.head) == (v, tree.parent[v])
+                assert pd.edge() == tree.parent_edge[v]
+            assert [c for c, _d in store["tree_children"]] == children[pid][v]
+            assert all(d.tail == v and d.head == c for c, d in store["tree_children"])
 
 
 def test_learn_faces_matches_canonical_ids(grid4):
@@ -202,7 +249,9 @@ def test_detect_matches_sequential(grid4, tri60, c12):
         t = bfs_tree(g, 0)
         stores, _ = _full_run(g, t)
         kind = "balanced" if stores[0]["case_code"] == CASE_BALANCED else "critical"
-        face, subtree = stores[0]["case_face"], stores[0]["case_subtree"]
+        # the weight sits with the face's subtree sums, at its holders
+        face = stores[0]["case_face"]
+        subtree = next(s["subtrees"][face].weight for s in stores if face in s["subtrees"])
         pair = cotree(g, t)
         seq = find_balanced_or_critical(pair, transfer_weights(g).face_weight)
         assert (kind, face, subtree) == (seq.kind, seq.face, seq.subtree_weight)

@@ -58,12 +58,16 @@ def test_spec_line_settings_survive_unset_flags(tmp_path):
 
 
 def test_spec_missing_generator_param_is_bad_params(tmp_path, capsys):
-    with pytest.raises(BadParams, match="'cols'"):
-        generate("grid", {"rows": 4})
-    spec_file = tmp_path / "specs.ndjson"
-    spec_file.write_text(json.dumps({"name": "x", "generator": "grid", "params": {"rows": 4}}) + "\n")
-    assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "r.ndjson")]) == 2
-    assert "needs parameter 'cols'" in capsys.readouterr().err
+    for params, message in [
+        ({"rows": 4}, "needs parameter 'cols'"),
+        ({"rows": "4", "cols": 4}, "parameter 'rows' must be an int"),
+    ]:
+        with pytest.raises(BadParams, match=message):
+            generate("grid", params)
+        spec_file = tmp_path / "specs.ndjson"
+        spec_file.write_text(json.dumps({"name": "x", "generator": "grid", "params": params}) + "\n")
+        assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "r.ndjson")]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["engine", "pa_backend"])
