@@ -101,7 +101,7 @@ class EmbeddedPlanarGraph:
 
     @property
     def f(self) -> int:
-        return len(self.faces)
+        return max(len(self.faces), 1)  # an edgeless graph's plane is one face
 
     def darts(self) -> Iterable[Dart]:
         for rot in self.rotation:
@@ -256,9 +256,9 @@ def build_embedding(
 
     faces = _trace_faces(rot)
     m = sum(len(r) for r in rot) // 2
-    residual = n - m + len(faces) - 2
-    if strict and residual != 0:
-        raise EulerViolation(f"n - m + f = {n} - {m} + {len(faces)} != 2")
+    nf = max(len(faces), 1)  # faces are dart orbits; an edgeless graph has one
+    if strict and n - m + nf != 2:
+        raise EulerViolation(f"n - m + f = {n} - {m} + {nf} != 2")
 
     face_of = {d: f.id for f in faces for d in f.boundary}
     if infinite_face_hint is not None:
@@ -266,7 +266,7 @@ def build_embedding(
             raise InconsistentRotation(f"infinite face hint dart {infinite_face_hint} unknown")
         inf = face_of[infinite_face_hint]
     else:
-        inf = _default_infinite_face(faces)
+        inf = _default_infinite_face(faces) if faces else None
 
     return EmbeddedPlanarGraph(
         n=n,

@@ -72,21 +72,22 @@ class ExperimentSpec:
 
 def generate(kind: str, params: dict, seed: int = 0):
     """Instance dispatcher; returns (graph, partition-or-None).  BadParams
-    for an unknown kind, or for a size parameter the kind needs that params
-    lacks or that is not an int."""
+    for an unknown kind, or for a parameter the kind needs that params
+    lacks or that is not of its type (int sizes, bool flags)."""
 
-    def need(key: str, default=None):
+    def need(key: str, default=None, typ=int):
         value = params.get(key, default)
         if value is None:
             raise BadParams(f"generator {kind!r} needs parameter {key!r}")
-        if type(value) is not int:
-            raise BadParams(f"generator {kind!r} parameter {key!r} must be an int, got {value!r}")
+        if type(value) is not typ:
+            wanted = "an int" if typ is int else "a bool"
+            raise BadParams(f"generator {kind!r} parameter {key!r} must be {wanted}, got {value!r}")
         return value
 
     if kind == "grid":
         return grid(need("rows"), need("cols")), None
     if kind == "cylinder":
-        return cylinder(need("height"), need("width"), params.get("capped", True)), None
+        return cylinder(need("height"), need("width"), need("capped", True, bool)), None
     if kind == "random-triangulation":
         return random_triangulation(need("n"), seed), None
     if kind == "cycle-chords":

@@ -23,7 +23,14 @@ from planarsep.dist import (
     _part_knowledge,
     part_bfs_trees,
 )
-from planarsep.errors import ConflictingRoot, InvalidPartition, NotProper, NotSpanningTree
+from planarsep.embedding import build_embedding
+from planarsep.errors import (
+    ConflictingRoot,
+    DegenerateTotal,
+    InvalidPartition,
+    NotProper,
+    NotSpanningTree,
+)
 from planarsep.congest import log2ceil
 from planarsep.generators import (
     cycle_chords,
@@ -335,6 +342,19 @@ def test_not_proper_surfaces(grid4):
     t = bfs_tree(grid4, 0)
     with pytest.raises(NotProper):
         dist_compute_separator(grid4, t, [100] + [1] * 15)
+
+
+@pytest.mark.parametrize("weight,error", [(1, NotProper), (0, DegenerateTotal)])
+def test_single_vertex_same_error_in_both_engines(weight, error):
+    # an edgeless graph has one face, so it embeds; as for n=2, neither
+    # engine can separate it
+    g = build_embedding(1, [[]], [weight])
+    assert (g.n, g.m, g.f, g.euler_residual()) == (1, 0, 1, 0)
+    t = bfs_tree(g, 0)
+    with pytest.raises(error):
+        compute_separator(g, t)
+    with pytest.raises(error):
+        dist_compute_separator(g, t)
 
 
 def test_multi_rejects_partition_of_wrong_length(grid4):

@@ -58,14 +58,19 @@ def test_spec_line_settings_survive_unset_flags(tmp_path):
 
 
 def test_spec_missing_generator_param_is_bad_params(tmp_path, capsys):
-    for params, message in [
-        ({"rows": 4}, "needs parameter 'cols'"),
-        ({"rows": "4", "cols": 4}, "parameter 'rows' must be an int"),
+    cyl = {"height": 3, "width": 5}
+    for kind, params, message in [
+        ("grid", {"rows": 4}, "needs parameter 'cols'"),
+        ("grid", {"rows": "4", "cols": 4}, "parameter 'rows' must be an int"),
+        ("cylinder", {**cyl, "capped": "no"}, "parameter 'capped' must be a bool"),
+        ("cylinder", {**cyl, "capped": 1}, "parameter 'capped' must be a bool"),
+        ("cylinder", {**cyl, "capped": 0}, "parameter 'capped' must be a bool"),
+        ("cylinder", {**cyl, "capped": None}, "needs parameter 'capped'"),
     ]:
         with pytest.raises(BadParams, match=message):
-            generate("grid", params)
+            generate(kind, params)
         spec_file = tmp_path / "specs.ndjson"
-        spec_file.write_text(json.dumps({"name": "x", "generator": "grid", "params": params}) + "\n")
+        spec_file.write_text(json.dumps({"name": "x", "generator": kind, "params": params}) + "\n")
         assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "r.ndjson")]) == 2
         assert message in capsys.readouterr().err
 
