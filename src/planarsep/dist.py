@@ -6,25 +6,27 @@ part holding every vertex.
 
 Every phase is a vertex program run on the synchronous simulator; the
 only channels are the darts of the (per-part, augmented) rotation
-systems installed as local knowledge.  Three phases work on face
-rings: consecutive boundary darts of a face share a vertex, so a face is
-a communication ring, and a token forwarded from position dart d lands
-at head(d), which derives the receiving position locally as the rotation
-successor of the arrival dart.  Learning face ids, aggregating face
-weights and the critical case's boundary prefixes use them; everything
-else runs on T, on single cotree edges, or by part-wise aggregation.
+systems installed as local knowledge.  Two phases work on face rings:
+consecutive boundary darts of a face share a vertex, so a face is a
+communication ring, and a token forwarded from position dart d lands at
+head(d), which derives the receiving position locally as the rotation
+successor of the arrival dart.  Learning face ids and the critical
+case's boundary prefixes use them; everything else runs on T, on single
+cotree edges, or by part-wise aggregation.
 
 Phase order: root the given tree, learn face ids (token rotation around
-each ring), derive cotree flags locally, aggregate face weights, elect
-the maximum face id as dual root, compute every dual subtree's weight and
-dart count from prefix sums along the contour of T (two waves over T and
-one exchange across each cotree edge), elect a balanced or critical node
-in three part-wise aggregations, claim the endpoints up T and broadcast
+each ring), derive cotree flags locally, transfer each vertex's weight to
+its minimum face id locally (no face total is formed), elect the maximum
+face id as dual root, compute every dual subtree's weight and dart count
+from prefix sums along the contour of T (two waves over T and one
+exchange across each cotree edge), elect a balanced or critical node in
+three part-wise aggregations, claim the endpoints up T and broadcast
 them, and mark the path locally from the claims.  The critical case
-precomputes boundary prefix sums in one ring pass and then
-binary-searches the enclosed weight from the tree root; the probed
-quantity is the suffix of boundary choice-weights plus hanging child
-subtrees, exactly the sequential engine's formula.
+precomputes boundary prefix sums in one ring pass, whose return to the
+anchor also totals the face's weight, and then binary-searches the
+enclosed weight from the tree root; the probed quantity is the suffix of
+boundary choice-weights plus hanging child subtrees, exactly the
+sequential engine's formula.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
 parents, maximum-id elections), so results serialize byte-identically.
@@ -68,7 +70,7 @@ from .treecotree import (
 # message tags, with payload arity (tag excluded)
 T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
 T_TOK, T_FACE = 4, 5
-T_CUT, T_PRE, T_CH, T_POS, T_SUBD = 6, 7, 8, 9, 10
+T_CUT, T_PRE, T_POS, T_SUBD = 6, 7, 9, 10
 T_IDX, T_IDXT = 11, 12
 T_PROBE, T_ANS, T_RES, T_UV = 13, 14, 15, 16
 T_SUBW, T_LEN = 18, 19
@@ -76,7 +78,7 @@ T_SUBW, T_LEN = 18, 19
 _ARITY = {
     T_BFS: 2, T_CLAIM: 1, T_DEPTH: 1,
     T_TOK: 3, T_FACE: 3,
-    T_CUT: 2, T_PRE: 2, T_CH: 1, T_POS: 2, T_SUBD: 2,
+    T_CUT: 2, T_PRE: 2, T_POS: 2, T_SUBD: 2,
     T_IDX: 3, T_IDXT: 1,
     T_PROBE: 2, T_ANS: 2, T_RES: 2, T_UV: 2,
     T_SUBW: 1, T_LEN: 1,
@@ -202,14 +204,14 @@ class LearnFacesProgram(VertexProgram):
     """Token rotation: every dart's id circles its face once.
 
     A position is done when its own token returns; the minimum id seen is
-    the face id and the return round is the face size.  One extra message
-    per edge then exchanges the two sides' face ids.
+    the face id and, as every token moves one hop per round from round 0,
+    the return round is the face size.  One extra message per edge then
+    exchanges the two sides' face ids.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
         return {
             "best": {d: d for d in know.rotation},
-            "steps": {d: 0 for d in know.rotation},
             "face": {},
             "size": {},
             "rev_face": {},
@@ -219,7 +221,7 @@ class LearnFacesProgram(VertexProgram):
         if r == 0:
             return [(d, pack((T_TOK,) + d)) for d in know.rotation], False
         out = []
-        best, steps = st["best"], st["steps"]
+        best = st["best"]
         # every payload is one packed frame, read in place (a token is
         # forwarded as it came); a token (tail, head, copy) compares with
         # darts as a plain tuple, and a Dart is built only for a face id
@@ -227,54 +229,18 @@ class LearnFacesProgram(VertexProgram):
             if payload[0] == T_TOK:
                 t = payload[1:]
                 slot = know.rot_next(k)
-                steps[slot] += 1
                 if t < best[slot]:
                     best[slot] = t
                 if t == slot:
                     face = Dart(*best[slot])
                     st["face"][slot] = face
-                    st["size"][slot] = steps[slot]
+                    st["size"][slot] = r
                     out.append((slot, pack((T_FACE,) + face)))
                 else:
                     out.append((slot, payload))
             else:
                 st["rev_face"][k] = Dart(*payload[1:])
         return out, len(st["face"]) == len(st["rev_face"]) == len(know.rotation)
-
-
-class FaceWeightsProgram(VertexProgram):
-    """Per-corner contributions rotated and summed around each face ring."""
-
-    def init(self, know: LocalKnowledge) -> dict:
-        faces = know.store["face"]
-        chosen = min(faces.values())
-        corner = min(d for d in know.rotation if faces[d] == chosen)
-        return {
-            "chosen": chosen,
-            "corner": corner,
-            "acc": {d: (know.weight if d == corner else 0) for d in know.rotation},
-            "recv": {d: 0 for d in know.rotation},
-        }
-
-    def step(self, r, know: LocalKnowledge, st, inbox):
-        sizes = know.store["size"]
-        if r == 0:
-            out = [
-                (d, pack((T_CH, st["acc"][d])))
-                for d in know.rotation
-                if sizes[d] > 1
-            ]
-            return out, all(sizes[d] <= 1 for d in know.rotation)
-        out = []
-        for k, frame in inbox.items():
-            v = frame[1]
-            slot = know.rot_next(k)
-            st["acc"][slot] += v
-            st["recv"][slot] += 1
-            if st["recv"][slot] < sizes[slot] - 1:
-                out.append((slot, pack((T_CH, v))))
-        done = all(st["recv"][d] >= sizes[d] - 1 for d in know.rotation)
-        return out, done
 
 
 # -- dual subtree sums from the contour of T ---------------------------------
@@ -465,29 +431,27 @@ class ContourProgram(VertexProgram):
 
 class PrefixProgram(VertexProgram):
     """One ring pass over the critical face storing position indexes and
-    prefix sums of choice-weights and child subtrees, then a totals loop."""
+    prefix sums of choice-weights and child subtrees, then a totals loop.
+    The anchor adds its own choice-weight to the returning sums, so the
+    total is the face's weight plus its child subtrees: every vertex that
+    chose the face is on its ring once (a repeat raises NotBiconnected)."""
 
     def init(self, know: LocalKnowledge) -> dict:
         store = know.store
         st = {
             "anchor": None, "prefix_idx": None, "prefix_pos": None,
-            "prefix_pc_incl": None, "prefix_pcs_excl": None, "prefix_total_cs": None,
-            "anchor_done": False, "active": False, "k": None,
+            "prefix_pc_incl": None, "prefix_pcs_excl": None, "prefix_total": None,
+            "anchor_done": False, "active": False,
         }
         if store.get("case_code") != CASE_VIRTUAL:
             return st
         # the ring is the face's corners; its anchor's tail starts the pass
         st["active"] = store["case_face"] in store["face"].values()
+        st["choice"] = know.weight if store["chosen"] == store["case_face"] else 0
         anchor = store["case_anchor"]
         if anchor is not None and anchor.tail == know.vid:
             st["anchor"] = anchor
         return st
-
-    def _contrib(self, know, pos: Dart) -> tuple[int, int]:
-        store = know.store
-        choice = know.weight if store["chosen"] == store["case_face"] else 0
-        cs = store["child_sum"].get(pos, 0)
-        return choice, cs
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         if not st["active"]:
@@ -502,30 +466,30 @@ class PrefixProgram(VertexProgram):
                 i, pc, pcs = frame[1], frame[2], frame[3]
                 slot = know.rot_next(k)
                 if slot == st["anchor"]:
-                    st["k"] = i                  # boundary length
-                    st["prefix_total_cs"] = pcs  # cs over edges 1..k-1
-                    out.append((slot, pack((T_IDXT, pcs))))
+                    assert i == know.store["case_k"], "ring length mismatch"
+                    st["prefix_total"] = pc + st["choice"] + pcs
+                    out.append((slot, pack((T_IDXT, st["prefix_total"]))))
                 else:
                     if st["prefix_idx"] is not None:
                         raise NotBiconnected(
                             f"vertex {know.vid} appears twice on face "
                             f"{know.store['case_face']}"
                         )
-                    choice, cs = self._contrib(know, slot)
+                    cs = know.store["child_sum"].get(slot, 0)
                     st["prefix_idx"], st["prefix_pos"] = i, slot
                     st["prefix_pcs_excl"] = pcs
-                    st["prefix_pc_incl"] = pc + choice
-                    out.append((slot, pack((T_IDX, i + 1, pc + choice, pcs + cs))))
+                    st["prefix_pc_incl"] = pc + st["choice"]
+                    out.append((slot, pack((T_IDX, i + 1, st["prefix_pc_incl"], pcs + cs))))
             elif frame[0] == T_IDXT:
                 slot = know.rot_next(k)
                 if slot == st["anchor"]:
                     st["anchor_done"] = True
                 else:
-                    st["prefix_total_cs"] = frame[1]
+                    st["prefix_total"] = frame[1]
                     out.append((slot, pack((T_IDXT, frame[1]))))
         if st["anchor"] is not None:
             return out, st["anchor_done"]
-        return out, st["prefix_total_cs"] is not None
+        return out, st["prefix_total"] is not None
 
 
 # -- endpoint search and dissemination ----------------------------------------
@@ -555,10 +519,7 @@ class SearchProgram(VertexProgram):
     def _my_answer(self, know, t: int) -> int:
         store = know.store
         if store.get("prefix_idx") == t and store.get("case_code") == CASE_VIRTUAL:
-            wf = store["face_weight"][store["case_face"]]
-            s_t = (wf - store["prefix_pc_incl"]) + (
-                store["prefix_total_cs"] - store["prefix_pcs_excl"]
-            )
+            s_t = store["prefix_total"] - store["prefix_pc_incl"] - store["prefix_pcs_excl"]
             return s_t + 1
         return 0
 
@@ -792,6 +753,11 @@ class DistPipeline:
                 know.store[key] = st[key]
         return states
 
+    def _local(self, name: str) -> None:
+        """Phase `name` computed by every vertex from its own store: 0 rounds."""
+        self.trace.phase(name)
+        self.trace.interval_lengths.append(0)
+
     def _store(self, key: str, values) -> None:
         for v in range(self.n):
             self.know[v].store[key] = values[v]
@@ -811,20 +777,19 @@ class DistPipeline:
         )
 
     def run_learn_cotree(self):
-        self.trace.phase("learn_cotree")  # purely local: 0 rounds
-        self.trace.interval_lengths.append(0)
+        self._local("learn_cotree")
         self._store("cotree_flag", [
             {d: d not in know.tree_darts for d in know.rotation} for know in self.know
         ])
 
     def run_face_weights(self):
-        states = self._run(
-            "face_weights", FaceWeightsProgram(), charge_units=1, publish=("chosen", "corner")
-        )
-        self._store("face_weight", [
-            {know.store["face"][d]: st["acc"][d] for d in know.rotation}
-            for know, st in zip(self.know, states)
-        ])
+        # each vertex hands its weight to its minimum face id, marked at its
+        # minimum dart there (its corner); no face total is ever formed
+        self._local("face_weights")
+        for know in self.know:
+            faces = know.store["face"]
+            know.store["chosen"] = chosen = min(faces.values())
+            know.store["corner"] = min(d for d in know.rotation if faces[d] == chosen)
 
     def run_root_election(self):
         pt = self.trace.phase("root_election")
@@ -907,16 +872,12 @@ class DistPipeline:
         self.trace.interval_lengths.append(pt.honest_rounds)
 
     def run_prefix(self):
-        states = self._run(
+        self._run(
             "mark_prefix", PrefixProgram(), charge_units=1,
             publish=(
-                "prefix_idx", "prefix_pos", "prefix_pc_incl", "prefix_pcs_excl",
-                "prefix_total_cs",
+                "prefix_idx", "prefix_pos", "prefix_pc_incl", "prefix_pcs_excl", "prefix_total",
             ),
         )
-        for know, st in zip(self.know, states):
-            if st["anchor"] is not None and st["k"] is not None:
-                assert st["k"] == know.store["case_k"], "ring length mismatch"
 
     def run_search(self) -> dict[int, dict]:
         states = self._run(
@@ -932,9 +893,8 @@ class DistPipeline:
 
     def run_mark(self):
         # a tree edge is on the path iff the subtree below it holds exactly
-        # one endpoint, as the claim wave told both of its ends: 0 rounds
-        self.trace.phase("mark_path")
-        self.trace.interval_lengths.append(0)
+        # one endpoint, as the claim wave told both of its ends
+        self._local("mark_path")
         for know in self.know:
             store = know.store
             darts = [d for _c, d in store["tree_children"] if _one_end(store["kid_uv"][d])]

@@ -232,14 +232,7 @@ def sep_records(g: EmbeddedPlanarGraph, tree: SpanningTree, res: SeparatorResult
     on_path = set(res.path)
     lines = []
     for x in range(g.n):
-        if x == res.u:
-            role = "u"
-        elif x == res.v:
-            role = "v"
-        elif x in on_path:
-            role = "p"
-        else:
-            role = "-"
+        role = "u" if x == res.u else "v" if x == res.v else "p" if x in on_path else "-"
         darts = sorted(
             Dart(x, b if a == x else a, c)
             for (a, b, c) in path_edges

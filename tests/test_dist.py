@@ -190,14 +190,38 @@ def test_learn_cotree_flags(grid4):
             assert is_cotree == (d.edge() not in t.edges)
 
 
-def test_face_weights_match_sequential(grid4):
-    t = bfs_tree(grid4, 0)
-    stores, _ = _full_run(grid4, t)
-    seq = transfer_weights(grid4)
-    assert [st["chosen"] for st in stores] == seq.chosen_face
-    for v in range(grid4.n):
-        for fid, w in stores[v]["face_weight"].items():
-            assert w == seq.face_weight[fid]
+def test_face_weights_match_sequential(grid4, tri60):
+    for g in (grid4, tri60, cycle_chords(12, 3, seed=1), cylinder(3, 5)):
+        stores, _ = _full_run(g)
+        seq = transfer_weights(g)
+        assert [st["chosen"] for st in stores] == seq.chosen_face
+        for v, st in enumerate(stores):
+            assert st["corner"] == min(d for d in g.rotation[v] if g.face_of[d] == st["chosen"])
+        # no store holds a face total: a face's weight is its dual
+        # subtree's weight minus the subtrees behind its dual child edges
+        face_weight = {}
+        for st in stores:
+            for fid, sub in st["subtrees"].items():
+                face_weight[fid] = sub.weight
+        for st in stores:
+            for d, weight in st["child_sum"].items():
+                face_weight[st["face"][d]] -= weight
+        assert face_weight == seq.face_weight
+
+
+def test_face_rings_stay_subquadratic():
+    """The weight transfer is local: the face_weights phase sends nothing,
+    and outside learn_faces no phase rotates shares around whole faces, so
+    messages grow about linearly on a cycle whose outer face is the cycle."""
+    counts = []
+    for n in (100, 200, 400):
+        g = cycle_chords(n, n // 6, seed=1)
+        _, trace = dist_compute_separator(g, bfs_tree(g, 0))
+        fw, = (p for p in trace.phases if p.name == "face_weights")
+        assert (fw.honest_rounds, fw.messages, fw.charged_rounds) == (0, 0, 0)
+        counts.append(sum(p.messages for p in trace.phases if p.name != "learn_faces"))
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.5 * small, counts
 
 
 def test_dual_subtree_sums_match_sequential(tri60):
