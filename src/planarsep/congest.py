@@ -120,7 +120,7 @@ class VertexProgram:
 
     # A program may set state["_wake"] = True to be stepped next round even
     # with an empty inbox (e.g. to drain a relay queue); the engine clears
-    # the flag before stepping.
+    # the flag after each step.
 
 
 class Simulator:
@@ -196,17 +196,13 @@ class Simulator:
                             dropped += len(inbox)
                         continue
                     st = states[v]
-                    if inbox is None:
-                        if round_no > 0 and not st.get("_wake"):
-                            continue
-                        inbox = {}
-                    st.pop("_wake", None)
                     stepped = True
-                    outbox, halt = step(round_no, knowledge[v], st, inbox)
+                    # a candidate without an inbox is at round 0 or was woken
+                    outbox, halt = step(round_no, knowledge[v], st, inbox or {})
                     if halt:
                         halted[v] = True
                         unhalted -= 1
-                    if st.get("_wake"):
+                    if st.pop("_wake", False):
                         woken.append(v)
                     table = route[v]
                     for d, p in outbox:

@@ -201,17 +201,28 @@ class TreeRootProgram(VertexProgram):
 
 
 class LearnFacesProgram(VertexProgram):
-    """Token rotation: every dart's id circles its face once.
+    """Face ids by min-filtered tokens (Chang and Roberts, CACM 1979) and
+    one announcement lap.
 
-    A position is done when its own token returns; the minimum id seen is
-    the face id and, as every token moves one hop per round from round 0,
-    the return round is the face size.  One extra message per edge then
-    exchanges the two sides' face ids.
+    Every position (dart) sends its own id as a token to its successor on
+    the face ring.  A position forwards a token only if it is smaller than
+    every id it has seen, its own included, and notes the round; larger
+    tokens are dropped.  So only the face minimum's token gets back to
+    its origin, at round |f|: that position knows the face id and size and
+    sends the id once around the ring.  The announcement reaches the
+    position i hops on at round |f| + i, and the minimum's token reached it
+    at round i, so the difference of the two rounds is the face size.
+
+    The frame a position sends on its dart is the face id, so the far end
+    of the dart learns the face on its reverse side from it: the lap is
+    also the face-id exchange across every edge.  A token never passes
+    the minimum, so it never meets the announcement on a dart.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
         return {
             "best": {d: d for d in know.rotation},
+            "best_round": {},
             "face": {},
             "size": {},
             "rev_face": {},
@@ -221,26 +232,28 @@ class LearnFacesProgram(VertexProgram):
         if r == 0:
             return [(d, pack((T_TOK,) + d)) for d in know.rotation], False
         out = []
-        best = st["best"]
-        # every payload is one packed frame, read in place (a token is
-        # forwarded as it came); a token (tail, head, copy) compares with
-        # darts as a plain tuple, and a Dart is built only for a face id
+        best, best_round, face = st["best"], st["best_round"], st["face"]
+        # every payload is one packed frame, read and forwarded in place; a
+        # token (tail, head, copy) compares with darts as a plain tuple
         for k, payload in inbox.items():
+            slot = know.rot_next(k)
             if payload[0] == T_TOK:
                 t = payload[1:]
-                slot = know.rot_next(k)
-                if t < best[slot]:
-                    best[slot] = t
-                if t == slot:
-                    face = Dart(*best[slot])
-                    st["face"][slot] = face
+                if t == slot:  # once around: slot is the face minimum
+                    face[slot] = slot
                     st["size"][slot] = r
-                    out.append((slot, pack((T_FACE,) + face)))
-                else:
+                    out.append((slot, pack((T_FACE,) + slot)))
+                elif t < best[slot]:
+                    best[slot] = t
+                    best_round[slot] = r
                     out.append((slot, payload))
             else:
-                st["rev_face"][k] = Dart(*payload[1:])
-        return out, len(st["face"]) == len(st["rev_face"]) == len(know.rotation)
+                f = st["rev_face"][k] = Dart(*payload[1:])
+                if f != slot:  # the lap ends at the face minimum
+                    face[slot] = f
+                    st["size"][slot] = r - best_round[slot]
+                    out.append((slot, payload))
+        return out, len(face) == len(st["rev_face"]) == len(know.rotation)
 
 
 # -- dual subtree sums from the contour of T ---------------------------------
@@ -707,8 +720,10 @@ class DistPipeline:
         self.g = g
         self.config = config
         self.n = g.n
+        # a frame carries at most two weight sums besides O(log n) bits
         self.budget = (
-            config.bit_budget if config.bit_budget is not None else default_bit_budget(g.n)
+            config.bit_budget if config.bit_budget is not None
+            else default_bit_budget(g.n) + 2 * sum(weights).bit_length()
         )
         self.trace = RoundTrace()
         self.diameter = diameter_estimate(g)

@@ -16,6 +16,10 @@ from .embedding import Dart, EmbeddedPlanarGraph, build_embedding
 from .errors import BadParams
 
 
+# fields after the record name; None for any number (rot lists neighbors)
+_FIELDS = {"planar": 2, "rot": None, "w": 2, "outer": 2}
+
+
 def write_graph(g: EmbeddedPlanarGraph) -> str:
     if g.virtual_edges:
         raise BadParams("refusing to serialize a graph holding virtual edges")
@@ -27,7 +31,8 @@ def write_graph(g: EmbeddedPlanarGraph) -> str:
         if w != 1:
             lines.append(f"w {v} {w}")
     inf = g.infinite_face
-    lines.append(f"outer {inf.tail} {inf.head}")
+    if inf is not None:  # None only for the edgeless graph
+        lines.append(f"outer {inf.tail} {inf.head}")
     return "\n".join(lines) + "\n"
 
 
@@ -45,18 +50,26 @@ def parse_graph(text: str) -> EmbeddedPlanarGraph:
         parts = line.split()
         kind = parts[0]
         try:
+            if kind not in _FIELDS:
+                raise BadParams(f"line {lineno}: unknown record '{kind}'")
+            if _FIELDS[kind] is not None and len(parts) != _FIELDS[kind] + 1:
+                raise BadParams(f"line {lineno}: '{kind}' takes {_FIELDS[kind]} fields: '{line}'")
             if kind == "planar":
+                if n is not None:
+                    raise BadParams(f"line {lineno}: repeated 'planar' header")
                 n, m_declared = int(parts[1]), int(parts[2])
+                if n < 1:
+                    raise BadParams(f"line {lineno}: n={n}, need n >= 1")
             elif kind in ("rot", "w"):
                 v = int(parts[1])
                 records = rotations if kind == "rot" else weights
                 if v in records:
                     raise BadParams(f"line {lineno}: duplicate '{kind}' record for vertex {v}")
                 records[v] = [int(x) for x in parts[2:]] if kind == "rot" else int(parts[2])
-            elif kind == "outer":
-                outer = Dart(int(parts[1]), int(parts[2]), 0)
             else:
-                raise BadParams(f"line {lineno}: unknown record '{kind}'")
+                if outer is not None:
+                    raise BadParams(f"line {lineno}: repeated 'outer' record")
+                outer = Dart(int(parts[1]), int(parts[2]), 0)
         except (IndexError, ValueError) as exc:
             raise BadParams(f"line {lineno}: malformed record '{line}'") from exc
 

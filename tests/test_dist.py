@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from planarsep.dist import (
 )
 from planarsep.embedding import build_embedding
 from planarsep.errors import (
+    BitBudgetExceeded,
     ConflictingRoot,
     DegenerateTotal,
     InvalidPartition,
@@ -64,7 +66,7 @@ def _golden(key: str) -> dict:
     return json.loads(GOLDEN_RESULTS.read_text())[key]
 
 
-def _full_run(g, tree=None):
+def _full_run(g, tree=None, scramble=None):
     """Every vertex's store after run_all on g's own rotations, one part."""
     tree = tree if tree is not None else bfs_tree(g, 0)
     pipe = DistPipeline(
@@ -74,7 +76,7 @@ def _full_run(g, tree=None):
         trees={0: tree},
         tree_roots={0: tree.root},
         weights=list(g.vertex_weight),
-        config=PipelineConfig(),
+        config=PipelineConfig(scramble=scramble),
     )
     outputs = pipe.run_all()
     return [pipe.know[v].store for v in range(g.n)], outputs[0]
@@ -165,6 +167,7 @@ def test_learn_faces_matches_canonical_ids(grid4):
         for d in grid4.rotation[v]:
             assert stores[v]["face"][d] == grid4.face_of[d]
             assert stores[v]["rev_face"][d] == grid4.face_of[d.reverse()]
+            assert stores[v]["size"][d] == grid4.face(grid4.face_of[d]).size
 
 
 def test_learn_faces_triangle(c3):
@@ -180,6 +183,89 @@ def test_learn_faces_triangulation_dual_endpoints():
         da, db = g.darts_of_edge(e)
         assert stores[da.tail]["face"][da] == g.face_of[da]
         assert stores[da.tail]["rev_face"][da] == g.face_of[db]
+        for d in (da, db):
+            assert stores[d.tail]["size"][d] == g.face(g.face_of[d]).size
+
+
+def _rings(rotations):
+    """Face id (minimum dart) and size of every dart's ring, walked over
+    the installed per-vertex rotations."""
+    succ = {a: b for rot in rotations for a, b in zip(rot, rot[1:] + rot[:1])}
+    face, size = {}, {}
+    for d in succ:
+        if d in face:
+            continue
+        ring = [d]
+        while (x := succ[ring[-1].reverse()]) != d:
+            ring.append(x)
+        for x in ring:
+            face[x], size[x] = min(ring), len(ring)
+    return face, size
+
+
+def _learn_faces(g, part_of):
+    """learn_faces alone on the rotations dist_multi installs; returns the
+    stores, the phase's trace and the installed rotations."""
+    rot = _part_knowledge(g, part_of)
+    trees = part_bfs_trees(g, part_of)
+    pipe = DistPipeline(
+        g=g, part_of=part_of, global_rot=rot, trees=trees,
+        tree_roots={pid: t.root for pid, t in trees.items()},
+        weights=list(g.vertex_weight), config=PipelineConfig(),
+    )
+    pipe.run_learn_faces()
+    phase, = pipe.trace.phases
+    return [know.store for know in pipe.know], phase, [rot[v] for v in range(g.n)]
+
+
+def _one_part(g):
+    return g, [0] * g.n
+
+
+FACE_CASES = {
+    "grid4": lambda: _one_part(grid(4, 4)),
+    "tri200": lambda: _one_part(random_triangulation(200, seed=6)),
+    "cut3x10": lambda: _one_part(cut_chain(3, 10, seed=1)),
+    "c40c6": lambda: _one_part(cycle_chords(40, 6, seed=1)),
+    "parts8x2": lambda: two_level_parts(8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_CASES))
+def test_learn_faces_match_installed_rings(name):
+    """Face id, size and the reverse side's face id of every installed
+    dart, virtual darts (cut3x10) and several parts (parts8x2) included."""
+    g, part_of = FACE_CASES[name]()
+    stores, _, rotations = _learn_faces(g, part_of)
+    face, size = _rings(rotations)
+    if name == "cut3x10":
+        assert len(face) > 2 * g.m  # the augmentation's virtual darts
+    for v, rot in enumerate(rotations):
+        assert stores[v]["face"] == {d: face[d] for d in rot}
+        assert stores[v]["size"] == {d: size[d] for d in rot}
+        assert stores[v]["rev_face"] == {d: face[d.reverse()] for d in rot}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_CASES))
+def test_learn_faces_costs(name):
+    """Min-filtered tokens plus one announcement lap: nothing is dropped,
+    the lap ends at round 2·max|f|, and a face costs at most
+    |f|(|f|+1)/2 tokens plus |f| announcements, below the |f|² + |f| of
+    rotating every token around the whole face."""
+    g, part_of = FACE_CASES[name]()
+    _, phase, rotations = _learn_faces(g, part_of)
+    face, size = _rings(rotations)
+    sizes = [size[f] for f in set(face.values())]
+    assert phase.dropped == 0
+    assert phase.honest_rounds == 2 * max(sizes) + 1
+    assert phase.messages <= sum(k * (k + 1) // 2 + k for k in sizes)
+    assert phase.messages < sum(k * k + k for k in sizes)
+
+
+def test_scramble_leaves_every_store_equal(grid4):
+    base, _ = _full_run(grid4)
+    again, _ = _full_run(grid4, scramble=5)
+    assert again == base
 
 
 def test_learn_cotree_flags(grid4):
@@ -343,6 +429,23 @@ def test_scramble_leaves_output_unchanged(grid4):
         again, trace = dist_compute_separator(grid4, t, scramble=scramble)
         assert serialize_separator(again.result) == serialize_separator(base.result)
         assert trace == base_trace
+
+
+@pytest.mark.parametrize("bits", [60, 100, 200])
+def test_huge_weights_same_result_in_both_engines(bits):
+    """A frame carries at most two weight sums, so the default budget grows
+    with the total weight: weights near 2^bits give the sequential result
+    instead of BitBudgetExceeded.  An explicit budget is kept as given."""
+    rng = random.Random(bits)
+    for g in (grid(6, 6), random_triangulation(60, 3), cycle_chords(30, 5, 1)):
+        w = [2**bits + rng.randrange(2 ** (bits - 1)) for _ in range(g.n)]
+        t = bfs_tree(g, 0)
+        seq = compute_separator(g, t, w)
+        out, _ = dist_compute_separator(g, t, w)
+        assert serialize_separator(out.result) == serialize_separator(seq)
+        assert out.records() == sep_records(g, t, seq)
+        with pytest.raises(BitBudgetExceeded):
+            dist_compute_separator(g, t, w, bit_budget=default_bit_budget(g.n))
 
 
 def test_charged_backend_same_output(grid4):
