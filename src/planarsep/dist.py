@@ -14,8 +14,9 @@ successor of the arrival dart.  Learning face ids and the critical
 case's boundary prefixes use them; everything else runs on T, on single
 cotree edges, or by part-wise aggregation.
 
-Phase order: root the given tree, learn face ids (token rotation around
-each ring), derive cotree flags locally, transfer each vertex's weight to
+Phase order: root the given tree, learn face ids (min-filtered tokens
+around each ring, then one lap announcing the minimum, which is also the
+face-id exchange across every edge), derive cotree flags locally, transfer each vertex's weight to
 its minimum face id locally (no face total is formed), elect the maximum
 face id as dual root, compute every dual subtree's weight and dart count
 from prefix sums along the contour of T (two waves over T and one
