@@ -12,19 +12,20 @@ from dataclasses import replace
 from pathlib import Path
 
 from .congest import PA_BACKENDS
-from .errors import BadParams, PlanarSepError
+from .errors import BadParams, NotProper, PlanarSepError
 from .generators import WEIGHT_SCHEMES
 from .graphio import parse_graph, write_graph
 from .harness import (
     ENGINES,
     ExperimentSpec,
+    _instance_weights,
     generate,
     render_report,
     run_suite,
     scaling_report,
     standard_suite,
 )
-from .separator import compute_separator
+from .separator import compute_separator, require_proper
 from .treecotree import bfs_tree
 from .verify import verify_separator
 
@@ -112,18 +113,25 @@ def cmd_run(args) -> int:
 
 
 def _write_debug_artifacts(spec, args) -> None:
+    """The DOT rendering and the round trace of the run's one instance,
+    with its weights; neither when the weights are not proper, a failure
+    the report already records."""
     from .dist import dist_compute_separator
-    from .harness import generate
     from .treecotree import cotree, dot_export
 
     g, _ = generate(spec.generator, spec.params, spec.seed)
+    w = _instance_weights(spec, g)
+    try:
+        require_proper(w)
+    except NotProper:
+        return
     tree = bfs_tree(g, 0)
     if args.dot:
-        res = compute_separator(g, tree)
+        res = compute_separator(g, tree, w)
         Path(args.dot).write_text(dot_export(cotree(g, tree), res.path))
     if args.trace_out:
         _, trace = dist_compute_separator(
-            g, tree, backend=spec.pa_backend, bit_budget=spec.bit_budget,
+            g, tree, w, backend=spec.pa_backend, bit_budget=spec.bit_budget,
             max_rounds=spec.max_rounds,
         )
         Path(args.trace_out).write_text(trace.export_text())
@@ -132,7 +140,7 @@ def _write_debug_artifacts(spec, args) -> None:
 def cmd_verify(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
     if args.separator:
-        path = _parse_separator_path(Path(args.separator).read_text())
+        path = _parse_separator_path(Path(args.separator).read_text(), g.n)
     else:
         tree = bfs_tree(g, args.root)
         path = compute_separator(g, tree).path
@@ -146,12 +154,22 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_separator_path(text: str) -> list[int]:
+def _parse_separator_path(text: str, n: int) -> list[int]:
+    """The ids of the `path k x_1 .. x_k` record; BadParams unless it holds
+    exactly k vertex ids of a graph on n vertices."""
     for line in text.splitlines():
         parts = line.split()
         if parts and parts[0] == "path":
-            k = int(parts[1])
-            return [int(x) for x in parts[2 : 2 + k]]
+            try:
+                k, *ids = map(int, parts[1:])
+            except ValueError:
+                raise BadParams(f"malformed path record {line!r}") from None
+            if len(ids) != k:
+                raise BadParams(f"path record announces {k} ids and holds {len(ids)}")
+            outside = [x for x in ids if not 0 <= x < n]
+            if outside:
+                raise BadParams(f"path ids {outside} are not vertices of the graph (n={n})")
+            return ids
     raise PlanarSepError("no 'path' record in separator file")
 
 

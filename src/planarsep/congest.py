@@ -58,7 +58,7 @@ class PhaseTrace:
     messages: int = 0
     total_bits: int = 0
     pa_calls: int = 0
-    probes: int = 0
+    probes: int = 0  # always 0 since no phase searches; perfbench/run.py reads it
     overflow_flags: int = 0
     dropped: int = 0
 
@@ -90,10 +90,6 @@ class RoundTrace:
     @property
     def max_bits_per_edge_per_round(self) -> int:
         return max((p.max_bits for p in self.phases), default=0)
-
-    @property
-    def probes(self) -> int:
-        return sum(p.probes for p in self.phases)
 
     def export_text(self) -> str:
         lines = [p.line() for p in self.phases]
@@ -346,7 +342,11 @@ class PartAggregator:
             }
             for v in range(g.n)
         ]
-        self.sim = Simulator(g.rotation, bit_budget=self.budget, scramble=scramble)
+        # the waves use tree darts only, so those are the only channels
+        self.sim = Simulator(
+            [([] if k["up"] is None else [k["up"]]) + k["down"] for k in self.know],
+            bit_budget=self.budget, scramble=scramble,
+        )
 
     def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
         if operator not in OPERATORS:

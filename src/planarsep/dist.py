@@ -23,11 +23,12 @@ from prefix sums along the contour of T (two waves over T and one
 exchange across each cotree edge), elect a balanced or critical node in
 three part-wise aggregations, claim the endpoints up T and broadcast
 them, and mark the path locally from the claims.  The critical case
-precomputes boundary prefix sums in one ring pass, whose return to the
-anchor also totals the face's weight, and then binary-searches the
-enclosed weight from the tree root; the probed quantity is the suffix of
-boundary choice-weights plus hanging child subtrees, exactly the
-sequential engine's formula.
+first passes boundary prefix sums once around the chosen face; their
+return to the anchor totals the face's weight, and a totals lap gives
+every ring position its virtual triangle's enclosed weight (the suffix
+of boundary choice-weights plus hanging child subtrees, exactly the
+sequential engine's formula) and its predecessor's heavy bit, so the
+first light position knows locally that it is the endpoint u.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
 parents, maximum-id elections), so results serialize byte-identically.
@@ -73,15 +74,15 @@ T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
 T_TOK, T_FACE = 4, 5
 T_CUT, T_PRE, T_POS, T_SUBD = 6, 7, 9, 10
 T_IDX, T_IDXT = 11, 12
-T_PROBE, T_ANS, T_RES, T_UV = 13, 14, 15, 16
+T_UV = 16
 T_SUBW, T_LEN = 18, 19
 
 _ARITY = {
     T_BFS: 2, T_CLAIM: 1, T_DEPTH: 1,
     T_TOK: 3, T_FACE: 3,
     T_CUT: 2, T_PRE: 2, T_POS: 2, T_SUBD: 2,
-    T_IDX: 3, T_IDXT: 1,
-    T_PROBE: 2, T_ANS: 2, T_RES: 2, T_UV: 2,
+    T_IDX: 3, T_IDXT: 2,
+    T_UV: 2,
     T_SUBW: 1, T_LEN: 1,
 }
 
@@ -445,16 +446,25 @@ class ContourProgram(VertexProgram):
 
 class PrefixProgram(VertexProgram):
     """One ring pass over the critical face storing position indexes and
-    prefix sums of choice-weights and child subtrees, then a totals loop.
+    prefix sums of choice-weights and child subtrees, then a totals lap.
     The anchor adds its own choice-weight to the returning sums, so the
     total is the face's weight plus its child subtrees: every vertex that
-    chose the face is on its ring once (a repeat raises NotBiconnected)."""
+    chose the face is on its ring once (a repeat raises NotBiconnected).
+
+    On the totals lap, position t derives s_t, the subtree weight of the
+    t-th virtual triangle (the total less the choice-weights of positions
+    1..t and the child subtrees before t), and passes on whether it is
+    heavy, above 3/4 of the part's weight.  s is non-increasing, so the
+    heavy positions are 1..j, and the first light one is u = v_{j+1},
+    whose s_t is the enclosed weight: every position checks monotonicity
+    against its predecessor's bit, so j needs no search.
+    """
 
     def init(self, know: LocalKnowledge) -> dict:
         store = know.store
         st = {
-            "anchor": None, "prefix_idx": None, "prefix_pos": None,
-            "prefix_pc_incl": None, "prefix_pcs_excl": None, "prefix_total": None,
+            "anchor": None, "prefix_idx": None, "prefix_pos": None, "prefix_total": None,
+            "prefix_u": False, "prefix_s": None, "pc_incl": None, "pcs_excl": None,
             "anchor_done": False, "active": False,
         }
         if store.get("case_code") != CASE_VIRTUAL:
@@ -467,6 +477,20 @@ class PrefixProgram(VertexProgram):
             st["anchor"] = anchor
         return st
 
+    def _heavy(self, know, st) -> int:
+        """Whether the t-th virtual triangle's subtree exceeds 3/4: s_1 is
+        the critical face's own subtree, heavy by its election, and
+        position k - 1 starts no triangle."""
+        t, k = st["prefix_idx"], know.store["case_k"]
+        if t == k - 1:
+            return 0
+        heavy = t == 1
+        if not heavy:
+            s_t = st["prefix_s"] = st["prefix_total"] - st["pc_incl"] - st["pcs_excl"]
+            heavy = exceeds_beta(s_t, know.store["total_weight"])
+        assert not (heavy and t == k - 2), "last triangle subtree exceeds 3/4"
+        return int(heavy)
+
     def step(self, r, know: LocalKnowledge, st, inbox):
         if not st["active"]:
             return [], True
@@ -476,13 +500,13 @@ class PrefixProgram(VertexProgram):
                 out.append((st["anchor"], pack((T_IDX, 1, 0, 0))))
             return out, False
         for k, frame in inbox.items():
+            slot = know.rot_next(k)
             if frame[0] == T_IDX:
                 i, pc, pcs = frame[1], frame[2], frame[3]
-                slot = know.rot_next(k)
                 if slot == st["anchor"]:
                     assert i == know.store["case_k"], "ring length mismatch"
                     st["prefix_total"] = pc + st["choice"] + pcs
-                    out.append((slot, pack((T_IDXT, st["prefix_total"]))))
+                    out.append((slot, pack((T_IDXT, st["prefix_total"], 1))))
                 else:
                     if st["prefix_idx"] is not None:
                         raise NotBiconnected(
@@ -491,63 +515,54 @@ class PrefixProgram(VertexProgram):
                         )
                     cs = know.store["child_sum"].get(slot, 0)
                     st["prefix_idx"], st["prefix_pos"] = i, slot
-                    st["prefix_pcs_excl"] = pcs
-                    st["prefix_pc_incl"] = pc + st["choice"]
-                    out.append((slot, pack((T_IDX, i + 1, st["prefix_pc_incl"], pcs + cs))))
-            elif frame[0] == T_IDXT:
-                slot = know.rot_next(k)
-                if slot == st["anchor"]:
-                    st["anchor_done"] = True
-                else:
-                    st["prefix_total"] = frame[1]
-                    out.append((slot, pack((T_IDXT, frame[1]))))
+                    st["pcs_excl"], st["pc_incl"] = pcs, pc + st["choice"]
+                    out.append((slot, pack((T_IDX, i + 1, st["pc_incl"], pcs + cs))))
+            elif slot == st["anchor"]:
+                st["anchor_done"] = True
+            else:
+                st["prefix_total"], pred = frame[1], frame[2]
+                heavy = self._heavy(know, st)
+                assert pred or not heavy, "enclosed weight not monotone"
+                # the first light position; position k - 1 never has a heavy
+                # predecessor, by the check at k - 2
+                st["prefix_u"] = bool(pred and not heavy)
+                out.append((slot, pack((T_IDXT, frame[1], heavy))))
         if st["anchor"] is not None:
             return out, st["anchor_done"]
         return out, st["prefix_total"] is not None
 
 
-# -- endpoint search and dissemination ----------------------------------------
+# -- endpoint claims and dissemination ------------------------------------------
 
 
-class SearchProgram(VertexProgram):
-    """Binary search from the tree root over boundary indexes, then
-    endpoint-id convergecast and broadcast on the tree.
+class ClaimProgram(VertexProgram):
+    """Endpoint claims up T, then the endpoints down T.
 
-    One probe = one broadcast down the tree plus one max-convergecast up;
-    the part coordinator (tree root) bisects on the enclosed weight and
-    asserts its monotonicity.  Non-virtual parts skip straight to the
-    endpoint phase.  Each wave (probe down, answer up, endpoint claim
-    down, claim up, endpoint broadcast) is one routine, shared by the root
-    and the frame handlers.  The claims kept from the convergecast mark
-    the path.
+    Every vertex knows its own claim at round 0 (see _uv_claim), so one
+    convergecast folds the claims to the tree root, which broadcasts both
+    endpoints.  Each vertex keeps its children's claims: they mark the
+    path.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
         return {
-            "seq": -1, "agg": 0, "got": 0, "agg_uv": (0, 0), "kid_uv": {},
-            "sep_u": None, "sep_v": None, "slot_u": None, "done": False,
-            "probes": [], "lo": None, "hi": None, "s_hi": None,
-            "interior": None, "probe_t": None,
+            "agg_uv": self._uv_claim(know), "kid_uv": {}, "sep_u": None, "sep_v": None,
+            "done": False,
+            # u's rotation slot for the new edge
+            "slot_u": know.store["prefix_pos"] if know.store["prefix_u"] else None,
         }
 
-    def _my_answer(self, know, t: int) -> int:
-        store = know.store
-        if store.get("prefix_idx") == t and store.get("case_code") == CASE_VIRTUAL:
-            s_t = store["prefix_total"] - store["prefix_pc_incl"] - store["prefix_pcs_excl"]
-            return s_t + 1
-        return 0
-
-    def _uv_claim(self, know, j: int) -> tuple[int, int]:
+    def _uv_claim(self, know) -> tuple[int, int]:
         """(u + 1, v + 1) where this vertex is that endpoint, else 0.  The
         endpoints of the chosen face's anchor know it; a balanced face is
         never the dual root, so its anchor is its dual parent dart.  In the
-        virtual case, u is the corner at boundary index j + 1."""
+        virtual case, u learned it on the prefix pass's totals lap."""
         store = know.store
         ad = store["case_anchor"]
         code = store["case_code"]
         u = v = None
         if code == CASE_VIRTUAL:
-            u = know.vid if store.get("prefix_idx") == j + 1 else None
+            u = know.vid if store["prefix_u"] else None
             v = ad.tail if ad is not None else None
         elif ad is None:
             return 0, 0
@@ -558,102 +573,30 @@ class SearchProgram(VertexProgram):
         me = know.vid
         return (me + 1 if me == u else 0), (me + 1 if me == v else 0)
 
-    # -- waves ------------------------------------------------------------
-
-    def _probe_down(self, know, st, seq: int, t: int, out):
-        st["seq"], st["probe_t"] = seq, t
-        st["agg"], st["got"] = self._my_answer(know, t), 0
-        children = know.store["tree_children"]
-        for _c, d in children:
-            out.append((d, pack((T_PROBE, seq, t))))
-        if not children:
-            self._answer_up(know, st, out)
-
-    def _answer_up(self, know, st, out):
-        if know.vid == know.tree_root:
-            self._bisect(know, st, out)
-        else:
-            out.append((know.store["tree_parent_dart"], pack((T_ANS, st["seq"], st["agg"]))))
-
-    def _claim_down(self, know, st, seq: int, j: int, out):
-        store = know.store
-        st["seq"] = seq
-        st["agg_uv"] = self._uv_claim(know, j)
-        if store["case_code"] == CASE_VIRTUAL and st["agg_uv"][0]:
-            st["slot_u"] = store["prefix_pos"]  # u's rotation slot for the new edge
-        children = store["tree_children"]
-        for _c, d in children:
-            out.append((d, pack((T_RES, seq, j))))
-        if not children:
-            self._claim_up(know, st, out)
-
-    def _claim_up(self, know, st, out):
-        if know.vid == know.tree_root:
-            self._broadcast(know, st, *st["agg_uv"], out)
-        else:
-            out.append((know.store["tree_parent_dart"], pack((T_UV, *st["agg_uv"]))))
-
     def _broadcast(self, know, st, u: int, v: int, out):
         st["sep_u"], st["sep_v"] = u - 1, v - 1
         for _c, d in know.store["tree_children"]:
             out.append((d, pack((T_UV, u, v))))
         st["done"] = True
 
-    # -- coordinator ------------------------------------------------------
-
-    def _bisect(self, know, st, out):
-        """The root's step once a probe's answer is in: narrow [lo, hi],
-        then probe the midpoint or start the endpoint claim at j = lo."""
-        W = know.store["total_weight"]
-        t, s_t = st["probe_t"], st["agg"] - 1
-        assert st["agg"] > 0, "probe reached no boundary position"
-        st["probes"].append((t, s_t))
-        for (t1, s1) in st["probes"]:
-            for (t2, s2) in st["probes"]:
-                assert not (t1 < t2 and s1 < s2), "enclosed weight not monotone"
-        if st["s_hi"] is None and t == st["hi"]:
-            assert not exceeds_beta(s_t, W), "last triangle subtree exceeds 3/4"
-            st["s_hi"] = s_t
-        elif exceeds_beta(s_t, W):
-            st["lo"] = t
-        else:
-            st["hi"], st["s_hi"] = t, s_t
-        if st["hi"] - st["lo"] <= 1:
-            st["interior"] = st["s_hi"]
-            self._claim_down(know, st, st["seq"] + 1, st["lo"], out)
-        else:
-            self._probe_down(know, st, st["seq"] + 1, (st["lo"] + st["hi"]) // 2, out)
-
     def step(self, r, know: LocalKnowledge, st, inbox):
-        out = []
         store = know.store
-        if r == 0 and know.vid == know.tree_root:
-            if store.get("case_code") == CASE_VIRTUAL:
-                st["lo"], st["hi"] = 1, store["case_k"] - 2
-                self._probe_down(know, st, 0, st["hi"], out)
-            else:
-                self._claim_down(know, st, 0, 0, out)
-            return out, st["done"]
+        out = []
+        heard = r == 0  # a leaf's claim is complete at once
         for k, frame in inbox.items():
-            tag = frame[0]
-            if tag == T_PROBE:
-                self._probe_down(know, st, frame[1], frame[2], out)
-            elif tag == T_ANS:
-                assert frame[1] == st["seq"]
-                st["agg"] = max(st["agg"], frame[2])
-                st["got"] += 1
-                if st["got"] == len(store["tree_children"]):
-                    self._answer_up(know, st, out)
-            elif tag == T_RES:
-                self._claim_down(know, st, frame[1], frame[2], out)
-            elif tag == T_UV and k == store["tree_parent_dart"]:
+            if k == store["tree_parent_dart"]:
                 self._broadcast(know, st, frame[1], frame[2], out)
-            elif tag == T_UV:
-                cu, cv = st["agg_uv"]
-                st["agg_uv"] = (max(cu, frame[1]), max(cv, frame[2]))
-                st["kid_uv"][k] = frame[1:]
-                if len(st["kid_uv"]) == len(store["tree_children"]):
-                    self._claim_up(know, st, out)
+                continue
+            cu, cv = st["agg_uv"]
+            st["agg_uv"] = (max(cu, frame[1]), max(cv, frame[2]))
+            st["kid_uv"][k] = frame[1:]
+            heard = True
+        if heard and len(st["kid_uv"]) == len(store["tree_children"]):
+            if know.vid == know.tree_root:
+                assert all(st["agg_uv"]), "an endpoint claim is missing"
+                self._broadcast(know, st, *st["agg_uv"], out)
+            else:
+                out.append((store["tree_parent_dart"], pack((T_UV, *st["agg_uv"]))))
         return out, st["done"]
 
 
@@ -680,7 +623,6 @@ class DistSeparatorOutput:
     case: str
     result: SeparatorResult
     views: dict[int, VertexSeparatorView]
-    probes: int
 
     def records(self) -> str:
         lines = [sep_line(x, view.role, view.p_darts) for x, view in sorted(self.views.items())]
@@ -890,22 +832,17 @@ class DistPipeline:
     def run_prefix(self):
         self._run(
             "mark_prefix", PrefixProgram(), charge_units=1,
-            publish=(
-                "prefix_idx", "prefix_pos", "prefix_pc_incl", "prefix_pcs_excl", "prefix_total",
-            ),
+            publish=("prefix_idx", "prefix_pos", "prefix_total", "prefix_u", "prefix_s"),
         )
 
     def run_search(self) -> dict[int, dict]:
+        """The endpoint claim wave, as phase mark_search; returns each
+        part's tree-root state, which holds both endpoints."""
         states = self._run(
-            "mark_search", SearchProgram(), charge_units=1,
+            "mark_search", ClaimProgram(), charge_units=1,
             publish=("sep_u", "sep_v", "slot_u", "agg_uv", "kid_uv"),
         )
-        per_part = {pid: states[self.know[ms[0]].tree_root] for pid, ms in self.members.items()}
-        # parts probe concurrently; the schedule pays for the longest search
-        probes = [len(root_state["probes"]) for root_state in per_part.values()]
-        self.trace.phases[-1].probes += sum(probes)
-        self.trace.phases[-1].charged_rounds += max(probes) * self._unit
-        return per_part
+        return {pid: states[self.know[ms[0]].tree_root] for pid, ms in self.members.items()}
 
     def run_mark(self):
         # a tree edge is on the path iff the subtree below it holds exactly
@@ -929,7 +866,7 @@ class DistPipeline:
         members = self.members[pid]
         any_store = self.know[members[0]].store
         code = any_store["case_code"]
-        u, v = any_store["sep_u"], any_store["sep_v"]
+        u, v = root_state["sep_u"], root_state["sep_v"]
 
         views = {}
         for x in members:
@@ -950,7 +887,7 @@ class DistPipeline:
                 insert_before_u=slot_u,
                 insert_before_v=anchor,
             )
-            interior = root_state["interior"]
+            interior = self.know[u].store["prefix_s"]
             views[u].peer = v
             views[u].insert_before = slot_u
             views[v].peer = u
@@ -971,7 +908,6 @@ class DistPipeline:
             case=result.case,
             result=result,
             views=views,
-            probes=len(root_state["probes"]),
         )
 
     def _walk_path(self, u: int, v: int, views: dict[int, VertexSeparatorView]) -> list[int]:

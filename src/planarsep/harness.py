@@ -158,7 +158,6 @@ def run_experiment(spec: ExperimentSpec, deep_checks: bool = True) -> dict:
         record["honest_rounds"] = trace.rounds_executed
         record["charged_rounds"] = trace.charged_rounds
         record["max_bits"] = trace.max_bits_per_edge_per_round
-        record["probes"] = trace.probes
         if trace.max_bits_per_edge_per_round > record["bit_budget"]:
             fail("bit-budget")
 

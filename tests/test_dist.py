@@ -24,7 +24,7 @@ from planarsep.dist import (
     _part_knowledge,
     part_bfs_trees,
 )
-from planarsep.embedding import build_embedding
+from planarsep.embedding import Dart, build_embedding
 from planarsep.errors import (
     BitBudgetExceeded,
     ConflictingRoot,
@@ -46,7 +46,7 @@ from planarsep.generators import (
     two_level_parts,
 )
 from planarsep.separator import find_balanced_or_critical
-from planarsep.treecotree import dual_subtree_sums
+from planarsep.treecotree import dual_subtree_sums, part_members
 from planarsep.verify import verify_separator
 
 # Serialized separators and `sep` records of fixed runs, pinned so that a
@@ -415,7 +415,7 @@ def test_pinned_critical_both_engines():
     assert (out.result.u, out.result.v) == (eu, ev) == (seq.u, seq.v)
     assert serialize_separator(out.result) == serialize_separator(seq)
     assert out.result.closing.kind == "virtual"
-    assert trace.probes >= 1
+    _check_claim_wave(g, [0] * g.n, {0: t})
     assert out.records() == sep_records(g, t, seq)
     assert _result_snapshot(
         serialize_separator(seq), sep_records(g, t, seq)
@@ -456,13 +456,68 @@ def test_charged_backend_same_output(grid4):
     assert tr_c.charged_rounds > 0
 
 
+def _part_graph(g, members, tree):
+    """A part's induced sub-embedding, relabelled in ascending member order
+    as dist_multi does, with its tree; g itself for a part of every vertex."""
+    if len(members) == g.n:
+        return g, tree
+    to_local = {v: i for i, v in enumerate(members)}
+    rot = [
+        [Dart(i, to_local[d.head], d.copy) for d in g.rotation[v] if d.head in to_local]
+        for i, v in enumerate(members)
+    ]
+    sub = build_embedding(len(members), rot, [g.vertex_weight[v] for v in members])
+    edges = [(to_local[a], to_local[b], c) for a, b, c in tree.edges]
+    return sub, tree_from_edges(sub, edges, to_local[tree.root])
+
+
+def _check_claim_wave(g, part_of, trees):
+    """mark_search is one claim convergecast and one endpoint broadcast:
+    2·height(T)+1 honest rounds (the tallest part's) and one message each
+    way on every tree edge.  In a critical-virtual part, every ring
+    position t in 2..k-2 holds the sequential s_t, and exactly one vertex,
+    the sequential v_{j+1}, found itself to be u on the totals lap.
+    Returns the number of critical-virtual parts."""
+    pipe = DistPipeline(
+        g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
+        tree_roots={pid: t.root for pid, t in trees.items()},
+        weights=list(g.vertex_weight), config=PipelineConfig(),
+    )
+    outs = pipe.run_all()
+    phase = next(p for p in pipe.trace.phases if p.name == "mark_search")
+    assert phase.honest_rounds == 2 * max(t.height() for t in trees.values()) + 1
+    assert phase.messages == 2 * (g.n - len(trees))
+    assert phase.charged_rounds == pipe._unit and phase.probes == 0
+    virtual = 0
+    for pid, members in part_members(part_of).items():
+        if outs[pid].case != "critical-virtual":
+            continue
+        virtual += 1
+        sub, tree = _part_graph(g, members, trees[pid])
+        diag = compute_separator(sub, tree).diagnostics
+        j, s, vs = diag["j"], diag["s"], diag["scan"].vs
+        stores = {members[i]: pipe.know[members[i]].store for i in range(len(members))}
+        assert [x for x, st in stores.items() if st["prefix_u"]] == [members[vs[j]]]
+        assert stores[members[vs[j]]]["prefix_s"] == s[j] == outs[pid].result.interior_weight
+        for t in range(2, len(vs) - 1):
+            assert stores[members[vs[t - 1]]]["prefix_idx"] == t
+            assert stores[members[vs[t - 1]]]["prefix_s"] == s[t - 1]
+    return virtual
+
+
 def test_probe_monotonicity_and_count():
-    g = grid(8, 8)
-    t = bfs_tree(g, 0)
-    out, trace = dist_compute_separator(g, t)
-    if out.result.case == "critical-virtual":
-        k = compute_separator(g, t).diagnostics["scan"].k
-        assert 1 <= trace.probes <= k.bit_length() + 1
+    """The search for j is gone: the claim wave's rounds and messages are
+    exact, and the totals lap's heavy bits pick the sequential j."""
+    pinned, tree_edges, _, _ = pinned_critical_instance()
+    for g, tree in (
+        (grid(8, 8), None),
+        (pinned, tree_from_edges(pinned, tree_edges, root=0)),
+        (cycle_chords(40, 6, seed=1), None),
+    ):
+        tree = tree or bfs_tree(g, 0)
+        assert _check_claim_wave(g, [0] * g.n, {0: tree}) == 1
+    g, part_of = two_level_parts(8, 2)
+    assert _check_claim_wave(g, part_of, part_bfs_trees(g, part_of)) >= 1
 
 
 def test_not_proper_surfaces(grid4):

@@ -239,6 +239,48 @@ def test_cli_verify_separator_file(tmp_path, capsys):
     assert main(["verify", "--graph", str(gfile), "--separator", str(sfile)]) == 0
 
 
+@pytest.mark.parametrize("record", ["path 2 a b", "path 3 0 1", "path 2 0 99", "path -1", "path"])
+def test_cli_verify_rejects_malformed_path_record(record, tmp_path, capsys):
+    """A path record must hold exactly its announced count of vertex ids;
+    each of these verified a different vertex set than the file names."""
+    from planarsep.generators import grid as mkgrid
+
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(write_graph(mkgrid(3, 3)))
+    sfile = tmp_path / "sep.txt"
+    sfile.write_text(record + "\n")
+    assert main(["verify", "--graph", str(gfile), "--separator", str(sfile)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_debug_artifacts_use_the_run_weights(tmp_path):
+    """--trace-out and --dot rerun the instance with its weight scheme, and
+    write nothing when the weights are not proper."""
+    from planarsep import bfs_tree, compute_separator, cotree
+    from planarsep.generators import WEIGHT_SCHEMES
+    from planarsep.generators import grid as mkgrid
+    from planarsep.treecotree import dot_export
+
+    run = ["run", "--kind", "grid", "--rows", "9", "--cols", "9", "--engine", "distributed"]
+    out, trace, dot = tmp_path / "r.ndjson", tmp_path / "t.txt", tmp_path / "g.dot"
+    artifacts = ["--out", str(out), "--trace-out", str(trace), "--dot", str(dot)]
+    assert main(run + ["--weights", "random-proper"] + artifacts) == 0
+    record = json.loads(out.read_text().splitlines()[0])
+    widest = max(
+        int(line.split()[-1]) for line in trace.read_text().splitlines()
+        if line.startswith("phase ")
+    )
+    assert widest == record["max_bits"]
+    g = mkgrid(9, 9)
+    tree = bfs_tree(g, 0)
+    path = compute_separator(g, tree, WEIGHT_SCHEMES["random-proper"](g.n, 0)).path
+    assert dot.read_text() == dot_export(cotree(g, tree), path)
+    trace.unlink()
+    dot.unlink()
+    assert main(run + ["--weights", "adversarial-heavy-vertex"] + artifacts) == 1
+    assert not trace.exists() and not dot.exists()
+
+
 def test_cli_scale(tmp_path):
     out = tmp_path / "scale.ndjson"
     rc = main([
