@@ -548,8 +548,6 @@ class ClaimProgram(VertexProgram):
         return {
             "agg_uv": self._uv_claim(know), "kid_uv": {}, "sep_u": None, "sep_v": None,
             "done": False,
-            # u's rotation slot for the new edge
-            "slot_u": know.store["prefix_pos"] if know.store["prefix_u"] else None,
         }
 
     def _uv_claim(self, know) -> tuple[int, int]:
@@ -840,7 +838,7 @@ class DistPipeline:
         part's tree-root state, which holds both endpoints."""
         states = self._run(
             "mark_search", ClaimProgram(), charge_units=1,
-            publish=("sep_u", "sep_v", "slot_u", "agg_uv", "kid_uv"),
+            publish=("agg_uv", "kid_uv"),
         )
         return {pid: states[self.know[ms[0]].tree_root] for pid, ms in self.members.items()}
 
@@ -879,7 +877,10 @@ class DistPipeline:
         v_store = self.know[v].store
         anchor = v_store["case_anchor"]
         if code == CASE_VIRTUAL:
-            slot_u = self.know[u].store["slot_u"]
+            # u found itself on the prefix pass: its ring slot embeds the
+            # new edge, and its triangle's subtree is the enclosed weight
+            u_store = self.know[u].store
+            slot_u = u_store["prefix_pos"]
             closing = ClosingEdge(
                 kind="virtual",
                 endpoints=(u, v),
@@ -887,7 +888,7 @@ class DistPipeline:
                 insert_before_u=slot_u,
                 insert_before_v=anchor,
             )
-            interior = self.know[u].store["prefix_s"]
+            interior = u_store["prefix_s"]
             views[u].peer = v
             views[u].insert_before = slot_u
             views[v].peer = u
