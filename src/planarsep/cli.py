@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .congest import PA_BACKENDS
+from .embedding import EmbeddedPlanarGraph
 from .errors import BadParams, NotProper, PlanarSepError
 from .generators import WEIGHT_SCHEMES
 from .graphio import parse_graph, write_graph
@@ -140,7 +141,7 @@ def _write_debug_artifacts(spec, args) -> None:
 def cmd_verify(args) -> int:
     g = parse_graph(Path(args.graph).read_text())
     if args.separator:
-        path = _parse_separator_path(Path(args.separator).read_text(), g.n)
+        path = _parse_separator_path(Path(args.separator).read_text(), g)
     else:
         tree = bfs_tree(g, args.root)
         path = compute_separator(g, tree).path
@@ -154,9 +155,10 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_separator_path(text: str, n: int) -> list[int]:
+def _parse_separator_path(text: str, g: EmbeddedPlanarGraph) -> list[int]:
     """The ids of the `path k x_1 .. x_k` record; BadParams unless it holds
-    exactly k vertex ids of a graph on n vertices."""
+    exactly k distinct vertex ids of g, each joined to the next by an edge."""
+    n = g.n
     for line in text.splitlines():
         parts = line.split()
         if parts and parts[0] == "path":
@@ -169,6 +171,11 @@ def _parse_separator_path(text: str, n: int) -> list[int]:
             outside = [x for x in ids if not 0 <= x < n]
             if outside:
                 raise BadParams(f"path ids {outside} are not vertices of the graph (n={n})")
+            if len(set(ids)) != len(ids):
+                raise BadParams(f"path record repeats a vertex: {ids}")
+            for a, b in zip(ids, ids[1:]):
+                if all(d.head != b for d in g.rotation[a]):
+                    raise BadParams(f"path ids {a} and {b} share no edge")
             return ids
     raise PlanarSepError("no 'path' record in separator file")
 

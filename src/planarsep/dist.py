@@ -6,13 +6,12 @@ part holding every vertex.
 
 Every phase is a vertex program run on the synchronous simulator; the
 only channels are the darts of the (per-part, augmented) rotation
-systems installed as local knowledge.  Two phases work on face rings:
-consecutive boundary darts of a face share a vertex, so a face is a
-communication ring, and a token forwarded from position dart d lands at
+systems installed as local knowledge.  Learning face ids works on face
+rings: consecutive boundary darts of a face share a vertex, so a face is
+a communication ring, and a token forwarded from position dart d lands at
 head(d), which derives the receiving position locally as the rotation
-successor of the arrival dart.  Learning face ids and the critical
-case's boundary prefixes use them; everything else runs on T, on single
-cotree edges, or by part-wise aggregation.
+successor of the arrival dart.  Everything else runs on T, on single
+cotree edges or ring hops, or by part-wise aggregation.
 
 Phase order: root the given tree, learn face ids (min-filtered tokens
 around each ring, then one lap announcing the minimum, which is also the
@@ -22,13 +21,12 @@ face id as dual root, compute every dual subtree's weight and dart count
 from prefix sums along the contour of T (two waves over T and one
 exchange across each cotree edge), elect a balanced or critical node in
 three part-wise aggregations, claim the endpoints up T and broadcast
-them, and mark the path locally from the claims.  The critical case
-first passes boundary prefix sums once around the chosen face; their
-return to the anchor totals the face's weight, and a totals lap gives
-every ring position its virtual triangle's enclosed weight (the suffix
-of boundary choice-weights plus hanging child subtrees, exactly the
-sequential engine's formula) and its predecessor's heavy bit, so the
-first light position knows locally that it is the endpoint u.
+them, and mark the path locally from the claims.  In the critical case,
+every position on the chosen face's ring first reads its virtual
+triangle's enclosed weight off its own contour prefix (the suffix of
+boundary choice-weights plus hanging child subtrees, exactly the
+sequential engine's formula) and sends its heavy bit one hop along the
+ring, so the first light position knows locally that it is the endpoint u.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
 parents, maximum-id elections), so results serialize byte-identically.
@@ -73,7 +71,7 @@ from .treecotree import (
 T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
 T_TOK, T_FACE = 4, 5
 T_CUT, T_PRE, T_POS, T_SUBD = 6, 7, 9, 10
-T_IDX, T_IDXT = 11, 12
+T_HEAVY = 11
 T_UV = 16
 T_SUBW, T_LEN = 18, 19
 
@@ -81,7 +79,7 @@ _ARITY = {
     T_BFS: 2, T_CLAIM: 1, T_DEPTH: 1,
     T_TOK: 3, T_FACE: 3,
     T_CUT: 2, T_PRE: 2, T_POS: 2, T_SUBD: 2,
-    T_IDX: 3, T_IDXT: 2,
+    T_HEAVY: 1,
     T_UV: 2,
     T_SUBW: 1, T_LEN: 1,
 }
@@ -269,6 +267,14 @@ class DualSubtree(NamedTuple):
     darts: int          # boundary darts summed over the subtree
     parent_dart: Dart   # the face's side of its dual parent edge; its canonical dart at the root
     size: int           # the face's own boundary length
+    base: int           # unwrapped weight prefix (_unwrap) where the subtree's interval starts
+
+
+def _unwrap(pos: int, incl: int, root_pos: int, total: int) -> int:
+    """The weight prefix at contour position pos counted from the dual
+    root's canonical dart: positions before it wrap around.  In this order
+    every non-root dual subtree is one interval (base, base + weight]."""
+    return incl + (total if pos < root_pos else 0)
 
 
 class ContourProgram(VertexProgram):
@@ -294,7 +300,8 @@ class ContourProgram(VertexProgram):
     every child's contour position (with the dual root's), its weight
     prefix (with the part's total weight), then the contour length; and
     one frame of position and weight prefix across each cotree edge.
-    Each endpoint then resolves the edge locally.
+    Each endpoint then resolves the edge locally.  Every own dart's weight
+    prefix stays in the store, for the critical face's ring positions.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
@@ -315,7 +322,7 @@ class ContourProgram(VertexProgram):
             "total_darts": None,
             "len_sent": False,
             "cuts": sum(know.store["cotree_flag"].values()),
-            "incl": {},          # cotree dart -> weight marks up to and including it
+            "incl": {},          # own dart -> weight marks up to and including it
             "cut": {},           # cotree dart -> (position, incl) of its reverse
             "subtrees": {},      # face -> DualSubtree, for faces whose parent edge is here
             "child_sum": {},     # dart on a parent face's side -> weight behind the edge
@@ -355,11 +362,11 @@ class ContourProgram(VertexProgram):
         for d in st["order"]:
             if d == corner:
                 acc += know.weight
+            st["incl"][d] = acc
             if d in kids:
                 out.append((d, pack((T_PRE, acc, total))))
                 acc += kids[d]
             elif flags[d]:
-                st["incl"][d] = acc
                 out.append((d, pack((T_CUT, st["first"] + st["rel"][d], acc))))
 
     def _send_len(self, know, st, out) -> None:
@@ -369,7 +376,8 @@ class ContourProgram(VertexProgram):
 
     def _resolve(self, know, st) -> None:
         """Each cotree edge here: which side is the dual subtree below it,
-        and that subtree's weight and dart count."""
+        and that subtree's weight, dart count and base (the unwrapped prefix
+        at the parent face's side of the edge)."""
         store = know.store
         faces, sizes = store["face"], store["size"]
         W, M, R = st["total_weight"], st["total_darts"], st["root_pos"]
@@ -380,16 +388,20 @@ class ContourProgram(VertexProgram):
             if i < R <= j:  # the dual root is on j's side: the subtree is i's
                 weight, darts, inner = W - weight, M - darts, i
             if inner == p:  # d's own face is the child
-                st["subtrees"][faces[d]] = DualSubtree(weight, darts, d, sizes[d])
+                st["subtrees"][faces[d]] = DualSubtree(
+                    weight, darts, d, sizes[d], _unwrap(q, q_incl, R, W)
+                )
             else:  # d lies on the parent face; its successor on the child
                 st["child_sum"][d] = weight
                 child_side = know.rot_next(d)
                 st["subtrees"][faces[child_side]] = DualSubtree(
-                    weight, darts, d.reverse(), sizes[child_side]
+                    weight, darts, d.reverse(), sizes[child_side], _unwrap(p, p_incl, R, W)
                 )
         root_face = store["dual_root"]
         if root_face.tail == know.vid:
-            st["subtrees"][root_face] = DualSubtree(W, M, root_face, sizes[root_face])
+            st["subtrees"][root_face] = DualSubtree(
+                W, M, root_face, sizes[root_face], st["incl"][root_face]
+            )
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         store = know.store
@@ -445,91 +457,63 @@ class ContourProgram(VertexProgram):
 
 
 class PrefixProgram(VertexProgram):
-    """One ring pass over the critical face storing position indexes and
-    prefix sums of choice-weights and child subtrees, then a totals lap.
-    The anchor adds its own choice-weight to the returning sums, so the
-    total is the face's weight plus its child subtrees: every vertex that
-    chose the face is on its ring once (a repeat raises NotBiconnected).
+    """The critical face's ring positions, each with its virtual triangle's
+    enclosed weight, and one heavy bit to the ring successor.
 
-    On the totals lap, position t derives s_t, the subtree weight of the
-    t-th virtual triangle (the total less the choice-weights of positions
-    1..t and the child subtrees before t), and passes on whether it is
-    heavy, above 3/4 of the part's weight.  s is non-increasing, so the
-    heavy positions are 1..j, and the first light one is u = v_{j+1},
-    whose s_t is the enclosed weight: every position checks monotonicity
-    against its predecessor's bit, so j needs no search.
+    A vertex holds at most one dart on the face (two raise
+    NotBiconnected), its position.  The contour lists the face's darts in
+    ring order from v_1, the head of the anchor, with only the child
+    subtrees hanging at earlier boundary edges between them, so position t
+    reads s_t, the subtree weight of the t-th virtual triangle, off its own
+    unwrapped prefix: the face's base plus its subtree weight, less the
+    prefix at its dart.  s_1 is the face's own subtree, heavy by its
+    election, and v_k (the anchor's tail) starts no triangle.
+
+    At round 0 positions 1..k-1 send whether they are heavy, above 3/4 of
+    the part's weight.  s is non-increasing, so the heavy positions are
+    1..j and the first light one is u = v_{j+1}, whose s_t is the enclosed
+    weight: every position checks monotonicity against its predecessor's
+    bit, so j needs no search.
     """
 
     def init(self, know: LocalKnowledge) -> dict:
         store = know.store
         st = {
-            "anchor": None, "prefix_idx": None, "prefix_pos": None, "prefix_total": None,
-            "prefix_u": False, "prefix_s": None, "pc_incl": None, "pcs_excl": None,
-            "anchor_done": False, "active": False,
+            "prefix_pos": None, "prefix_s": None, "prefix_u": False, "heavy": None,
+            "hears": False,
         }
         if store.get("case_code") != CASE_VIRTUAL:
             return st
-        # the ring is the face's corners; its anchor's tail starts the pass
-        st["active"] = store["case_face"] in store["face"].values()
-        st["choice"] = know.weight if store["chosen"] == store["case_face"] else 0
-        anchor = store["case_anchor"]
-        if anchor is not None and anchor.tail == know.vid:
-            st["anchor"] = anchor
+        f = store["case_face"]
+        on_face = [d for d in know.rotation if store["face"][d] == f]
+        if len(on_face) > 1:
+            raise NotBiconnected(f"vertex {know.vid} appears twice on face {f}")
+        if not on_face:
+            return st
+        d = st["prefix_pos"] = on_face[0]
+        # the anchor's endpoints hold it; at the dual root it is the face id
+        anchor = f if f == store["dual_root"] else store["case_anchor"]
+        if anchor is not None and know.vid == anchor.head:
+            st["heavy"] = 1
+            return st
+        st["hears"] = True  # its ring predecessor's heavy bit
+        if anchor is None or know.vid != anchor.tail:
+            W = store["total_weight"]
+            p_d = _unwrap(store["first"] + store["rel"][d], store["incl"][d], store["root_pos"], W)
+            st["prefix_s"] = store["case_base"] - p_d
+            st["heavy"] = int(exceeds_beta(st["prefix_s"], W))
         return st
 
-    def _heavy(self, know, st) -> int:
-        """Whether the t-th virtual triangle's subtree exceeds 3/4: s_1 is
-        the critical face's own subtree, heavy by its election, and
-        position k - 1 starts no triangle."""
-        t, k = st["prefix_idx"], know.store["case_k"]
-        if t == k - 1:
-            return 0
-        heavy = t == 1
-        if not heavy:
-            s_t = st["prefix_s"] = st["prefix_total"] - st["pc_incl"] - st["pcs_excl"]
-            heavy = exceeds_beta(s_t, know.store["total_weight"])
-        assert not (heavy and t == k - 2), "last triangle subtree exceeds 3/4"
-        return int(heavy)
-
     def step(self, r, know: LocalKnowledge, st, inbox):
-        if not st["active"]:
-            return [], True
-        out = []
         if r == 0:
-            if st["anchor"] is not None:
-                out.append((st["anchor"], pack((T_IDX, 1, 0, 0))))
-            return out, False
-        for k, frame in inbox.items():
-            slot = know.rot_next(k)
-            if frame[0] == T_IDX:
-                i, pc, pcs = frame[1], frame[2], frame[3]
-                if slot == st["anchor"]:
-                    assert i == know.store["case_k"], "ring length mismatch"
-                    st["prefix_total"] = pc + st["choice"] + pcs
-                    out.append((slot, pack((T_IDXT, st["prefix_total"], 1))))
-                else:
-                    if st["prefix_idx"] is not None:
-                        raise NotBiconnected(
-                            f"vertex {know.vid} appears twice on face "
-                            f"{know.store['case_face']}"
-                        )
-                    cs = know.store["child_sum"].get(slot, 0)
-                    st["prefix_idx"], st["prefix_pos"] = i, slot
-                    st["pcs_excl"], st["pc_incl"] = pcs, pc + st["choice"]
-                    out.append((slot, pack((T_IDX, i + 1, st["pc_incl"], pcs + cs))))
-            elif slot == st["anchor"]:
-                st["anchor_done"] = True
-            else:
-                st["prefix_total"], pred = frame[1], frame[2]
-                heavy = self._heavy(know, st)
-                assert pred or not heavy, "enclosed weight not monotone"
-                # the first light position; position k - 1 never has a heavy
-                # predecessor, by the check at k - 2
-                st["prefix_u"] = bool(pred and not heavy)
-                out.append((slot, pack((T_IDXT, frame[1], heavy))))
-        if st["anchor"] is not None:
-            return out, st["anchor_done"]
-        return out, st["prefix_total"] is not None
+            heavy = st["heavy"]
+            out = [] if heavy is None else [(st["prefix_pos"], pack((T_HEAVY, heavy)))]
+            return out, not st["hears"]
+        (frame,) = inbox.values()
+        if st["heavy"] is not None:  # v_k only listens
+            assert frame[1] or not st["heavy"], "enclosed weight not monotone"
+            st["prefix_u"] = bool(frame[1] and not st["heavy"])  # the first light position
+        return [], True
 
 
 # -- endpoint claims and dissemination ------------------------------------------
@@ -554,7 +538,7 @@ class ClaimProgram(VertexProgram):
         """(u + 1, v + 1) where this vertex is that endpoint, else 0.  The
         endpoints of the chosen face's anchor know it; a balanced face is
         never the dual root, so its anchor is its dual parent dart.  In the
-        virtual case, u learned it on the prefix pass's totals lap."""
+        virtual case, u learned it from its predecessor's heavy bit."""
         store = know.store
         ad = store["case_anchor"]
         code = store["case_code"]
@@ -760,7 +744,10 @@ class DistPipeline:
     def run_dual_sums(self):
         self._run(
             "dual_subtree_sums", ContourProgram(), charge_units=2,
-            publish=("subtrees", "child_sum", "total_weight", "total_darts"),
+            publish=(
+                "subtrees", "child_sum", "total_weight", "total_darts",
+                "first", "rel", "incl", "root_pos",
+            ),
         )
 
     def run_detect(self):
@@ -803,10 +790,10 @@ class DistPipeline:
         ], "MAX", pt)
 
         # every vertex decodes the chosen face from its election key; the
-        # face's holders publish its case and boundary length, and keep its
+        # face's holders publish its case and, for a virtual critical face,
+        # where its subtree's interval ends (base plus weight), and keep its
         # anchor (the face's side of its dual parent edge, or its canonical
         # dart at the root) next to its subtree sums
-        kbits = (8 * n).bit_length() + 1
         case_in = [0] * n
         for v, store in enumerate(stores):
             store["case_face"] = dec_face((bal[v] or crit[v] % space) - 1, n)
@@ -820,17 +807,17 @@ class DistPipeline:
                 # a face has dual children iff its subtree has more darts
                 code = CASE_VIRTUAL if sub.darts > sub.size else CASE_LEAF
             store["case_anchor"] = sub.parent_dart
-            case_in[v] = (code << kbits) | sub.size
-        case_k = self.aggregate(case_in, "MAX", pt)
+            base_sum = sub.weight + sub.base if code == CASE_VIRTUAL else 0
+            case_in[v] = (base_sum << 2) | code
+        case = self.aggregate(case_in, "MAX", pt)
         for v, store in enumerate(stores):
-            store["case_code"] = case_k[v] >> kbits
-            store["case_k"] = case_k[v] & ((1 << kbits) - 1)
+            store["case_code"], store["case_base"] = case[v] & 3, case[v] >> 2
         self.trace.interval_lengths.append(pt.honest_rounds)
 
     def run_prefix(self):
         self._run(
             "mark_prefix", PrefixProgram(), charge_units=1,
-            publish=("prefix_idx", "prefix_pos", "prefix_total", "prefix_u", "prefix_s"),
+            publish=("prefix_pos", "prefix_u", "prefix_s"),
         )
 
     def run_search(self) -> dict[int, dict]:
@@ -878,9 +865,11 @@ class DistPipeline:
         anchor = v_store["case_anchor"]
         if code == CASE_VIRTUAL:
             # u found itself on the prefix pass: its ring slot embeds the
-            # new edge, and its triangle's subtree is the enclosed weight
+            # new edge, and its triangle's subtree is the enclosed weight.
+            # Given the monotonicity checks, u = v_{k-1} iff s_{k-2} is heavy
             u_store = self.know[u].store
             slot_u = u_store["prefix_pos"]
+            assert slot_u.head != v, "last triangle subtree exceeds 3/4"
             closing = ClosingEdge(
                 kind="virtual",
                 endpoints=(u, v),

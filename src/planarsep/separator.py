@@ -15,9 +15,10 @@ suffix of boundary choice-weights plus the hanging child subtrees:
 
 s is non-increasing in t, so the deepest triangle with s_t above the 3/4
 threshold is a maximum, and its child triangle yields the virtual edge
-(v_{j+1}, v_k).  The message-passing engine computes the same quantities
-in ring passes, where v_{j+1} is the first light position after a heavy
-one; all tie-breaks here are id-based so both engines agree byte-for-byte.
+(v_{j+1}, v_k).  The message-passing engine reads the same quantities
+off weight prefixes along the contour of the spanning tree, and v_{j+1} is
+the first light ring position after a heavy one; all tie-breaks here are
+id-based so both engines agree byte-for-byte.
 """
 
 from __future__ import annotations

@@ -310,6 +310,18 @@ def test_face_rings_stay_subquadratic():
         assert large <= 2.5 * small, counts
 
 
+def test_phase_rounds_within_tree_height():
+    """Outside learn_faces no phase walks a face ring: on a cycle whose
+    outer face holds every vertex, each takes O(height(T)) honest rounds."""
+    for n in (100, 200, 300, 400):
+        g = cycle_chords(n, n // 6, seed=1)
+        t = bfs_tree(g, 0)
+        _, trace = dist_compute_separator(g, t)
+        for p in trace.phases:
+            if p.name != "learn_faces":
+                assert p.honest_rounds <= 6 * (t.height() + 1), (n, p.name, p.honest_rounds)
+
+
 def test_dual_subtree_sums_match_sequential(tri60):
     t = bfs_tree(tri60, 0)
     stores, _ = _full_run(tri60, t)
@@ -474,10 +486,12 @@ def _part_graph(g, members, tree):
 def _check_claim_wave(g, part_of, trees):
     """mark_search is one claim convergecast and one endpoint broadcast:
     2·height(T)+1 honest rounds (the tallest part's) and one message each
-    way on every tree edge.  In a critical-virtual part, every ring
-    position t in 2..k-2 holds the sequential s_t, and exactly one vertex,
-    the sequential v_{j+1}, found itself to be u on the totals lap.
-    Returns the number of critical-virtual parts."""
+    way on every tree edge.  mark_prefix is one frame from each ring
+    position to its successor: 2 honest rounds.  In a critical-virtual
+    part, every ring position t in 2..k-2 holds its sequential boundary
+    dart and s_t, and exactly one vertex, the sequential v_{j+1}, found
+    itself to be u from its predecessor's heavy bit.  Returns the number
+    of critical-virtual parts."""
     pipe = DistPipeline(
         g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
         tree_roots={pid: t.root for pid, t in trees.items()},
@@ -496,22 +510,28 @@ def _check_claim_wave(g, part_of, trees):
         sub, tree = _part_graph(g, members, trees[pid])
         diag = compute_separator(sub, tree).diagnostics
         j, s, vs = diag["j"], diag["s"], diag["scan"].vs
+        boundary = [Dart(members[d.tail], members[d.head], d.copy) for d in diag["scan"].boundary]
         stores = {members[i]: pipe.know[members[i]].store for i in range(len(members))}
         assert [x for x, st in stores.items() if st["prefix_u"]] == [members[vs[j]]]
         assert stores[members[vs[j]]]["prefix_s"] == s[j] == outs[pid].result.interior_weight
         for t in range(2, len(vs) - 1):
-            assert stores[members[vs[t - 1]]]["prefix_idx"] == t
+            assert stores[members[vs[t - 1]]]["prefix_pos"] == boundary[t - 1]
             assert stores[members[vs[t - 1]]]["prefix_s"] == s[t - 1]
+    prefix = next(p for p in pipe.trace.phases if p.name == "mark_prefix")
+    assert prefix.honest_rounds == (2 if virtual else 1)
     return virtual
 
 
 def test_probe_monotonicity_and_count():
     """The search for j is gone: the claim wave's rounds and messages are
-    exact, and the totals lap's heavy bits pick the sequential j."""
+    exact, and the ring positions' heavy bits pick the sequential j.  Under
+    a BFS tree the pinned instance's critical face is the dual root, whose
+    anchor is its canonical dart; under its pinned tree it is not."""
     pinned, tree_edges, _, _ = pinned_critical_instance()
     for g, tree in (
         (grid(8, 8), None),
         (pinned, tree_from_edges(pinned, tree_edges, root=0)),
+        (pinned, bfs_tree(pinned, 0)),
         (cycle_chords(40, 6, seed=1), None),
     ):
         tree = tree or bfs_tree(g, 0)

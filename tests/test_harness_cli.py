@@ -239,10 +239,14 @@ def test_cli_verify_separator_file(tmp_path, capsys):
     assert main(["verify", "--graph", str(gfile), "--separator", str(sfile)]) == 0
 
 
-@pytest.mark.parametrize("record", ["path 2 a b", "path 3 0 1", "path 2 0 99", "path -1", "path"])
+@pytest.mark.parametrize("record", [
+    "path 2 a b", "path 3 0 1", "path 2 0 99", "path -1", "path",
+    "path 3 4 4 4", "path 2 0 8",
+])
 def test_cli_verify_rejects_malformed_path_record(record, tmp_path, capsys):
-    """A path record must hold exactly its announced count of vertex ids;
-    each of these verified a different vertex set than the file names."""
+    """A path record must hold exactly its announced count of vertex ids,
+    forming a simple path of the graph: no repeated id, and an edge between
+    consecutive ids.  Each of these verified some vertex set before."""
     from planarsep.generators import grid as mkgrid
 
     gfile = tmp_path / "g.txt"
