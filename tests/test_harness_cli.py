@@ -246,7 +246,8 @@ def test_cli_verify_separator_file(tmp_path, capsys):
 def test_cli_verify_rejects_malformed_path_record(record, tmp_path, capsys):
     """A path record must hold exactly its announced count of vertex ids,
     forming a simple path of the graph: no repeated id, and an edge between
-    consecutive ids.  Each of these verified some vertex set before."""
+    consecutive ids.  Each of these would otherwise be judged as if it were
+    a separator path."""
     from planarsep.generators import grid as mkgrid
 
     gfile = tmp_path / "g.txt"
