@@ -51,6 +51,24 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a wrongly typed field would parse into a different run (a str
+        # seed seeds random.Random differently) or fail deep inside one
+        for key in ("name", "generator", "weights"):
+            if not isinstance(getattr(self, key), str):
+                raise BadParams(f"{key} must be a string, got {getattr(self, key)!r}")
+        if not isinstance(self.params, dict):
+            raise BadParams(f"params must be an object, got {self.params!r}")
+        for key in ("seed", "weight_seed"):
+            if type(getattr(self, key)) is not int:
+                raise BadParams(f"{key} must be an int, got {getattr(self, key)!r}")
+        if type(self.max_rounds) is not int or self.max_rounds < 1:
+            raise BadParams(f"max_rounds must be a positive int, got {self.max_rounds!r}")
+        if self.bit_budget is not None and (
+            type(self.bit_budget) is not int or self.bit_budget < 1
+        ):
+            raise BadParams(
+                f"bit_budget must be null or a positive int, got {self.bit_budget!r}"
+            )
         if self.engine not in ENGINES:
             raise BadParams(f"unknown engine {self.engine!r}, expected one of {ENGINES}")
         if self.pa_backend not in PA_BACKENDS:
@@ -131,7 +149,9 @@ def run_experiment(spec: ExperimentSpec, deep_checks: bool = True) -> dict:
         "f": g.f,
         "diameter": diameter,
         "tree_depth": tree.height(),
-        "bit_budget": spec.bit_budget or default_bit_budget(g.n),
+        "bit_budget": (
+            default_bit_budget(g.n) if spec.bit_budget is None else spec.bit_budget
+        ),
         "ok": True,
         "failures": [],
     }

@@ -75,6 +75,29 @@ def test_spec_missing_generator_param_is_bad_params(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_wrongly_typed_spec_fields_are_bad_params(tmp_path, capsys):
+    """A field of the wrong type is refused before anything runs: no str
+    seed that seeds a different instance, no bool round limit, no
+    traceback from a str budget or a list of params."""
+    good = {"name": "x", "generator": "grid", "params": {"rows": 4, "cols": 4}}
+    for field, value in [
+        ("name", 3), ("generator", None), ("weights", 1), ("params", [1, 2]),
+        ("seed", "1"), ("seed", 1.0), ("seed", True), ("weight_seed", 1.5),
+        ("max_rounds", "50"), ("max_rounds", True), ("max_rounds", 0), ("max_rounds", 2.0),
+        ("bit_budget", "40"), ("bit_budget", 0), ("bit_budget", -8), ("bit_budget", False),
+    ]:
+        text = json.dumps({**good, field: value})
+        with pytest.raises(BadParams, match=field):
+            ExperimentSpec.from_json(text)
+        spec_file = tmp_path / "specs.ndjson"
+        spec_file.write_text(text + "\n")
+        assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "r.ndjson")]) == 2
+        assert field in capsys.readouterr().err
+    spec = ExperimentSpec(**good, seed=1, weight_seed=2, max_rounds=10**6, bit_budget=64)
+    assert run_experiment(spec)["bit_budget"] == 64
+    assert run_experiment(ExperimentSpec(**good))["bit_budget"] == 40
+
+
 @pytest.mark.parametrize("field", ["engine", "pa_backend"])
 def test_unknown_engine_or_backend_is_bad_params(field):
     with pytest.raises(BadParams, match=field):
