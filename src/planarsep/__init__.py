@@ -48,6 +48,7 @@ from .oracles import (
     oracle_all_fundamental_cycles,
 )
 from .congest import (
+    DartTable,
     PartAggregator,
     Partition,
     PhaseTrace,

@@ -6,6 +6,13 @@ Each dart carries at most one payload per round and its encoded size
 (sum of bit lengths) must stay within the per-edge budget, default
 8 * ceil(log2(n+1)) bits.
 
+Darts are plain ints inside the engine: a DartTable numbers the darts of
+a rotation system once, in ascending (tail, head, copy) order, so that
+comparing ids compares darts.  A program sends on its own dart ids, and
+a payload lands in the receiver's inbox under the receiver's own id of
+the reverse dart.  Dart objects appear only where callers hand darts in
+or read them out.
+
 Two part-wise aggregation backends share one result contract: "honest"
 executes a convergecast + broadcast on a BFS tree of every part and
 counts true rounds; "charged" computes the folds out-of-band and books
@@ -19,8 +26,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .embedding import Dart, EmbeddedPlanarGraph
-from .errors import BitBudgetExceeded, RoundLimitExceeded
+from .embedding import Dart, EdgeId, EmbeddedPlanarGraph
+from .errors import BitBudgetExceeded, InconsistentRotation, RoundLimitExceeded
 from .treecotree import part_bfs_trees, part_members
 
 Payload = tuple[int, ...]
@@ -98,20 +105,68 @@ class RoundTrace:
         return "\n".join(lines) + "\n"
 
 
+class DartTable:
+    """The darts of a rotation system, numbered once.
+
+    rotations[v] lists v's darts, (tail, head, copy) triples with tail v,
+    in rotation order.  Ids ascend in (tail, head, copy) order, so int
+    order is dart order and v's ids fill the range lo[v]..lo[v+1]-1.  Flat
+    lists map an id to its tail, head, triple (the caller's own object),
+    reverse dart and rotation successor; rot[v] lists v's ids in rotation
+    order, and index maps a triple back to its id.  InconsistentRotation
+    unless every dart's reverse is present.
+    """
+
+    def __init__(self, rotations: Sequence[Sequence[tuple[int, int, int]]]):
+        triple: list[tuple[int, int, int]] = []
+        lo = [0]
+        for v, rot in enumerate(rotations):
+            for d in sorted(rot):
+                if d[0] != v:
+                    raise InconsistentRotation(f"dart {tuple(d)} in the rotation of vertex {v}")
+                triple.append(d)
+            lo.append(len(triple))
+        self.triple = triple
+        self.lo = lo
+        self.tail = [t for t, _h, _c in triple]
+        self.head = [h for _t, h, _c in triple]
+        self.index = index = {d: i for i, d in enumerate(triple)}
+        try:
+            self.rev = [index[h, t, c] for t, h, c in triple]
+        except KeyError as exc:
+            raise InconsistentRotation(f"dart {exc.args[0]} has no reverse") from None
+        self.rot = [tuple(index[d] for d in rot) for rot in rotations]
+        self.succ = [0] * len(triple)
+        for ids in self.rot:
+            for a, b in zip(ids, ids[1:] + ids[:1]):
+                self.succ[a] = b
+
+    def __len__(self) -> int:
+        return len(self.triple)
+
+    def dart(self, d: int) -> Dart:
+        """The Dart of id d, for callers outside the engine."""
+        return Dart(*self.triple[d])
+
+    def edge(self, d: int) -> EdgeId:
+        t, h, c = self.triple[d]
+        return (t, h, c) if t < h else (h, t, c)
+
+
 class VertexProgram:
     """Deterministic per-vertex state machine.
 
     init builds the mutable state from read-only local knowledge; step is
     called at round 0 and whenever the inbox is nonempty, and returns
-    (outbox, halt).  The inbox maps the receiving vertex's own dart to the
-    payload that arrived over it.  A step function must depend only on
-    (round, knowledge, state, inbox).
+    (outbox, halt): (own dart id, payload) pairs.  The inbox maps the
+    receiving vertex's own dart id to the payload that arrived over it.
+    A step function must depend only on (round, knowledge, state, inbox).
     """
 
     def init(self, know) -> dict:
         return {}
 
-    def step(self, round_no: int, know, state: dict, inbox: dict[Dart, Payload]):
+    def step(self, round_no: int, know, state: dict, inbox: dict[int, Payload]):
         raise NotImplementedError
 
     # A program may set state["_wake"] = True to be stepped next round even
@@ -122,24 +177,20 @@ class VertexProgram:
 class Simulator:
     """Lock-step engine over fixed channels; one instance runs many programs.
 
-    channels[v] lists v's own darts.  The routing table of sender v maps
-    each of its darts to the receiver's own copy of the reverse dart: the
-    key under which the payload lands in the inbox of the receiver, its
-    tail.
+    Every dart of the table is a channel of its tail.  A payload sent on
+    dart d lands in the inbox of head(d), keyed by the receiver's id of
+    the reverse dart.  Vertices step in ascending id order, or in the
+    order a scramble seed shuffles them into.
     """
 
     def __init__(
         self,
-        channels: Sequence[Sequence[Dart]],
+        darts: DartTable,
         bit_budget: Optional[int] = None,
         scramble: Optional[int] = None,
     ):
-        self.n = len(channels)
-        own = {d: d for row in channels for d in row}
-        self._route: list[dict[Dart, Dart]] = [{} for _ in range(self.n)]
-        for d in own:
-            rev = d.reverse()
-            self._route[d.tail][d] = own.get(rev, rev)
+        self.darts = darts
+        self.n = len(darts.rot)
         self.bit_budget = bit_budget if bit_budget is not None else default_bit_budget(self.n)
         self._order = list(range(self.n))
         self._rank: Optional[dict[int, int]] = None  # None: ascending ids
@@ -157,14 +208,14 @@ class Simulator:
     ) -> list[dict]:
         states = [program.init(knowledge[v]) for v in range(self.n)]
         step = program.step
-        route = self._route
+        lo, head, rev = self.darts.lo, self.darts.head, self.darts.rev
         budget = self.bit_budget
         bit_length = int.bit_length
         halted = [False] * self.n
         unhalted = self.n
         # this round's inboxes by receiver; a message sent in round r is
         # written straight into round r+1's inbox of its receiver
-        inboxes: dict[int, dict[Dart, Payload]] = {}
+        inboxes: dict[int, dict[int, Payload]] = {}
         # only messaged or self-woken vertices step (plus everyone at round 0)
         candidates: list[int] = list(self._order)
         rank = self._rank
@@ -182,7 +233,7 @@ class Simulator:
                         f"{trace.name}: {self.n - unhalted}/{self.n} halted "
                         f"after {max_rounds} rounds"
                     )
-                nxt: dict[int, dict[Dart, Payload]] = {}
+                nxt: dict[int, dict[int, Payload]] = {}
                 woken = []
                 stepped = False
                 for v in candidates:
@@ -200,22 +251,24 @@ class Simulator:
                         unhalted -= 1
                     if st.pop("_wake", False):
                         woken.append(v)
-                    table = route[v]
+                    first, end = lo[v], lo[v + 1]
                     for d, p in outbox:
-                        key = table.get(d)
-                        if key is None:
+                        if not first <= d < end:
                             raise AssertionError(f"vertex {v} sent on foreign dart {d}")
                         bits = sum(map(bit_length, p)) + p.count(0)  # == payload_bits(p)
                         if bits > budget:
                             if allow_wide:
                                 trace.overflow_flags += 1
                             else:
-                                raise BitBudgetExceeded(round_no, d, bits, budget)
+                                raise BitBudgetExceeded(
+                                    round_no, self.darts.dart(d), bits, budget
+                                )
                         messages += 1
                         total_bits += bits
                         if bits > max_bits:
                             max_bits = bits
-                        recv = key[0]
+                        key = rev[d]
+                        recv = head[d]
                         box = nxt.get(recv)
                         if box is None:
                             nxt[recv] = {key: p}
@@ -271,16 +324,19 @@ _UP, _DOWN = 1, 2
 
 
 class _PAProgram(VertexProgram):
-    """Convergecast to each part root, then broadcast the fold back down."""
+    """Convergecast to each part root, then broadcast the fold back down.
+    A vertex knows (its id, its parent dart or None, its child darts)."""
 
-    def __init__(self, op: str):
+    def __init__(self, op: str, inputs: Sequence[int]):
         self.op = op
+        self.inputs = inputs
 
     def init(self, know) -> dict:
-        return {"acc": know["input"], "pending": len(know["down"]), "sent": False}
+        return {"acc": self.inputs[know[0]], "pending": len(know[2]), "sent": False}
 
     def step(self, r, know, st, inbox):
         f = OPERATORS[self.op]
+        _v, up, down = know
         for payload in inbox.values():
             tag, value = payload
             if tag == _UP:
@@ -288,13 +344,14 @@ class _PAProgram(VertexProgram):
                 st["pending"] -= 1
             else:
                 st["result"] = value
-                return [(d, (_DOWN, value)) for d in know["down"]], True
+                return [(d, payload) for d in down], True
         if st["pending"] == 0 and not st["sent"]:
             st["sent"] = True
-            if know["up"] is None:
+            if up is None:
                 st["result"] = st["acc"]
-                return [(d, (_DOWN, st["acc"])) for d in know["down"]], True
-            return [(know["up"], (_UP, st["acc"]))], False
+                msg = (_DOWN, st["acc"])
+                return [(d, msg) for d in down], True
+            return [(up, (_UP, st["acc"]))], False
         return [], False
 
 
@@ -334,19 +391,17 @@ class PartAggregator:
         for v, p in enumerate(parent):
             if p is not None:
                 children[p].append(v)
-        self.know = [
-            {
-                "up": None if parent[v] is None else Dart(v, parent[v]),
-                "down": [Dart(v, c) for c in children[v]],
-                "input": None,
-            }
+        # the waves use tree darts only, so those are the only channels:
+        # each vertex's parent dart (if any) first, then its child darts
+        darts = DartTable([
+            ([] if parent[v] is None else [(v, parent[v], 0)]) + [(v, c, 0) for c in children[v]]
             for v in range(g.n)
+        ])
+        self.know = [
+            (v, None, ids) if parent[v] is None else (v, ids[0], ids[1:])
+            for v, ids in enumerate(darts.rot)
         ]
-        # the waves use tree darts only, so those are the only channels
-        self.sim = Simulator(
-            [([] if k["up"] is None else [k["up"]]) + k["down"] for k in self.know],
-            bit_budget=self.budget, scramble=scramble,
-        )
+        self.sim = Simulator(darts, bit_budget=self.budget, scramble=scramble)
 
     def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
         if operator not in OPERATORS:
@@ -366,10 +421,8 @@ class PartAggregator:
         if self.sim is None:
             trace.charged_rounds += self.charge
             return folds
-        for know, x in zip(self.know, inputs):
-            know["input"] = x
         before = trace.honest_rounds
-        states = self.sim.run(_PAProgram(operator), self.know, trace, allow_wide=wide)
+        states = self.sim.run(_PAProgram(operator, inputs), self.know, trace, allow_wide=wide)
         trace.charged_rounds += max(self.charge, trace.honest_rounds - before)
         results = [st["result"] for st in states]
         assert results == folds
@@ -394,21 +447,18 @@ def pa_aggregate(
 
 
 class _BroadcastProgram(VertexProgram):
-    def init(self, know):
-        return {}
+    """A vertex knows (whether it is a root, its child darts, the value)."""
 
     def step(self, r, know, st, inbox):
-        if r == 0 and know["parent"] is None:
-            st["value"] = know["value"]
-            return [
-                (Dart(know["vid"], c), (know["value"],)) for c in know["children"]
-            ], True
-        for _, payload in inbox.items():
+        is_root, down, value = know
+        if r == 0 and is_root:
+            st["value"] = value
+            msg = (value,)
+            return [(d, msg) for d in down], True
+        for payload in inbox.values():
             st["value"] = payload[0]
-            return [
-                (Dart(know["vid"], c), (payload[0],)) for c in know["children"]
-            ], True
-        return [], know["parent"] is None
+            return [(d, payload) for d in down], True
+        return [], is_root
 
     # a vertex with a parent keeps waiting until the value arrives
 
@@ -422,11 +472,12 @@ def broadcast_root(
     scramble: Optional[int] = None,
 ) -> list[int]:
     """All vertices learn `value` by flooding down the spanning tree."""
+    darts = DartTable(g.rotation)
     kids = tree.children()
     know = [
-        {"vid": v, "parent": tree.parent[v], "children": kids[v], "value": value}
+        (tree.parent[v] is None, [darts.index[v, c, 0] for c in kids[v]], value)
         for v in range(g.n)
     ]
-    sim = Simulator(g.rotation, bit_budget=bit_budget, scramble=scramble)
+    sim = Simulator(darts, bit_budget=bit_budget, scramble=scramble)
     states = sim.run(_BroadcastProgram(), know, trace)
     return [states[v].get("value") for v in range(g.n)]

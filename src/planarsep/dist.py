@@ -6,7 +6,11 @@ part holding every vertex.
 
 Every phase is a vertex program run on the synchronous simulator; the
 only channels are the darts of the (per-part, augmented) rotation
-systems installed as local knowledge.  Learning face ids works on face
+systems installed as local knowledge.  The pipeline numbers those darts
+once (congest.DartTable, ids in dart order) and every program, message
+key and store entry names a dart, or a face by its minimum dart, by id;
+Darts are built again only for the output.  Frames that name a dart on
+the wire still carry its (tail, head, copy).  Learning face ids works on face
 rings: consecutive boundary darts of a face share a vertex, so a face is
 a communication ring, and a token forwarded from position dart d lands at
 head(d), which derives the receiving position locally as the rotation
@@ -39,6 +43,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .biconnect import biconnect
 from .congest import (
+    DartTable,
     PartAggregator,
     Partition,
     RoundTrace,
@@ -47,7 +52,7 @@ from .congest import (
     default_bit_budget,
     pa_charge,
 )
-from .embedding import Dart, EmbeddedPlanarGraph, FaceId, build_embedding
+from .embedding import Dart, EmbeddedPlanarGraph, build_embedding
 from .errors import ConflictingRoot, DegenerateTotal, InvalidPartition, NotBiconnected
 from .separator import (
     ClosingEdge,
@@ -91,14 +96,16 @@ def pack(frame: tuple) -> tuple[int, ...]:
     return tuple(frame)
 
 
-def enc_face(f: FaceId, n: int) -> int:
-    assert f.copy < 16
-    return ((f.tail * (n + 1) + f.head) << 4) | f.copy
+def enc_face(f: tuple[int, int, int], n: int) -> int:
+    """A face id's (tail, head, copy) as one int, in the same order."""
+    tail, head, copy = f
+    assert copy < 16
+    return ((tail * (n + 1) + head) << 4) | copy
 
 
-def dec_face(x: int, n: int) -> FaceId:
+def dec_face(x: int, n: int) -> tuple[int, int, int]:
     th = x >> 4
-    return Dart(th // (n + 1), th % (n + 1), x & 15)
+    return (th // (n + 1), th % (n + 1), x & 15)
 
 
 CASE_BALANCED, CASE_LEAF, CASE_VIRTUAL = 1, 2, 3
@@ -109,22 +116,21 @@ _CASE_NAMES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalKnowledge:
-    """Everything a vertex may read; the store grows phase by phase."""
+    """Everything a vertex may read; the store grows phase by phase.
+
+    Darts are ids of the pipeline's DartTable.  A program reads the table
+    only at the vertex's own darts (and at darts named in its messages
+    or store), which is what the vertex knows of its rotation.
+    """
 
     vid: int
     weight: int
-    rotation: tuple[Dart, ...]
-    tree_darts: frozenset[Dart]
+    rotation: tuple[int, ...]       # own dart ids in rotation order
+    tree_darts: tuple[int, ...]     # own dart ids on T, ascending
     tree_root: int
     store: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._succ = dict(zip(self.rotation, self.rotation[1:] + self.rotation[:1]))
-
-    def rot_next(self, d: Dart) -> Dart:
-        return self._succ[d]
 
 
 # -- tree construction and rooting ------------------------------------------
@@ -133,10 +139,14 @@ class LocalKnowledge:
 class BfsProgram(VertexProgram):
     """BFS flood with smallest-id parents; detects conflicting roots."""
 
+    def __init__(self, darts: DartTable):
+        self.head = darts.head
+
     def init(self, know: LocalKnowledge) -> dict:
         return {"depth": None, "parent": None, "children": [], "announce_round": None}
 
     def step(self, r, know: LocalKnowledge, st, inbox):
+        head = self.head
         out = []
         announcers = []
         for k, frame in inbox.items():
@@ -145,27 +155,29 @@ class BfsProgram(VertexProgram):
                 if root_id != know.tree_root or know.vid == know.tree_root:
                     raise ConflictingRoot(
                         f"vertex {know.vid} (root {know.tree_root}) heard a wave "
-                        f"rooted at {root_id} from {k.head}"
+                        f"rooted at {root_id} from {head[k]}"
                     )
-                announcers.append((k.head, d))
+                announcers.append((head[k], d))
             elif frame[0] == T_CLAIM:
-                st["children"].append(k.head)
+                st["children"].append(head[k])
         if r == 0 and know.vid == know.tree_root:
             st["depth"] = 0
             st["announce_round"] = 0
-            out = [(d, pack((T_BFS, know.vid, 0))) for d in know.rotation]
+            wave = pack((T_BFS, know.vid, 0))
+            out = [(d, wave) for d in know.rotation]
         elif announcers and st["depth"] is None:
             d = min(dd for _, dd in announcers)
             st["depth"] = d + 1
             st["parent"] = min(h for h, dd in announcers if dd == d)
             st["announce_round"] = r
             claimed = False
+            wave = pack((T_BFS, know.tree_root, st["depth"]))
             for ch in know.rotation:
-                if ch.head == st["parent"] and not claimed:
+                if head[ch] == st["parent"] and not claimed:
                     claimed = True
                     out.append((ch, pack((T_CLAIM, st["depth"]))))
                 else:
-                    out.append((ch, pack((T_BFS, know.tree_root, st["depth"]))))
+                    out.append((ch, wave))
         ar = st["announce_round"]
         if ar is not None and r >= ar + 2:
             st["children"].sort()
@@ -178,10 +190,13 @@ class BfsProgram(VertexProgram):
 class TreeRootProgram(VertexProgram):
     """Depth flood along tree darts only; parents are forced, no ties.  A
     vertex's children are the heads of its tree darts other than its
-    parent dart."""
+    parent dart, as (child, dart) pairs in ascending dart order."""
+
+    def __init__(self, darts: DartTable):
+        self.head = darts.head
 
     def init(self, know: LocalKnowledge) -> dict:
-        return {"depth": None, "tree_parent_dart": None, "tree_children": []}
+        return {"depth": None, "tree_parent_dart": None, "tree_children": ()}
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         if r == 0 and know.vid == know.tree_root:
@@ -191,10 +206,12 @@ class TreeRootProgram(VertexProgram):
             st["depth"], st["tree_parent_dart"] = frame[1] + 1, k
         else:
             return [], False
-        st["tree_children"] = [
-            (d.head, d) for d in sorted(know.tree_darts) if d != st["tree_parent_dart"]
-        ]
-        return [(d, pack((T_DEPTH, st["depth"]))) for _c, d in st["tree_children"]], True
+        head = self.head
+        st["tree_children"] = tuple(
+            (head[d], d) for d in know.tree_darts if d != st["tree_parent_dart"]
+        )
+        msg = pack((T_DEPTH, st["depth"]))
+        return [(d, msg) for _c, d in st["tree_children"]], True
 
 
 # -- face discovery ----------------------------------------------------------
@@ -217,11 +234,19 @@ class LearnFacesProgram(VertexProgram):
     of the dart learns the face on its reverse side from it: the lap is
     also the face-id exchange across every edge.  A token never passes
     the minimum, so it never meets the announcement on a dart.
+
+    Tokens and announcements carry a dart's (tail, head, copy); the store
+    keeps face ids as dart ids.
     """
 
+    def __init__(self, darts: DartTable):
+        self.succ, self.index, self.triple = darts.succ, darts.index, darts.triple
+        self.tok = [pack((T_TOK,) + d) for d in darts.triple]  # a dart's own token
+
     def init(self, know: LocalKnowledge) -> dict:
+        tok = self.tok
         return {
-            "best": {d: d for d in know.rotation},
+            "best": {d: tok[d] for d in know.rotation},
             "best_round": {},
             "face": {},
             "size": {},
@@ -229,26 +254,27 @@ class LearnFacesProgram(VertexProgram):
         }
 
     def step(self, r, know: LocalKnowledge, st, inbox):
+        tok = self.tok
         if r == 0:
-            return [(d, pack((T_TOK,) + d)) for d in know.rotation], False
+            return [(d, tok[d]) for d in know.rotation], False
+        succ, index = self.succ, self.index
         out = []
         best, best_round, face = st["best"], st["best_round"], st["face"]
-        # every payload is one packed frame, read and forwarded in place; a
-        # token (tail, head, copy) compares with darts as a plain tuple
+        # every payload is one packed frame, read and forwarded in place;
+        # tokens share their tag, so they compare as their darts do
         for k, payload in inbox.items():
-            slot = know.rot_next(k)
+            slot = succ[k]
             if payload[0] == T_TOK:
-                t = payload[1:]
-                if t == slot:  # once around: slot is the face minimum
+                if payload == tok[slot]:  # once around: slot is the face minimum
                     face[slot] = slot
                     st["size"][slot] = r
-                    out.append((slot, pack((T_FACE,) + slot)))
-                elif t < best[slot]:
-                    best[slot] = t
+                    out.append((slot, pack((T_FACE,) + self.triple[slot])))
+                elif payload < best[slot]:
+                    best[slot] = payload
                     best_round[slot] = r
                     out.append((slot, payload))
             else:
-                f = st["rev_face"][k] = Dart(*payload[1:])
+                f = st["rev_face"][k] = index[payload[1:]]
                 if f != slot:  # the lap ends at the face minimum
                     face[slot] = f
                     st["size"][slot] = r - best_round[slot]
@@ -265,7 +291,7 @@ class DualSubtree(NamedTuple):
 
     weight: int         # face weights summed over the subtree
     darts: int          # boundary darts summed over the subtree
-    parent_dart: Dart   # the face's side of its dual parent edge; its canonical dart at the root
+    parent_dart: int    # the face's side of its dual parent edge; its canonical dart at the root
     size: int           # the face's own boundary length
     base: int           # unwrapped weight prefix (_unwrap) where the subtree's interval starts
 
@@ -282,8 +308,8 @@ class ContourProgram(VertexProgram):
     tour technique of Tarjan and Vishkin (SIAM J. Comput. 1985).
 
     The contour lists the 2m darts of a part: from the tree root's first
-    dart, a tree dart d is followed by rot_next(reverse(d)), any other
-    dart d by rot_next(d).  So every subtree of T owns one segment of it:
+    dart, a tree dart d is followed by succ(rev(d)), any other dart d by
+    succ(d).  So every subtree of T owns one segment of it:
     its root's darts in rotation order after the parent dart, each child's
     segment right after the dart to that child.  For a cotree edge whose
     darts sit at positions i < j, positions i+1..j hold the darts of the
@@ -300,9 +326,13 @@ class ContourProgram(VertexProgram):
     every child's contour position (with the dual root's), its weight
     prefix (with the part's total weight), then the contour length; and
     one frame of position and weight prefix across each cotree edge.
-    Each endpoint then resolves the edge locally.  Every own dart's weight
-    prefix stays in the store, for the critical face's ring positions.
+    Each endpoint then resolves the edge locally.  Every own dart's
+    unwrapped weight prefix stays in the store, in rotation order, for
+    the critical face's ring positions.
     """
+
+    def __init__(self, darts: DartTable):
+        self.succ, self.rev, self.tail = darts.succ, darts.rev, darts.tail
 
     def init(self, know: LocalKnowledge) -> dict:
         rot = know.rotation
@@ -310,22 +340,22 @@ class ContourProgram(VertexProgram):
         k = 0 if pd is None else rot.index(pd) + 1
         return {
             "order": rot[k:] + rot[:k],
-            "kid_darts": {},     # child dart -> (its subtree's dart count, root offset)
+            "kid_darts": {},     # child dart -> its T_SUBD frame: subtree's dart count, root offset
             "kid_weight": {},    # child dart -> its subtree's weight
-            "rel": None,         # own dart -> offset in the subtree's segment
+            "pos": None,         # own dart -> offset in the subtree's segment, then contour position
             "root_off": 0,       # 1 + offset of the dual root's canonical dart, 0 if outside
             "darts": None,
             "weight": None,
-            "first": None,       # contour position of the segment's first dart
             "root_pos": None,
             "total_weight": None,
             "total_darts": None,
             "len_sent": False,
             "cuts": sum(know.store["cotree_flag"].values()),
             "incl": {},          # own dart -> weight marks up to and including it
-            "cut": {},           # cotree dart -> (position, incl) of its reverse
+            "cut": {},           # cotree dart -> T_CUT frame: position and incl of its reverse
             "subtrees": {},      # face -> DualSubtree, for faces whose parent edge is here
             "child_sum": {},     # dart on a parent face's side -> weight behind the edge
+            "prefix": None,      # unwrapped weight prefix of each own dart, rotation order
         }
 
     def _segment(self, know, st) -> None:
@@ -341,16 +371,19 @@ class ContourProgram(VertexProgram):
                 st["root_off"] = p + 1
             p += 1
             if d in kids:
-                count, off = kids[d]
+                _tag, count, off = kids[d]
                 if off:
                     st["root_off"] = p + off
                 p += count
-        st["rel"], st["darts"] = rel, p
+        st["pos"], st["darts"] = rel, p
 
     def _place(self, know, st, first: int, root_pos: int, out) -> None:
-        st["first"], st["root_pos"] = first, root_pos
+        pos = st["pos"]
+        for d in pos:
+            pos[d] += first
+        st["root_pos"] = root_pos
         for _c, d in know.store["tree_children"]:
-            out.append((d, pack((T_POS, first + st["rel"][d] + 1, root_pos))))
+            out.append((d, pack((T_POS, pos[d] + 1, root_pos))))
 
     def _prefix(self, know, st, before: int, total: int, out) -> None:
         """Weight prefixes of the own darts, sent down T and across T*."""
@@ -358,21 +391,22 @@ class ContourProgram(VertexProgram):
         corner = know.store["corner"]
         flags = know.store["cotree_flag"]
         kids = st["kid_weight"]
+        pos, incl = st["pos"], st["incl"]
         acc = before
         for d in st["order"]:
             if d == corner:
                 acc += know.weight
-            st["incl"][d] = acc
+            incl[d] = acc
             if d in kids:
                 out.append((d, pack((T_PRE, acc, total))))
                 acc += kids[d]
             elif flags[d]:
-                out.append((d, pack((T_CUT, st["first"] + st["rel"][d], acc))))
+                out.append((d, pack((T_CUT, pos[d], acc))))
 
     def _send_len(self, know, st, out) -> None:
         st["len_sent"] = True
-        for _c, d in know.store["tree_children"]:
-            out.append((d, pack((T_LEN, st["total_darts"]))))
+        msg = pack((T_LEN, st["total_darts"]))
+        out.extend((d, msg) for _c, d in know.store["tree_children"])
 
     def _resolve(self, know, st) -> None:
         """Each cotree edge here: which side is the dual subtree below it,
@@ -381,10 +415,11 @@ class ContourProgram(VertexProgram):
         store = know.store
         faces, sizes = store["face"], store["size"]
         W, M, R = st["total_weight"], st["total_darts"], st["root_pos"]
-        for d, (q, q_incl) in st["cut"].items():
-            p, p_incl = st["first"] + st["rel"][d], st["incl"][d]
-            (i, i_incl), (j, j_incl) = sorted(((p, p_incl), (q, q_incl)))
-            weight, darts, inner = j_incl - i_incl, j - i, j
+        pos, incl = st["pos"], st["incl"]
+        for d, (_tag, q, q_incl) in st["cut"].items():
+            p, p_incl = pos[d], incl[d]
+            i, j, weight = (p, q, q_incl - p_incl) if p < q else (q, p, p_incl - q_incl)
+            darts, inner = j - i, j
             if i < R <= j:  # the dual root is on j's side: the subtree is i's
                 weight, darts, inner = W - weight, M - darts, i
             if inner == p:  # d's own face is the child
@@ -393,15 +428,16 @@ class ContourProgram(VertexProgram):
                 )
             else:  # d lies on the parent face; its successor on the child
                 st["child_sum"][d] = weight
-                child_side = know.rot_next(d)
+                child_side = self.succ[d]
                 st["subtrees"][faces[child_side]] = DualSubtree(
-                    weight, darts, d.reverse(), sizes[child_side], _unwrap(p, p_incl, R, W)
+                    weight, darts, self.rev[d], sizes[child_side], _unwrap(p, p_incl, R, W)
                 )
         root_face = store["dual_root"]
-        if root_face.tail == know.vid:
+        if self.tail[root_face] == know.vid:
             st["subtrees"][root_face] = DualSubtree(
-                W, M, root_face, sizes[root_face], st["incl"][root_face]
+                W, M, root_face, sizes[root_face], incl[root_face]
             )
+        st["prefix"] = tuple([_unwrap(pos[d], incl[d], R, W) for d in know.rotation])
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         store = know.store
@@ -410,7 +446,7 @@ class ContourProgram(VertexProgram):
         for k, frame in inbox.items():
             tag = frame[0]
             if tag == T_SUBD:
-                st["kid_darts"][k] = frame[1:]
+                st["kid_darts"][k] = frame
             elif tag == T_SUBW:
                 st["kid_weight"][k] = frame[1]
             elif tag == T_POS:
@@ -421,7 +457,7 @@ class ContourProgram(VertexProgram):
                 st["total_darts"] = frame[1]
                 self._send_len(know, st, out)
             else:
-                st["cut"][k] = frame[1:]
+                st["cut"][k] = frame
         # at most one new frame per dart and round: dart count, then weight,
         # then (at the tree root) the contour length
         kids = len(store["tree_children"])
@@ -453,6 +489,7 @@ class ContourProgram(VertexProgram):
         return out, done
 
 
+
 # -- critical-case boundary prefixes ------------------------------------------
 
 
@@ -476,6 +513,9 @@ class PrefixProgram(VertexProgram):
     bit, so j needs no search.
     """
 
+    def __init__(self, darts: DartTable):
+        self.darts = darts
+
     def init(self, know: LocalKnowledge) -> dict:
         store = know.store
         st = {
@@ -485,22 +525,25 @@ class PrefixProgram(VertexProgram):
         if store.get("case_code") != CASE_VIRTUAL:
             return st
         f = store["case_face"]
-        on_face = [d for d in know.rotation if store["face"][d] == f]
+        faces = store["face"]
+        on_face = [i for i, d in enumerate(know.rotation) if faces[d] == f]
         if len(on_face) > 1:
-            raise NotBiconnected(f"vertex {know.vid} appears twice on face {f}")
+            raise NotBiconnected(
+                f"vertex {know.vid} appears twice on face {self.darts.dart(f)}"
+            )
         if not on_face:
             return st
-        d = st["prefix_pos"] = on_face[0]
+        i, = on_face
+        st["prefix_pos"] = know.rotation[i]
         # the anchor's endpoints hold it; at the dual root it is the face id
         anchor = f if f == store["dual_root"] else store["case_anchor"]
-        if anchor is not None and know.vid == anchor.head:
+        if anchor is not None and know.vid == self.darts.head[anchor]:
             st["heavy"] = 1
             return st
         st["hears"] = True  # its ring predecessor's heavy bit
-        if anchor is None or know.vid != anchor.tail:
+        if anchor is None or know.vid != self.darts.tail[anchor]:
             W = store["total_weight"]
-            p_d = _unwrap(store["first"] + store["rel"][d], store["incl"][d], store["root_pos"], W)
-            st["prefix_s"] = store["case_base"] - p_d
+            st["prefix_s"] = store["case_base"] - store["prefix"][i]
             st["heavy"] = int(exceeds_beta(st["prefix_s"], W))
         return st
 
@@ -528,6 +571,9 @@ class ClaimProgram(VertexProgram):
     path.
     """
 
+    def __init__(self, darts: DartTable):
+        self.tail, self.head = darts.tail, darts.head
+
     def init(self, know: LocalKnowledge) -> dict:
         return {
             "agg_uv": self._uv_claim(know), "kid_uv": {}, "sep_u": None, "sep_v": None,
@@ -545,20 +591,20 @@ class ClaimProgram(VertexProgram):
         u = v = None
         if code == CASE_VIRTUAL:
             u = know.vid if store["prefix_u"] else None
-            v = ad.tail if ad is not None else None
+            v = self.tail[ad] if ad is not None else None
         elif ad is None:
             return 0, 0
         elif code == CASE_BALANCED:
-            u, v = sorted((ad.tail, ad.head))
+            u, v = sorted((self.tail[ad], self.head[ad]))
         else:
-            u, v = ad.head, ad.tail
+            u, v = self.head[ad], self.tail[ad]
         me = know.vid
         return (me + 1 if me == u else 0), (me + 1 if me == v else 0)
 
     def _broadcast(self, know, st, u: int, v: int, out):
         st["sep_u"], st["sep_v"] = u - 1, v - 1
-        for _c, d in know.store["tree_children"]:
-            out.append((d, pack((T_UV, u, v))))
+        msg = pack((T_UV, u, v))
+        out.extend((d, msg) for _c, d in know.store["tree_children"])
         st["done"] = True
 
     def step(self, r, know: LocalKnowledge, st, inbox):
@@ -630,6 +676,10 @@ class DistPipeline:
     inter-part edges carry no traffic.  Super-round scheduling is by
     phase: each phase is one simulator run covering all parts, and the
     realized interval lengths are published in the trace.
+
+    global_rot's Darts are numbered once, in one DartTable (`darts`);
+    every phase program and store works on those ids, and assemble turns
+    them back into Darts.
     """
 
     def __init__(
@@ -654,22 +704,21 @@ class DistPipeline:
         self.diameter = diameter_estimate(g)
         self._unit = pa_charge(self.diameter, g.n)
 
+        self.darts = darts = DartTable([global_rot[v] for v in range(g.n)])
         self.know = [
             LocalKnowledge(
                 vid=v,
                 weight=weights[v],
-                rotation=global_rot[v],
-                tree_darts=frozenset(
-                    d for d in global_rot[v] if d.edge() in trees[pid].edges
+                rotation=darts.rot[v],
+                tree_darts=tuple(
+                    d for d in range(darts.lo[v], darts.lo[v + 1])
+                    if darts.edge(d) in trees[pid].edges
                 ),
                 tree_root=tree_roots[pid],
             )
             for v, pid in enumerate(part_of)
         ]
-        self.sim = Simulator(
-            [know.rotation for know in self.know], bit_budget=self.budget,
-            scramble=config.scramble,
-        )
+        self.sim = Simulator(darts, bit_budget=self.budget, scramble=config.scramble)
         self.aggregate = PartAggregator(
             g, Partition(tuple(part_of)), config.backend, bit_budget=self.budget,
             diameter=self.diameter, scramble=config.scramble,
@@ -706,13 +755,13 @@ class DistPipeline:
 
     def run_tree_root(self):
         self._run(
-            "tree_root", TreeRootProgram(), charge_units=1,
+            "tree_root", TreeRootProgram(self.darts), charge_units=1,
             publish=("tree_parent_dart", "tree_children"),
         )
 
     def run_learn_faces(self):
         self._run(
-            "learn_faces", LearnFacesProgram(), charge_units=1,
+            "learn_faces", LearnFacesProgram(self.darts), charge_units=1,
             publish=("face", "size", "rev_face"),
         )
 
@@ -732,22 +781,25 @@ class DistPipeline:
             know.store["corner"] = min(d for d in know.rotation if faces[d] == chosen)
 
     def run_root_election(self):
+        # enc_face keeps dart order, so a vertex's largest face id encodes largest
         pt = self.trace.phase("root_election")
+        triple = self.darts.triple
         inputs = [
-            max(enc_face(f, self.n) for f in self.know[v].store["face"].values())
-            for v in range(self.n)
+            enc_face(triple[max(know.store["face"].values())], self.n) for know in self.know
         ]
         encs = self.aggregate(inputs, "MAX", pt)
         self.trace.interval_lengths.append(pt.honest_rounds)
-        self._store("dual_root", [dec_face(e, self.n) for e in encs])
+        self._store("dual_root", self._dec_faces(encs))
+
+    def _dec_faces(self, encs: Sequence[int]) -> list[int]:
+        """The dart id of every vertex's encoded face."""
+        index = self.darts.index
+        return [index[dec_face(e, self.n)] for e in encs]
 
     def run_dual_sums(self):
         self._run(
-            "dual_subtree_sums", ContourProgram(), charge_units=2,
-            publish=(
-                "subtrees", "child_sum", "total_weight", "total_darts",
-                "first", "rel", "incl", "root_pos",
-            ),
+            "dual_subtree_sums", ContourProgram(self.darts), charge_units=2,
+            publish=("subtrees", "child_sum", "total_weight", "total_darts", "prefix"),
         )
 
     def run_detect(self):
@@ -758,12 +810,13 @@ class DistPipeline:
             if stores[members[0]]["total_weight"] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
+        triple = self.darts.triple
         # every election input comes from the holders of a face's subtree
         # sums.  Balanced election: maximum face id among balanced candidates
         bal = self.aggregate([
             max(
                 (
-                    enc_face(f, n) + 1 for f, sub in store["subtrees"].items()
+                    enc_face(triple[f], n) + 1 for f, sub in store["subtrees"].items()
                     if is_balanced(sub.weight, store["total_weight"])
                 ),
                 default=0,
@@ -775,11 +828,11 @@ class DistPipeline:
         # heavy faces form a chain down from the dual root along which the
         # subtree's dart count strictly drops, so the deepest one has the
         # fewest darts: the largest key (M + 1 - darts) * space + id
-        space = enc_face(Dart(n, n, 15), n) + 2
+        space = enc_face((n, n, 15), n) + 2
 
-        def heavy_key(store, f: FaceId, sub: DualSubtree) -> int:
+        def heavy_key(store, f: int, sub: DualSubtree) -> int:
             if exceeds_beta(sub.weight, store["total_weight"]):
-                return (store["total_darts"] + 1 - sub.darts) * space + enc_face(f, n) + 1
+                return (store["total_darts"] + 1 - sub.darts) * space + enc_face(triple[f], n) + 1
             return 0
 
         crit = self.aggregate([
@@ -795,8 +848,9 @@ class DistPipeline:
         # anchor (the face's side of its dual parent edge, or its canonical
         # dart at the root) next to its subtree sums
         case_in = [0] * n
+        faces = self._dec_faces([(b or c % space) - 1 for b, c in zip(bal, crit)])
         for v, store in enumerate(stores):
-            store["case_face"] = dec_face((bal[v] or crit[v] % space) - 1, n)
+            store["case_face"] = faces[v]
             store["case_anchor"] = None
             sub = store["subtrees"].get(store["case_face"])
             if sub is None:
@@ -816,7 +870,7 @@ class DistPipeline:
 
     def run_prefix(self):
         self._run(
-            "mark_prefix", PrefixProgram(), charge_units=1,
+            "mark_prefix", PrefixProgram(self.darts), charge_units=1,
             publish=("prefix_pos", "prefix_u", "prefix_s"),
         )
 
@@ -824,7 +878,7 @@ class DistPipeline:
         """The endpoint claim wave, as phase mark_search; returns each
         part's tree-root state, which holds both endpoints."""
         states = self._run(
-            "mark_search", ClaimProgram(), charge_units=1,
+            "mark_search", ClaimProgram(self.darts), charge_units=1,
             publish=("agg_uv", "kid_uv"),
         )
         return {pid: states[self.know[ms[0]].tree_root] for pid, ms in self.members.items()}
@@ -848,6 +902,8 @@ class DistPipeline:
         }
 
     def _assemble_part(self, pid: int, root_state: dict) -> DistSeparatorOutput:
+        """One part's output, where the dart ids turn back into Darts."""
+        dart = self.darts.dart
         members = self.members[pid]
         any_store = self.know[members[0]].store
         code = any_store["case_code"]
@@ -855,25 +911,25 @@ class DistPipeline:
 
         views = {}
         for x in members:
-            darts = self.know[x].store["path_darts"]
+            darts = tuple(map(dart, self.know[x].store["path_darts"]))
             role = "u" if x == u else "v" if x == v else "p" if darts else "-"
             views[x] = VertexSeparatorView(vid=x, role=role, p_darts=darts)
 
         # v is an endpoint of the chosen face's anchor, so its store holds
         # the anchor and the face's subtree sums (see _uv_claim)
         v_store = self.know[v].store
-        anchor = v_store["case_anchor"]
+        anchor = dart(v_store["case_anchor"])
         if code == CASE_VIRTUAL:
             # u found itself on the prefix pass: its ring slot embeds the
             # new edge, and its triangle's subtree is the enclosed weight.
             # Given the monotonicity checks, u = v_{k-1} iff s_{k-2} is heavy
             u_store = self.know[u].store
-            slot_u = u_store["prefix_pos"]
+            slot_u = dart(u_store["prefix_pos"])
             assert slot_u.head != v, "last triangle subtree exceeds 3/4"
             closing = ClosingEdge(
                 kind="virtual",
                 endpoints=(u, v),
-                copy=next_copy(self.know[u].rotation, v),
+                copy=next_copy(list(map(dart, self.know[u].rotation)), v),
                 insert_before_u=slot_u,
                 insert_before_v=anchor,
             )
@@ -1036,16 +1092,17 @@ def dist_bfs(
     """BFS tree construction by flooding; equals the sequential bfs_tree."""
     trace = RoundTrace()
     pt = trace.phase("bfs")
+    darts = DartTable(g.rotation)
     know = [
         LocalKnowledge(
             vid=v, weight=g.vertex_weight[v],
-            rotation=tuple(g.rotation[v]), tree_darts=frozenset(),
+            rotation=darts.rot[v], tree_darts=(),
             tree_root=(roots_override[v] if roots_override else root),
         )
         for v in range(g.n)
     ]
-    sim = Simulator(g.rotation, bit_budget=bit_budget, scramble=scramble)
-    states = sim.run(BfsProgram(), know, pt)
+    sim = Simulator(darts, bit_budget=bit_budget, scramble=scramble)
+    states = sim.run(BfsProgram(darts), know, pt)
     parent = [states[v]["parent"] for v in range(g.n)]
     depth = [states[v]["depth"] for v in range(g.n)]
     parent_edge = [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import (
+    DartTable,
     PartAggregator,
     Partition,
     PhaseTrace,
@@ -35,13 +36,37 @@ class FloodProgram(VertexProgram):
 
 
 def flood_knowledge(g):
-    return [{"vid": v, "rot": g.rotation[v]} for v in range(g.n)]
+    """Each vertex's id and its dart ids in rotation order."""
+    darts = DartTable(g.rotation)
+    return [{"vid": v, "rot": darts.rot[v]} for v in range(g.n)]
+
+
+def sim(g, **kwargs):
+    return Simulator(DartTable(g.rotation), **kwargs)
+
+
+def test_dart_table_numbers_darts_in_dart_order(grid4):
+    """Ids ascend in (tail, head, copy) order, each vertex's in one range;
+    rev, succ and rot follow the rotation system."""
+    darts = DartTable(grid4.rotation)
+    assert len(darts) == 2 * grid4.m
+    assert darts.triple == sorted(grid4.darts())
+    for v in range(grid4.n):
+        ids = darts.rot[v]
+        assert [darts.dart(d) for d in ids] == grid4.rotation[v]
+        assert sorted(ids) == list(range(darts.lo[v], darts.lo[v + 1]))
+        for d in ids:
+            dart = darts.dart(d)
+            assert (darts.tail[d], darts.head[d]) == (dart.tail, dart.head)
+            assert darts.dart(darts.rev[d]) == dart.reverse()
+            assert darts.dart(darts.succ[d]) == grid4.rot_next(dart)
+            assert darts.index[dart] == d
+            assert darts.edge(d) == dart.edge()
 
 
 def test_flood_rounds_match_eccentricity(grid4):
     tr = PhaseTrace("flood")
-    sim = Simulator(grid4.rotation)
-    states = sim.run(FloodProgram(), flood_knowledge(grid4), tr)
+    states = sim(grid4).run(FloodProgram(), flood_knowledge(grid4), tr)
     assert all(s["have"] for s in states)
     # the far corner hears the token exactly at its hop distance
     assert states[15]["round_heard"] == 6
@@ -50,7 +75,7 @@ def test_flood_rounds_match_eccentricity(grid4):
 
 def test_lock_step_delivery(grid4):
     tr = PhaseTrace("flood")
-    states = Simulator(grid4.rotation).run(FloodProgram(), flood_knowledge(grid4), tr)
+    states = sim(grid4).run(FloodProgram(), flood_knowledge(grid4), tr)
     t = bfs_tree(grid4, 0)
     for v in range(1, 16):
         assert states[v]["round_heard"] == t.depth[v]
@@ -64,12 +89,12 @@ def test_bit_budget_exceeded(grid4):
         def step(self, r, know, st, inbox):
             if know["vid"] == 0 and r == 0:
                 payload = (1 << (8 * 5),)  # 41 bits, budget is 8*ceil(log2 17) = 40
-                return [(grid4.rotation[0][0], payload)], True
+                return [(know["rot"][0], payload)], True
             return [], True
 
     tr = PhaseTrace("wide")
     with pytest.raises(BitBudgetExceeded):
-        Simulator(grid4.rotation).run(Wide(), flood_knowledge(grid4), tr)
+        sim(grid4).run(Wide(), flood_knowledge(grid4), tr)
 
 
 def test_round_limit(grid4):
@@ -78,50 +103,47 @@ def test_round_limit(grid4):
             return {}
 
         def step(self, r, know, st, inbox):
-            return [(grid4.rotation[know["vid"]][0], (1,))], False
+            return [(know["rot"][0], (1,))], False
 
     tr = PhaseTrace("chatter")
     with pytest.raises(RoundLimitExceeded):
-        Simulator(grid4.rotation).run(Chatter(), flood_knowledge(grid4), tr, max_rounds=5)
+        sim(grid4).run(Chatter(), flood_knowledge(grid4), tr, max_rounds=5)
 
 
 def test_scramble_determinism(grid4):
     out = []
     for scramble in (None, 1, 42):
         tr = PhaseTrace("flood")
-        sim = Simulator(grid4.rotation, scramble=scramble)
-        states = sim.run(FloodProgram(), flood_knowledge(grid4), tr)
+        states = sim(grid4, scramble=scramble).run(FloodProgram(), flood_knowledge(grid4), tr)
         out.append(([s["round_heard"] for s in states], tr.honest_rounds, tr.messages))
     assert out[0] == out[1] == out[2]
 
 
 def _one_shot(grid4, send):
-    """Vertex 0 returns send(rotation) at round 0; everyone halts at once."""
+    """Vertex 0 returns send(its dart table) at round 0; everyone halts at once."""
+    darts = DartTable(grid4.rotation)
 
     class OneShot(VertexProgram):
         def step(self, r, know, st, inbox):
-            return (send(grid4.rotation) if know["vid"] == 0 else []), True
+            return (send(darts) if know["vid"] == 0 else []), True
 
     return OneShot()
 
 
 def test_send_on_foreign_dart_raises(grid4):
     for send in (
-        lambda rot: [(rot[1][0], (1,))],        # a dart of vertex 1
-        lambda rot: [(rot[0][0]._replace(copy=3), (1,))],  # no such channel
+        lambda darts: [(darts.rot[1][0], (1,))],  # a dart of vertex 1
+        lambda darts: [(len(darts), (1,))],       # no such channel
+        lambda darts: [(-1, (1,))],               # nor this
     ):
         with pytest.raises(AssertionError, match="foreign dart"):
-            Simulator(grid4.rotation).run(
-                _one_shot(grid4, send), flood_knowledge(grid4), PhaseTrace("x")
-            )
+            sim(grid4).run(_one_shot(grid4, send), flood_knowledge(grid4), PhaseTrace("x"))
 
 
 def test_two_sends_on_one_dart_raise(grid4):
-    send = lambda rot: [(rot[0][0], (1,)), (rot[0][0], (2,))]
+    send = lambda darts: [(darts.rot[0][0], (1,)), (darts.rot[0][0], (2,))]
     with pytest.raises(AssertionError, match="duplicate send"):
-        Simulator(grid4.rotation).run(
-            _one_shot(grid4, send), flood_knowledge(grid4), PhaseTrace("x")
-        )
+        sim(grid4).run(_one_shot(grid4, send), flood_knowledge(grid4), PhaseTrace("x"))
 
 
 def test_deadlock_raises(grid4):
@@ -130,7 +152,7 @@ def test_deadlock_raises(grid4):
             return [], False
 
     with pytest.raises(AssertionError, match="deadlock at round 1"):
-        Simulator(grid4.rotation).run(Idle(), flood_knowledge(grid4), PhaseTrace("x"))
+        sim(grid4).run(Idle(), flood_knowledge(grid4), PhaseTrace("x"))
 
 
 @pytest.mark.parametrize("scramble", [None, 5])
@@ -148,9 +170,7 @@ def test_dropped_counts_halted_receivers_and_final_flight(grid4, scramble):
             return out, True
 
     tr = PhaseTrace("x")
-    states = Simulator(grid4.rotation, scramble=scramble).run(
-        Fanout(), flood_knowledge(grid4), tr
-    )
+    states = sim(grid4, scramble=scramble).run(Fanout(), flood_knowledge(grid4), tr)
     assert states[0]["heard"] == [(1,), (1,)]
     assert (tr.messages, tr.dropped, tr.honest_rounds) == (50, 48, 2)
 
@@ -167,7 +187,7 @@ def test_wake_steps_next_round_with_empty_inbox(grid4):
             return [], True
 
     tr = PhaseTrace("x")
-    states = Simulator(grid4.rotation).run(Sleeper(), flood_knowledge(grid4), tr)
+    states = sim(grid4).run(Sleeper(), flood_knowledge(grid4), tr)
     assert states[0]["woken"] == (1, {}, False)
     assert tr.honest_rounds == 2
 
@@ -185,7 +205,7 @@ def test_bit_accounting_matches_payload_bits(grid4):
             return [(d, payloads[4 * v + i]) for i, d in enumerate(know["rot"])], True
 
     tr = PhaseTrace("x")
-    Simulator(grid4.rotation, bit_budget=200).run(Random(), flood_knowledge(grid4), tr)
+    sim(grid4, bit_budget=200).run(Random(), flood_knowledge(grid4), tr)
     sent = [payloads[4 * v + i] for v in range(grid4.n) for i in range(grid4.degree(v))]
     assert any(0 in p for p in sent)
     assert tr.messages == len(sent)

@@ -67,7 +67,8 @@ def _golden(key: str) -> dict:
 
 
 def _full_run(g, tree=None, scramble=None):
-    """Every vertex's store after run_all on g's own rotations, one part."""
+    """Every vertex's store after run_all on g's own rotations, one part,
+    the output and the pipeline's dart table (stores hold dart ids)."""
     tree = tree if tree is not None else bfs_tree(g, 0)
     pipe = DistPipeline(
         g=g,
@@ -79,7 +80,7 @@ def _full_run(g, tree=None, scramble=None):
         config=PipelineConfig(scramble=scramble),
     )
     outputs = pipe.run_all()
-    return [pipe.know[v].store for v in range(g.n)], outputs[0]
+    return [pipe.know[v].store for v in range(g.n)], outputs[0], pipe.darts
 
 
 def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
@@ -90,7 +91,7 @@ def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
     monkeypatch.setattr(
         congest, "part_bfs_trees", lambda *a: calls.append(1) or real(*a)
     )
-    _, out = _full_run(grid4)
+    _, out, _ = _full_run(grid4)
     assert out.case == "critical-virtual"
     assert len(calls) <= 1
 
@@ -148,6 +149,7 @@ def test_tree_root_learns_the_given_tree(grid4):
             weights=list(g.vertex_weight), config=PipelineConfig(),
         )
         pipe.run_tree_root()
+        dart = pipe.darts.dart
         children = {pid: t.children() for pid, t in trees.items()}
         for v, pid in enumerate(part_of):
             tree, store = trees[pid], pipe.know[v].store
@@ -155,36 +157,78 @@ def test_tree_root_learns_the_given_tree(grid4):
             if tree.parent[v] is None:
                 assert pd is None
             else:
-                assert (pd.tail, pd.head) == (v, tree.parent[v])
-                assert pd.edge() == tree.parent_edge[v]
+                assert (dart(pd).tail, dart(pd).head) == (v, tree.parent[v])
+                assert dart(pd).edge() == tree.parent_edge[v]
             assert [c for c, _d in store["tree_children"]] == children[pid][v]
-            assert all(d.tail == v and d.head == c for c, d in store["tree_children"])
+            assert all(
+                dart(d).tail == v and dart(d).head == c for c, d in store["tree_children"]
+            )
+
+
+def _darts_in(x):
+    """Every Dart among x's keys and values, through dicts, lists, tuples
+    and NamedTuples."""
+    if isinstance(x, Dart):
+        yield x
+    elif isinstance(x, dict):
+        for k, v in x.items():
+            yield from _darts_in(k)
+            yield from _darts_in(v)
+    elif isinstance(x, (list, tuple, set, frozenset)):
+        for item in x:
+            yield from _darts_in(item)
+
+
+@pytest.mark.parametrize("name", ["grid4", "parts8x2", "cut3x10"])
+def test_no_dart_inside_the_pipeline(name):
+    """Inside the engine darts are ids of the pipeline's dart table: after
+    the last phase no store holds a Dart, as key or value, at any depth."""
+    g, part_of = {
+        "grid4": lambda: _one_part(grid(4, 4)),
+        "parts8x2": lambda: two_level_parts(8, 2),
+        "cut3x10": lambda: _one_part(cut_chain(3, 10, seed=1)),
+    }[name]()
+    trees = part_bfs_trees(g, part_of)
+    pipe = DistPipeline(
+        g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
+        tree_roots={pid: t.root for pid, t in trees.items()},
+        weights=list(g.vertex_weight), config=PipelineConfig(),
+    )
+    for phase in ("tree_root", "learn_faces", "learn_cotree", "face_weights",
+                  "root_election", "dual_sums", "detect", "prefix", "search", "mark"):
+        getattr(pipe, "run_" + phase)()
+    for know in pipe.know:
+        assert list(_darts_in(know.store)) == [], know.vid
+        assert list(_darts_in((know.rotation, know.tree_darts))) == [], know.vid
+    assert "path_darts" in pipe.know[0].store
 
 
 def test_learn_faces_matches_canonical_ids(grid4):
-    stores, _ = _full_run(grid4)
+    stores, _, darts = _full_run(grid4)
+    ids = darts.index
     for v in range(grid4.n):
         for d in grid4.rotation[v]:
-            assert stores[v]["face"][d] == grid4.face_of[d]
-            assert stores[v]["rev_face"][d] == grid4.face_of[d.reverse()]
-            assert stores[v]["size"][d] == grid4.face(grid4.face_of[d]).size
+            assert stores[v]["face"][ids[d]] == ids[grid4.face_of[d]]
+            assert stores[v]["rev_face"][ids[d]] == ids[grid4.face_of[d.reverse()]]
+            assert stores[v]["size"][ids[d]] == grid4.face(grid4.face_of[d]).size
 
 
 def test_learn_faces_triangle(c3):
-    stores, _ = _full_run(c3)
+    stores, _, _ = _full_run(c3)
     for v in range(3):
         assert len(set(stores[v]["face"].values())) == 2
 
 
 def test_learn_faces_triangulation_dual_endpoints():
     g = random_triangulation(200, seed=6)
-    stores, _ = _full_run(g)
+    stores, _, darts = _full_run(g)
+    ids = darts.index
     for e in g.edges():
         da, db = g.darts_of_edge(e)
-        assert stores[da.tail]["face"][da] == g.face_of[da]
-        assert stores[da.tail]["rev_face"][da] == g.face_of[db]
+        assert stores[da.tail]["face"][ids[da]] == ids[g.face_of[da]]
+        assert stores[da.tail]["rev_face"][ids[da]] == ids[g.face_of[db]]
         for d in (da, db):
-            assert stores[d.tail]["size"][d] == g.face(g.face_of[d]).size
+            assert stores[d.tail]["size"][ids[d]] == g.face(g.face_of[d]).size
 
 
 def _rings(rotations):
@@ -205,7 +249,7 @@ def _rings(rotations):
 
 def _learn_faces(g, part_of):
     """learn_faces alone on the rotations dist_multi installs; returns the
-    stores, the phase's trace and the installed rotations."""
+    stores, the phase's trace, the installed rotations and the dart table."""
     rot = _part_knowledge(g, part_of)
     trees = part_bfs_trees(g, part_of)
     pipe = DistPipeline(
@@ -215,7 +259,7 @@ def _learn_faces(g, part_of):
     )
     pipe.run_learn_faces()
     phase, = pipe.trace.phases
-    return [know.store for know in pipe.know], phase, [rot[v] for v in range(g.n)]
+    return [know.store for know in pipe.know], phase, [rot[v] for v in range(g.n)], pipe.darts
 
 
 def _one_part(g):
@@ -236,14 +280,15 @@ def test_learn_faces_match_installed_rings(name):
     """Face id, size and the reverse side's face id of every installed
     dart, virtual darts (cut3x10) and several parts (parts8x2) included."""
     g, part_of = FACE_CASES[name]()
-    stores, _, rotations = _learn_faces(g, part_of)
+    stores, _, rotations, darts = _learn_faces(g, part_of)
+    ids = darts.index
     face, size = _rings(rotations)
     if name == "cut3x10":
         assert len(face) > 2 * g.m  # the augmentation's virtual darts
     for v, rot in enumerate(rotations):
-        assert stores[v]["face"] == {d: face[d] for d in rot}
-        assert stores[v]["size"] == {d: size[d] for d in rot}
-        assert stores[v]["rev_face"] == {d: face[d.reverse()] for d in rot}
+        assert stores[v]["face"] == {ids[d]: ids[face[d]] for d in rot}
+        assert stores[v]["size"] == {ids[d]: size[d] for d in rot}
+        assert stores[v]["rev_face"] == {ids[d]: ids[face[d.reverse()]] for d in rot}
 
 
 @pytest.mark.parametrize("name", sorted(FACE_CASES))
@@ -253,7 +298,7 @@ def test_learn_faces_costs(name):
     |f|(|f|+1)/2 tokens plus |f| announcements, below the |f|² + |f| of
     rotating every token around the whole face."""
     g, part_of = FACE_CASES[name]()
-    _, phase, rotations = _learn_faces(g, part_of)
+    _, phase, rotations, _ = _learn_faces(g, part_of)
     face, size = _rings(rotations)
     sizes = [size[f] for f in set(face.values())]
     assert phase.dropped == 0
@@ -263,35 +308,38 @@ def test_learn_faces_costs(name):
 
 
 def test_scramble_leaves_every_store_equal(grid4):
-    base, _ = _full_run(grid4)
-    again, _ = _full_run(grid4, scramble=5)
+    base, _, _ = _full_run(grid4)
+    again, _, _ = _full_run(grid4, scramble=5)
     assert again == base
 
 
 def test_learn_cotree_flags(grid4):
     t = bfs_tree(grid4, 0)
-    stores, _ = _full_run(grid4, t)
+    stores, _, darts = _full_run(grid4, t)
     for v in range(grid4.n):
         for d, is_cotree in stores[v]["cotree_flag"].items():
-            assert is_cotree == (d.edge() not in t.edges)
+            assert is_cotree == (darts.dart(d).edge() not in t.edges)
 
 
 def test_face_weights_match_sequential(grid4, tri60):
     for g in (grid4, tri60, cycle_chords(12, 3, seed=1), cylinder(3, 5)):
-        stores, _ = _full_run(g)
+        stores, _, darts = _full_run(g)
+        dart = darts.dart
         seq = transfer_weights(g)
-        assert [st["chosen"] for st in stores] == seq.chosen_face
+        assert [dart(st["chosen"]) for st in stores] == seq.chosen_face
         for v, st in enumerate(stores):
-            assert st["corner"] == min(d for d in g.rotation[v] if g.face_of[d] == st["chosen"])
+            assert dart(st["corner"]) == min(
+                d for d in g.rotation[v] if g.face_of[d] == dart(st["chosen"])
+            )
         # no store holds a face total: a face's weight is its dual
         # subtree's weight minus the subtrees behind its dual child edges
         face_weight = {}
         for st in stores:
             for fid, sub in st["subtrees"].items():
-                face_weight[fid] = sub.weight
+                face_weight[dart(fid)] = sub.weight
         for st in stores:
             for d, weight in st["child_sum"].items():
-                face_weight[st["face"][d]] -= weight
+                face_weight[dart(st["face"][d])] -= weight
         assert face_weight == seq.face_weight
 
 
@@ -324,28 +372,30 @@ def test_phase_rounds_within_tree_height():
 
 def test_dual_subtree_sums_match_sequential(tri60):
     t = bfs_tree(tri60, 0)
-    stores, _ = _full_run(tri60, t)
+    stores, _, darts = _full_run(tri60, t)
+    dart = darts.dart
     pair = cotree(tri60, t)
     seq = dual_subtree_sums(pair, transfer_weights(tri60).face_weight)
     # the critical election ranks heavy faces by their subtree's dart count
-    darts = dual_subtree_sums(pair, {f.id: f.size for f in tri60.faces})
+    face_darts = dual_subtree_sums(pair, {f.id: f.size for f in tri60.faces})
     holders = {}
     for v in range(tri60.n):
         for fid, sub in stores[v]["subtrees"].items():
+            fid = dart(fid)
             holders.setdefault(fid, set()).add(v)
             assert sub.weight == seq[fid]
-            assert sub.darts == darts[fid]
+            assert sub.darts == face_darts[fid]
             assert sub.size == tri60.face(fid).size
             has_children = sub.darts > sub.size
             assert has_children == (len(pair.dual_children[fid]) > 0)
-            assert tri60.face_of[sub.parent_dart] == fid
+            assert tri60.face_of[dart(sub.parent_dart)] == fid
             if fid == pair.dual_root:
-                assert sub.parent_dart == fid
+                assert dart(sub.parent_dart) == fid
             else:
-                assert sub.parent_dart.edge() == pair.dual_parent_edge[fid]
+                assert dart(sub.parent_dart).edge() == pair.dual_parent_edge[fid]
         for d, weight in stores[v]["child_sum"].items():
-            child = tri60.face_of[d.reverse()]
-            assert pair.dual_parent_edge[child] == d.edge()
+            child = tri60.face_of[dart(d).reverse()]
+            assert pair.dual_parent_edge[child] == dart(d).edge()
             assert weight == seq[child]
     # a face's sums sit at the endpoints of its dual parent edge, the dual
     # root's at the tail of its canonical dart
@@ -376,14 +426,14 @@ def test_phase_rounds_flat_at_constant_diameter():
 def test_detect_matches_sequential(grid4, tri60, c12):
     for g in (grid4, tri60, c12):
         t = bfs_tree(g, 0)
-        stores, _ = _full_run(g, t)
+        stores, _, darts = _full_run(g, t)
         kind = "balanced" if stores[0]["case_code"] == CASE_BALANCED else "critical"
         # the weight sits with the face's subtree sums, at its holders
         face = stores[0]["case_face"]
         subtree = next(s["subtrees"][face].weight for s in stores if face in s["subtrees"])
         pair = cotree(g, t)
         seq = find_balanced_or_critical(pair, transfer_weights(g).face_weight)
-        assert (kind, face, subtree) == (seq.kind, seq.face, seq.subtree_weight)
+        assert (kind, darts.dart(face), subtree) == (seq.kind, seq.face, seq.subtree_weight)
 
 
 ENGINE_CASES = [
@@ -515,7 +565,7 @@ def _check_claim_wave(g, part_of, trees):
         assert [x for x, st in stores.items() if st["prefix_u"]] == [members[vs[j]]]
         assert stores[members[vs[j]]]["prefix_s"] == s[j] == outs[pid].result.interior_weight
         for t in range(2, len(vs) - 1):
-            assert stores[members[vs[t - 1]]]["prefix_pos"] == boundary[t - 1]
+            assert pipe.darts.dart(stores[members[vs[t - 1]]]["prefix_pos"]) == boundary[t - 1]
             assert stores[members[vs[t - 1]]]["prefix_s"] == s[t - 1]
     prefix = next(p for p in pipe.trace.phases if p.name == "mark_prefix")
     assert prefix.honest_rounds == (2 if virtual else 1)
@@ -592,7 +642,7 @@ def test_tree_not_spanning_its_part_is_typed(grid4):
 
 def test_mark_separator_output_contract(grid4):
     t = bfs_tree(grid4, 0)
-    _, out = _full_run(grid4, t)
+    _, out, _ = _full_run(grid4, t)
     res = out.result
     flagged = {v for v, view in out.views.items() if view.p_darts}
     assert flagged == set(res.path)
