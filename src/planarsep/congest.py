@@ -134,7 +134,7 @@ class DartTable:
         try:
             self.rev = [index[h, t, c] for t, h, c in triple]
         except KeyError as exc:
-            raise InconsistentRotation(f"dart {exc.args[0]} has no reverse") from None
+            raise InconsistentRotation(f"reverse dart {exc.args[0]} is missing") from None
         self.rot = [tuple(index[d] for d in rot) for rot in rotations]
         self.succ = [0] * len(triple)
         for ids in self.rot:
@@ -211,11 +211,13 @@ class Simulator:
         lo, head, rev = self.darts.lo, self.darts.head, self.darts.rev
         budget = self.bit_budget
         bit_length = int.bit_length
-        halted = [False] * self.n
-        unhalted = self.n
-        # this round's inboxes by receiver; a message sent in round r is
-        # written straight into round r+1's inbox of its receiver
-        inboxes: dict[int, dict[int, Payload]] = {}
+        n = self.n
+        halted = [False] * n
+        unhalted = n
+        # this round's inboxes by receiver, and the receivers; a message
+        # sent in round r is written straight into round r+1's inbox
+        inboxes: list[Optional[dict[int, Payload]]] = [None] * n
+        receivers: list[int] = []
         # only messaged or self-woken vertices step (plus everyone at round 0)
         candidates: list[int] = list(self._order)
         rank = self._rank
@@ -226,18 +228,19 @@ class Simulator:
         try:
             while True:
                 if unhalted == 0:
-                    dropped += sum(map(len, inboxes.values()))
+                    dropped += sum(len(inboxes[v]) for v in receivers)
                     break
                 if round_no > max_rounds:
                     raise RoundLimitExceeded(
                         f"{trace.name}: {self.n - unhalted}/{self.n} halted "
                         f"after {max_rounds} rounds"
                     )
-                nxt: dict[int, dict[int, Payload]] = {}
+                nxt: list[Optional[dict[int, Payload]]] = [None] * n
+                nxt_receivers = []
                 woken = []
                 stepped = False
                 for v in candidates:
-                    inbox = inboxes.get(v)
+                    inbox = inboxes[v]
                     if halted[v]:  # every receiver is a candidate
                         if inbox:
                             dropped += len(inbox)
@@ -269,18 +272,19 @@ class Simulator:
                             max_bits = bits
                         key = rev[d]
                         recv = head[d]
-                        box = nxt.get(recv)
+                        box = nxt[recv]
                         if box is None:
                             nxt[recv] = {key: p}
+                            nxt_receivers.append(recv)
                         elif key in box:
                             # one sender may use each dart at most once per round
                             raise AssertionError(f"duplicate send on dart {d}")
                         else:
                             box[key] = p
-                if not stepped and not nxt:
+                if not stepped and not nxt_receivers:
                     raise AssertionError(f"{trace.name}: deadlock at round {round_no}")
-                inboxes = nxt
-                wake = set(nxt)
+                inboxes, receivers = nxt, nxt_receivers
+                wake = set(receivers)
                 wake.update(woken)
                 candidates = sorted(wake, key=rank.__getitem__) if rank else sorted(wake)
                 round_no += 1

@@ -489,7 +489,6 @@ class ContourProgram(VertexProgram):
         return out, done
 
 
-
 # -- critical-case boundary prefixes ------------------------------------------
 
 

@@ -15,7 +15,12 @@ from planarsep import (
     pa_aggregate,
 )
 from planarsep.congest import fold, payload_bits
-from planarsep.errors import BitBudgetExceeded, InvalidPartition, RoundLimitExceeded
+from planarsep.errors import (
+    BitBudgetExceeded,
+    InconsistentRotation,
+    InvalidPartition,
+    RoundLimitExceeded,
+)
 from planarsep.generators import grid, random_triangulation
 from planarsep.treecotree import part_bfs_trees
 
@@ -62,6 +67,10 @@ def test_dart_table_numbers_darts_in_dart_order(grid4):
             assert darts.dart(darts.succ[d]) == grid4.rot_next(dart)
             assert darts.index[dart] == d
             assert darts.edge(d) == dart.edge()
+    with pytest.raises(InconsistentRotation, match="reverse dart"):
+        DartTable([[(0, 1, 0)], []])
+    with pytest.raises(InconsistentRotation, match="rotation of vertex 1"):
+        DartTable([[(0, 1, 0)], [(0, 1, 0)]])
 
 
 def test_flood_rounds_match_eccentricity(grid4):
