@@ -54,17 +54,18 @@ def _spread(xs: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": xs}
 
 
-def _run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run: its printed result and its result file."""
+def _run(workload: str, seed: int, seconds: float, root: Path = ROOT) -> tuple[dict, dict]:
+    """One benchmark run in the checkout at root: its printed result and
+    its result file."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=root, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise SystemExit(f"bench_snapshot: {workload} exited {proc.returncode}\n{proc.stderr}")
+        raise SystemExit(f"benchmark run: {workload} exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    out = ROOT / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    out = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     return result, json.loads(out.read_text())
 
 
