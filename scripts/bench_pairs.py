@@ -66,13 +66,13 @@ def _compare(parent: list[float], child: list[float], better: str) -> dict:
     gap = sign * (c_spread["median"] - p_spread["median"])
     iqr = p_spread["q3"] - p_spread["q1"]
     return {
-        "ratios": [c / p if p else None for p, c in zip(parent, child)],
+        "ratios": [c / p for p, c in zip(parent, child)],
         "verdicts": verdicts,
         "wins": verdicts.count("better"),
         "losses": verdicts.count("worse"),
         "parent": p_spread,
         "child": c_spread,
-        "median_ratio": c_spread["median"] / p_spread["median"] if p_spread["median"] else None,
+        "median_ratio": c_spread["median"] / p_spread["median"],
         "median_gap": gap,
         "parent_iqr": iqr,
         "gap_exceeds_iqr": gap > iqr,

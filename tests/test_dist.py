@@ -1,8 +1,10 @@
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarsep import (
     bfs_tree,
@@ -32,6 +34,7 @@ from planarsep.errors import (
     InvalidPartition,
     NotProper,
     NotSpanningTree,
+    PlanarSepError,
 )
 from planarsep.congest import log2ceil
 from planarsep.generators import (
@@ -46,7 +49,7 @@ from planarsep.generators import (
     two_level_parts,
 )
 from planarsep.separator import find_balanced_or_critical
-from planarsep.treecotree import dual_subtree_sums, part_members
+from planarsep.treecotree import SpanningTree, dual_subtree_sums, part_members
 from planarsep.verify import verify_separator
 
 # Serialized separators and `sep` records of fixed runs, pinned so that a
@@ -696,6 +699,172 @@ def test_multi_interval_lengths_published():
     _, trace = dist_multi(g, part_of, trees)
     assert trace.interval_lengths
     assert sum(trace.interval_lengths) == trace.rounds_executed
+
+
+# -- random partitions ---------------------------------------------------------
+#
+# Every other multi-part test runs fixed grid partitions.  Here hypothesis
+# draws a generator graph, grows a random connected partition (parts with
+# cut vertices, size-1 and size-2 parts among them), a random spanning tree
+# and random weights per part.  Each part's dist_multi output must equal,
+# byte for byte, the sequential engine's on the part's induced
+# sub-embedding, relabelled in ascending member order (_part_graph, as the
+# benchmark's workloads build it).  When a part cannot be separated, both
+# engines must raise the same typed error.
+
+
+PARTITION_GRAPHS = st.one_of(
+    st.builds(grid, st.integers(4, 10), st.integers(6, 10)),
+    st.builds(cylinder, st.integers(3, 5), st.integers(8, 14)),
+    st.builds(random_triangulation, st.integers(30, 120), st.integers(0, 10**6)),
+    st.builds(cycle_chords, st.integers(30, 80), st.integers(0, 16), st.integers(0, 10**6)),
+    st.builds(cut_chain, st.integers(2, 4), st.integers(10, 16), st.integers(0, 10**6)),
+)
+
+
+def _grow_partition(g, rng, parts: int, tiny: int) -> list[int]:
+    """Carve `tiny` parts of one or two vertices, then grow `parts` parts
+    from random seeds, one random frontier vertex at a time; a vertex the
+    growth cannot reach seeds a part of its own.  Every part is connected."""
+    part_of = [-1] * g.n
+    pid = 0
+    for _ in range(tiny):
+        free = [v for v in range(g.n) if part_of[v] == -1]
+        if len(free) < 2:
+            break
+        v = rng.choice(free)
+        part_of[v] = pid
+        if rng.random() < 0.5:
+            nbrs = [d.head for d in g.rotation[v] if part_of[d.head] == -1]
+            if nbrs:
+                part_of[rng.choice(nbrs)] = pid
+        pid += 1
+    while -1 in part_of:
+        free = [v for v in range(g.n) if part_of[v] == -1]
+        frontiers = {}
+        for v in rng.sample(free, min(parts, len(free))):
+            part_of[v] = pid
+            frontiers[pid] = [d.head for d in g.rotation[v]]
+            pid += 1
+        while frontiers:
+            p = rng.choice(sorted(frontiers))
+            frontier = frontiers[p]
+            v = frontier.pop(rng.randrange(len(frontier)))
+            if part_of[v] == -1:
+                part_of[v] = p
+                frontier.extend(d.head for d in g.rotation[v])
+            if not frontier:
+                del frontiers[p]
+        parts = 1
+    return part_of
+
+
+def _random_tree(g, part_of, members, rng):
+    """Kruskal over the part's edges in random order, rooted anywhere; in
+    global ids, with depth -1 and no parent outside the part."""
+    edges = [e for e in g.edges() if part_of[e[0]] == part_of[e[1]] == part_of[members[0]]]
+    rng.shuffle(edges)
+    comp = {v: v for v in members}
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    adj = {v: [] for v in members}
+    chosen = set()
+    for a, b, c in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            comp[ra] = rb
+            chosen.add((a, b, c))
+            adj[a].append((b, (a, b, c)))
+            adj[b].append((a, (a, b, c)))
+    root = rng.choice(members)
+    parent, parent_edge, depth = [None] * g.n, [None] * g.n, [-1] * g.n
+    depth[root] = 0
+    queue = [root]
+    for v in queue:
+        for u, e in adj[v]:
+            if depth[u] == -1:
+                parent[u], parent_edge[u], depth[u] = v, e, depth[v] + 1
+                queue.append(u)
+    return SpanningTree(root, parent, parent_edge, depth, chosen)
+
+
+def _globalize(res, members):
+    def dart(d):
+        return None if d is None else Dart(members[d.tail], members[d.head], d.copy)
+
+    c = res.closing
+    closing = replace(
+        c,
+        endpoints=(members[c.endpoints[0]], members[c.endpoints[1]]),
+        insert_before_u=dart(c.insert_before_u),
+        insert_before_v=dart(c.insert_before_v),
+    )
+    return replace(
+        res, u=members[res.u], v=members[res.v],
+        path=tuple(members[x] for x in res.path), closing=closing,
+    )
+
+
+def _globalize_records(text, members):
+    lines = []
+    for line in text.splitlines():
+        _, x, role, body = line.split(" ")
+        if body != "-":
+            body = ",".join(
+                f"{members[int(a)]}-{members[int(b)]}-{c}"
+                for a, b, c in (item.split("-") for item in body.split(","))
+            )
+        lines.append(f"sep {members[int(x)]} {role} {body}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    g=PARTITION_GRAPHS,
+    parts=st.integers(1, 3),
+    tiny=st.sampled_from([0, 0, 0, 0, 1, 2]),
+    max_weight=st.sampled_from([1, 1, 2]),
+    seed=st.integers(0, 10**6),
+)
+def test_multi_parts_match_sequential_engine(g, parts, tiny, max_weight, seed):
+    rng = random.Random(seed)
+    part_of = _grow_partition(g, rng, parts, tiny)
+    members = {}
+    for v, pid in enumerate(part_of):
+        members.setdefault(pid, []).append(v)
+    trees = {pid: _random_tree(g, part_of, ms, rng) for pid, ms in members.items()}
+    # weight 0 included: a lone vertex of weight 0 has a degenerate total
+    weights = [rng.randint(0, max_weight) if rng.random() < 0.05 else rng.randint(1, max_weight)
+               for _ in range(g.n)]
+
+    expected, errors = {}, {}
+    for pid, ms in sorted(members.items()):
+        sub, tree = _part_graph(g, ms, trees[pid])
+        try:
+            res = compute_separator(sub, tree, [weights[v] for v in ms])
+        except PlanarSepError as exc:
+            errors[pid] = type(exc)
+            continue
+        expected[pid] = (
+            serialize_separator(_globalize(res, ms)),
+            _globalize_records(sep_records(sub, tree, res), ms),
+        )
+
+    try:
+        outputs, _ = dist_multi(g, part_of, trees, weights)
+    except PlanarSepError as exc:
+        assert errors, f"dist_multi raised {exc!r}, the sequential engine separated every part"
+        assert type(exc) in errors.values(), (exc, errors)
+        return
+    assert not errors, f"dist_multi succeeded, the sequential engine raised {errors}"
+    assert sorted(outputs) == sorted(members)
+    for pid, out in outputs.items():
+        assert (serialize_separator(out.result), out.records()) == expected[pid], pid
 
 
 def _golden_snapshots() -> dict:
