@@ -3,15 +3,17 @@
 PAIRS_<parent>_<child>.json.
 
     python3 scripts/bench_pairs.py PARENT CHILD [--pairs N] [--seed S]
-        [--seconds T] [--workload NAME[:PAIRS]] ...
+        [--workload NAME[:PAIRS]] ...
 
 Extracts both commits with ``git archive`` into temporary directories (no
 network, nothing added to the repository's git state) and runs
 ``perfbench/run.py --trace 0`` in each, one run per side and pair.  The
 side that runs first alternates from pair to pair, and the workloads take
 turns pair by pair, so a slow spell of a shared host hits both sides
-alike.  Without --workload every workload BENCHMARK.json declares runs
---pairs pairs; ``NAME:PAIRS`` sets one workload's count.
+alike.  Each run lasts BENCHMARK.json's ``run_seconds``.  Without
+--workload every workload BENCHMARK.json declares runs --pairs pairs
+(default 10, the fewest a gain claim may cite); ``NAME:PAIRS`` sets one
+workload's count.
 
 The file at the repository root holds, per workload and for every
 end-to-end metric BENCHMARK.json declares:
@@ -83,10 +85,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("child")
-    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=SEED)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="measuring time per run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--workload", action="append", default=[], metavar="NAME[:PAIRS]")
     args = ap.parse_args(argv)
 
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         return 2
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     known = [w["name"] for w in spec["workloads"]]
     wanted: dict[str, int] = {}

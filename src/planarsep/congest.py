@@ -362,6 +362,15 @@ class _PAProgram(VertexProgram):
 PA_BACKENDS = ("honest", "charged")
 
 
+def _tree_darts(parent: Sequence[Optional[int]], children: Sequence[Sequence[int]]) -> DartTable:
+    """A table of a forest's darts only, the channels its waves use: each
+    vertex's parent dart (if any) first, then its child darts."""
+    return DartTable([
+        ([] if parent[v] is None else [(v, parent[v], 0)]) + [(v, c, 0) for c in children[v]]
+        for v in range(len(parent))
+    ])
+
+
 class PartAggregator:
     """Part-wise aggregation over one fixed partition of g.
 
@@ -395,12 +404,7 @@ class PartAggregator:
         for v, p in enumerate(parent):
             if p is not None:
                 children[p].append(v)
-        # the waves use tree darts only, so those are the only channels:
-        # each vertex's parent dart (if any) first, then its child darts
-        darts = DartTable([
-            ([] if parent[v] is None else [(v, parent[v], 0)]) + [(v, c, 0) for c in children[v]]
-            for v in range(g.n)
-        ])
+        darts = _tree_darts(parent, children)
         self.know = [
             (v, None, ids) if parent[v] is None else (v, ids[0], ids[1:])
             for v, ids in enumerate(darts.rot)
@@ -476,11 +480,10 @@ def broadcast_root(
     scramble: Optional[int] = None,
 ) -> list[int]:
     """All vertices learn `value` by flooding down the spanning tree."""
-    darts = DartTable(g.rotation)
-    kids = tree.children()
+    darts = _tree_darts(tree.parent, tree.children())
     know = [
-        (tree.parent[v] is None, [darts.index[v, c, 0] for c in kids[v]], value)
-        for v in range(g.n)
+        (tree.parent[v] is None, ids[tree.parent[v] is not None:], value)
+        for v, ids in enumerate(darts.rot)
     ]
     sim = Simulator(darts, bit_budget=bit_budget, scramble=scramble)
     states = sim.run(_BroadcastProgram(), know, trace)
