@@ -1,7 +1,17 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import articulation_count, biconnect, build_embedding, validate_embedding
-from planarsep.generators import cut_chain, joined_grids, path_graph, star
+from planarsep.biconnect import _augment_once
+from planarsep.generators import (
+    cut_chain,
+    cycle_chords,
+    grid,
+    joined_grids,
+    path_graph,
+    random_triangulation,
+    star,
+)
 from planarsep.oracles import brute_force_articulation_points
 
 
@@ -86,3 +96,47 @@ def test_cut_chains_become_biconnected(blobs, size, seed):
     assert out.euler_residual() == 0
     rep = validate_embedding(out)
     assert rep.connected and rep.euler_residual == 0
+
+
+# -- biconnect against the corner-pass loop -----------------------------------
+#
+# biconnect must return an input without a cut vertex as the same object,
+# and augment any other exactly as repeated _augment_once passes do; the
+# cut-vertex count of edge_blocks (articulation_count) is the reference.
+
+
+def _reference_biconnect(g):
+    current = g
+    while (augmented := _augment_once(current)) is not None:
+        current = augmented
+    return current
+
+
+def _cut_vertex_cases():
+    yield build_embedding(1, [[]])
+    yield build_embedding(2, [[1], [0]])
+    yield path_graph(2)
+    yield path_graph(7)
+    yield star(1)
+    yield star(5)
+    yield two_triangles_shared_vertex()
+    yield joined_grids(3, 3)[0]
+    yield joined_grids(2, 4)[0]
+    yield cut_chain(2, 5, 1)
+    yield cut_chain(4, 9, 7)
+    yield grid(4, 5)
+    yield cycle_chords(9, 3, 2)
+    yield random_triangulation(40, 8)
+    yield biconnect(cut_chain(3, 6, 4))
+    yield build_embedding(3, [[1, (0, 1, 1)], [(1, 0, 1), 0, 2], [1]])
+
+
+@pytest.mark.parametrize("g", list(_cut_vertex_cases()))
+def test_biconnect_matches_corner_passes(g):
+    out, ref = biconnect(g), _reference_biconnect(g)
+    assert (out is g) == (articulation_count(g) == 0) == (ref is g)
+    assert out.rotation == ref.rotation
+    assert out.virtual_edges == ref.virtual_edges
+    assert out.faces == ref.faces and out.face_of == ref.face_of
+    assert out.infinite_face == ref.infinite_face
+    assert out.vertex_weight == ref.vertex_weight

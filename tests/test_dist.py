@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import (
+    articulation_count,
     bfs_tree,
     compute_separator,
     cotree,
@@ -36,6 +37,7 @@ from planarsep.errors import (
     NotSpanningTree,
     PlanarSepError,
 )
+from planarsep.biconnect import _augment_once
 from planarsep.congest import log2ceil
 from planarsep.generators import (
     cycle_chords,
@@ -865,6 +867,59 @@ def test_multi_parts_match_sequential_engine(g, parts, tiny, max_weight, seed):
     assert sorted(outputs) == sorted(members)
     for pid, out in outputs.items():
         assert (serialize_separator(out.result), out.records()) == expected[pid], pid
+
+
+# _part_knowledge against the rebuild path: every part relabelled, built with
+# build_embedding, bi-connected by repeated corner passes and mapped back.
+
+
+def _rebuilt_part_knowledge(g, part_of):
+    global_rot = {}
+    for pid, members in part_members(part_of).items():
+        to_local = {v: i for i, v in enumerate(members)}
+        rot = [
+            [Dart(i, to_local[d.head], d.copy) for d in g.rotation[v] if part_of[d.head] == pid]
+            for i, v in enumerate(members)
+        ]
+        sub = build_embedding(len(members), rot, [g.vertex_weight[v] for v in members])
+        while (augmented := _augment_once(sub)) is not None:
+            sub = augmented
+        for i, v in enumerate(members):
+            global_rot[v] = tuple(Dart(v, members[d.head], d.copy) for d in sub.rotation[i])
+    return global_rot
+
+
+def _part_cut_vertices(g, part_of):
+    """articulation_count of every part's relabelled sub-embedding."""
+    counts = {}
+    for pid, members in part_members(part_of).items():
+        sub, _ = _part_graph(g, members, part_bfs_trees(g, part_of)[pid])
+        counts[pid] = articulation_count(sub)
+    return counts
+
+
+def test_part_knowledge_matches_rebuild_on_mixed_parts():
+    # grid(3, 4): a 3x2 block, a path 10-6-2-3 and the edge 7-11
+    g = grid(3, 4)
+    part_of = [0, 0, 1, 1, 0, 0, 1, 2, 0, 0, 1, 2]
+    assert _part_cut_vertices(g, part_of) == {0: 0, 1: 2, 2: 0}
+    assert list(_part_knowledge(g, part_of).items()) == list(
+        _rebuilt_part_knowledge(g, part_of).items()
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    g=PARTITION_GRAPHS,
+    parts=st.integers(1, 4),
+    tiny=st.sampled_from([0, 0, 1, 2]),
+    seed=st.integers(0, 10**6),
+)
+def test_part_knowledge_matches_rebuild_on_random_partitions(g, parts, tiny, seed):
+    part_of = _grow_partition(g, random.Random(seed), parts, tiny)
+    assert list(_part_knowledge(g, part_of).items()) == list(
+        _rebuilt_part_knowledge(g, part_of).items()
+    )
 
 
 def _golden_snapshots() -> dict:

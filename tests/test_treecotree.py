@@ -1,10 +1,14 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import (
     bfs_tree,
+    biconnect,
+    build_dual,
+    build_embedding,
     cotree,
     dual_subtree_sums,
     fundamental_cut,
@@ -20,9 +24,23 @@ from planarsep.errors import (
     NotSpanningTree,
     UnknownRoot,
 )
-from planarsep.generators import path_graph
+from planarsep.embedding import Dart, DualEdge, DualGraph
+from planarsep.generators import (
+    cut_chain,
+    cycle_chords,
+    grid,
+    path_graph,
+    random_triangulation,
+    two_level_parts,
+)
 from planarsep.oracles import enclosed_faces
-from planarsep.treecotree import dot_export, part_bfs_trees, tree_path
+from planarsep.treecotree import (
+    SpanningTree,
+    dot_export,
+    part_bfs_trees,
+    part_members,
+    tree_path,
+)
 
 
 def test_bfs_depths_grid(grid4, grid4_tree):
@@ -192,3 +210,152 @@ def test_dot_export_mentions_kinds(grid4, grid4_tree):
     pair = cotree(grid4, grid4_tree)
     dot = dot_export(pair)
     assert 'kind="tree"' in dot and 'kind="cotree"' in dot and "graph" in dot
+
+
+# -- build_dual and cotree against the per-edge reference ------------------------
+#
+# The reference below recomputes each edge's two faces with dual_endpoints,
+# edge by edge in sorted order, and roots the cotree from that; build_dual and
+# cotree must give every DualGraph and TreeCotreePair field the same value,
+# dict orders included, and raise NotSpanningTree with the same message.
+
+
+def _reference_dual(g):
+    return DualGraph(
+        nodes=tuple(f.id for f in g.faces),
+        dual_edges=tuple(DualEdge(e, *g.dual_endpoints(e)) for e in g.edges()),
+    )
+
+
+def _reference_cotree(g, tree):
+    all_edges = set(g.edges())
+    if not tree.edges <= all_edges or len(tree.edges) != g.n - 1:
+        raise NotSpanningTree("tree is not a spanning tree of the graph")
+    co = all_edges - tree.edges
+    dual = _reference_dual(g)
+    adj = {fid: [] for fid in dual.nodes}
+    for e in sorted(co):
+        fa, fb = g.dual_endpoints(e)
+        if fa == fb:
+            raise NotSpanningTree(f"bridge {e} missing from the tree")
+        adj[fa].append((e, fb))
+        adj[fb].append((e, fa))
+    root = max(dual.nodes)
+    parent, parent_edge, depth = {root: None}, {root: None}, {root: 0}
+    children = {fid: [] for fid in dual.nodes}
+    queue = [root]
+    for f in queue:
+        for e, h in adj[f]:
+            if h not in parent:
+                parent[h], parent_edge[h], depth[h] = f, e, depth[f] + 1
+                children[f].append((e, h))
+                queue.append(h)
+    if len(parent) != len(dual.nodes):
+        raise NotSpanningTree("cotree does not span the dual graph")
+    for f in children:
+        children[f].sort()
+    return co, dual, root, parent, parent_edge, depth, children
+
+
+def _assert_matches_reference(g, tree):
+    dual = build_dual(g)
+    ref_co, ref_dual, root, parent, parent_edge, depth, children = _reference_cotree(g, tree)
+    assert dual == ref_dual
+    assert all(type(de.primal) is tuple for de in dual.dual_edges)
+    pair = cotree(g, tree)
+    assert pair.graph is g and pair.tree is tree
+    assert pair.cotree_edges == ref_co
+    assert pair.dual == ref_dual
+    assert pair.dual_root == root
+    for got, want in (
+        (pair.dual_parent, parent),
+        (pair.dual_parent_edge, parent_edge),
+        (pair.dual_depth, depth),
+        (pair.dual_children, children),
+    ):
+        assert list(got.items()) == list(want.items())
+
+
+def _random_spanning_tree(g, rng):
+    """Kruskal over g's edges in random order, rooted at a random vertex."""
+    edges = g.edges()
+    rng.shuffle(edges)
+    comp = list(range(g.n))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    chosen = []
+    for a, b, c in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            comp[ra] = rb
+            chosen.append((a, b, c))
+    return tree_from_edges(g, chosen, rng.randrange(g.n))
+
+
+def _relabelled_parts(g, part_of):
+    """Each part's induced sub-embedding, relabelled in ascending member order."""
+    for members in part_members(part_of).values():
+        to_local = {v: i for i, v in enumerate(members)}
+        rot = [
+            [Dart(i, to_local[d.head], d.copy) for d in g.rotation[v] if d.head in to_local]
+            for i, v in enumerate(members)
+        ]
+        yield build_embedding(len(members), rot)
+
+
+def _reference_graphs():
+    yield grid(5, 7)
+    yield random_triangulation(80, 3)
+    yield cycle_chords(40, 9, 5)
+    yield biconnect(cut_chain(3, 8, 11))
+    yield from _relabelled_parts(*two_level_parts(8, 2))
+
+
+@pytest.mark.parametrize("g", list(_reference_graphs()))
+def test_dual_and_cotree_match_per_edge_reference(g):
+    rng = random.Random(g.n)
+    for tree in (bfs_tree(g, 0), bfs_tree(g, g.n - 1), _random_spanning_tree(g, rng)):
+        _assert_matches_reference(g, tree)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 90), seed=st.integers(0, 10**6))
+def test_dual_and_cotree_match_reference_on_random_trees(n, seed):
+    g = random_triangulation(n, seed)
+    _assert_matches_reference(g, _random_spanning_tree(g, random.Random(seed)))
+
+
+def _bare_tree(edges, root=0):
+    """A SpanningTree carrying only an edge set, as cotree reads it."""
+    return SpanningTree(root=root, parent=[], parent_edge=[], depth=[], edges=set(edges))
+
+
+@pytest.mark.parametrize(
+    "graph, edges, message",
+    [
+        # one edge short of spanning
+        (grid(3, 3), [(0, 1, 0), (1, 2, 0), (0, 3, 0), (3, 6, 0), (1, 4, 0), (4, 7, 0), (2, 5, 0)],
+         "tree is not a spanning tree of the graph"),
+        # an edge the graph does not have
+        (grid(2, 2), [(0, 1, 0), (0, 2, 0), (1, 2, 0)],
+         "tree is not a spanning tree of the graph"),
+        # n-1 edges holding a cycle, around a bridge-free graph
+        (grid(3, 3), [(0, 1, 0), (0, 3, 0), (1, 4, 0), (3, 4, 0), (2, 5, 0), (5, 8, 0),
+                      (6, 7, 0), (7, 8, 0)],
+         "cotree does not span the dual graph"),
+        # n-1 edges holding the triangle, the pendant bridge left out
+        (build_embedding(4, [[1, 2], [2, 0], [0, 1, 3], [2]]),
+         [(0, 1, 0), (0, 2, 0), (1, 2, 0)],
+         "bridge (2, 3, 0) missing from the tree"),
+    ],
+)
+def test_cotree_rejections_keep_their_messages(graph, edges, message):
+    with pytest.raises(NotSpanningTree, match=f"^{re.escape(message)}$"):
+        _reference_cotree(graph, _bare_tree(edges))
+    with pytest.raises(NotSpanningTree, match=f"^{re.escape(message)}$"):
+        cotree(graph, _bare_tree(edges))
