@@ -1,18 +1,62 @@
 """Bi-connectivity augmentation with planarity-preserving virtual edges.
 
+biconnect first asks `biconnected`, one lowpoint pass over neighbour ids
+(Tarjan 1972), and returns an input without a cut vertex as it is.  Only
+an input with a cut vertex gets the edge-keyed block map of `edge_blocks`
+and the corner passes below.
+
 At each cut vertex v, consecutive darts in v's rotation that belong to
 different blocks span a corner of some face; bridging that corner with an
 edge between the two neighbors of v merges the blocks without leaving the
 face.  A union-find over blocks skips corners whose blocks were already
 merged earlier in the pass, so e.g. two triangles sharing a vertex get a
-single virtual edge.  Passes repeat until no articulation point remains
-(one pass suffices on all tested inputs; the loop is a guarantee, not a
-hot path).
+single virtual edge.  Passes repeat until no articulation point remains;
+one pass suffices on all tested inputs, and the loop only guarantees
+termination.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, build_embedding
+
+
+def biconnected(adj: Sequence[Sequence[int]]) -> bool:
+    """True iff the graph with neighbour lists adj (at least one vertex) is
+    connected and has no cut vertex: one iterative lowpoint pass from
+    vertex 0.
+
+    Edges back to the DFS parent need no skip: they lower low[v] to
+    disc[p] at most, which the cut-vertex test low[v] >= disc[p] allows.
+    """
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
+    timer = 1
+    root_children = 0
+    stack = [(0, -1, iter(adj[0]))]  # vertex, DFS parent, neighbours left
+    while stack:
+        v, p, rest = stack[-1]
+        for u in rest:
+            if disc[u] == -1:
+                disc[u] = low[u] = timer
+                timer += 1
+                stack.append((u, v, iter(adj[u])))
+                break
+            if disc[u] < low[v]:
+                low[v] = disc[u]
+        else:
+            stack.pop()
+            if p == 0:
+                root_children += 1
+            elif p != -1:
+                if low[v] >= disc[p]:
+                    return False  # p separates v's subtree from the root
+                if low[v] < low[p]:
+                    low[p] = low[v]
+    return timer == n and root_children <= 1
 
 
 def edge_blocks(g: EmbeddedPlanarGraph) -> dict[EdgeId, int]:
@@ -152,6 +196,8 @@ def biconnect(g: EmbeddedPlanarGraph) -> EmbeddedPlanarGraph:
     Planarity is preserved (every bridge lives inside one face corner),
     weights are unchanged, and already bi-connected graphs come back as-is.
     """
+    if biconnected([[d.head for d in rot] for rot in g.rotation]):
+        return g
     current = g
     for _ in range(g.n + 1):
         augmented = _augment_once(current)

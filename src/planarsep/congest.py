@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .embedding import Dart, EdgeId, EmbeddedPlanarGraph
 from .errors import BitBudgetExceeded, InconsistentRotation, RoundLimitExceeded
-from .treecotree import part_bfs_trees, part_members
+from .treecotree import SpanningTree, part_bfs_trees, part_members
 
 Payload = tuple[int, ...]
 
@@ -376,8 +376,10 @@ class PartAggregator:
 
     Built once per partition: the partition check, the per-part BFS trees
     (children in ascending id), the tree darts and, for the honest
-    backend, the simulator.  Each call is one aggregation: every vertex
-    learns the fold of its part's inputs.
+    backend, the simulator.  A caller that has already run the check
+    passes its result, part_bfs_trees(g, partition.part_of), as
+    bfs_trees.  Each call is one aggregation: every vertex learns the
+    fold of its part's inputs.
     """
 
     def __init__(
@@ -388,8 +390,11 @@ class PartAggregator:
         bit_budget: Optional[int] = None,
         diameter: Optional[int] = None,
         scramble: Optional[int] = None,
+        bfs_trees: Optional[dict[int, SpanningTree]] = None,
     ):
-        trees = part_bfs_trees(g, partition.part_of)  # also the partition check
+        trees = bfs_trees
+        if trees is None:
+            trees = part_bfs_trees(g, partition.part_of)  # also the partition check
         if backend not in PA_BACKENDS:
             raise ValueError(f"unknown backend {backend}")
         self.part_of = partition.part_of

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .biconnect import biconnect
+from .biconnect import biconnect, biconnected
 from .congest import (
     DartTable,
     PartAggregator,
@@ -678,7 +678,8 @@ class DistPipeline:
 
     global_rot's Darts are numbered once, in one DartTable (`darts`);
     every phase program and store works on those ids, and assemble turns
-    them back into Darts.
+    them back into Darts.  bfs_trees, when given, are the partition's
+    part_bfs_trees, which the part-wise aggregator then does not rebuild.
     """
 
     def __init__(
@@ -690,6 +691,7 @@ class DistPipeline:
         tree_roots: dict[int, int],
         weights: Sequence[int],
         config: PipelineConfig,
+        bfs_trees: Optional[dict[int, SpanningTree]] = None,
     ):
         self.g = g
         self.config = config
@@ -720,7 +722,7 @@ class DistPipeline:
         self.sim = Simulator(darts, bit_budget=self.budget, scramble=config.scramble)
         self.aggregate = PartAggregator(
             g, Partition(tuple(part_of)), config.backend, bit_budget=self.budget,
-            diameter=self.diameter, scramble=config.scramble,
+            diameter=self.diameter, scramble=config.scramble, bfs_trees=bfs_trees,
         )
         self.members = part_members(part_of)
 
@@ -990,11 +992,13 @@ def _part_knowledge(
 ) -> dict[int, tuple[Dart, ...]]:
     """Per-vertex rotations of the per-part augmented subgraphs, global ids.
 
-    Each part's induced sub-embedding is built (locally relabeled in
-    ascending member order, which preserves the relative id order and
-    hence canonical-dart comparisons), bi-connected, and mapped back.  A
-    part holding every vertex induces g itself, so g is bi-connected
-    directly, without a rebuild or relabelling.
+    A part's rotations are g's, filtered to the part.  A part that is
+    already bi-connected (`biconnected` on its local neighbour ids) keeps
+    them as they are.  Any other part's induced sub-embedding is built
+    (locally relabeled in ascending member order, which preserves the
+    relative id order and hence canonical-dart comparisons), bi-connected,
+    and mapped back.  A part holding every vertex induces g itself, so g
+    is bi-connected directly, without a rebuild or relabelling.
     """
     global_rot: dict[int, tuple[Dart, ...]] = {}
     for pid, members in part_members(part_of).items():
@@ -1003,10 +1007,11 @@ def _part_knowledge(
             global_rot.update((v, tuple(gp.rotation[v])) for v in members)
             continue
         to_local = {v: i for i, v in enumerate(members)}
-        rot = [
-            [Dart(i, to_local[d.head], d.copy) for d in g.rotation[v] if part_of[d.head] == pid]
-            for i, v in enumerate(members)
-        ]
+        rows = [[d for d in g.rotation[v] if part_of[d.head] == pid] for v in members]
+        if biconnected([[to_local[d.head] for d in row] for row in rows]):
+            global_rot.update((v, tuple(row)) for v, row in zip(members, rows))
+            continue
+        rot = [[Dart(i, to_local[d.head], d.copy) for d in row] for i, row in enumerate(rows)]
         sub = build_embedding(
             len(members), rot, [g.vertex_weight[v] for v in members]
         )
@@ -1052,7 +1057,7 @@ def dist_multi(
     keyed by its part ids, NotSpanningTree for a tree not spanning its part.
     """
     w = list(weights) if weights is not None else list(g.vertex_weight)
-    part_bfs_trees(g, part_of)  # the partition check
+    bfs_trees = part_bfs_trees(g, part_of)  # the partition check
     parts = part_members(part_of)
     if sorted(trees) != list(parts):
         raise InvalidPartition(f"trees for parts {sorted(trees)}, partition has {list(parts)}")
@@ -1071,6 +1076,7 @@ def dist_multi(
         tree_roots={pid: t.root for pid, t in trees.items()},
         weights=w,
         config=config,
+        bfs_trees=bfs_trees,
     )
     # installing the augmentation into local knowledge is charged
     pipeline.trace.phase("biconnect").charged_rounds += 2 * pipeline._unit

@@ -296,11 +296,21 @@ class DualGraph:
 
 
 def build_dual(g: EmbeddedPlanarGraph) -> DualGraph:
-    """One dual edge per primal edge; self-loops exactly at bridges."""
+    """One dual edge per primal edge, in sorted edge order; self-loops
+    exactly at bridges.
+
+    Both faces come from g.face_of: the dart (a, b, c) with a < b gives
+    face_a, its reverse (b, a, c) face_b.  Each rotation is sorted on its
+    own, so vertex a's darts to larger heads come out in edge order, and
+    a Dart hashes as its plain tuple, so the reverse needs no Dart.
+    """
+    face_of = g.face_of
     dual_edges = []
-    for e in g.edges():
-        fa, fb = g.dual_endpoints(e)
-        dual_edges.append(DualEdge(primal=e, face_a=fa, face_b=fb))
+    for a, rot in enumerate(g.rotation):
+        for d in sorted(rot):
+            _, b, c = d
+            if a < b:
+                dual_edges.append(DualEdge((a, b, c), face_of[d], face_of[b, a, c]))
     return DualGraph(
         nodes=tuple(f.id for f in g.faces),
         dual_edges=tuple(dual_edges),

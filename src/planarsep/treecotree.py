@@ -196,16 +196,21 @@ class TreeCotreePair:
 
 
 def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
-    """T* = E \\ T, rooted at the maximum face id, with parent pointers."""
-    all_edges = set(g.edges())
-    if not tree.edges <= all_edges or len(tree.edges) != g.n - 1:
-        raise NotSpanningTree("tree is not a spanning tree of the graph")
-    co = all_edges - tree.edges
+    """T* = E \\ T, rooted at the maximum face id, with parent pointers.
+
+    Everything is read off the dual's edges, which come in sorted edge
+    order: the cotree is the dual edges whose primal is not in T, so the
+    adjacency lists (and the first bridge reported) follow that order.
+    """
     dual = build_dual(g)
+    co = [de for de in dual.dual_edges if de.primal not in tree.edges]
+    # primal edges are distinct, so T lies in E iff E \ T lost |T| edges
+    if len(dual.dual_edges) - len(co) != len(tree.edges) or len(tree.edges) != g.n - 1:
+        raise NotSpanningTree("tree is not a spanning tree of the graph")
 
     adj: dict[FaceId, list[tuple[EdgeId, FaceId]]] = {fid: [] for fid in dual.nodes}
-    for e in sorted(co):
-        fa, fb = g.dual_endpoints(e)
+    for de in co:
+        e, fa, fb = de.primal, de.face_a, de.face_b
         if fa == fb:
             # a bridge can never be a cotree edge: bridges lie in every
             # spanning tree, so e in T* means the tree was not spanning
@@ -230,12 +235,11 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
                 q.append(h)
     if len(parent) != len(dual.nodes):
         raise NotSpanningTree("cotree does not span the dual graph")
-    for f in children:
-        children[f].sort()
+    # every adj list, and so every children list, is in ascending edge order
     return TreeCotreePair(
         graph=g,
         tree=tree,
-        cotree_edges=co,
+        cotree_edges={de.primal for de in co},
         dual=dual,
         dual_root=root,
         dual_parent=parent,

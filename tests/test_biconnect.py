@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import articulation_count, biconnect, build_embedding, validate_embedding
-from planarsep.biconnect import _augment_once
+from planarsep.biconnect import _augment_once, biconnected
 from planarsep.generators import (
     cut_chain,
     cycle_chords,
@@ -140,3 +140,44 @@ def test_biconnect_matches_corner_passes(g):
     assert out.faces == ref.faces and out.face_of == ref.face_of
     assert out.infinite_face == ref.infinite_face
     assert out.vertex_weight == ref.vertex_weight
+
+
+@pytest.mark.parametrize("g", list(_cut_vertex_cases()))
+def test_lowpoint_answer_matches_block_map(g):
+    assert biconnected([g.neighbors(v) for v in range(g.n)]) == (articulation_count(g) == 0)
+
+
+def _no_cut_vertex_by_deletion(adj):
+    """Connected, and connected after deleting any one vertex (n >= 3)."""
+
+    def reach(skip):
+        start = next(v for v in range(len(adj)) if v != skip)
+        seen, stack = {start}, [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u != skip and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(adj) - (skip is not None)
+
+    return reach(None) and (len(adj) < 3 or all(reach(v) for v in range(len(adj))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+        )
+    )
+)
+def test_lowpoint_answer_matches_deletion_on_multigraphs(case):
+    # arbitrary, possibly disconnected multigraphs: parallel edges included
+    n, pairs = case
+    adj = [[] for _ in range(n)]
+    for a, b in pairs:
+        if a != b:
+            adj[a].append(b)
+            adj[b].append(a)
+    assert biconnected(adj) == _no_cut_vertex_by_deletion(adj)
