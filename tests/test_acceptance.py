@@ -22,6 +22,7 @@ from planarsep import (
     transfer_weights,
     tree_from_edges,
 )
+from planarsep.biconnect import _augment_once
 from planarsep.congest import log2ceil
 from planarsep.generators import (
     cut_chain,
@@ -224,7 +225,7 @@ def test_criterion_8_bit_budget(both_engine_run):
     _announce("8 bit budget", not violations)
 
 
-def test_criterion_9_biconnectivity_augmentation():
+def _criterion_9_instances():
     rng = random.Random(99)
     instances = []
     for seed in range(60):
@@ -239,6 +240,11 @@ def test_criterion_9_biconnectivity_augmentation():
         a = random_triangulation(rng.randint(4, 40), seed)
         b = path_graph(rng.randint(2, 20))
         instances.append(merge_at_vertex(a, b))
+    return instances
+
+
+def test_criterion_9_biconnectivity_augmentation():
+    instances = _criterion_9_instances()
     assert len(instances) >= 100
     checked = 0
     for g in instances:
@@ -249,6 +255,12 @@ def test_criterion_9_biconnectivity_augmentation():
         assert out.euler_residual() == 0
         checked += 1
     _announce(f"9 biconnect ({checked} graphs)", checked >= 100)
+
+
+def test_one_corner_pass_leaves_no_cut_vertex():
+    # a second pass over the result of the first finds nothing to link
+    for g in _criterion_9_instances():
+        assert _augment_once(_augment_once(g)) is None
 
 
 def test_criterion_10_pinned_critical_case():

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,13 @@ from planarsep.embedding import build_embedding
 from planarsep.errors import DegenerateTotal, NotProper
 from planarsep.generators import (
     cut_chain,
+    cycle_chords,
     grid,
     pinned_critical_instance,
     random_triangulation,
 )
 from planarsep.separator import find_balanced_or_critical_in_tree
-from planarsep.treecotree import _tree_edge_between
+from planarsep.treecotree import _tree_edge_between, dual_subtree_sums, subtree_sums
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -208,3 +210,105 @@ def test_cut_chain_separators(blobs, size, seed):
     t = bfs_tree(g, 0)
     res = compute_separator(g, t)
     assert verify_separator(g, None, res.path).passed
+
+
+# -- detection against a brute-force reference --------------------------------
+#
+# The reference sums every node's weight into each of its ancestors, finds
+# depths by walking parent pointers to the root, and picks the max-id
+# balanced node, else the deepest heavy node by (depth, id).
+
+
+def _reference_pick(parent, values):
+    sums = dict.fromkeys(parent, 0)
+    depth = {}
+    for x in parent:
+        depth[x] = -1
+        y = x
+        while y is not None:
+            sums[y] += values[x]
+            depth[x] += 1
+            y = parent[y]
+    total = sum(values[x] for x in parent)
+    balanced = [x for x in parent if total <= 4 * sums[x] <= 3 * total]
+    if balanced:
+        pick = max(balanced)
+        return "balanced", pick, sums, depth
+    heavy = [x for x in parent if 4 * sums[x] > 3 * total]
+    return "critical", max(heavy, key=lambda x: (depth[x], x)), sums, depth
+
+
+def _random_tree_of(g, rng):
+    edges = g.edges()
+    rng.shuffle(edges)
+    comp = list(range(g.n))
+
+    def find(x):
+        while comp[x] != x:
+            comp[x] = comp[comp[x]]
+            x = comp[x]
+        return x
+
+    chosen = []
+    for a, b, c in edges:
+        if find(a) != find(b):
+            comp[find(a)] = find(b)
+            chosen.append((a, b, c))
+    return tree_from_edges(g, chosen, rng.randrange(g.n))
+
+
+DETECT_GRAPHS = st.one_of(
+    st.builds(grid, st.integers(2, 7), st.integers(2, 7)),
+    st.builds(random_triangulation, st.integers(4, 60), st.integers(0, 10**6)),
+    st.builds(cycle_chords, st.integers(11, 40), st.integers(0, 8), st.integers(0, 10**6)),
+    st.builds(cut_chain, st.integers(2, 4), st.integers(3, 10), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=DETECT_GRAPHS, seed=st.integers(0, 10**6), face_level=st.booleans())
+def test_detection_matches_brute_force(g, seed, face_level):
+    rng = random.Random(seed)
+    gp = biconnect(g)
+    pair = cotree(gp, _random_tree_of(g, rng))
+    if face_level:
+        # arbitrary face weights, zeros included, reach both cases often
+        face_weight = {f.id: rng.choice([0, 0, 1, 2, 5, 9]) for f in gp.faces}
+    else:
+        w = [rng.randint(0, 6) for _ in range(g.n)]
+        face_weight = transfer_weights(gp, weights=w).face_weight
+    kind, pick, sums, depth = _reference_pick(pair.dual_parent, face_weight)
+    assert depth == pair.dual_depth
+    if sums[pair.dual_root] == 0:
+        with pytest.raises(DegenerateTotal):
+            find_balanced_or_critical(pair, face_weight)
+        return
+    verdict = find_balanced_or_critical(pair, face_weight)
+    assert (verdict.kind, verdict.face) == (kind, pick)
+    assert verdict.subtree_weight == sums[pick]
+    assert verdict.depth == depth[pick]
+    assert verdict.total == sums[pair.dual_root]
+    assert verdict.sums == sums
+    assert dual_subtree_sums(pair, face_weight) == sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 10**6))
+def test_tree_detection_matches_brute_force(n, seed):
+    rng = random.Random(seed)
+    ids = rng.sample(range(10 * n), n)  # ids unrelated to tree order
+    parent = {ids[0]: None}
+    children = {}
+    for i in range(1, n):
+        p = ids[rng.randrange(i)]
+        parent[ids[i]] = p
+        children.setdefault(p, []).append(ids[i])
+    values = {x: rng.choice([0, 1, 1, 2, 3, 8]) for x in ids}
+    kind, pick, sums, depth = _reference_pick(parent, values)
+    assert subtree_sums(children, ids[0], values) == sums
+    if sums[ids[0]] == 0:
+        with pytest.raises(DegenerateTotal):
+            find_balanced_or_critical_in_tree(children, ids[0], values)
+        return
+    got = find_balanced_or_critical_in_tree(children, ids[0], values)
+    assert got == (kind, pick, sums[pick], depth[pick])

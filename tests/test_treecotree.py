@@ -330,6 +330,19 @@ def test_dual_and_cotree_match_reference_on_random_trees(n, seed):
     _assert_matches_reference(g, _random_spanning_tree(g, random.Random(seed)))
 
 
+@pytest.mark.parametrize("g", list(_reference_graphs()))
+def test_dual_parent_lists_every_face_after_its_parent(g):
+    rng = random.Random(g.n)
+    for tree in (bfs_tree(g, 0), _random_spanning_tree(g, rng)):
+        pair = cotree(g, tree)
+        order = list(pair.dual_parent)
+        assert order[0] == pair.dual_root and pair.dual_parent[order[0]] is None
+        position = {f: i for i, f in enumerate(order)}
+        for f in order[1:]:
+            assert position[pair.dual_parent[f]] < position[f]
+        assert [pair.dual_depth[f] for f in order] == sorted(pair.dual_depth.values())
+
+
 def _bare_tree(edges, root=0):
     """A SpanningTree carrying only an edge set, as cotree reads it."""
     return SpanningTree(root=root, parent=[], parent_edge=[], depth=[], edges=set(edges))
