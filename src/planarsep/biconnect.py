@@ -3,23 +3,30 @@
 biconnect first asks `biconnected`, one lowpoint pass over neighbour ids
 (Tarjan 1972), and returns an input without a cut vertex as it is.  Only
 an input with a cut vertex gets the edge-keyed block map of `edge_blocks`
-and the corner passes below.
+and the corner pass below.
 
 At each cut vertex v, consecutive darts in v's rotation that belong to
 different blocks span a corner of some face; bridging that corner with an
 edge between the two neighbors of v merges the blocks without leaving the
 face.  A union-find over blocks skips corners whose blocks were already
 merged earlier in the pass, so e.g. two triangles sharing a vertex get a
-single virtual edge.  Passes repeat until no articulation point remains;
-one pass suffices on all tested inputs, and the loop only guarantees
-termination.
+single virtual edge.
+
+One pass suffices.  Adding edges never creates a cut vertex, so a cut
+vertex of the result would be a cut vertex v of the input.  Blocks meet
+at v only through v in the block-cut tree, so two blocks at v share a
+union-find class only after a link made at v, and each link joins two of
+v's neighbours by an edge that avoids v.  Going round v's rotation, every
+consecutive pair of neighbours is then linked, equal, or joined through
+earlier links at v, so removing v leaves the result connected.  biconnect
+still checks the result with `biconnected`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, build_embedding
+from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, build_embedding, next_copy
 
 
 def biconnected(adj: Sequence[Sequence[int]]) -> bool:
@@ -107,14 +114,18 @@ def edge_blocks(g: EmbeddedPlanarGraph) -> dict[EdgeId, int]:
     return block_of
 
 
-def articulation_count(g: EmbeddedPlanarGraph) -> int:
-    """Number of cut vertices, from the block decomposition."""
-    block_of = edge_blocks(g)
-    blocks_at: list[set[int]] = [set() for _ in range(g.n)]
+def _cut_vertices(n: int, block_of: dict[EdgeId, int]) -> list[int]:
+    """The vertices that lie in more than one block, ascending."""
+    blocks_at: list[set[int]] = [set() for _ in range(n)]
     for (a, b, _c), blk in block_of.items():
         blocks_at[a].add(blk)
         blocks_at[b].add(blk)
-    return sum(1 for s in blocks_at if len(s) > 1)
+    return [v for v in range(n) if len(blocks_at[v]) > 1]
+
+
+def articulation_count(g: EmbeddedPlanarGraph) -> int:
+    """Number of cut vertices, from the block decomposition."""
+    return len(_cut_vertices(g.n, edge_blocks(g)))
 
 
 class _UnionFind:
@@ -138,26 +149,13 @@ class _UnionFind:
 def _augment_once(g: EmbeddedPlanarGraph) -> EmbeddedPlanarGraph | None:
     """One corner pass; returns the augmented graph or None if no cut vertex."""
     block_of = edge_blocks(g)
-    blocks_at: list[set[int]] = [set() for _ in range(g.n)]
-    for (a, b, _c), blk in block_of.items():
-        blocks_at[a].add(blk)
-        blocks_at[b].add(blk)
-    cut_vertices = [v for v in range(g.n) if len(blocks_at[v]) > 1]
+    cut_vertices = _cut_vertices(g.n, block_of)
     if not cut_vertices:
         return None
 
     uf = _UnionFind()
     rotation = [list(r) for r in g.rotation]
     virtual = set(g.virtual_edges)
-    copies: dict[tuple[int, int], int] = {}
-    for (a, b, c) in {d.edge() for row in rotation for d in row}:
-        copies[(a, b)] = max(copies.get((a, b), -1), c)
-
-    def next_copy(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        copies[key] = copies.get(key, -1) + 1
-        return copies[key]
-
     for v in cut_vertices:
         rot = list(rotation[v])  # may already hold bridges from earlier vertices
         k = len(rot)
@@ -170,7 +168,7 @@ def _augment_once(g: EmbeddedPlanarGraph) -> EmbeddedPlanarGraph | None:
             if h1 == h2:
                 # parallel edges to one neighbor are already 2-connected
                 continue
-            c = next_copy(h1, h2)
+            c = next_copy(rotation[h1], h2)  # counts bridges added so far
             d_h2h1 = Dart(h2, h1, c)
             d_h1h2 = Dart(h1, h2, c)
             # corner face runs (h1 -> v), (v -> h2); the bridge cuts it off:
@@ -196,12 +194,9 @@ def biconnect(g: EmbeddedPlanarGraph) -> EmbeddedPlanarGraph:
     Planarity is preserved (every bridge lives inside one face corner),
     weights are unchanged, and already bi-connected graphs come back as-is.
     """
-    if biconnected([[d.head for d in rot] for rot in g.rotation]):
+    if biconnected([g.neighbors(v) for v in range(g.n)]):
         return g
-    current = g
-    for _ in range(g.n + 1):
-        augmented = _augment_once(current)
-        if augmented is None:
-            return current
-        current = augmented
-    raise AssertionError("augmentation failed to converge")
+    out = _augment_once(g)
+    if out is None or not biconnected([out.neighbors(v) for v in range(out.n)]):
+        raise AssertionError("corner pass left a cut vertex")
+    return out

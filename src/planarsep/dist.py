@@ -52,7 +52,7 @@ from .congest import (
     default_bit_budget,
     pa_charge,
 )
-from .embedding import Dart, EmbeddedPlanarGraph, build_embedding
+from .embedding import Dart, EmbeddedPlanarGraph, build_embedding, next_copy
 from .errors import ConflictingRoot, DegenerateTotal, InvalidPartition, NotBiconnected
 from .separator import (
     ClosingEdge,
@@ -60,7 +60,6 @@ from .separator import (
     exceeds_beta,
     is_balanced,
     make_result,
-    next_copy,
     require_proper,
     sep_line,
 )

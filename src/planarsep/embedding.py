@@ -60,8 +60,7 @@ class Face:
         return len(self.boundary)
 
 
-@dataclass(frozen=True)
-class DualEdge:
+class DualEdge(NamedTuple):
     primal: EdgeId
     face_a: FaceId  # face of the dart (a -> b)
     face_b: FaceId  # face of the dart (b -> a)
@@ -82,14 +81,9 @@ class EmbeddedPlanarGraph:
     infinite_face: FaceId = None
     virtual_edges: frozenset[EdgeId] = frozenset()
 
-    _rot_pos: dict[Dart, int] = field(default=None, repr=False)
     _face_by_id: dict[FaceId, Face] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self._rot_pos is None:
-            self._rot_pos = {
-                d: i for rot in self.rotation for i, d in enumerate(rot)
-            }
         if self._face_by_id is None:
             self._face_by_id = {f.id: f for f in self.faces}
 
@@ -123,7 +117,7 @@ class EmbeddedPlanarGraph:
 
     def rot_next(self, d: Dart) -> Dart:
         rot = self.rotation[d.tail]
-        return rot[(self._rot_pos[d] + 1) % len(rot)]
+        return rot[(rot.index(d) + 1) % len(rot)]
 
     def face_succ(self, d: Dart) -> Dart:
         return self.rot_next(d.reverse())
@@ -138,6 +132,11 @@ class EmbeddedPlanarGraph:
     def dual_endpoints(self, e: EdgeId) -> tuple[FaceId, FaceId]:
         da, db = self.darts_of_edge(e)
         return self.face_of[da], self.face_of[db]
+
+
+def next_copy(rotation_u: Sequence[Dart], v: int) -> int:
+    """Copy index of a new u-v edge: one above the copy of every u-v dart."""
+    return max((d.copy for d in rotation_u if d.head == v), default=-1) + 1
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,14 @@ from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence
 
 from .biconnect import biconnect
-from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, FaceId
+from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, FaceId, next_copy
 from .errors import DegenerateTotal, NotBiconnected, NotProper
 from .treecotree import (
     SpanningTree,
     TreeCotreePair,
     cotree,
-    subtree_sums,
+    sum_up,
+    top_down,
     tree_path,
     _tree_edge_between,
 )
@@ -78,39 +79,34 @@ def find_balanced_or_critical_in_tree(
     the deepest node whose subtree exceeds 3/4 of the total (unique,
     since two disjoint subtrees cannot both exceed 3/4), ties by id.
     """
-    return _pick_node(children, root, subtree_sums(children, root, values))
+    parent, depth = top_down(children, root)
+    return _pick_node(root, parent, sum_up(parent, values), depth)
 
 
 def _pick_node(
-    children: Mapping[Hashable, Sequence[Hashable]],
     root: Hashable,
+    parent: Mapping[Hashable, Hashable | None],
     sums: Mapping[Hashable, int],
+    depth: Mapping[Hashable, int],
 ) -> tuple[str, Hashable, int, int]:
     total = sums[root]
     if total == 0:
         raise DegenerateTotal("total weight is zero")
-    depth = {root: 0}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for c in children.get(x, ()):
-            depth[c] = depth[x] + 1
-            stack.append(c)
     balanced = [x for x, s in sums.items() if is_balanced(s, total)]
     if balanced:
         pick = max(balanced)
         return "balanced", pick, sums[pick], depth[pick]
     heavy = [x for x, s in sums.items() if exceeds_beta(s, total)]
     pick = max(heavy, key=lambda x: (depth[x], x))
-    for c in children.get(pick, ()):
-        assert below_alpha(sums[c], total), "deepest heavy node has a heavy child"
+    for c, p in parent.items():
+        if p == pick:
+            assert below_alpha(sums[c], total), "deepest heavy node has a heavy child"
     return "critical", pick, sums[pick], depth[pick]
 
 
 def find_balanced_or_critical(pair: TreeCotreePair, face_weight: Mapping[FaceId, int]) -> NodeVerdict:
-    kids = {f: [h for _, h in pair.dual_children[f]] for f in pair.dual_children}
-    sums = subtree_sums(kids, pair.dual_root, face_weight)
-    kind, face, subtree, depth = _pick_node(kids, pair.dual_root, sums)
+    sums = sum_up(pair.dual_parent, face_weight)
+    kind, face, subtree, depth = _pick_node(pair.dual_root, pair.dual_parent, sums, pair.dual_depth)
     return NodeVerdict(
         kind=kind,
         face=face,
@@ -199,11 +195,6 @@ def make_result(
         balance_ratio=Fraction(worst, total),
         diagnostics=diagnostics if diagnostics is not None else {},
     )
-
-
-def next_copy(rotation_u: Sequence[Dart], v: int) -> int:
-    """Copy index of a new u-v edge: one above the copy of every u-v dart."""
-    return max((d.copy for d in rotation_u if d.head == v), default=-1) + 1
 
 
 def sep_line(x: int, role: str, darts: Sequence[Dart]) -> str:

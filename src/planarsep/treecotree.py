@@ -189,6 +189,7 @@ class TreeCotreePair:
     cotree_edges: set[EdgeId]
     dual: DualGraph
     dual_root: FaceId
+    # in BFS order: the root (parent None) first, every face after its parent
     dual_parent: dict[FaceId, FaceId | None]
     dual_parent_edge: dict[FaceId, EdgeId | None]
     dual_depth: dict[FaceId, int]
@@ -209,8 +210,7 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
         raise NotSpanningTree("tree is not a spanning tree of the graph")
 
     adj: dict[FaceId, list[tuple[EdgeId, FaceId]]] = {fid: [] for fid in dual.nodes}
-    for de in co:
-        e, fa, fb = de.primal, de.face_a, de.face_b
+    for e, fa, fb in co:
         if fa == fb:
             # a bridge can never be a cotree edge: bridges lie in every
             # spanning tree, so e in T* means the tree was not spanning
@@ -315,31 +315,44 @@ def interior_faces(pair: TreeCotreePair, e_star: EdgeId) -> set[FaceId]:
     return below
 
 
+def top_down(
+    children: Mapping[Hashable, Iterable[Hashable]], root: Hashable
+) -> tuple[dict[Hashable, Hashable | None], dict[Hashable, int]]:
+    """Parent and depth of every node under root, in BFS order."""
+    parent: dict[Hashable, Hashable | None] = {root: None}
+    depth = {root: 0}
+    order = [root]
+    for x in order:
+        for c in children.get(x, ()):
+            parent[c] = x
+            depth[c] = depth[x] + 1
+            order.append(c)
+    return parent, depth
+
+
+def sum_up(
+    parent: Mapping[Hashable, Hashable | None], values: Mapping[Hashable, int]
+) -> dict[Hashable, int]:
+    """Subtree sums over a parent map that lists every node after its
+    parent (the root, mapped to None, first): one pass from the back."""
+    sums = {x: values[x] for x in parent}
+    for x, p in reversed(parent.items()):
+        if p is not None:
+            sums[p] += sums[x]
+    return sums
+
+
 def subtree_sums(
     children: Mapping[Hashable, Iterable[Hashable]],
     root: Hashable,
     values: Mapping[Hashable, int],
 ) -> dict[Hashable, int]:
-    """sum(u) over u's subtree, iteratively (works for vertex and face trees)."""
-    sums: dict[Hashable, int] = {}
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            total = values[node]
-            for c in children.get(node, ()):
-                total += sums[c]
-            sums[node] = total
-        else:
-            stack.append((node, True))
-            for c in children.get(node, ()):
-                stack.append((c, False))
-    return sums
+    """sum(u) over u's subtree (works for vertex and face trees)."""
+    return sum_up(top_down(children, root)[0], values)
 
 
 def dual_subtree_sums(pair: TreeCotreePair, face_values: Mapping[FaceId, int]) -> dict[FaceId, int]:
-    kids = {f: [h for _, h in pair.dual_children[f]] for f in pair.dual_children}
-    return subtree_sums(kids, pair.dual_root, face_values)
+    return sum_up(pair.dual_parent, face_values)
 
 
 def dot_export(pair: TreeCotreePair, path: Iterable[int] = ()) -> str:
