@@ -208,8 +208,10 @@ def build_embedding(
 ) -> EmbeddedPlanarGraph:
     """Validate a rotation system and assemble the graph.
 
-    rotation[v] may hold Darts, (head,) ints, or (tail, head[, copy])
-    tuples; bare ints are convenient for simple inputs.  With strict=True
+    rotation[v] may hold Darts, bare head ints, pairs holding v and the
+    head in either order, or (tail, head, copy) triples; any other item
+    raises InconsistentRotation.  Bare ints are convenient for simple
+    inputs.  With strict=True
     the Euler check is enforced; strict=False admits non-planar rotation
     systems so validate_embedding can report their residual.
     """
@@ -221,10 +223,14 @@ def build_embedding(
                 d = item
             elif isinstance(item, int):
                 d = Dart(v, item, 0)
-            elif len(item) == 2:
+            elif len(item) == 2 and v in item:
                 d = Dart(v, item[1], 0) if item[0] == v else Dart(v, item[0], 0)
-            else:
+            elif len(item) == 3:
                 d = Dart(*item)
+            else:
+                raise InconsistentRotation(
+                    f"rotation item {item!r} of vertex {v} names no dart from {v}"
+                )
             if d.tail != v:
                 raise InconsistentRotation(f"dart {d} listed under vertex {v}")
             if d.head == d.tail:

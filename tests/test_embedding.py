@@ -28,6 +28,22 @@ def test_missing_reverse_rejected():
         build_embedding(2, [[1], []])
 
 
+def test_malformed_rotation_items_rejected():
+    # a pair must hold its vertex: (2, 7) under vertex 1 names no dart from 1
+    with pytest.raises(InconsistentRotation, match=r"\(2, 7\) of vertex 1"):
+        build_embedding(3, [[(0, 1), (0, 2)], [(2, 7), (1, 0)], [(2, 0), (2, 1)]])
+    # arity 1 or 4 is no dart either
+    for item in [(1,), (0, 1, 0, 0), ()]:
+        with pytest.raises(InconsistentRotation):
+            build_embedding(2, [[item], [0]])
+
+
+def test_rotation_pairs_read_either_way():
+    ints = build_embedding(3, [[1, 2], [2, 0], [0, 1]])
+    pairs = build_embedding(3, [[(0, 1), (2, 0)], [(1, 2), (0, 1)], [(2, 0), (2, 1)]])
+    assert pairs.rotation == ints.rotation
+
+
 def test_disconnected_rejected():
     with pytest.raises(NotConnected):
         build_embedding(4, [[1], [0], [3], [2]])
