@@ -10,11 +10,22 @@ the 2m darts belongs to exactly one face boundary.  Face identifiers are
 canonical: the lexicographically smallest (tail, head, copy) dart on the
 boundary.  That makes ids deterministic and computable from purely local
 walks, which the message-passing implementation relies on.
+
+Faces are also numbered once, when the graph is built: face i is
+g.faces[i], and g.faces is sorted by id, so number order is id order and a
+min, max or tie-break over numbers picks the same face as over ids.
+g.dart_face holds every dart's face number in one flat list, in rotation
+order (vertex 0's darts first).  The sequential engine runs on these
+numbers; a Dart face id is read off g.faces only where a report names a
+face.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -62,8 +73,8 @@ class Face:
 
 class DualEdge(NamedTuple):
     primal: EdgeId
-    face_a: FaceId  # face of the dart (a -> b)
-    face_b: FaceId  # face of the dart (b -> a)
+    face_a: int  # number of the face of the dart (a -> b)
+    face_b: int  # number of the face of the dart (b -> a)
 
     def is_self_loop(self) -> bool:
         return self.face_a == self.face_b
@@ -76,16 +87,12 @@ class EmbeddedPlanarGraph:
     n: int
     rotation: list[list[Dart]]
     vertex_weight: list[int]
-    faces: list[Face] = field(repr=False)
+    faces: list[Face] = field(repr=False)  # sorted by id; face i has number i
     face_of: dict[Dart, FaceId] = field(repr=False)
+    # face number of every dart, in rotation order (vertex 0's darts first)
+    dart_face: list[int] = field(repr=False)
     infinite_face: FaceId = None
     virtual_edges: frozenset[EdgeId] = frozenset()
-
-    _face_by_id: dict[FaceId, Face] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._face_by_id is None:
-            self._face_by_id = {f.id: f for f in self.faces}
 
     # -- basic queries -------------------------------------------------
 
@@ -110,8 +117,14 @@ class EmbeddedPlanarGraph:
     def neighbors(self, v: int) -> list[int]:
         return [d.head for d in self.rotation[v]]
 
+    def face_number(self, fid: FaceId) -> int:
+        i = bisect_left(self.faces, fid, key=attrgetter("id"))
+        if i == len(self.faces) or self.faces[i].id != fid:
+            raise KeyError(fid)
+        return i
+
     def face(self, fid: FaceId) -> Face:
-        return self._face_by_id[fid]
+        return self.faces[self.face_number(fid)]
 
     # -- rotation / face traversal --------------------------------------
 
@@ -148,33 +161,45 @@ class EmbeddingReport:
     connected: bool
 
 
-def _trace_faces(rotation: list[list[Dart]]) -> list[Face]:
-    rot_pos = {d: i for rot in rotation for i, d in enumerate(rot)}
+def _trace_faces(rotation: list[list[Dart]]) -> tuple[list[Face], list[int]]:
+    """The faces sorted by id, and each dart's face number in rotation order.
 
-    def succ(d: Dart) -> Dart:
-        rot = rotation[d.head]
-        rev = Dart(d.head, d.tail, d.copy)
-        return rot[(rot_pos[rev] + 1) % len(rot)]
-
-    faces = []
-    seen: set[Dart] = set()
+    Darts are traced by their slot in rotation order.  The slot after x in
+    its rotation is succ of reverse(x), so one lookup per dart gives every
+    successor; a Dart hashes as its plain tuple, so the reverse needs no Dart.
+    """
+    darts = [d for rot in rotation for d in rot]
+    slot = {d: i for i, d in enumerate(darts)}
+    succ = [0] * len(darts)
+    first = 0
     for rot in rotation:
-        for start in rot:
-            if start in seen:
-                continue
-            boundary = [start]
-            seen.add(start)
-            d = succ(start)
-            while d != start:
-                boundary.append(d)
-                seen.add(d)
-                d = succ(d)
-            # rotate the boundary so the canonical (minimum) dart leads
-            k = boundary.index(min(boundary))
-            boundary = boundary[k:] + boundary[:k]
-            faces.append(Face(id=boundary[0], boundary=tuple(boundary)))
-    faces.sort(key=lambda f: f.id)
-    return faces
+        last = first + len(rot) - 1
+        for i, (t, h, c) in enumerate(rot, first):
+            succ[slot[h, t, c]] = i + 1 if i < last else first
+        first = last + 1
+
+    orbit_of = [-1] * len(darts)
+    faces = []
+    for start in range(len(darts)):
+        if orbit_of[start] >= 0:
+            continue
+        k = len(faces)
+        boundary = [darts[start]]
+        orbit_of[start] = k
+        s = succ[start]
+        while s != start:
+            boundary.append(darts[s])
+            orbit_of[s] = k
+            s = succ[s]
+        # rotate the boundary so the canonical (minimum) dart leads
+        i = boundary.index(min(boundary))
+        boundary = boundary[i:] + boundary[:i]
+        faces.append(Face(id=boundary[0], boundary=tuple(boundary)))
+    by_id = sorted(range(len(faces)), key=lambda k: faces[k].id)
+    number = [0] * len(faces)
+    for i, k in enumerate(by_id):
+        number[k] = i
+    return [faces[k] for k in by_id], [number[k] for k in orbit_of]
 
 
 def _check_connected(n: int, rotation: list[list[Dart]]) -> bool:
@@ -259,13 +284,14 @@ def build_embedding(
     if not _check_connected(n, rot):
         raise NotConnected("graph is not connected")
 
-    faces = _trace_faces(rot)
+    faces, dart_face = _trace_faces(rot)
     m = sum(len(r) for r in rot) // 2
     nf = max(len(faces), 1)  # faces are dart orbits; an edgeless graph has one
     if strict and n - m + nf != 2:
         raise EulerViolation(f"n - m + f = {n} - {m} + {nf} != 2")
 
-    face_of = {d: f.id for f in faces for d in f.boundary}
+    ids = [f.id for f in faces]
+    face_of = dict(zip(chain.from_iterable(rot), map(ids.__getitem__, dart_face)))
     if infinite_face_hint is not None:
         if infinite_face_hint not in face_of:
             raise InconsistentRotation(f"infinite face hint dart {infinite_face_hint} unknown")
@@ -279,6 +305,7 @@ def build_embedding(
         vertex_weight=weights,
         faces=faces,
         face_of=face_of,
+        dart_face=dart_face,
         infinite_face=inf,
         virtual_edges=frozenset(virtual_edges),
     )
@@ -296,7 +323,7 @@ def validate_embedding(g: EmbeddedPlanarGraph) -> EmbeddingReport:
 
 @dataclass(frozen=True)
 class DualGraph:
-    nodes: tuple[FaceId, ...]
+    nodes: range  # face numbers
     dual_edges: tuple[DualEdge, ...]
 
 
@@ -304,19 +331,33 @@ def build_dual(g: EmbeddedPlanarGraph) -> DualGraph:
     """One dual edge per primal edge, in sorted edge order; self-loops
     exactly at bridges.
 
-    Both faces come from g.face_of: the dart (a, b, c) with a < b gives
-    face_a, its reverse (b, a, c) face_b.  Each rotation is sorted on its
-    own, so vertex a's darts to larger heads come out in edge order, and
-    a Dart hashes as its plain tuple, so the reverse needs no Dart.
+    Both faces come from g.dart_face, in one pass over the vertices with
+    each rotation sorted on its own.  Vertex a's darts to larger heads
+    come out in edge order and open a block of dual edges.  A dart
+    (b, a, c) with a < b gives face_b of the edge (a, b, c): at b the
+    darts to a come by copy, and the vertices come in ascending order, so
+    they fill a's block front to back.
     """
-    face_of = g.face_of
-    dual_edges = []
-    for a, rot in enumerate(g.rotation):
-        for d in sorted(rot):
-            _, b, c = d
-            if a < b:
-                dual_edges.append(DualEdge((a, b, c), face_of[d], face_of[b, a, c]))
+    dart_face = g.dart_face
+    primal: list[EdgeId] = []
+    face_a: list[int] = []
+    face_b: list[int] = []
+    fill = [0] * g.n  # next face_b slot in each vertex's block
+    first = 0
+    for v, rot in enumerate(g.rotation):
+        fill[v] = len(primal)
+        for i in sorted(range(len(rot)), key=rot.__getitem__):
+            _, h, c = rot[i]
+            if h < v:
+                face_b[fill[h]] = dart_face[first + i]
+                fill[h] += 1
+            else:
+                primal.append((v, h, c))
+                face_a.append(dart_face[first + i])
+                face_b.append(-1)
+        first += len(rot)
+    # tuple.__new__ builds each DualEdge without NamedTuple's Python-level __new__
     return DualGraph(
-        nodes=tuple(f.id for f in g.faces),
-        dual_edges=tuple(dual_edges),
+        nodes=range(len(g.faces)),
+        dual_edges=tuple(map(tuple.__new__, repeat(DualEdge), zip(primal, face_a, face_b))),
     )

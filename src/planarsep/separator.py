@@ -25,15 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .biconnect import biconnect
-from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, FaceId, next_copy
+from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, next_copy
 from .errors import DegenerateTotal, NotBiconnected, NotProper
 from .treecotree import (
     SpanningTree,
     TreeCotreePair,
     cotree,
+    dual_subtree_sums,
     sum_up,
     top_down,
     tree_path,
@@ -49,11 +50,11 @@ PROPERNESS = Fraction(1, 12)
 @dataclass(frozen=True)
 class NodeVerdict:
     kind: str                 # "balanced" | "critical"
-    face: FaceId
+    face: int                 # face number
     subtree_weight: int
     depth: int
     total: int
-    sums: Mapping[FaceId, int] = field(compare=False, repr=False)  # dual subtree sums
+    sums: list[int] = field(compare=False, repr=False)  # dual subtree sums by face number
 
 
 def is_balanced(subtree: int, total: int) -> bool:
@@ -80,33 +81,41 @@ def find_balanced_or_critical_in_tree(
     since two disjoint subtrees cannot both exceed 3/4), ties by id.
     """
     parent, depth = top_down(children, root)
-    return _pick_node(root, parent, sum_up(parent, values), depth)
+    sums = sum_up(list(parent), parent, {x: values[x] for x in parent})
+    return _pick_node(parent, root, parent, sums, depth)
 
 
 def _pick_node(
+    nodes: Iterable[Hashable],
     root: Hashable,
     parent: Mapping[Hashable, Hashable | None],
     sums: Mapping[Hashable, int],
     depth: Mapping[Hashable, int],
 ) -> tuple[str, Hashable, int, int]:
+    """The pick over every node of a tree given by index-able maps (dicts
+    keyed by node, or lists indexed by face number)."""
     total = sums[root]
     if total == 0:
         raise DegenerateTotal("total weight is zero")
-    balanced = [x for x, s in sums.items() if is_balanced(s, total)]
+    balanced = [x for x in nodes if is_balanced(sums[x], total)]
     if balanced:
         pick = max(balanced)
         return "balanced", pick, sums[pick], depth[pick]
-    heavy = [x for x, s in sums.items() if exceeds_beta(s, total)]
+    heavy = [x for x in nodes if exceeds_beta(sums[x], total)]
     pick = max(heavy, key=lambda x: (depth[x], x))
-    for c, p in parent.items():
-        if p == pick:
+    for c in nodes:
+        if parent[c] == pick:
             assert below_alpha(sums[c], total), "deepest heavy node has a heavy child"
     return "critical", pick, sums[pick], depth[pick]
 
 
-def find_balanced_or_critical(pair: TreeCotreePair, face_weight: Mapping[FaceId, int]) -> NodeVerdict:
-    sums = sum_up(pair.dual_parent, face_weight)
-    kind, face, subtree, depth = _pick_node(pair.dual_root, pair.dual_parent, sums, pair.dual_depth)
+def find_balanced_or_critical(pair: TreeCotreePair, face_weight: Sequence[int]) -> NodeVerdict:
+    """The verdict on the dual tree, for weights indexed by face number;
+    number order is id order, so the picks are the id-based ones."""
+    sums = dual_subtree_sums(pair, face_weight)
+    kind, face, subtree, depth = _pick_node(
+        pair.dual.nodes, pair.dual_root, pair.dual_parent, sums, pair.dual_depth
+    )
     return NodeVerdict(
         kind=kind,
         face=face,
@@ -255,7 +264,7 @@ def separator_from_balanced(
 class CriticalScan:
     """Boundary data of a critical face, anchored at its dual-parent edge."""
 
-    face: FaceId
+    face: int                         # face number
     anchor: Dart                      # the (v_k -> v_1) dart on f's boundary
     boundary: tuple[Dart, ...]        # (v_1->v_2), ..., (v_k->v_1)
     vs: tuple[int, ...]               # v_1..v_k
@@ -303,36 +312,34 @@ def critical_scan(
 ) -> CriticalScan:
     g = pair.graph
     f = verdict.face
-    face = g.face(f)
+    face = g.faces[f]
     if f == pair.dual_root:
-        anchor = f  # canonical dart doubles as the anchor when f has no parent
+        anchor = face.id  # canonical dart doubles as the anchor when f has no parent
     else:
-        e = pair.dual_parent_edge[f]
-        da, db = g.darts_of_edge(e)
-        anchor = da if g.face_of[da] == f else db
+        # a cotree edge is no bridge, so exactly one of its darts bounds f
+        da, db = g.darts_of_edge(pair.dual_parent_edge[f])
+        anchor = da if da in face.boundary else db
     idx = face.boundary.index(anchor)
     boundary = face.boundary[idx + 1 :] + face.boundary[: idx + 1]
     vs = tuple(d.tail for d in boundary)
     if len(set(vs)) != len(vs):
-        raise NotBiconnected(f"face {f} boundary repeats a vertex")
+        raise NotBiconnected(f"face {face.id} boundary repeats a vertex")
     choice = tuple(
         weights[v] if weighting.chosen_face[v] == f else 0 for v in vs
     )
-    child_sub = []
-    for d in boundary[:-1]:
-        e = d.edge()
-        other = g.face_of[d.reverse()]
-        if e in pair.cotree_edges and pair.dual_parent_edge.get(other) == e:
-            child_sub.append(verdict.sums[other])
-        else:
-            child_sub.append(0)
+    parent_edge = pair.dual_parent_edge
+    child_at = {parent_edge[h]: h for h, p in enumerate(pair.dual_parent) if p == f}
+    child_sub = tuple(
+        verdict.sums[child_at[e]] if e in child_at else 0
+        for e in (d.edge() for d in boundary[:-1])
+    )
     return CriticalScan(
         face=f,
         anchor=anchor,
         boundary=boundary,
         vs=vs,
         choice=choice,
-        child_sub=tuple(child_sub),
+        child_sub=child_sub,
         subtree_f=verdict.sums[f],
     )
 
@@ -350,7 +357,7 @@ def separator_from_critical(
     scan = critical_scan(pair, verdict, weighting, w)
     k = scan.k
 
-    if not pair.dual_children[scan.face]:
+    if scan.face not in pair.dual_parent:
         # leaf critical face: its boundary minus the anchor edge is a tree
         # path and the strict interior of the face is empty
         u, v = scan.vs[0], scan.vs[-1]

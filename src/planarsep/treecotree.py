@@ -5,15 +5,18 @@ T* = E \\ T spans the dual, and the fundamental cycle of a non-tree edge
 equals the fundamental cut of its dual edge.  The dual tree is always
 rooted at the maximum face id, matching the election rule used by the
 message-passing engine so both produce identical rooted structures.
+Faces are named by their numbers (see embedding.py), so the dual tree is
+a set of flat lists indexed by face number.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Hashable, Iterable, Mapping, MutableMapping, Sequence
 
-from .embedding import DualGraph, EdgeId, EmbeddedPlanarGraph, FaceId, build_dual
+from .embedding import DualGraph, EdgeId, EmbeddedPlanarGraph, build_dual
 from .errors import (
     EdgeInTree,
     EdgeNotInCotree,
@@ -184,68 +187,83 @@ def tree_from_edges(g: EmbeddedPlanarGraph, edges: Iterable[EdgeId], root: int) 
 
 @dataclass
 class TreeCotreePair:
+    """T and its cotree T*, the dual tree rooted at the maximum face number.
+
+    The dual_* lists are indexed by face number; the root's parent and
+    parent edge are None.
+    """
+
     graph: EmbeddedPlanarGraph
     tree: SpanningTree
     cotree_edges: set[EdgeId]
     dual: DualGraph
-    dual_root: FaceId
-    # in BFS order: the root (parent None) first, every face after its parent
-    dual_parent: dict[FaceId, FaceId | None]
-    dual_parent_edge: dict[FaceId, EdgeId | None]
-    dual_depth: dict[FaceId, int]
-    dual_children: dict[FaceId, list[tuple[EdgeId, FaceId]]] = field(repr=False)
+    dual_root: int
+    dual_order: list[int]  # BFS order: the root first, every face after its parent
+    dual_parent: list[int | None]
+    dual_parent_edge: list[EdgeId | None]
+    dual_depth: list[int]
 
 
 def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
-    """T* = E \\ T, rooted at the maximum face id, with parent pointers.
+    """T* = E \\ T, rooted at the maximum face number, with parent pointers.
 
     Everything is read off the dual's edges, which come in sorted edge
     order: the cotree is the dual edges whose primal is not in T, so the
     adjacency lists (and the first bridge reported) follow that order.
     """
     dual = build_dual(g)
-    co = [de for de in dual.dual_edges if de.primal not in tree.edges]
-    # primal edges are distinct, so T lies in E iff E \ T lost |T| edges
-    if len(dual.dual_edges) - len(co) != len(tree.edges) or len(tree.edges) != g.n - 1:
+    tree_edges = tree.edges
+    in_tree = 0
+    bridge = None
+    co_edge: list[EdgeId] = []
+    co_ends: list[int] = []  # face_a ^ face_b: either end gives the other
+    adj: list[list[int]] = [[] for _ in dual.nodes]  # cotree edge indices
+    for e, fa, fb in dual.dual_edges:
+        if e in tree_edges:
+            in_tree += 1
+        elif fa == fb:
+            if bridge is None:
+                bridge = e
+        else:
+            adj[fa].append(len(co_edge))
+            adj[fb].append(len(co_edge))
+            co_edge.append(e)
+            co_ends.append(fa ^ fb)
+    # primal edges are distinct, so T lies in E iff all |T| edges are met
+    if in_tree != len(tree_edges) or len(tree_edges) != g.n - 1:
         raise NotSpanningTree("tree is not a spanning tree of the graph")
+    if bridge is not None:
+        # a bridge can never be a cotree edge: bridges lie in every
+        # spanning tree, so e in T* means the tree was not spanning
+        raise NotSpanningTree(f"bridge {bridge} missing from the tree")
 
-    adj: dict[FaceId, list[tuple[EdgeId, FaceId]]] = {fid: [] for fid in dual.nodes}
-    for e, fa, fb in co:
-        if fa == fb:
-            # a bridge can never be a cotree edge: bridges lie in every
-            # spanning tree, so e in T* means the tree was not spanning
-            raise NotSpanningTree(f"bridge {e} missing from the tree")
-        adj[fa].append((e, fb))
-        adj[fb].append((e, fa))
-
-    root = max(dual.nodes)
-    parent: dict[FaceId, FaceId | None] = {root: None}
-    parent_edge: dict[FaceId, EdgeId | None] = {root: None}
-    dual_depth: dict[FaceId, int] = {root: 0}
-    children: dict[FaceId, list[tuple[EdgeId, FaceId]]] = {fid: [] for fid in dual.nodes}
-    q = deque([root])
-    while q:
-        f = q.popleft()
-        for e, h in adj[f]:
-            if h not in parent:
+    root = len(dual.nodes) - 1
+    parent: list[int | None] = [None] * len(dual.nodes)
+    parent_edge: list[EdgeId | None] = [None] * len(dual.nodes)
+    depth = [-1] * len(dual.nodes)
+    depth[root] = 0
+    order = [root]
+    for f in order:
+        below = depth[f] + 1
+        for k in adj[f]:
+            h = co_ends[k] ^ f
+            if depth[h] < 0:
+                depth[h] = below
                 parent[h] = f
-                parent_edge[h] = e
-                dual_depth[h] = dual_depth[f] + 1
-                children[f].append((e, h))
-                q.append(h)
-    if len(parent) != len(dual.nodes):
+                parent_edge[h] = co_edge[k]
+                order.append(h)
+    if len(order) != len(dual.nodes):
         raise NotSpanningTree("cotree does not span the dual graph")
-    # every adj list, and so every children list, is in ascending edge order
     return TreeCotreePair(
         graph=g,
         tree=tree,
-        cotree_edges={de.primal for de in co},
+        cotree_edges=set(co_edge),
         dual=dual,
         dual_root=root,
+        dual_order=order,
         dual_parent=parent,
         dual_parent_edge=parent_edge,
-        dual_depth=dual_depth,
-        dual_children=children,
+        dual_depth=depth,
     )
 
 
@@ -297,21 +315,16 @@ def fundamental_cut(pair: TreeCotreePair, e_star: EdgeId) -> set[EdgeId]:
     return cut
 
 
-def interior_faces(pair: TreeCotreePair, e_star: EdgeId) -> set[FaceId]:
-    """Faces in the dual subtree under e_star's child endpoint."""
+def interior_faces(pair: TreeCotreePair, e_star: EdgeId) -> set[int]:
+    """Numbers of the faces in the dual subtree under e_star's child endpoint."""
     if e_star not in pair.cotree_edges:
         raise EdgeNotInCotree(f"{e_star} is not a cotree edge")
-    fa, fb = pair.graph.dual_endpoints(e_star)
-    child = fa if pair.dual_parent_edge.get(fa) == e_star else fb
-    if pair.dual_parent_edge.get(child) != e_star:
-        raise EdgeNotInCotree(f"{e_star} is not a dual tree edge")
-    below = set()
-    stack = [child]
-    while stack:
-        f = stack.pop()
-        below.add(f)
-        for _, h in pair.dual_children[f]:
-            stack.append(h)
+    child = pair.dual_parent_edge.index(e_star)
+    below = {child}
+    # BFS order lists every face of the subtree after its root
+    for f in pair.dual_order[pair.dual_order.index(child) + 1 :]:
+        if pair.dual_parent[f] in below:
+            below.add(f)
     return below
 
 
@@ -331,14 +344,15 @@ def top_down(
 
 
 def sum_up(
-    parent: Mapping[Hashable, Hashable | None], values: Mapping[Hashable, int]
-) -> dict[Hashable, int]:
-    """Subtree sums over a parent map that lists every node after its
-    parent (the root, mapped to None, first): one pass from the back."""
-    sums = {x: values[x] for x in parent}
-    for x, p in reversed(parent.items()):
-        if p is not None:
-            sums[p] += sums[x]
+    order: Sequence[Hashable],
+    parent: Mapping[Hashable, Hashable | None],
+    sums: MutableMapping[Hashable, int],
+) -> MutableMapping[Hashable, int]:
+    """Subtree sums in place: sums starts as each node's own value, and one
+    pass back over order (the root first, every node after its parent)
+    adds each node's sum into its parent's."""
+    for x in islice(reversed(order), len(order) - 1):
+        sums[parent[x]] += sums[x]
     return sums
 
 
@@ -347,12 +361,14 @@ def subtree_sums(
     root: Hashable,
     values: Mapping[Hashable, int],
 ) -> dict[Hashable, int]:
-    """sum(u) over u's subtree (works for vertex and face trees)."""
-    return sum_up(top_down(children, root)[0], values)
+    """sum(u) over u's subtree, for any tree given as a children map."""
+    parent, _ = top_down(children, root)
+    return sum_up(list(parent), parent, {x: values[x] for x in parent})
 
 
-def dual_subtree_sums(pair: TreeCotreePair, face_values: Mapping[FaceId, int]) -> dict[FaceId, int]:
-    return sum_up(pair.dual_parent, face_values)
+def dual_subtree_sums(pair: TreeCotreePair, face_values: Sequence[int]) -> list[int]:
+    """Subtree sums of the dual tree, indexed by face number."""
+    return sum_up(pair.dual_order, pair.dual_parent, list(face_values))
 
 
 def dot_export(pair: TreeCotreePair, path: Iterable[int] = ()) -> str:
@@ -379,11 +395,10 @@ def dot_export(pair: TreeCotreePair, path: Iterable[int] = ()) -> str:
             "bold" if e in path_edges else "solid"
         )
         out.append(f'  v{a} -- v{b} [kind="{kind}", style="{style}", copy="{c}"];')
-    for i, fid in enumerate(pair.dual.nodes):
+    for i, face in enumerate(g.faces):
+        fid = face.id
         out.append(f'  f{i} [label="{fid.tail},{fid.head},{fid.copy}", shape=box];')
-    index = {fid: i for i, fid in enumerate(pair.dual.nodes)}
-    for f, parent in pair.dual_parent.items():
-        if parent is not None:
-            out.append(f'  f{index[f]} -- f{index[parent]} [kind="dualtree", style="dotted"];')
+    for f in pair.dual_order[1:]:
+        out.append(f'  f{f} -- f{pair.dual_parent[f]} [kind="dualtree", style="dotted"];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -6,13 +6,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .embedding import EmbeddedPlanarGraph, FaceId
+from .embedding import EmbeddedPlanarGraph
 
 
 @dataclass
 class FaceWeighting:
-    chosen_face: list[FaceId]          # per vertex
-    face_weight: dict[FaceId, int]
+    """Face numbers (see embedding.py) throughout."""
+
+    chosen_face: list[int]             # per vertex
+    face_weight: list[int]             # per face
     total: int
 
 
@@ -25,18 +27,22 @@ def transfer_weights(
 
     The default policy picks the minimum face id, which is what the
     message-passing engine does as well; conservation w_F(G) = w_V(G)
-    holds for any policy.
+    holds for any policy.  Number order is id order, so the pick is made
+    over each vertex's run of g.dart_face.
     """
     if policy not in ("min", "max"):
         raise ValueError(f"unknown policy {policy!r}")
     w = list(weights) if weights is not None else list(g.vertex_weight)
     pick = min if policy == "min" else max
-    chosen: list[FaceId] = []
-    face_weight: dict[FaceId, int] = {f.id: 0 for f in g.faces}
-    for v in range(g.n):
-        fid = pick(g.face_of[d] for d in g.rotation[v])
-        chosen.append(fid)
-        face_weight[fid] += w[v]
+    dart_face = g.dart_face
+    chosen: list[int] = []
+    face_weight = [0] * len(g.faces)
+    last = 0
+    for v, rot in enumerate(g.rotation):
+        first, last = last, last + len(rot)
+        f = pick(dart_face[first:last])
+        chosen.append(f)
+        face_weight[f] += w[v]
     return FaceWeighting(chosen_face=chosen, face_weight=face_weight, total=sum(w))
 
 

@@ -121,7 +121,7 @@ def test_criterion_4_weight_sandwich(small_instances):
     for name, g, tree in small_instances:
         fw = transfer_weights(g)
         for row in oracle_all_fundamental_cycles(g, tree):
-            wf_in = sum(fw.face_weight[f] for f in row.interior_faces)
+            wf_in = sum(fw.face_weight[g.face_number(f)] for f in row.interior_faces)
             cyc_w = sum(g.vertex_weight[v] for v in row.cycle_vertices)
             if not (row.interior_weight <= wf_in <= row.interior_weight + cyc_w):
                 ok = False

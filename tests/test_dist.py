@@ -331,7 +331,8 @@ def test_face_weights_match_sequential(grid4, tri60):
         stores, _, darts = _full_run(g)
         dart = darts.dart
         seq = transfer_weights(g)
-        assert [dart(st["chosen"]) for st in stores] == seq.chosen_face
+        ids = [f.id for f in g.faces]
+        assert [dart(st["chosen"]) for st in stores] == [ids[f] for f in seq.chosen_face]
         for v, st in enumerate(stores):
             assert dart(st["corner"]) == min(
                 d for d in g.rotation[v] if g.face_of[d] == dart(st["chosen"])
@@ -345,7 +346,7 @@ def test_face_weights_match_sequential(grid4, tri60):
         for st in stores:
             for d, weight in st["child_sum"].items():
                 face_weight[dart(st["face"][d])] -= weight
-        assert face_weight == seq.face_weight
+        assert face_weight == dict(zip(ids, seq.face_weight))
 
 
 def test_face_rings_stay_subquadratic():
@@ -382,33 +383,34 @@ def test_dual_subtree_sums_match_sequential(tri60):
     pair = cotree(tri60, t)
     seq = dual_subtree_sums(pair, transfer_weights(tri60).face_weight)
     # the critical election ranks heavy faces by their subtree's dart count
-    face_darts = dual_subtree_sums(pair, {f.id: f.size for f in tri60.faces})
+    face_darts = dual_subtree_sums(pair, [f.size for f in tri60.faces])
     holders = {}
     for v in range(tri60.n):
         for fid, sub in stores[v]["subtrees"].items():
             fid = dart(fid)
-            holders.setdefault(fid, set()).add(v)
-            assert sub.weight == seq[fid]
-            assert sub.darts == face_darts[fid]
+            f = tri60.face_number(fid)
+            holders.setdefault(f, set()).add(v)
+            assert sub.weight == seq[f]
+            assert sub.darts == face_darts[f]
             assert sub.size == tri60.face(fid).size
             has_children = sub.darts > sub.size
-            assert has_children == (len(pair.dual_children[fid]) > 0)
+            assert has_children == (f in pair.dual_parent)
             assert tri60.face_of[dart(sub.parent_dart)] == fid
-            if fid == pair.dual_root:
+            if f == pair.dual_root:
                 assert dart(sub.parent_dart) == fid
             else:
-                assert dart(sub.parent_dart).edge() == pair.dual_parent_edge[fid]
+                assert dart(sub.parent_dart).edge() == pair.dual_parent_edge[f]
         for d, weight in stores[v]["child_sum"].items():
-            child = tri60.face_of[dart(d).reverse()]
+            child = tri60.face_number(tri60.face_of[dart(d).reverse()])
             assert pair.dual_parent_edge[child] == dart(d).edge()
             assert weight == seq[child]
     # a face's sums sit at the endpoints of its dual parent edge, the dual
     # root's at the tail of its canonical dart
-    for f in tri60.faces:
-        if f.id == pair.dual_root:
-            assert holders[f.id] == {f.id.tail}
+    for f, face in enumerate(tri60.faces):
+        if f == pair.dual_root:
+            assert holders[f] == {face.id.tail}
         else:
-            assert holders[f.id] == set(pair.dual_parent_edge[f.id][:2])
+            assert holders[f] == set(pair.dual_parent_edge[f][:2])
 
 
 def test_phase_rounds_flat_at_constant_diameter():
@@ -438,7 +440,9 @@ def test_detect_matches_sequential(grid4, tri60, c12):
         subtree = next(s["subtrees"][face].weight for s in stores if face in s["subtrees"])
         pair = cotree(g, t)
         seq = find_balanced_or_critical(pair, transfer_weights(g).face_weight)
-        assert (kind, darts.dart(face), subtree) == (seq.kind, seq.face, seq.subtree_weight)
+        assert (kind, darts.dart(face), subtree) == (
+            seq.kind, g.faces[seq.face].id, seq.subtree_weight
+        )
 
 
 ENGINE_CASES = [

@@ -1,14 +1,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarsep import build_dual, build_embedding, validate_embedding
+from planarsep import biconnect, build_dual, build_embedding, validate_embedding
 from planarsep.errors import (
     EulerViolation,
     InconsistentRotation,
     NegativeWeight,
     NotConnected,
 )
-from planarsep.generators import cycle_chords, random_triangulation
+from planarsep.generators import (
+    cut_chain,
+    cycle_chords,
+    cylinder,
+    grid,
+    joined_grids,
+    path_graph,
+    random_triangulation,
+    star,
+)
 
 
 def test_triangle_counts(c3):
@@ -107,14 +116,14 @@ def test_dual_grid_counts(grid4):
     dual = build_dual(grid4)
     assert len(dual.nodes) == 10
     assert len(dual.dual_edges) == 24
-    assert _dual_degree(dual, grid4.infinite_face) == 12
+    assert _dual_degree(dual, grid4.face_number(grid4.infinite_face)) == 12
 
 
 def test_dual_degree_equals_boundary_size(grid4, tri60):
     for g in (grid4, tri60):
         dual = build_dual(g)
-        for face in g.faces:
-            assert _dual_degree(dual, face.id) == face.size
+        for i, face in enumerate(g.faces):
+            assert _dual_degree(dual, i) == face.size
 
 
 def test_validate_k4_planar_rotation():
@@ -159,3 +168,32 @@ def test_cycle_chords_euler(n, chords, seed):
         return
     assert g.euler_residual() == 0
     assert g.f == g.m - g.n + 2
+
+
+NUMBERED_GRAPHS = st.one_of(
+    st.builds(grid, st.integers(2, 6), st.integers(2, 6)),
+    st.builds(cylinder, st.integers(2, 5), st.integers(3, 8)),
+    st.builds(random_triangulation, st.integers(3, 60), st.integers(0, 10**6)),
+    st.builds(cycle_chords, st.integers(11, 40), st.integers(0, 8), st.integers(0, 10**6)),
+    st.builds(path_graph, st.integers(2, 12)),
+    st.builds(star, st.integers(1, 9)),
+    # rebuilt by biconnect, with virtual edges in the rotations
+    st.builds(lambda *a: biconnect(cut_chain(*a)), st.integers(2, 4), st.integers(3, 10),
+              st.integers(0, 10**6)),
+    st.builds(lambda n: biconnect(path_graph(n)), st.integers(3, 12)),
+    st.builds(lambda r, c: biconnect(joined_grids(r, c)[0]), st.integers(2, 4), st.integers(2, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=NUMBERED_GRAPHS)
+def test_faces_numbered_once_in_id_order(g):
+    ids = [f.id for f in g.faces]
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    for i, fid in enumerate(ids):
+        assert g.face_number(fid) == i
+    darts = list(g.darts())
+    assert len(g.dart_face) == len(darts) == 2 * g.m
+    for d, i in zip(darts, g.dart_face):
+        assert g.faces[i].id == g.face_of[d]
+        assert d in g.faces[i].boundary

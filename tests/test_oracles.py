@@ -28,7 +28,7 @@ def test_partition_identity(grid4, grid4_tree):
 def test_sandwich_every_row(grid4, grid4_tree):
     fw = transfer_weights(grid4)
     for row in oracle_all_fundamental_cycles(grid4, grid4_tree):
-        wf_in = sum(fw.face_weight[f] for f in row.interior_faces)
+        wf_in = sum(fw.face_weight[grid4.face_number(f)] for f in row.interior_faces)
         cyc_w = sum(grid4.vertex_weight[v] for v in row.cycle_vertices)
         assert row.interior_weight <= wf_in <= row.interior_weight + cyc_w
 

@@ -61,12 +61,14 @@ def test_grid_verdict_matches_exhaustive_scan(grid4, grid4_tree):
 
     sums = dual_subtree_sums(pair, fw.face_weight)
     W = sums[pair.dual_root]
-    balanced = [f for f, s in sums.items() if W <= 4 * s <= 3 * W]
+    # picks by face id, numbers mapped back through grid4.faces
+    ids = [f.id for f in grid4.faces]
+    balanced = [ids[f] for f, s in enumerate(sums) if W <= 4 * s <= 3 * W]
     if balanced:
-        assert verdict.kind == "balanced" and verdict.face == max(balanced)
+        assert verdict.kind == "balanced" and ids[verdict.face] == max(balanced)
     else:
-        heavy = [f for f, s in sums.items() if 4 * s > 3 * W]
-        deepest = max(heavy, key=lambda f: (pair.dual_depth[f], f))
+        heavy = [f for f, s in enumerate(sums) if 4 * s > 3 * W]
+        deepest = max(heavy, key=lambda f: (pair.dual_depth[f], ids[f]))
         assert verdict.kind == "critical" and verdict.face == deepest
 
 
@@ -81,7 +83,7 @@ def test_balanced_case_c4_with_chord():
     t = bfs_tree(g, 0)
     pair = cotree(g, t)
     fw = transfer_weights(g)
-    assert sorted(fw.face_weight.values()) == [0, 2, 2]
+    assert sorted(fw.face_weight) == [0, 2, 2]
     verdict = find_balanced_or_critical(pair, fw.face_weight)
     assert verdict.kind == "balanced"
     res = separator_from_balanced(pair, verdict, fw)
@@ -273,23 +275,32 @@ def test_detection_matches_brute_force(g, seed, face_level):
     pair = cotree(gp, _random_tree_of(g, rng))
     if face_level:
         # arbitrary face weights, zeros included, reach both cases often
-        face_weight = {f.id: rng.choice([0, 0, 1, 2, 5, 9]) for f in gp.faces}
+        face_weight = [rng.choice([0, 0, 1, 2, 5, 9]) for _ in gp.faces]
     else:
         w = [rng.randint(0, 6) for _ in range(g.n)]
         face_weight = transfer_weights(gp, weights=w).face_weight
-    kind, pick, sums, depth = _reference_pick(pair.dual_parent, face_weight)
-    assert depth == pair.dual_depth
-    if sums[pair.dual_root] == 0:
+    # the reference runs on face ids, so it also checks that the numbered
+    # picks are the id-based ones
+    ids = [f.id for f in gp.faces]
+
+    def by_id(per_face):
+        return {ids[f]: x for f, x in enumerate(per_face)}
+
+    parent = by_id(None if p is None else ids[p] for p in pair.dual_parent)
+    kind, pick, sums, depth = _reference_pick(parent, by_id(face_weight))
+    assert depth == by_id(pair.dual_depth)
+    root = ids[pair.dual_root]
+    if sums[root] == 0:
         with pytest.raises(DegenerateTotal):
             find_balanced_or_critical(pair, face_weight)
         return
     verdict = find_balanced_or_critical(pair, face_weight)
-    assert (verdict.kind, verdict.face) == (kind, pick)
+    assert (verdict.kind, ids[verdict.face]) == (kind, pick)
     assert verdict.subtree_weight == sums[pick]
     assert verdict.depth == depth[pick]
-    assert verdict.total == sums[pair.dual_root]
-    assert verdict.sums == sums
-    assert dual_subtree_sums(pair, face_weight) == sums
+    assert verdict.total == sums[root]
+    assert by_id(verdict.sums) == sums
+    assert by_id(dual_subtree_sums(pair, face_weight)) == sums
 
 
 @settings(max_examples=200, deadline=None)

@@ -87,7 +87,7 @@ def test_cotree_rejects_non_spanning(grid4, grid4_tree):
 
 def test_dual_root_is_max_face_id(grid4, grid4_tree):
     pair = cotree(grid4, grid4_tree)
-    assert pair.dual_root == max(f.id for f in grid4.faces)
+    assert grid4.faces[pair.dual_root].id == max(f.id for f in grid4.faces)
     assert pair.dual_parent[pair.dual_root] is None
 
 
@@ -140,7 +140,7 @@ def test_interior_faces_c3(c3):
     pair = cotree(c3, bfs_tree(c3, 0))
     e = next(iter(pair.cotree_edges))
     below = interior_faces(pair, e)
-    assert below == {f.id for f in c3.faces} - {pair.dual_root}
+    assert below == set(range(len(c3.faces))) - {pair.dual_root}
 
 
 def test_interior_faces_match_flood_fill_sides(grid4, tri60):
@@ -150,7 +150,7 @@ def test_interior_faces_match_flood_fill_sides(grid4, tri60):
         pair = cotree(g, bfs_tree(g, 0))
         all_faces = {f.id for f in g.faces}
         for e in sorted(pair.cotree_edges):
-            below = interior_faces(pair, e)
+            below = {g.faces[i].id for i in interior_faces(pair, e)}
             _, cyc = fundamental_cycle(pair, e)
             enclosed = enclosed_faces(g, cyc)
             if g.infinite_face in below:
@@ -194,10 +194,10 @@ def test_subtree_sums_vs_bruteforce(n, seed):
 
 def test_dual_subtree_total(grid4, grid4_tree):
     pair = cotree(grid4, grid4_tree)
-    values = {f.id: 1 for f in grid4.faces}
+    values = [1] * len(grid4.faces)
     sums = dual_subtree_sums(pair, values)
     assert sums[pair.dual_root] == grid4.f
-    assert all(s <= sums[pair.dual_root] for s in sums.values())
+    assert all(s <= sums[pair.dual_root] for s in sums)
 
 
 def test_tree_path_endpoints(grid4, grid4_tree):
@@ -215,15 +215,21 @@ def test_dot_export_mentions_kinds(grid4, grid4_tree):
 # -- build_dual and cotree against the per-edge reference ------------------------
 #
 # The reference below recomputes each edge's two faces with dual_endpoints,
-# edge by edge in sorted order, and roots the cotree from that; build_dual and
-# cotree must give every DualGraph and TreeCotreePair field the same value,
-# dict orders included, and raise NotSpanningTree with the same message.
+# edge by edge in sorted order, numbers them by their place in g.faces, and
+# roots the cotree from that in dicts; build_dual and cotree must give every
+# DualGraph and TreeCotreePair field the same value, BFS order included, and
+# raise NotSpanningTree with the same message.
+
+
+def _reference_endpoints(g, e):
+    number = {f.id: i for i, f in enumerate(g.faces)}
+    return tuple(number[fid] for fid in g.dual_endpoints(e))
 
 
 def _reference_dual(g):
     return DualGraph(
-        nodes=tuple(f.id for f in g.faces),
-        dual_edges=tuple(DualEdge(e, *g.dual_endpoints(e)) for e in g.edges()),
+        nodes=range(len(g.faces)),
+        dual_edges=tuple(DualEdge(e, *_reference_endpoints(g, e)) for e in g.edges()),
     )
 
 
@@ -235,7 +241,7 @@ def _reference_cotree(g, tree):
     dual = _reference_dual(g)
     adj = {fid: [] for fid in dual.nodes}
     for e in sorted(co):
-        fa, fb = g.dual_endpoints(e)
+        fa, fb = _reference_endpoints(g, e)
         if fa == fb:
             raise NotSpanningTree(f"bridge {e} missing from the tree")
         adj[fa].append((e, fb))
@@ -267,13 +273,17 @@ def _assert_matches_reference(g, tree):
     assert pair.cotree_edges == ref_co
     assert pair.dual == ref_dual
     assert pair.dual_root == root
+    assert pair.dual_order == list(parent)
     for got, want in (
         (pair.dual_parent, parent),
         (pair.dual_parent_edge, parent_edge),
         (pair.dual_depth, depth),
-        (pair.dual_children, children),
     ):
-        assert list(got.items()) == list(want.items())
+        assert got == [want[f] for f in ref_dual.nodes]
+    got_children = {f: [] for f in ref_dual.nodes}
+    for h in pair.dual_order[1:]:
+        got_children[pair.dual_parent[h]].append((pair.dual_parent_edge[h], h))
+    assert list(got_children.items()) == list(children.items())
 
 
 def _random_spanning_tree(g, rng):
@@ -335,12 +345,13 @@ def test_dual_parent_lists_every_face_after_its_parent(g):
     rng = random.Random(g.n)
     for tree in (bfs_tree(g, 0), _random_spanning_tree(g, rng)):
         pair = cotree(g, tree)
-        order = list(pair.dual_parent)
+        order = pair.dual_order
+        assert sorted(order) == list(pair.dual.nodes)
         assert order[0] == pair.dual_root and pair.dual_parent[order[0]] is None
         position = {f: i for i, f in enumerate(order)}
         for f in order[1:]:
             assert position[pair.dual_parent[f]] < position[f]
-        assert [pair.dual_depth[f] for f in order] == sorted(pair.dual_depth.values())
+        assert [pair.dual_depth[f] for f in order] == sorted(pair.dual_depth)
 
 
 def _bare_tree(edges, root=0):

@@ -11,21 +11,22 @@ from planarsep.treecotree import fundamental_cycle
 def test_conservation(grid4, tri60):
     for g in (grid4, tri60):
         fw = transfer_weights(g)
-        assert sum(fw.face_weight.values()) == sum(g.vertex_weight)
+        assert sum(fw.face_weight) == sum(g.vertex_weight)
+        assert len(fw.face_weight) == len(g.faces)
 
 
 def test_c3_min_policy(c3):
     fw = transfer_weights(c3)
-    weights = sorted(fw.face_weight.values())
+    weights = sorted(fw.face_weight)
     assert weights == [0, 3]
-    assert fw.face_weight[min(f.id for f in c3.faces)] == 3
+    assert fw.face_weight[c3.face_number(min(f.id for f in c3.faces))] == 3
 
 
 def test_each_vertex_contributes_once(grid4):
     fw = transfer_weights(grid4)
     assert len(fw.chosen_face) == grid4.n
-    for v, fid in enumerate(fw.chosen_face):
-        assert fid in {grid4.face_of[d] for d in grid4.rotation[v]}
+    for v, f in enumerate(fw.chosen_face):
+        assert grid4.faces[f].id in {grid4.face_of[d] for d in grid4.rotation[v]}
 
 
 def test_check_proper_examples():
@@ -46,7 +47,7 @@ def test_sandwich_on_grid_cells(grid4, grid4_tree):
         inside, _ = vertex_sides(grid4, path, interior)
         w_in_strict = sum(grid4.vertex_weight[v] for v in inside)
         w_in = w_in_strict + sum(grid4.vertex_weight[v] for v in path)
-        wf_in = sum(fw.face_weight[f] for f in interior)
+        wf_in = sum(fw.face_weight[grid4.face_number(f)] for f in interior)
         assert w_in_strict <= wf_in <= w_in
 
 
@@ -55,4 +56,7 @@ def test_sandwich_on_grid_cells(grid4, grid4_tree):
 def test_conservation_property(n, seed, policy):
     g = random_triangulation(n, seed)
     fw = transfer_weights(g, policy=policy)
-    assert sum(fw.face_weight.values()) == g.n
+    assert sum(fw.face_weight) == g.n
+    pick = min if policy == "min" else max
+    for v, f in enumerate(fw.chosen_face):
+        assert g.faces[f].id == pick(g.face_of[d] for d in g.rotation[v])
