@@ -258,7 +258,9 @@ class Simulator:
                     for d, p in outbox:
                         if not first <= d < end:
                             raise AssertionError(f"vertex {v} sent on foreign dart {d}")
-                        bits = sum(map(bit_length, p)) + p.count(0)  # == payload_bits(p)
+                        bits = 0  # == payload_bits(p)
+                        for x in p:
+                            bits += bit_length(x) or 1
                         if bits > budget:
                             if allow_wide:
                                 trace.overflow_flags += 1
@@ -284,8 +286,8 @@ class Simulator:
                 if not stepped and not nxt_receivers:
                     raise AssertionError(f"{trace.name}: deadlock at round {round_no}")
                 inboxes, receivers = nxt, nxt_receivers
-                wake = set(receivers)
-                wake.update(woken)
+                # each receiver is listed once; only woken vertices may repeat
+                wake = set(receivers).union(woken) if woken else receivers
                 candidates = sorted(wake, key=rank.__getitem__) if rank else sorted(wake)
                 round_no += 1
                 trace.honest_rounds += 1
