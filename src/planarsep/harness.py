@@ -208,10 +208,7 @@ def run_experiment(spec: ExperimentSpec, deep_checks: bool = True) -> dict:
         weighting = transfer_weights(g, weights=w)
         rows = oracle_all_fundamental_cycles(g, tree, w, pair=pair)
         for row in rows:
-            wf_in = sum(
-                wf for face, wf in zip(g.faces, weighting.face_weight)
-                if face.id in row.interior_faces
-            )
+            wf_in = sum(weighting.face_weight[g.face_number(f)] for f in row.interior_faces)
             cyc_w = sum(w[v] for v in row.cycle_vertices)
             if not (row.interior_weight <= wf_in <= row.interior_weight + cyc_w):
                 fail(f"sandwich:{row.edge}")
