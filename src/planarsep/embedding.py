@@ -236,9 +236,9 @@ def build_embedding(
     rotation[v] may hold Darts, bare head ints, pairs holding v and the
     head in either order, or (tail, head, copy) triples; any other item
     raises InconsistentRotation.  Bare ints are convenient for simple
-    inputs.  With strict=True
-    the Euler check is enforced; strict=False admits non-planar rotation
-    systems so validate_embedding can report their residual.
+    inputs.  With strict=True the Euler check is enforced; strict=False
+    admits non-planar rotation systems so validate_embedding can report
+    their residual.
     """
     rot: list[list[Dart]] = []
     for v in range(n):
