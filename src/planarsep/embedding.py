@@ -118,6 +118,7 @@ class EmbeddedPlanarGraph:
         return [d.head for d in self.rotation[v]]
 
     def face_number(self, fid: FaceId) -> int:
+        """The number of the face with id fid (KeyError if there is none)."""
         i = bisect_left(self.faces, fid, key=attrgetter("id"))
         if i == len(self.faces) or self.faces[i].id != fid:
             raise KeyError(fid)
