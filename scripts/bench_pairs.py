@@ -23,6 +23,9 @@ end-to-end metric BENCHMARK.json declares:
 - each side's median and quartiles over its runs;
 - win counts, and the median gap (positive when the child is better)
   against the parent's interquartile range;
+- ``same_outputs``: whether every run of both sides wrote the same
+  ``fingerprint`` (``outputs_sha256`` and ``round_trace``), that is,
+  whether the change left every output and every round count as it was;
 
 plus the seed, the run length, both commits and both source digests (the
 ``src_sha256`` of perfbench's stamp).  The name gains ``_seed<S>`` for a
@@ -113,6 +116,7 @@ def main(argv=None) -> int:
         wanted[name] = int(count) if count else args.pairs
 
     samples = {w: {side: {m: [] for m in metrics} for side in commits} for w in wanted}
+    fingerprints: dict[str, list[dict]] = {w: [] for w in wanted}
     digests: dict[str, str] = {}
     order: list[list[str]] = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -134,6 +138,7 @@ def main(argv=None) -> int:
                               f"{record['failures']}", file=sys.stderr)
                         return 1
                     digests[side] = record["stamp"]["src_sha256"]
+                    fingerprints[w].append(record["fingerprint"])
                     for m in metrics:
                         samples[w][side][m].append(result["metrics"][m]["value"])
                 print(f"pair {i + 1}/{count} {w} ({sides[0]} first): dist_s "
@@ -149,6 +154,7 @@ def main(argv=None) -> int:
         "workloads": {
             w: {
                 "pairs": wanted[w],
+                "same_outputs": all(fp == fingerprints[w][0] for fp in fingerprints[w]),
                 "metrics": {
                     m: _compare(samples[w]["parent"][m], samples[w]["child"][m], better)
                     for m, better in metrics.items()

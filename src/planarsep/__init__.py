@@ -8,6 +8,7 @@ generators, oracles and verifiers.
 
 from .embedding import (
     Dart,
+    DartTable,
     DualEdge,
     DualGraph,
     EmbeddedPlanarGraph,
@@ -48,7 +49,6 @@ from .oracles import (
     oracle_all_fundamental_cycles,
 )
 from .congest import (
-    DartTable,
     PartAggregator,
     Partition,
     PhaseTrace,

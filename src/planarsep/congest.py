@@ -6,12 +6,13 @@ Each dart carries at most one payload per round and its encoded size
 (sum of bit lengths) must stay within the per-edge budget, default
 8 * ceil(log2(n+1)) bits.
 
-Darts are plain ints inside the engine: a DartTable numbers the darts of
-a rotation system once, in ascending (tail, head, copy) order, so that
-comparing ids compares darts.  A program sends on its own dart ids, and
-a payload lands in the receiver's inbox under the receiver's own id of
-the reverse dart.  Dart objects appear only where callers hand darts in
-or read them out.
+Darts are plain ints inside the engine: a DartTable (see embedding.py)
+numbers the darts of a rotation system once, in ascending (tail, head,
+copy) order, so that comparing ids compares darts.  A program sends on
+its own dart ids, and a payload lands in the receiver's inbox under the
+receiver's own id of the reverse dart.  Aggregation and broadcast route
+over g.dart_table, so no call numbers darts of its own.  Dart objects
+appear only where callers hand darts in or read them out.
 
 Two part-wise aggregation backends share one result contract: "honest"
 executes a convergecast + broadcast on a BFS tree of every part and
@@ -23,11 +24,12 @@ shortcut-based aggregation the literature provides.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .embedding import Dart, EdgeId, EmbeddedPlanarGraph
-from .errors import BitBudgetExceeded, InconsistentRotation, RoundLimitExceeded
+from .embedding import DartTable, EmbeddedPlanarGraph
+from .errors import BitBudgetExceeded, RoundLimitExceeded
 from .treecotree import SpanningTree, part_bfs_trees, part_members
 
 Payload = tuple[int, ...]
@@ -103,54 +105,6 @@ class RoundTrace:
         if self.interval_lengths:
             lines.append("intervals " + " ".join(map(str, self.interval_lengths)))
         return "\n".join(lines) + "\n"
-
-
-class DartTable:
-    """The darts of a rotation system, numbered once.
-
-    rotations[v] lists v's darts, (tail, head, copy) triples with tail v,
-    in rotation order.  Ids ascend in (tail, head, copy) order, so int
-    order is dart order and v's ids fill the range lo[v]..lo[v+1]-1.  Flat
-    lists map an id to its tail, head, triple (the caller's own object),
-    reverse dart and rotation successor; rot[v] lists v's ids in rotation
-    order, and index maps a triple back to its id.  InconsistentRotation
-    unless every dart's reverse is present.
-    """
-
-    def __init__(self, rotations: Sequence[Sequence[tuple[int, int, int]]]):
-        triple: list[tuple[int, int, int]] = []
-        lo = [0]
-        for v, rot in enumerate(rotations):
-            for d in sorted(rot):
-                if d[0] != v:
-                    raise InconsistentRotation(f"dart {tuple(d)} in the rotation of vertex {v}")
-                triple.append(d)
-            lo.append(len(triple))
-        self.triple = triple
-        self.lo = lo
-        self.tail = [t for t, _h, _c in triple]
-        self.head = [h for _t, h, _c in triple]
-        self.index = index = {d: i for i, d in enumerate(triple)}
-        try:
-            self.rev = [index[h, t, c] for t, h, c in triple]
-        except KeyError as exc:
-            raise InconsistentRotation(f"reverse dart {exc.args[0]} is missing") from None
-        self.rot = [tuple(index[d] for d in rot) for rot in rotations]
-        self.succ = [0] * len(triple)
-        for ids in self.rot:
-            for a, b in zip(ids, ids[1:] + ids[:1]):
-                self.succ[a] = b
-
-    def __len__(self) -> int:
-        return len(self.triple)
-
-    def dart(self, d: int) -> Dart:
-        """The Dart of id d, for callers outside the engine."""
-        return Dart(*self.triple[d])
-
-    def edge(self, d: int) -> EdgeId:
-        t, h, c = self.triple[d]
-        return (t, h, c) if t < h else (h, t, c)
 
 
 class VertexProgram:
@@ -364,23 +318,31 @@ class _PAProgram(VertexProgram):
 PA_BACKENDS = ("honest", "charged")
 
 
-def _tree_darts(parent: Sequence[Optional[int]], children: Sequence[Sequence[int]]) -> DartTable:
-    """A table of a forest's darts only, the channels its waves use: each
-    vertex's parent dart (if any) first, then its child darts."""
-    return DartTable([
-        ([] if parent[v] is None else [(v, parent[v], 0)]) + [(v, c, 0) for c in children[v]]
-        for v in range(len(parent))
-    ])
+def _tree_channels(
+    darts: DartTable, parent: Sequence[Optional[int]]
+) -> tuple[list[Optional[int]], list[tuple[int, ...]]]:
+    """Each vertex's dart to its parent in a forest (None at a root) and a
+    tuple of its darts to its children, in ascending child id.  A tree
+    edge's channel is the smallest-id dart from the child to the parent,
+    and its reverse."""
+    up: list[Optional[int]] = [None] * len(parent)
+    down: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p is not None:
+            up[v] = d = bisect_left(darts.head, p, darts.lo[v], darts.lo[v + 1])
+            down[p].append(darts.rev[d])
+    # tuples of ints drop out of the collector's tracking; lists never do
+    return up, list(map(tuple, down))
 
 
 class PartAggregator:
     """Part-wise aggregation over one fixed partition of g.
 
     Built once per partition: the partition check, the per-part BFS trees
-    (children in ascending id), the tree darts and, for the honest
-    backend, the simulator.  A caller that has already run the check
-    passes its result, part_bfs_trees(g, partition.part_of), as
-    bfs_trees.  Each call is one aggregation: every vertex learns the
+    (children in ascending id), each tree edge's channel in g.dart_table
+    and, for the honest backend, the simulator.  A caller that has already
+    run the check passes its result, part_bfs_trees(g, partition.part_of),
+    as bfs_trees.  Each call is one aggregation: every vertex learns the
     fold of its part's inputs.
     """
 
@@ -406,17 +368,11 @@ class PartAggregator:
         self.sim: Optional[Simulator] = None
         if backend == "charged":
             return
-        parent = [trees[pid].parent[v] for v, pid in enumerate(self.part_of)]
-        children: list[list[int]] = [[] for _ in range(g.n)]
-        for v, p in enumerate(parent):
-            if p is not None:
-                children[p].append(v)
-        darts = _tree_darts(parent, children)
-        self.know = [
-            (v, None, ids) if parent[v] is None else (v, ids[0], ids[1:])
-            for v, ids in enumerate(darts.rot)
-        ]
-        self.sim = Simulator(darts, bit_budget=self.budget, scramble=scramble)
+        up, down = _tree_channels(
+            g.dart_table, [trees[pid].parent[v] for v, pid in enumerate(self.part_of)]
+        )
+        self.know = list(zip(range(g.n), up, down))
+        self.sim = Simulator(g.dart_table, bit_budget=self.budget, scramble=scramble)
 
     def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
         if operator not in OPERATORS:
@@ -487,11 +443,8 @@ def broadcast_root(
     scramble: Optional[int] = None,
 ) -> list[int]:
     """All vertices learn `value` by flooding down the spanning tree."""
-    darts = _tree_darts(tree.parent, tree.children())
-    know = [
-        (tree.parent[v] is None, ids[tree.parent[v] is not None:], value)
-        for v, ids in enumerate(darts.rot)
-    ]
-    sim = Simulator(darts, bit_budget=bit_budget, scramble=scramble)
+    up, down = _tree_channels(g.dart_table, tree.parent)
+    know = [(d is None, ids, value) for d, ids in zip(up, down)]
+    sim = Simulator(g.dart_table, bit_budget=bit_budget, scramble=scramble)
     states = sim.run(_BroadcastProgram(), know, trace)
     return [states[v].get("value") for v in range(g.n)]

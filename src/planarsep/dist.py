@@ -6,16 +6,17 @@ part holding every vertex.
 
 Every phase is a vertex program run on the synchronous simulator; the
 only channels are the darts of the (per-part, augmented) rotation
-systems installed as local knowledge.  The pipeline numbers those darts
-once (congest.DartTable, ids in dart order) and every program, message
-key and store entry names a dart, or a face by its minimum dart, by id;
-Darts are built again only for the output.  Frames that name a dart on
-the wire still carry its (tail, head, copy).  Learning face ids works on face
-rings: consecutive boundary darts of a face share a vertex, so a face is
-a communication ring, and a token forwarded from position dart d lands at
-head(d), which derives the receiving position locally as the rotation
-successor of the arrival dart.  Everything else runs on T, on single
-cotree edges or ring hops, or by part-wise aggregation.
+systems installed as local knowledge, numbered in a DartTable: g's own
+when the part rotations are g's, as on every bi-connected single part.
+Every program, message key and store entry names a dart, or a face by its
+minimum dart, by id; Darts are built again only for the output.  Frames
+that name a dart on the wire still carry its (tail, head, copy).
+Learning face ids works on face rings: consecutive boundary darts of a
+face share a vertex, so a face is a communication ring, and a token
+forwarded from position dart d lands at head(d), which derives the
+receiving position locally as the rotation successor of the arrival dart.
+Everything else runs on T, on single cotree edges or ring hops, or by
+part-wise aggregation.
 
 Phase order: root the given tree, learn face ids (min-filtered tokens
 around each ring, then one lap announcing the minimum, which is also the
@@ -39,11 +40,11 @@ parents, maximum-id elections), so results serialize byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .biconnect import biconnect, biconnected
 from .congest import (
-    DartTable,
     PartAggregator,
     Partition,
     RoundTrace,
@@ -52,7 +53,7 @@ from .congest import (
     default_bit_budget,
     pa_charge,
 )
-from .embedding import Dart, EmbeddedPlanarGraph, build_embedding, next_copy
+from .embedding import Dart, DartTable, EmbeddedPlanarGraph, build_embedding, next_copy
 from .errors import ConflictingRoot, DegenerateTotal, InvalidPartition, NotBiconnected
 from .separator import (
     ClosingEdge,
@@ -95,16 +96,16 @@ def pack(frame: tuple) -> tuple[int, ...]:
     return tuple(frame)
 
 
-def enc_face(f: tuple[int, int, int], n: int) -> int:
-    """A face id's (tail, head, copy) as one int, in the same order."""
+def enc_face(f: tuple[int, int, int], n: int, bits: int) -> int:
+    """A face id's (tail, head, copy) as one int, in the same order; the
+    copy takes the low `bits` bits."""
     tail, head, copy = f
-    assert copy < 16
-    return ((tail * (n + 1) + head) << 4) | copy
+    return ((tail * (n + 1) + head) << bits) | copy
 
 
-def dec_face(x: int, n: int) -> tuple[int, int, int]:
-    th = x >> 4
-    return (th // (n + 1), th % (n + 1), x & 15)
+def dec_face(x: int, n: int, bits: int) -> tuple[int, int, int]:
+    th = x >> bits
+    return (th // (n + 1), th % (n + 1), x & ((1 << bits) - 1))
 
 
 CASE_BALANCED, CASE_LEAF, CASE_VIRTUAL = 1, 2, 3
@@ -675,10 +676,11 @@ class DistPipeline:
     phase: each phase is one simulator run covering all parts, and the
     realized interval lengths are published in the trace.
 
-    global_rot's Darts are numbered once, in one DartTable (`darts`);
-    every phase program and store works on those ids, and assemble turns
-    them back into Darts.  bfs_trees, when given, are the partition's
-    part_bfs_trees, which the part-wise aggregator then does not rebuild.
+    global_rot's Darts are numbered in one DartTable (`darts`), g's own if
+    global_rot holds g's rotations; every phase program and store works on
+    those ids, and assemble turns them back into Darts.  bfs_trees, when
+    given, are the partition's part_bfs_trees, which the part-wise
+    aggregator then does not rebuild.
     """
 
     def __init__(
@@ -704,16 +706,25 @@ class DistPipeline:
         self.diameter = diameter_estimate(g)
         self._unit = pa_charge(self.diameter, g.n)
 
-        self.darts = darts = DartTable([global_rot[v] for v in range(g.n)])
+        rows = [global_rot[v] for v in range(g.n)]
+        same = all(list(row) == rot for rot, row in zip(g.rotation, rows))
+        self.darts = darts = g.dart_table if same else DartTable(rows)
+        # enc_face's copy field: 4 bits, or as wide as the largest copy needs
+        self.copy_bits = max(4, max(map(itemgetter(2), darts.triple), default=0).bit_length())
+        # both darts of every tree edge, from the trees' parent edges
+        tree_darts: list[list[int]] = [[] for _ in range(g.n)]
+        for v, pid in enumerate(part_of):
+            e = trees[pid].parent_edge[v]
+            if e is not None:
+                d = darts.index[v, e[0] + e[1] - v, e[2]]
+                tree_darts[v].append(d)
+                tree_darts[darts.head[d]].append(darts.rev[d])
         self.know = [
             LocalKnowledge(
                 vid=v,
                 weight=weights[v],
                 rotation=darts.rot[v],
-                tree_darts=tuple(
-                    d for d in range(darts.lo[v], darts.lo[v + 1])
-                    if darts.edge(d) in trees[pid].edges
-                ),
+                tree_darts=tuple(sorted(tree_darts[v])),
                 tree_root=tree_roots[pid],
             )
             for v, pid in enumerate(part_of)
@@ -783,9 +794,9 @@ class DistPipeline:
     def run_root_election(self):
         # enc_face keeps dart order, so a vertex's largest face id encodes largest
         pt = self.trace.phase("root_election")
-        triple = self.darts.triple
+        triple, bits = self.darts.triple, self.copy_bits
         inputs = [
-            enc_face(triple[max(know.store["face"].values())], self.n) for know in self.know
+            enc_face(triple[max(know.store["face"].values())], self.n, bits) for know in self.know
         ]
         encs = self.aggregate(inputs, "MAX", pt)
         self.trace.interval_lengths.append(pt.honest_rounds)
@@ -793,8 +804,8 @@ class DistPipeline:
 
     def _dec_faces(self, encs: Sequence[int]) -> list[int]:
         """The dart id of every vertex's encoded face."""
-        index = self.darts.index
-        return [index[dec_face(e, self.n)] for e in encs]
+        index, bits = self.darts.index, self.copy_bits
+        return [index[dec_face(e, self.n, bits)] for e in encs]
 
     def run_dual_sums(self):
         self._run(
@@ -810,13 +821,13 @@ class DistPipeline:
             if stores[members[0]]["total_weight"] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
-        triple = self.darts.triple
+        triple, bits = self.darts.triple, self.copy_bits
         # every election input comes from the holders of a face's subtree
         # sums.  Balanced election: maximum face id among balanced candidates
         bal = self.aggregate([
             max(
                 (
-                    enc_face(triple[f], n) + 1 for f, sub in store["subtrees"].items()
+                    enc_face(triple[f], n, bits) + 1 for f, sub in store["subtrees"].items()
                     if is_balanced(sub.weight, store["total_weight"])
                 ),
                 default=0,
@@ -828,11 +839,12 @@ class DistPipeline:
         # heavy faces form a chain down from the dual root along which the
         # subtree's dart count strictly drops, so the deepest one has the
         # fewest darts: the largest key (M + 1 - darts) * space + id
-        space = enc_face((n, n, 15), n) + 2
+        space = enc_face((n, n, (1 << bits) - 1), n, bits) + 2
 
         def heavy_key(store, f: int, sub: DualSubtree) -> int:
             if exceeds_beta(sub.weight, store["total_weight"]):
-                return (store["total_darts"] + 1 - sub.darts) * space + enc_face(triple[f], n) + 1
+                rank = store["total_darts"] + 1 - sub.darts
+                return rank * space + enc_face(triple[f], n, bits) + 1
             return 0
 
         crit = self.aggregate([
@@ -1096,7 +1108,7 @@ def dist_bfs(
     """BFS tree construction by flooding; equals the sequential bfs_tree."""
     trace = RoundTrace()
     pt = trace.phase("bfs")
-    darts = DartTable(g.rotation)
+    darts = g.dart_table
     know = [
         LocalKnowledge(
             vid=v, weight=g.vertex_weight[v],

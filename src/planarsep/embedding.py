@@ -11,21 +11,20 @@ canonical: the lexicographically smallest (tail, head, copy) dart on the
 boundary.  That makes ids deterministic and computable from purely local
 walks, which the message-passing implementation relies on.
 
-Faces are also numbered once, when the graph is built: face i is
-g.faces[i], and g.faces is sorted by id, so number order is id order and a
-min, max or tie-break over numbers picks the same face as over ids.
-g.dart_face holds every dart's face number in one flat list, in rotation
-order (vertex 0's darts first).  The sequential engine runs on these
-numbers; a Dart face id is read off g.faces only where a report names a
-face.
+Darts are numbered once, when the graph is built: g.dart_table gives
+them ids in (tail, head, copy) order, and both engines work on those ids.
+Faces are traced over the ids in ascending order, so they come out sorted
+by id: face i is g.faces[i], number order is id order, and a min, max or
+tie-break over numbers picks the same face as over ids.  g.dart_face
+holds every dart's face number, by dart id.  A Dart face id is read off
+g.faces only where a report names a face.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -88,9 +87,8 @@ class EmbeddedPlanarGraph:
     rotation: list[list[Dart]]
     vertex_weight: list[int]
     faces: list[Face] = field(repr=False)  # sorted by id; face i has number i
-    face_of: dict[Dart, FaceId] = field(repr=False)
-    # face number of every dart, in rotation order (vertex 0's darts first)
-    dart_face: list[int] = field(repr=False)
+    dart_table: DartTable = field(repr=False, compare=False)  # the rotation's darts, numbered
+    dart_face: list[int] = field(repr=False)  # face number of every dart, by dart id
     infinite_face: FaceId = None
     virtual_edges: frozenset[EdgeId] = frozenset()
 
@@ -98,7 +96,7 @@ class EmbeddedPlanarGraph:
 
     @property
     def m(self) -> int:
-        return sum(len(r) for r in self.rotation) // 2
+        return len(self.dart_table) // 2
 
     @property
     def f(self) -> int:
@@ -109,7 +107,7 @@ class EmbeddedPlanarGraph:
             yield from rot
 
     def edges(self) -> list[EdgeId]:
-        return sorted({d.edge() for d in self.darts()})
+        return [(a, b, c) for a, b, c in self.dart_table.triple if a < b]  # sorted, as ids are
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
@@ -143,10 +141,6 @@ class EmbeddedPlanarGraph:
         a, b, c = e
         return Dart(a, b, c), Dart(b, a, c)
 
-    def dual_endpoints(self, e: EdgeId) -> tuple[FaceId, FaceId]:
-        da, db = self.darts_of_edge(e)
-        return self.face_of[da], self.face_of[db]
-
 
 def next_copy(rotation_u: Sequence[Dart], v: int) -> int:
     """Copy index of a new u-v edge: one above the copy of every u-v dart."""
@@ -162,66 +156,94 @@ class EmbeddingReport:
     connected: bool
 
 
-def _trace_faces(rotation: list[list[Dart]]) -> tuple[list[Face], list[int]]:
-    """The faces sorted by id, and each dart's face number in rotation order.
+class DartTable:
+    """The darts of a rotation system, numbered once.
 
-    Darts are traced by their slot in rotation order.  The slot after x in
-    its rotation is succ of reverse(x), so one lookup per dart gives every
-    successor; a Dart hashes as its plain tuple, so the reverse needs no Dart.
+    rotations[v] lists v's darts, (tail, head, copy) triples with tail v,
+    in rotation order.  Ids ascend in (tail, head, copy) order, so int
+    order is dart order and v's ids fill the range lo[v]..lo[v+1]-1.  Flat
+    lists map an id to its tail, head, triple (the caller's own object),
+    reverse dart and rotation successor; rot[v] lists v's ids in rotation
+    order, and index maps a triple back to its id.  InconsistentRotation
+    unless every dart's reverse is present.
     """
-    darts = [d for rot in rotation for d in rot]
-    slot = {d: i for i, d in enumerate(darts)}
-    succ = [0] * len(darts)
-    first = 0
-    for rot in rotation:
-        last = first + len(rot) - 1
-        for i, (t, h, c) in enumerate(rot, first):
-            succ[slot[h, t, c]] = i + 1 if i < last else first
-        first = last + 1
 
-    orbit_of = [-1] * len(darts)
+    def __init__(self, rotations: Sequence[Sequence[tuple[int, int, int]]]):
+        triple: list[tuple[int, int, int]] = []
+        lo = [0]
+        for v, rot in enumerate(rotations):
+            row = sorted(rot)
+            # sorted by tail first: the ends have tail v iff every dart has
+            for d in row[:1] + row[-1:]:
+                if d[0] != v:
+                    raise InconsistentRotation(f"dart {tuple(d)} in the rotation of vertex {v}")
+            triple += row
+            lo.append(len(triple))
+        self.triple = triple
+        self.lo = lo
+        self.tail = list(map(itemgetter(0), triple))
+        self.head = list(map(itemgetter(1), triple))
+        self.index = index = dict(zip(triple, range(len(triple))))
+        try:
+            self.rev = [index[h, t, c] for t, h, c in triple]
+        except KeyError as exc:
+            raise InconsistentRotation(f"reverse dart {exc.args[0]} is missing") from None
+        self.rot = [tuple(map(index.__getitem__, rot)) for rot in rotations]
+        self.succ = succ = [0] * len(triple)
+        for ids in self.rot:
+            for a, b in zip(ids, ids[1:] + ids[:1]):
+                succ[a] = b
+
+    def __len__(self) -> int:
+        return len(self.triple)
+
+    def dart(self, d: int) -> Dart:
+        """The Dart of id d, for callers outside the engine."""
+        return Dart(*self.triple[d])
+
+    def edge(self, d: int) -> EdgeId:
+        t, h, c = self.triple[d]
+        return (t, h, c) if t < h else (h, t, c)
+
+
+def _trace_faces(table: DartTable) -> tuple[list[Face], list[int]]:
+    """The faces in id order, and each dart's face number by dart id.
+
+    The face successor of id d is succ(rev(d)).  A walk from each id not yet
+    on a face, in ascending order, starts at the face's smallest dart, its
+    canonical id, so faces need no sort and boundaries no rotation.
+    """
+    triple = table.triple
+    face_succ = list(map(table.succ.__getitem__, table.rev))
+    dart_face = [-1] * len(triple)
     faces = []
-    for start in range(len(darts)):
-        if orbit_of[start] >= 0:
-            continue
-        k = len(faces)
-        boundary = [darts[start]]
-        orbit_of[start] = k
-        s = succ[start]
-        while s != start:
-            boundary.append(darts[s])
-            orbit_of[s] = k
-            s = succ[s]
-        # rotate the boundary so the canonical (minimum) dart leads
-        i = boundary.index(min(boundary))
-        boundary = boundary[i:] + boundary[:i]
-        faces.append(Face(id=boundary[0], boundary=tuple(boundary)))
-    by_id = sorted(range(len(faces)), key=lambda k: faces[k].id)
-    number = [0] * len(faces)
-    for i, k in enumerate(by_id):
-        number[k] = i
-    return [faces[k] for k in by_id], [number[k] for k in orbit_of]
+    for start in range(len(triple)):
+        if dart_face[start] < 0:
+            dart_face[start] = k = len(faces)
+            boundary = [triple[start]]
+            s = face_succ[start]
+            while s != start:
+                dart_face[s] = k
+                boundary.append(triple[s])
+                s = face_succ[s]
+            faces.append(Face(id=boundary[0], boundary=tuple(boundary)))
+    return faces, dart_face
 
 
-def _check_connected(n: int, rotation: list[list[Dart]]) -> bool:
+def _check_connected(n: int, table: DartTable) -> bool:
     if n == 0:
         return True
+    head, lo = table.head, table.lo
     seen = [False] * n
     seen[0] = True
     stack = [0]
     while stack:
         v = stack.pop()
-        for d in rotation[v]:
-            if not seen[d.head]:
-                seen[d.head] = True
-                stack.append(d.head)
+        for h in head[lo[v]:lo[v + 1]]:
+            if not seen[h]:
+                seen[h] = True
+                stack.append(h)
     return all(seen)
-
-
-def _default_infinite_face(faces: Sequence[Face]) -> FaceId:
-    # largest boundary, ties broken by smallest canonical id
-    largest = max(f.size for f in faces)
-    return min(f.id for f in faces if f.size == largest)
 
 
 def build_embedding(
@@ -268,10 +290,7 @@ def build_embedding(
             raise InconsistentRotation(f"duplicate dart in rotation of vertex {v}")
         rot.append(row)
 
-    all_darts = {d for row in rot for d in row}
-    for d in all_darts:
-        if d.reverse() not in all_darts:
-            raise InconsistentRotation(f"dart {d} has no reverse")
+    table = DartTable(rot)  # InconsistentRotation unless every reverse is present
 
     if weights is None:
         weights = [1] * n
@@ -282,30 +301,30 @@ def build_embedding(
         if w < 0:
             raise NegativeWeight(f"vertex {v} has weight {w}")
 
-    if not _check_connected(n, rot):
+    if not _check_connected(n, table):
         raise NotConnected("graph is not connected")
 
-    faces, dart_face = _trace_faces(rot)
-    m = sum(len(r) for r in rot) // 2
+    faces, dart_face = _trace_faces(table)
+    m = len(table) // 2
     nf = max(len(faces), 1)  # faces are dart orbits; an edgeless graph has one
     if strict and n - m + nf != 2:
         raise EulerViolation(f"n - m + f = {n} - {m} + {nf} != 2")
 
-    ids = [f.id for f in faces]
-    face_of = dict(zip(chain.from_iterable(rot), map(ids.__getitem__, dart_face)))
     if infinite_face_hint is not None:
-        if infinite_face_hint not in face_of:
+        if infinite_face_hint not in table.index:
             raise InconsistentRotation(f"infinite face hint dart {infinite_face_hint} unknown")
-        inf = face_of[infinite_face_hint]
+        inf = faces[dart_face[table.index[infinite_face_hint]]].id
+    elif faces:  # the largest boundary; max keeps the first, smallest id, on a tie
+        inf = max(faces, key=lambda f: len(f.boundary)).id
     else:
-        inf = _default_infinite_face(faces) if faces else None
+        inf = None
 
     return EmbeddedPlanarGraph(
         n=n,
         rotation=rot,
         vertex_weight=weights,
         faces=faces,
-        face_of=face_of,
+        dart_table=table,
         dart_face=dart_face,
         infinite_face=inf,
         virtual_edges=frozenset(virtual_edges),
@@ -318,7 +337,7 @@ def validate_embedding(g: EmbeddedPlanarGraph) -> EmbeddingReport:
         m=g.m,
         f=g.f,
         euler_residual=g.euler_residual(),
-        connected=_check_connected(g.n, g.rotation),
+        connected=_check_connected(g.n, g.dart_table),
     )
 
 
@@ -332,33 +351,16 @@ def build_dual(g: EmbeddedPlanarGraph) -> DualGraph:
     """One dual edge per primal edge, in sorted edge order; self-loops
     exactly at bridges.
 
-    Both faces come from g.dart_face, in one pass over the vertices with
-    each rotation sorted on its own.  Vertex a's darts to larger heads
-    come out in edge order and open a block of dual edges.  A dart
-    (b, a, c) with a < b gives face_b of the edge (a, b, c): at b the
-    darts to a come by copy, and the vertices come in ascending order, so
-    they fill a's block front to back.
+    Dart ids ascend in dart order, so the darts (a, b, c) with a < b come
+    in sorted edge order; face_a is the face of the dart, face_b that of
+    its reverse.
     """
-    dart_face = g.dart_face
-    primal: list[EdgeId] = []
-    face_a: list[int] = []
-    face_b: list[int] = []
-    fill = [0] * g.n  # next face_b slot in each vertex's block
-    first = 0
-    for v, rot in enumerate(g.rotation):
-        fill[v] = len(primal)
-        for i in sorted(range(len(rot)), key=rot.__getitem__):
-            _, h, c = rot[i]
-            if h < v:
-                face_b[fill[h]] = dart_face[first + i]
-                fill[h] += 1
-            else:
-                primal.append((v, h, c))
-                face_a.append(dart_face[first + i])
-                face_b.append(-1)
-        first += len(rot)
+    dart_face, rev = g.dart_face, g.dart_table.rev
     # tuple.__new__ builds each DualEdge without NamedTuple's Python-level __new__
     return DualGraph(
         nodes=range(len(g.faces)),
-        dual_edges=tuple(map(tuple.__new__, repeat(DualEdge), zip(primal, face_a, face_b))),
+        dual_edges=tuple([
+            tuple.__new__(DualEdge, ((a, b, c), dart_face[d], dart_face[rev[d]]))
+            for d, (a, b, c) in enumerate(g.dart_table.triple) if a < b
+        ]),
     )

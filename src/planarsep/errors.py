@@ -45,6 +45,10 @@ class DegenerateTotal(PlanarSepError):
     """Total weight is zero; every vertex set is vacuously balanced."""
 
 
+class NoFace(PlanarSepError):
+    """The graph has no edge, so its rotation system traces no face."""
+
+
 class NotBiconnected(PlanarSepError):
     """A face boundary repeats a vertex, so the graph is not bi-connected."""
 

@@ -6,24 +6,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .embedding import EdgeId, EmbeddedPlanarGraph, FaceId
+from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, FaceId
 from .treecotree import SpanningTree, TreeCotreePair, fundamental_cycle
 
 
-def enclosed_faces(g: EmbeddedPlanarGraph, cycle_edges: set[EdgeId]) -> set[FaceId]:
+def face_ids(g: EmbeddedPlanarGraph) -> dict[Dart, FaceId]:
+    """Every dart's face id: the smallest dart met on a walk with
+    g.face_succ, which reads the rotations only."""
+    face: dict[Dart, FaceId] = {}
+    for d in g.darts():
+        if d not in face:
+            orbit = [d]
+            while (x := g.face_succ(orbit[-1])) != d:
+                orbit.append(x)
+            face.update(dict.fromkeys(orbit, min(orbit)))
+    return face
+
+
+def enclosed_faces(g: EmbeddedPlanarGraph, cycle_edges: set[EdgeId], faces=None) -> set[FaceId]:
     """Faces separated from the infinite face by the cycle's edge set.
 
     Flood fill on the dual starting at the infinite face, refusing to
     cross the dual of any cycle edge; the unreached faces are enclosed.
+    faces is face_ids(g), computed here when not given.
     """
+    faces = faces or face_ids(g)
     blocked = set(cycle_edges)
     reached = {g.infinite_face}
     stack = [g.infinite_face]
-    adj: dict[FaceId, list[tuple[EdgeId, FaceId]]] = {f.id: [] for f in g.faces}
-    for e in g.edges():
-        fa, fb = g.dual_endpoints(e)
-        adj[fa].append((e, fb))
-        adj[fb].append((e, fa))
+    adj: dict[FaceId, list[tuple[EdgeId, FaceId]]] = {f: [] for f in faces.values()}
+    for d, f in faces.items():  # each edge from both of its sides
+        adj[f].append((d.edge(), faces[d.reverse()]))
     while stack:
         f = stack.pop()
         for e, h in adj[f]:
@@ -31,21 +44,24 @@ def enclosed_faces(g: EmbeddedPlanarGraph, cycle_edges: set[EdgeId]) -> set[Face
                 continue
             reached.add(h)
             stack.append(h)
-    return {f.id for f in g.faces} - reached
+    return set(adj) - reached
 
 
 def vertex_sides(
     g: EmbeddedPlanarGraph,
     cycle_vertices: Iterable[int],
     interior: set[FaceId],
+    faces=None,
 ) -> tuple[set[int], set[int]]:
-    """Strict-interior and strict-exterior vertex sets for a cycle."""
+    """Strict-interior and strict-exterior vertex sets for a cycle; faces
+    is face_ids(g), computed here when not given."""
+    faces = faces or face_ids(g)
     on_cycle = set(cycle_vertices)
     inside, outside = set(), set()
     for v in range(g.n):
         if v in on_cycle:
             continue
-        sides = {g.face_of[d] in interior for d in g.rotation[v]}
+        sides = {faces[d] in interior for d in g.rotation[v]}
         assert len(sides) == 1, f"vertex {v} touches both sides off-cycle"
         (inside if sides.pop() else outside).add(v)
     return inside, outside
@@ -72,11 +88,12 @@ def oracle_all_fundamental_cycles(
     w = list(weights) if weights is not None else list(g.vertex_weight)
     if pair is None:
         pair = cotree(g, tree)
+    faces = face_ids(g)
     rows = []
     for e in sorted(pair.cotree_edges):
         path, cycle_edges = fundamental_cycle(pair, e)
-        interior = enclosed_faces(g, cycle_edges)
-        inside, outside = vertex_sides(g, path, interior)
+        interior = enclosed_faces(g, cycle_edges, faces)
+        inside, outside = vertex_sides(g, path, interior, faces)
         rows.append(
             CycleRow(
                 edge=e,

@@ -21,6 +21,7 @@ from .errors import (
     EdgeInTree,
     EdgeNotInCotree,
     InvalidPartition,
+    NoFace,
     NotSpanningTree,
     UnknownRoot,
 )
@@ -50,14 +51,14 @@ def _bfs_layers(
 ) -> list[int]:
     """Hop distance from root, moving only through vertices v with
     inside[v] (every vertex when inside is None); -1 where unreached."""
+    head, lo = g.dart_table.head, g.dart_table.lo
     depth = [-1] * g.n
     depth[root] = 0
     frontier = [root]
     while frontier:
         nxt = []
         for v in frontier:
-            for d in g.rotation[v]:
-                u = d.head
+            for u in head[lo[v]:lo[v + 1]]:
                 if depth[u] == -1 and (inside is None or inside[u]):
                     depth[u] = depth[v] + 1
                     nxt.append(u)
@@ -69,16 +70,17 @@ def _layered_tree(
     g: EmbeddedPlanarGraph, root: int, inside: Sequence[bool] | None = None
 ) -> SpanningTree:
     """The BFS tree both engines share: every reached vertex hangs from its
-    smallest-id neighbour one layer up, over the smallest edge to it."""
+    smallest-id neighbour one layer up, over the smallest edge to it (its
+    first dart there, as ids ascend by head, then copy)."""
     depth = _bfs_layers(g, root, inside)
+    head, lo, edge = g.dart_table.head, g.dart_table.lo, g.dart_table.edge
     parent: list[int | None] = [None] * g.n
     parent_edge: list[EdgeId | None] = [None] * g.n
     edges: set[EdgeId] = set()
     for v in range(g.n):
         if depth[v] > 0:
-            parent[v], parent_edge[v] = min(
-                (d.head, d.edge()) for d in g.rotation[v] if depth[d.head] == depth[v] - 1
-            )
+            d = next(d for d in range(lo[v], lo[v + 1]) if depth[head[d]] == depth[v] - 1)
+            parent[v], parent_edge[v] = head[d], edge(d)
             edges.add(parent_edge[v])
     return SpanningTree(root=root, parent=parent, parent_edge=parent_edge, depth=depth, edges=edges)
 
@@ -210,7 +212,10 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     Everything is read off the dual's edges, which come in sorted edge
     order: the cotree is the dual edges whose primal is not in T, so the
     adjacency lists (and the first bridge reported) follow that order.
+    NoFace on an edgeless graph, whose dual tree has no node to root.
     """
+    if not g.faces:
+        raise NoFace("an edgeless graph has no face to root the dual tree at")
     dual = build_dual(g)
     tree_edges = tree.edges
     in_tree = 0

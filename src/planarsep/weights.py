@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .embedding import EmbeddedPlanarGraph
+from .errors import NoFace
 
 
 @dataclass
@@ -28,19 +29,20 @@ def transfer_weights(
     The default policy picks the minimum face id, which is what the
     message-passing engine does as well; conservation w_F(G) = w_V(G)
     holds for any policy.  Number order is id order, so the pick is made
-    over each vertex's run of g.dart_face.
+    over the vertex's darts' faces, dart_face[lo[v]:lo[v+1]].  NoFace on
+    an edgeless graph, whose vertex lies on no traced face.
     """
     if policy not in ("min", "max"):
         raise ValueError(f"unknown policy {policy!r}")
+    if not g.faces:
+        raise NoFace("an edgeless graph has no face to carry the weight")
     w = list(weights) if weights is not None else list(g.vertex_weight)
     pick = min if policy == "min" else max
-    dart_face = g.dart_face
+    dart_face, lo = g.dart_face, g.dart_table.lo
     chosen: list[int] = []
     face_weight = [0] * len(g.faces)
-    last = 0
-    for v, rot in enumerate(g.rotation):
-        first, last = last, last + len(rot)
-        f = pick(dart_face[first:last])
+    for v in range(g.n):
+        f = pick(dart_face[lo[v]:lo[v + 1]])
         chosen.append(f)
         face_weight[f] += w[v]
     return FaceWeighting(chosen_face=chosen, face_weight=face_weight, total=sum(w))

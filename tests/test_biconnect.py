@@ -12,7 +12,7 @@ from planarsep.generators import (
     random_triangulation,
     star,
 )
-from planarsep.oracles import brute_force_articulation_points
+from planarsep.oracles import brute_force_articulation_points, face_ids
 
 
 def two_triangles_shared_vertex():
@@ -137,7 +137,8 @@ def test_biconnect_matches_corner_passes(g):
     assert (out is g) == (articulation_count(g) == 0) == (ref is g)
     assert out.rotation == ref.rotation
     assert out.virtual_edges == ref.virtual_edges
-    assert out.faces == ref.faces and out.face_of == ref.face_of
+    assert out.faces == ref.faces and out.dart_face == ref.dart_face
+    assert face_ids(out) == face_ids(ref)
     assert out.infinite_face == ref.infinite_face
     assert out.vertex_weight == ref.vertex_weight
 

@@ -28,6 +28,7 @@ from planarsep.dist import (
     part_bfs_trees,
 )
 from planarsep.embedding import Dart, build_embedding
+from planarsep.oracles import face_ids
 from planarsep.errors import (
     BitBudgetExceeded,
     ConflictingRoot,
@@ -208,14 +209,38 @@ def test_no_dart_inside_the_pipeline(name):
     assert "path_darts" in pipe.know[0].store
 
 
+def _cycle_with_copies(copies):
+    """A 12-cycle whose edge 10-11 has `copies` parallel copies, nested so
+    that consecutive copies bound a 2-gon."""
+    rot = [[(v, (v - 1) % 12, 0), (v, (v + 1) % 12, 0)] for v in range(12)]
+    rot[10] = [(10, 9, 0)] + [(10, 11, c) for c in range(copies)]
+    rot[11] = [(11, 10, c) for c in reversed(range(copies))] + [(11, 0, 0)]
+    return build_embedding(12, rot)
+
+
+@pytest.mark.parametrize("copies", [16, 17, 40])
+def test_many_parallel_copies_agree(copies):
+    """Face ids with a copy of 16 or more still encode into the elections:
+    the copy field widens with the largest copy."""
+    g = _cycle_with_copies(copies)
+    tree = bfs_tree(g, 0)
+    seq = compute_separator(g, tree)
+    assert seq.case == "critical-leaf"
+    for backend in ("honest", "charged"):
+        out, _ = dist_compute_separator(g, tree, backend=backend)
+        assert serialize_separator(out.result) == serialize_separator(seq), backend
+        assert out.records() == sep_records(g, tree, seq), backend
+
+
 def test_learn_faces_matches_canonical_ids(grid4):
     stores, _, darts = _full_run(grid4)
     ids = darts.index
+    faces = face_ids(grid4)
     for v in range(grid4.n):
         for d in grid4.rotation[v]:
-            assert stores[v]["face"][ids[d]] == ids[grid4.face_of[d]]
-            assert stores[v]["rev_face"][ids[d]] == ids[grid4.face_of[d.reverse()]]
-            assert stores[v]["size"][ids[d]] == grid4.face(grid4.face_of[d]).size
+            assert stores[v]["face"][ids[d]] == ids[faces[d]]
+            assert stores[v]["rev_face"][ids[d]] == ids[faces[d.reverse()]]
+            assert stores[v]["size"][ids[d]] == grid4.face(faces[d]).size
 
 
 def test_learn_faces_triangle(c3):
@@ -228,12 +253,13 @@ def test_learn_faces_triangulation_dual_endpoints():
     g = random_triangulation(200, seed=6)
     stores, _, darts = _full_run(g)
     ids = darts.index
+    faces = face_ids(g)
     for e in g.edges():
         da, db = g.darts_of_edge(e)
-        assert stores[da.tail]["face"][ids[da]] == ids[g.face_of[da]]
-        assert stores[da.tail]["rev_face"][ids[da]] == ids[g.face_of[db]]
+        assert stores[da.tail]["face"][ids[da]] == ids[faces[da]]
+        assert stores[da.tail]["rev_face"][ids[da]] == ids[faces[db]]
         for d in (da, db):
-            assert stores[d.tail]["size"][ids[d]] == g.face(g.face_of[d]).size
+            assert stores[d.tail]["size"][ids[d]] == g.face(faces[d]).size
 
 
 def _rings(rotations):
@@ -332,10 +358,11 @@ def test_face_weights_match_sequential(grid4, tri60):
         dart = darts.dart
         seq = transfer_weights(g)
         ids = [f.id for f in g.faces]
+        faces = face_ids(g)
         assert [dart(st["chosen"]) for st in stores] == [ids[f] for f in seq.chosen_face]
         for v, st in enumerate(stores):
             assert dart(st["corner"]) == min(
-                d for d in g.rotation[v] if g.face_of[d] == dart(st["chosen"])
+                d for d in g.rotation[v] if faces[d] == dart(st["chosen"])
             )
         # no store holds a face total: a face's weight is its dual
         # subtree's weight minus the subtrees behind its dual child edges
@@ -384,6 +411,7 @@ def test_dual_subtree_sums_match_sequential(tri60):
     seq = dual_subtree_sums(pair, transfer_weights(tri60).face_weight)
     # the critical election ranks heavy faces by their subtree's dart count
     face_darts = dual_subtree_sums(pair, [f.size for f in tri60.faces])
+    faces = face_ids(tri60)
     holders = {}
     for v in range(tri60.n):
         for fid, sub in stores[v]["subtrees"].items():
@@ -395,13 +423,13 @@ def test_dual_subtree_sums_match_sequential(tri60):
             assert sub.size == tri60.face(fid).size
             has_children = sub.darts > sub.size
             assert has_children == (f in pair.dual_parent)
-            assert tri60.face_of[dart(sub.parent_dart)] == fid
+            assert faces[dart(sub.parent_dart)] == fid
             if f == pair.dual_root:
                 assert dart(sub.parent_dart) == fid
             else:
                 assert dart(sub.parent_dart).edge() == pair.dual_parent_edge[f]
         for d, weight in stores[v]["child_sum"].items():
-            child = tri60.face_number(tri60.face_of[dart(d).reverse()])
+            child = tri60.face_number(faces[dart(d).reverse()])
             assert pair.dual_parent_edge[child] == dart(d).edge()
             assert weight == seq[child]
     # a face's sums sit at the endpoints of its dual parent edge, the dual

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarsep import biconnect, build_dual, build_embedding, validate_embedding
+from planarsep import DartTable, biconnect, build_dual, build_embedding, validate_embedding
 from planarsep.errors import (
     EulerViolation,
     InconsistentRotation,
@@ -18,6 +18,8 @@ from planarsep.generators import (
     random_triangulation,
     star,
 )
+from planarsep.harness import generate, standard_suite
+from planarsep.oracles import face_ids
 
 
 def test_triangle_counts(c3):
@@ -192,8 +194,38 @@ def test_faces_numbered_once_in_id_order(g):
     assert all(a < b for a, b in zip(ids, ids[1:]))
     for i, fid in enumerate(ids):
         assert g.face_number(fid) == i
-    darts = list(g.darts())
-    assert len(g.dart_face) == len(darts) == 2 * g.m
-    for d, i in zip(darts, g.dart_face):
-        assert g.faces[i].id == g.face_of[d]
-        assert d in g.faces[i].boundary
+    table = g.dart_table
+    assert len(g.dart_face) == len(table) == 2 * g.m
+    faces = face_ids(g)
+    for d, i in enumerate(g.dart_face):
+        dart = table.dart(d)
+        assert g.faces[i].id == faces[dart]
+        assert dart in g.faces[i].boundary
+
+
+TABLE_FIELDS = ("triple", "lo", "tail", "head", "index", "rev", "rot", "succ")
+
+
+def _assert_table_and_faces(g, name):
+    table, ref = g.dart_table, DartTable(g.rotation)
+    for field in TABLE_FIELDS:
+        assert getattr(table, field) == getattr(ref, field), (name, field)
+    assert g.edges() == sorted({d.edge() for d in g.darts()}), name
+    # every dart's face, against a walk with g.face_succ
+    faces = face_ids(g)
+    assert [g.faces[f].id for f in g.dart_face] == [faces[d] for d in table.triple], name
+
+
+def test_dart_table_and_faces_on_the_suite():
+    """The graph's table is DartTable(g.rotation), field by field, and
+    dart_face names each dart's face, on every suite instance and on what
+    biconnect makes of it."""
+    rebuilt = 0
+    for spec in standard_suite():
+        g, _ = generate(spec.generator, spec.params, spec.seed)
+        _assert_table_and_faces(g, spec.name)
+        gp = biconnect(g)
+        if gp is not g:
+            rebuilt += 1
+            _assert_table_and_faces(gp, spec.name + " biconnected")
+    assert rebuilt > 0

@@ -11,6 +11,7 @@ from planarsep import (
     cotree,
     find_balanced_or_critical,
     separator_from_balanced,
+    separator_from_critical,
     serialize_separator,
     transfer_weights,
     tree_from_edges,
@@ -21,11 +22,14 @@ from planarsep.errors import DegenerateTotal, NotProper
 from planarsep.generators import (
     cut_chain,
     cycle_chords,
+    cylinder,
     grid,
     pinned_critical_instance,
+    proper_random_weights,
     random_triangulation,
 )
 from planarsep.separator import find_balanced_or_critical_in_tree
+from planarsep.weights import FaceWeighting
 from planarsep.treecotree import _tree_edge_between, dual_subtree_sums, subtree_sums
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -323,3 +327,70 @@ def test_tree_detection_matches_brute_force(n, seed):
         return
     got = find_balanced_or_critical_in_tree(children, ids[0], values)
     assert got == (kind, pick, sums[pick], depth[pick])
+
+
+# -- the lemma: any incident face per vertex gives a separator -----------------
+
+
+def _any_choice_separator(g, root, seed, concentrated):
+    """The separator built when every vertex hands its weight to the face
+    of a random dart of its own; asserts it verifies and returns its case.
+
+    Weights are proper random weights, or, when concentrated and g's
+    largest face has 12 vertices or more, 1 on that face's vertices and 0
+    elsewhere, with each of them picking a dart on that face, so that one
+    face holds the whole weight.
+    """
+    rng = random.Random(seed)
+    lo, dart_face = g.dart_table.lo, g.dart_face
+    picks = [rng.randrange(lo[v], lo[v + 1]) for v in range(g.n)]
+    w = proper_random_weights(g.n, seed)
+    if concentrated:
+        big = max(range(len(g.faces)), key=lambda f: g.faces[f].size)
+        on_big = {v: [d for d in range(lo[v], lo[v + 1]) if dart_face[d] == big]
+                  for v in range(g.n)}
+        if sum(1 for ds in on_big.values() if ds) >= 12:
+            w = [1 if on_big[v] else 0 for v in range(g.n)]
+            picks = [rng.choice(on_big[v]) if on_big[v] else d for v, d in enumerate(picks)]
+    chosen = [dart_face[d] for d in picks]
+    face_weight = [0] * len(g.faces)
+    for v, f in enumerate(chosen):
+        face_weight[f] += w[v]
+    weighting = FaceWeighting(chosen_face=chosen, face_weight=face_weight, total=sum(w))
+    tree = bfs_tree(g, root)
+    pair = cotree(g, tree)
+    verdict = find_balanced_or_critical(pair, face_weight)
+    if verdict.kind == "balanced":
+        res = separator_from_balanced(pair, verdict, weighting)
+    else:
+        res = separator_from_critical(pair, verdict, weighting, w)
+    assert verify_separator(g, w, res.path).passed, res.case
+    assert len(res.path) <= 2 * tree.height() + 1
+    return res.case
+
+
+LEMMA_GRAPHS = st.one_of(
+    st.builds(grid, st.integers(3, 8), st.integers(4, 8)),
+    st.builds(random_triangulation, st.integers(12, 80), st.integers(0, 10**6)),
+    st.builds(lambda n, k, seed: cycle_chords(n, k % (n // 6 + 1), seed),
+              st.integers(12, 60), st.integers(0, 10), st.integers(0, 10**6)),
+    st.builds(cylinder, st.integers(2, 5), st.integers(4, 12)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=LEMMA_GRAPHS, root=st.integers(0, 10**6), seed=st.integers(0, 10**6),
+       concentrated=st.booleans())
+def test_any_incident_face_choice_gives_a_separator(g, root, seed, concentrated):
+    _any_choice_separator(g, root % g.n, seed, concentrated)
+
+
+def test_any_incident_face_choice_reaches_every_case():
+    cases = set()
+    graphs = [grid(6, 6), random_triangulation(60, 3), cycle_chords(12, 0),
+              cycle_chords(40, 6, 2), cylinder(3, 12)]
+    for g in graphs:
+        for seed in range(8):
+            for concentrated in (False, True):
+                cases.add(_any_choice_separator(g, seed % g.n, seed, concentrated))
+    assert cases == {"balanced", "critical-virtual", "critical-leaf"}

@@ -21,6 +21,7 @@ from planarsep.errors import (
     EdgeInTree,
     EdgeNotInCotree,
     InvalidPartition,
+    NoFace,
     NotSpanningTree,
     UnknownRoot,
 )
@@ -33,7 +34,7 @@ from planarsep.generators import (
     random_triangulation,
     two_level_parts,
 )
-from planarsep.oracles import enclosed_faces
+from planarsep.oracles import enclosed_faces, face_ids
 from planarsep.treecotree import (
     SpanningTree,
     dot_export,
@@ -214,22 +215,26 @@ def test_dot_export_mentions_kinds(grid4, grid4_tree):
 
 # -- build_dual and cotree against the per-edge reference ------------------------
 #
-# The reference below recomputes each edge's two faces with dual_endpoints,
+# The reference below finds each edge's two faces with oracles.face_ids (a
+# walk with g.face_succ that reads neither g.dart_table nor g.dart_face),
 # edge by edge in sorted order, numbers them by their place in g.faces, and
 # roots the cotree from that in dicts; build_dual and cotree must give every
 # DualGraph and TreeCotreePair field the same value, BFS order included, and
 # raise NotSpanningTree with the same message.
 
 
-def _reference_endpoints(g, e):
+def _reference_endpoints(g, faces, e):
     number = {f.id: i for i, f in enumerate(g.faces)}
-    return tuple(number[fid] for fid in g.dual_endpoints(e))
+    return tuple(number[faces[d]] for d in g.darts_of_edge(e))
 
 
-def _reference_dual(g):
+def _reference_dual(g, faces):
     return DualGraph(
         nodes=range(len(g.faces)),
-        dual_edges=tuple(DualEdge(e, *_reference_endpoints(g, e)) for e in g.edges()),
+        dual_edges=tuple(
+            DualEdge(e, *_reference_endpoints(g, faces, e))
+            for e in sorted({d.edge() for d in g.darts()})
+        ),
     )
 
 
@@ -238,10 +243,11 @@ def _reference_cotree(g, tree):
     if not tree.edges <= all_edges or len(tree.edges) != g.n - 1:
         raise NotSpanningTree("tree is not a spanning tree of the graph")
     co = all_edges - tree.edges
-    dual = _reference_dual(g)
+    faces = face_ids(g)
+    dual = _reference_dual(g, faces)
     adj = {fid: [] for fid in dual.nodes}
     for e in sorted(co):
-        fa, fb = _reference_endpoints(g, e)
+        fa, fb = _reference_endpoints(g, faces, e)
         if fa == fb:
             raise NotSpanningTree(f"bridge {e} missing from the tree")
         adj[fa].append((e, fb))
@@ -383,3 +389,9 @@ def test_cotree_rejections_keep_their_messages(graph, edges, message):
         _reference_cotree(graph, _bare_tree(edges))
     with pytest.raises(NotSpanningTree, match=f"^{re.escape(message)}$"):
         cotree(graph, _bare_tree(edges))
+
+
+def test_one_vertex_graph_has_no_dual_tree():
+    g = build_embedding(1, [[]])
+    with pytest.raises(NoFace):
+        cotree(g, bfs_tree(g, 0))

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from planarsep import check_proper, cotree, transfer_weights
+import pytest
+
+from planarsep import build_embedding, check_proper, cotree, transfer_weights
+from planarsep.errors import NoFace
 from planarsep.generators import random_triangulation
-from planarsep.oracles import enclosed_faces, vertex_sides
+from planarsep.oracles import enclosed_faces, face_ids, vertex_sides
 from planarsep.treecotree import fundamental_cycle
 
 
@@ -25,8 +28,9 @@ def test_c3_min_policy(c3):
 def test_each_vertex_contributes_once(grid4):
     fw = transfer_weights(grid4)
     assert len(fw.chosen_face) == grid4.n
+    faces = face_ids(grid4)
     for v, f in enumerate(fw.chosen_face):
-        assert grid4.faces[f].id in {grid4.face_of[d] for d in grid4.rotation[v]}
+        assert grid4.faces[f].id in {faces[d] for d in grid4.rotation[v]}
 
 
 def test_check_proper_examples():
@@ -58,5 +62,12 @@ def test_conservation_property(n, seed, policy):
     fw = transfer_weights(g, policy=policy)
     assert sum(fw.face_weight) == g.n
     pick = min if policy == "min" else max
+    faces = face_ids(g)
     for v, f in enumerate(fw.chosen_face):
-        assert g.faces[f].id == pick(g.face_of[d] for d in g.rotation[v])
+        assert g.faces[f].id == pick(faces[d] for d in g.rotation[v])
+
+
+def test_one_vertex_graph_has_no_face_to_take_its_weight():
+    g = build_embedding(1, [[]])
+    with pytest.raises(NoFace):
+        transfer_weights(g)
