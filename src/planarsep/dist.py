@@ -10,7 +10,8 @@ systems installed as local knowledge, numbered in a DartTable: g's own
 when the part rotations are g's, as on every bi-connected single part.
 Every program, message key and store entry names a dart, or a face by its
 minimum dart, by id; Darts are built again only for the output.  Frames
-that name a dart on the wire still carry its (tail, head, copy).
+that name a dart on the wire carry its (tail, head, copy rank), the rank
+being its place among the parallel darts from tail to head (wire_darts).
 Learning face ids works on face rings: consecutive boundary darts of a
 face share a vertex, so a face is a communication ring, and a token
 forwarded from position dart d lands at head(d), which derives the
@@ -96,9 +97,31 @@ def pack(frame: tuple) -> tuple[int, ...]:
     return tuple(frame)
 
 
+def wire_darts(darts: DartTable) -> tuple[list[tuple[int, int, int]], dict]:
+    """Each dart id's (tail, head, copy rank), and the map back to ids.
+
+    The copy rank is the dart's place among the parallel darts from its
+    tail to its head.  Ranks order as copies do, so wire triples compare as
+    darts do, but a rank stays below the edge's multiplicity whatever labels
+    the copies carry.  Where every copy is its rank (copies 0, 1, ... on
+    each edge, as the generators and biconnect make them) these are the
+    table's own triple and index.
+    """
+    triple = darts.triple
+    if not any(map(itemgetter(2), triple)):
+        return triple, darts.index
+    wire = []
+    for t, h, _ in triple:
+        rank = wire[-1][2] + 1 if wire and wire[-1][:2] == (t, h) else 0
+        wire.append((t, h, rank))
+    if wire == triple:
+        return triple, darts.index
+    return wire, dict(zip(wire, range(len(wire))))
+
+
 def enc_face(f: tuple[int, int, int], n: int, bits: int) -> int:
-    """A face id's (tail, head, copy) as one int, in the same order; the
-    copy takes the low `bits` bits."""
+    """A face id's wire triple (tail, head, copy rank) as one int, in the
+    same order; the rank takes the low `bits` bits."""
     tail, head, copy = f
     return ((tail * (n + 1) + head) << bits) | copy
 
@@ -235,13 +258,13 @@ class LearnFacesProgram(VertexProgram):
     also the face-id exchange across every edge.  A token never passes
     the minimum, so it never meets the announcement on a dart.
 
-    Tokens and announcements carry a dart's (tail, head, copy); the store
-    keeps face ids as dart ids.
+    Tokens and announcements carry a dart's wire triple (wire_darts); the
+    store keeps face ids as dart ids.
     """
 
-    def __init__(self, darts: DartTable):
-        self.succ, self.index, self.triple = darts.succ, darts.index, darts.triple
-        self.tok = [pack((T_TOK,) + d) for d in darts.triple]  # a dart's own token
+    def __init__(self, darts: DartTable, wire: list[tuple[int, int, int]], wire_index: dict):
+        self.succ, self.index, self.triple = darts.succ, wire_index, wire
+        self.tok = [pack((T_TOK,) + d) for d in wire]  # a dart's own token
 
     def init(self, know: LocalKnowledge) -> dict:
         tok = self.tok
@@ -709,8 +732,9 @@ class DistPipeline:
         rows = [global_rot[v] for v in range(g.n)]
         same = all(list(row) == rot for rot, row in zip(g.rotation, rows))
         self.darts = darts = g.dart_table if same else DartTable(rows)
-        # enc_face's copy field: 4 bits, or as wide as the largest copy needs
-        self.copy_bits = max(4, max(map(itemgetter(2), darts.triple), default=0).bit_length())
+        self.wire, self.wire_index = wire_darts(darts)
+        # enc_face's rank field: 4 bits, or as wide as the largest rank needs
+        self.copy_bits = max(4, max(map(itemgetter(2), self.wire), default=0).bit_length())
         # both darts of every tree edge, from the trees' parent edges
         tree_darts: list[list[int]] = [[] for _ in range(g.n)]
         for v, pid in enumerate(part_of):
@@ -772,7 +796,7 @@ class DistPipeline:
 
     def run_learn_faces(self):
         self._run(
-            "learn_faces", LearnFacesProgram(self.darts), charge_units=1,
+            "learn_faces", LearnFacesProgram(self.darts, self.wire, self.wire_index), charge_units=1,
             publish=("face", "size", "rev_face"),
         )
 
@@ -794,7 +818,7 @@ class DistPipeline:
     def run_root_election(self):
         # enc_face keeps dart order, so a vertex's largest face id encodes largest
         pt = self.trace.phase("root_election")
-        triple, bits = self.darts.triple, self.copy_bits
+        triple, bits = self.wire, self.copy_bits
         inputs = [
             enc_face(triple[max(know.store["face"].values())], self.n, bits) for know in self.know
         ]
@@ -804,7 +828,7 @@ class DistPipeline:
 
     def _dec_faces(self, encs: Sequence[int]) -> list[int]:
         """The dart id of every vertex's encoded face."""
-        index, bits = self.darts.index, self.copy_bits
+        index, bits = self.wire_index, self.copy_bits
         return [index[dec_face(e, self.n, bits)] for e in encs]
 
     def run_dual_sums(self):
@@ -821,7 +845,7 @@ class DistPipeline:
             if stores[members[0]]["total_weight"] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
-        triple, bits = self.darts.triple, self.copy_bits
+        triple, bits = self.wire, self.copy_bits
         # every election input comes from the holders of a face's subtree
         # sums.  Balanced election: maximum face id among balanced candidates
         bal = self.aggregate([

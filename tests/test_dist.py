@@ -209,13 +209,16 @@ def test_no_dart_inside_the_pipeline(name):
     assert "path_darts" in pipe.know[0].store
 
 
-def _cycle_with_copies(copies):
-    """A 12-cycle whose edge 10-11 has `copies` parallel copies, nested so
-    that consecutive copies bound a 2-gon."""
-    rot = [[(v, (v - 1) % 12, 0), (v, (v + 1) % 12, 0)] for v in range(12)]
-    rot[10] = [(10, 9, 0)] + [(10, 11, c) for c in range(copies)]
-    rot[11] = [(11, 10, c) for c in reversed(range(copies))] + [(11, 0, 0)]
-    return build_embedding(12, rot)
+def _cycle_with_copies(copies, length=12, at=10, weights=None):
+    """A cycle whose edge at-(at+1) has `copies` parallel copies (the copy
+    labels, or that many from 0), nested so that consecutive copies bound a
+    2-gon."""
+    labels = range(copies) if isinstance(copies, int) else copies
+    a, b = at, (at + 1) % length
+    rot = [[(v, (v - 1) % length, 0), (v, (v + 1) % length, 0)] for v in range(length)]
+    rot[a] = [(a, (a - 1) % length, 0)] + [(a, b, c) for c in labels]
+    rot[b] = [(b, a, c) for c in reversed(labels)] + [(b, (b + 1) % length, 0)]
+    return build_embedding(length, rot, weights)
 
 
 @pytest.mark.parametrize("copies", [16, 17, 40])
@@ -230,6 +233,42 @@ def test_many_parallel_copies_agree(copies):
         out, _ = dist_compute_separator(g, tree, backend=backend)
         assert serialize_separator(out.result) == serialize_separator(seq), backend
         assert out.records() == sep_records(g, tree, seq), backend
+
+
+def _outcome(run):
+    """What a call gives: its value, or the type of the typed error it raised."""
+    try:
+        return run()
+    except PlanarSepError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(3, 30),
+    at=st.integers(0, 29),
+    labels=st.sets(st.integers(0, 2**70), min_size=1, max_size=8),
+    root=st.integers(0, 29),
+    data=st.data(),
+)
+def test_arbitrary_copy_labels_agree(length, at, labels, root, data):
+    """Copies at arbitrary, non-consecutive labels, however wide: both
+    engines and both backends give the same separator and records, or the
+    same typed error.  Dart names go on the wire as copy ranks, so a wide
+    label costs no bits."""
+    weight = st.integers(8, 16) if length >= 24 else st.just(1)
+    weights = data.draw(st.lists(weight, min_size=length, max_size=length))
+    g = _cycle_with_copies(sorted(labels), length, at % length, weights)
+    tree = bfs_tree(g, root % length)
+    seq = _outcome(lambda: compute_separator(g, tree))
+    for backend in ("honest", "charged"):
+        out = _outcome(lambda: dist_compute_separator(g, tree, backend=backend))
+        if isinstance(seq, type):
+            assert out is seq, backend
+        else:
+            assert not isinstance(out, type), (backend, out)
+            assert serialize_separator(out[0].result) == serialize_separator(seq), backend
+            assert out[0].records() == sep_records(g, tree, seq), backend
 
 
 def test_learn_faces_matches_canonical_ids(grid4):

@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarsep import validate_embedding
+from planarsep.embedding import Dart, build_embedding
 from planarsep.treecotree import diameter_estimate
 from planarsep.errors import BadParams
 from planarsep.generators import (
@@ -101,3 +105,126 @@ def test_random_proper_weights_property(n, seed):
     from planarsep import check_proper
 
     assert check_proper(proper_random_weights(n, seed), Fraction(1, 12)).proper
+
+
+# -- random_triangulation against the flip rule it replaced ----------------
+
+
+class _ScanTriangulation:
+    """The generator's first flip rule, kept as an oracle: a flip attempt
+    scans the first face's darts for one whose reverse is in the second."""
+
+    def __init__(self):
+        self.rot = [
+            [Dart(0, 1), Dart(0, 2)],
+            [Dart(1, 2), Dart(1, 0)],
+            [Dart(2, 0), Dart(2, 1)],
+        ]
+        self.internal = [(Dart(0, 1), Dart(1, 2), Dart(2, 0))]
+
+    def _insert_before(self, v, anchor, new):
+        self.rot[v].insert(self.rot[v].index(anchor), new)
+
+    def _insert_after(self, v, anchor, new):
+        self.rot[v].insert(self.rot[v].index(anchor) + 1, new)
+
+    def insert_vertex(self, face_index):
+        dab, dbc, dca = self.internal[face_index]
+        a, b, c = dab.tail, dbc.tail, dca.tail
+        x = len(self.rot)
+        self.rot.append([Dart(x, a), Dart(x, c), Dart(x, b)])
+        self._insert_before(a, dab, Dart(a, x))
+        self._insert_after(b, dab.reverse(), Dart(b, x))
+        self._insert_after(c, dbc.reverse(), Dart(c, x))
+        self.internal[face_index] = (dab, Dart(b, x), Dart(x, a))
+        self.internal.append((dbc, Dart(c, x), Dart(x, b)))
+        self.internal.append((dca, Dart(a, x), Dart(x, c)))
+
+    def flip(self, i1, i2):
+        f1, f2 = self.internal[i1], self.internal[i2]
+        shared = None
+        for d in f1:
+            if d.reverse() in f2:
+                shared = d
+                break
+        if shared is None:
+            return False
+        while f1[0] != shared:
+            f1 = (f1[1], f1[2], f1[0])
+        while f2[0] != shared.reverse():
+            f2 = (f2[1], f2[2], f2[0])
+        u, v = shared.tail, shared.head
+        p, q = f1[1].head, f2[1].head
+        if p == q or any(d.head == q for d in self.rot[p]):
+            return False
+        self.rot[u].remove(Dart(u, v))
+        self.rot[v].remove(Dart(v, u))
+        self._insert_after(p, Dart(p, v), Dart(p, q))
+        self._insert_after(q, Dart(q, u), Dart(q, p))
+        self.internal[i1] = (Dart(p, u), Dart(u, q), Dart(q, p))
+        self.internal[i2] = (Dart(q, v), Dart(v, p), Dart(p, q))
+        return True
+
+
+def _scan_triangulation(n, seed, flips=None):
+    """The rotation system and landed flips the oracle rule gives."""
+    rng = random.Random(seed)
+    tri = _ScanTriangulation()
+    for _ in range(n - 3):
+        tri.insert_vertex(rng.randrange(len(tri.internal)))
+    if flips is None:
+        flips = n
+    attempts = done = 0
+    while done < flips and attempts < 20 * flips:
+        attempts += 1
+        i1 = rng.randrange(len(tri.internal))
+        i2 = rng.randrange(len(tri.internal))
+        if i1 != i2 and tri.flip(i1, i2):
+            done += 1
+    return tri.rot, done
+
+
+@st.composite
+def _triangulation_params(draw):
+    n = draw(st.integers(3, 300))
+    flips = draw(st.one_of(st.none(), st.integers(0, 10 * n)))
+    return n, draw(st.integers(0, 2**64)), flips
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_triangulation_params())
+def test_triangulation_matches_scan_oracle(params):
+    """Same rotation system and faces as the scan rule for every (n, seed,
+    flips); small n with many flips lands many flips, so the neighbour
+    updates of insertion and flip both get exercised."""
+    n, seed, flips = params
+    rot, _ = _scan_triangulation(n, seed, flips)
+    g = random_triangulation(n, seed, flips)
+    assert g.rotation == rot
+    assert g.faces == build_embedding(n, rot).faces
+    assert all(f.size == 3 for f in g.faces)
+    assert g.m == 3 * n - 6
+    for v, darts in enumerate(g.rotation):
+        assert len({d.head for d in darts}) == len(darts), v  # no parallel darts
+        assert all(d.copy == 0 for d in darts), v
+
+
+def test_triangulation_oracle_lands_many_flips():
+    """The oracle comparison reaches inputs where most requested flips land."""
+    rot, done = _scan_triangulation(20, 5, 200)
+    assert done == 200
+    assert random_triangulation(20, 5, 200).rotation == rot
+
+
+# sha256 of repr(random_triangulation(5000, seed).rotation): the benchmark's
+# tri-wide instances, identical on Python 3.10 to 3.13
+TRI_WIDE_DIGESTS = {
+    1: "0828f7263d24539ce9d6dcc46725c3eb99fb32a0ae51148f0f23bfd5ca1da625",
+    2: "88e6b1887421fade7df55dbb8df7bc5f89ca273a582be21152921aad38cfa5fd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TRI_WIDE_DIGESTS))
+def test_tri_wide_instances_pinned(seed):
+    rotation = random_triangulation(5000, seed).rotation
+    assert hashlib.sha256(repr(rotation).encode()).hexdigest() == TRI_WIDE_DIGESTS[seed]
