@@ -103,9 +103,9 @@ def wire_darts(darts: DartTable) -> tuple[list[tuple[int, int, int]], dict]:
     The copy rank is the dart's place among the parallel darts from its
     tail to its head.  Ranks order as copies do, so wire triples compare as
     darts do, but a rank stays below the edge's multiplicity whatever labels
-    the copies carry.  Where every copy is its rank (copies 0, 1, ... on
-    each edge, as the generators and biconnect make them) these are the
-    table's own triple and index.
+    the copies carry.  Where every copy is 0, as on every graph without
+    parallel edges that the generators make, each copy is its rank, and
+    these are the table's own triple and index.
     """
     triple = darts.triple
     if not any(map(itemgetter(2), triple)):
@@ -114,16 +114,14 @@ def wire_darts(darts: DartTable) -> tuple[list[tuple[int, int, int]], dict]:
     for t, h, _ in triple:
         rank = wire[-1][2] + 1 if wire and wire[-1][:2] == (t, h) else 0
         wire.append((t, h, rank))
-    if wire == triple:
-        return triple, darts.index
     return wire, dict(zip(wire, range(len(wire))))
 
 
 def enc_face(f: tuple[int, int, int], n: int, bits: int) -> int:
     """A face id's wire triple (tail, head, copy rank) as one int, in the
     same order; the rank takes the low `bits` bits."""
-    tail, head, copy = f
-    return ((tail * (n + 1) + head) << bits) | copy
+    tail, head, rank = f
+    return ((tail * (n + 1) + head) << bits) | rank
 
 
 def dec_face(x: int, n: int, bits: int) -> tuple[int, int, int]:
@@ -734,7 +732,7 @@ class DistPipeline:
         self.darts = darts = g.dart_table if same else DartTable(rows)
         self.wire, self.wire_index = wire_darts(darts)
         # enc_face's rank field: 4 bits, or as wide as the largest rank needs
-        self.copy_bits = max(4, max(map(itemgetter(2), self.wire), default=0).bit_length())
+        self.rank_bits = max(4, max(map(itemgetter(2), self.wire), default=0).bit_length())
         # both darts of every tree edge, from the trees' parent edges
         tree_darts: list[list[int]] = [[] for _ in range(g.n)]
         for v, pid in enumerate(part_of):
@@ -818,7 +816,7 @@ class DistPipeline:
     def run_root_election(self):
         # enc_face keeps dart order, so a vertex's largest face id encodes largest
         pt = self.trace.phase("root_election")
-        triple, bits = self.wire, self.copy_bits
+        triple, bits = self.wire, self.rank_bits
         inputs = [
             enc_face(triple[max(know.store["face"].values())], self.n, bits) for know in self.know
         ]
@@ -828,7 +826,7 @@ class DistPipeline:
 
     def _dec_faces(self, encs: Sequence[int]) -> list[int]:
         """The dart id of every vertex's encoded face."""
-        index, bits = self.wire_index, self.copy_bits
+        index, bits = self.wire_index, self.rank_bits
         return [index[dec_face(e, self.n, bits)] for e in encs]
 
     def run_dual_sums(self):
@@ -845,7 +843,7 @@ class DistPipeline:
             if stores[members[0]]["total_weight"] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
-        triple, bits = self.wire, self.copy_bits
+        triple, bits = self.wire, self.rank_bits
         # every election input comes from the holders of a face's subtree
         # sums.  Balanced election: maximum face id among balanced candidates
         bal = self.aggregate([

@@ -195,7 +195,9 @@ def random_triangulation(n: int, seed: int, flips: int | None = None, weights=No
         i2 = rng.randrange(len(tri.internal))
         if i1 != i2 and tri.flip(i1, i2):
             done += 1
-    return build_embedding(n, tri.rot, weights, infinite_face_hint=Dart(1, 0))
+    rotation = tri.rot
+    del tri  # its face lists are not needed to embed; free them first
+    return build_embedding(n, rotation, weights, infinite_face_hint=Dart(1, 0))
 
 
 def cycle_chords(n: int, chords: int, seed: int = 0, weights=None) -> EmbeddedPlanarGraph:
