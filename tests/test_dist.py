@@ -260,15 +260,18 @@ def test_arbitrary_copy_labels_agree(length, at, labels, root, data):
     weights = data.draw(st.lists(weight, min_size=length, max_size=length))
     g = _cycle_with_copies(sorted(labels), length, at % length, weights)
     tree = bfs_tree(g, root % length)
-    seq = _outcome(lambda: compute_separator(g, tree))
+
+    def seq():
+        res = compute_separator(g, tree)
+        return serialize_separator(res), sep_records(g, tree, res)
+
+    def dist(backend):
+        out, _ = dist_compute_separator(g, tree, backend=backend)
+        return serialize_separator(out.result), out.records()
+
+    expected = _outcome(seq)
     for backend in ("honest", "charged"):
-        out = _outcome(lambda: dist_compute_separator(g, tree, backend=backend))
-        if isinstance(seq, type):
-            assert out is seq, backend
-        else:
-            assert not isinstance(out, type), (backend, out)
-            assert serialize_separator(out[0].result) == serialize_separator(seq), backend
-            assert out[0].records() == sep_records(g, tree, seq), backend
+        assert _outcome(lambda: dist(backend)) == expected, backend
 
 
 def test_learn_faces_matches_canonical_ids(grid4):
