@@ -76,18 +76,18 @@ from .treecotree import (
 # message tags, with payload arity (tag excluded)
 T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
 T_TOK, T_FACE = 4, 5
-T_CUT, T_PRE, T_POS, T_SUBD = 6, 7, 9, 10
+T_CUT, T_POS, T_SUBD = 6, 9, 10
 T_HEAVY = 11
+T_SUBR, T_TOT = 12, 13
 T_UV = 16
-T_SUBW, T_LEN = 18, 19
 
 _ARITY = {
     T_BFS: 2, T_CLAIM: 1, T_DEPTH: 1,
     T_TOK: 3, T_FACE: 3,
-    T_CUT: 2, T_PRE: 2, T_POS: 2, T_SUBD: 2,
+    T_CUT: 2, T_POS: 2, T_SUBD: 2,
     T_HEAVY: 1,
+    T_SUBR: 2, T_TOT: 2,
     T_UV: 2,
-    T_SUBW: 1, T_LEN: 1,
 }
 
 
@@ -247,14 +247,13 @@ class LearnFacesProgram(VertexProgram):
     every id it has seen, its own included, and notes the round; larger
     tokens are dropped.  So only the face minimum's token gets back to
     its origin, at round |f|: that position knows the face id and size and
-    sends the id once around the ring.  The announcement reaches the
+    sends the id on around the ring.  The announcement reaches the
     position i hops on at round |f| + i, and the minimum's token reached it
-    at round i, so the difference of the two rounds is the face size.
-
-    The frame a position sends on its dart is the face id, so the far end
-    of the dart learns the face on its reverse side from it: the lap is
-    also the face-id exchange across every edge.  A token never passes
-    the minimum, so it never meets the announcement on a dart.
+    at round i, so the difference of the two rounds is the face size.  The
+    position |f| - 1 hops on is the last to learn: it does not forward the
+    announcement, so a face costs |f|(|f|+1)/2 tokens at most plus |f| - 1
+    announcements, in 2|f| rounds.  A token never passes the minimum, so it
+    never meets the announcement on a dart.
 
     Tokens and announcements carry a dart's wire triple (wire_darts); the
     store keeps face ids as dart ids.
@@ -271,16 +270,15 @@ class LearnFacesProgram(VertexProgram):
             "best_round": {},
             "face": {},
             "size": {},
-            "rev_face": {},
         }
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         tok = self.tok
         if r == 0:
             return [(d, tok[d]) for d in know.rotation], False
-        succ, index = self.succ, self.index
+        succ = self.succ
         out = []
-        best, best_round, face = st["best"], st["best_round"], st["face"]
+        best, best_round, face, size = st["best"], st["best_round"], st["face"], st["size"]
         # every payload is one packed frame, read and forwarded in place;
         # tokens share their tag, so they compare as their darts do
         for k, payload in inbox.items():
@@ -288,19 +286,18 @@ class LearnFacesProgram(VertexProgram):
             if payload[0] == T_TOK:
                 if payload == tok[slot]:  # once around: slot is the face minimum
                     face[slot] = slot
-                    st["size"][slot] = r
+                    size[slot] = r
                     out.append((slot, pack((T_FACE,) + self.triple[slot])))
                 elif payload < best[slot]:
                     best[slot] = payload
                     best_round[slot] = r
                     out.append((slot, payload))
             else:
-                f = st["rev_face"][k] = index[payload[1:]]
-                if f != slot:  # the lap ends at the face minimum
-                    face[slot] = f
-                    st["size"][slot] = r - best_round[slot]
+                face[slot] = self.index[payload[1:]]
+                size[slot] = r - best_round[slot]
+                if best_round[slot] < size[slot] - 1:  # the lap ends before the minimum
                     out.append((slot, payload))
-        return out, len(face) == len(st["rev_face"]) == len(know.rotation)
+        return out, len(face) == len(know.rotation)
 
 
 # -- dual subtree sums from the contour of T ---------------------------------
@@ -314,42 +311,39 @@ class DualSubtree(NamedTuple):
     darts: int          # boundary darts summed over the subtree
     parent_dart: int    # the face's side of its dual parent edge; its canonical dart at the root
     size: int           # the face's own boundary length
-    base: int           # unwrapped weight prefix (_unwrap) where the subtree's interval starts
-
-
-def _unwrap(pos: int, incl: int, root_pos: int, total: int) -> int:
-    """The weight prefix at contour position pos counted from the dual
-    root's canonical dart: positions before it wrap around.  In this order
-    every non-root dual subtree is one interval (base, base + weight]."""
-    return incl + (total if pos < root_pos else 0)
+    base: int           # weight prefix, counted from R, where the subtree's interval starts
 
 
 class ContourProgram(VertexProgram):
     """Dual subtree sums from prefix sums along the contour of T, the Euler
-    tour technique of Tarjan and Vishkin (SIAM J. Comput. 1985).
+    tour technique of Tarjan and Vishkin (SIAM J. Comput. 1985), with its
+    start rotated to R, the dual root's canonical dart.
 
-    The contour lists the 2m darts of a part: from the tree root's first
-    dart, a tree dart d is followed by succ(rev(d)), any other dart d by
-    succ(d).  So every subtree of T owns one segment of it:
-    its root's darts in rotation order after the parent dart, each child's
-    segment right after the dart to that child.  For a cotree edge whose
-    darts sit at positions i < j, positions i+1..j hold the darts of the
-    faces on one side of its fundamental cycle, the side of the face at
-    j; when the dual root's canonical dart lies among them, the other side
-    is the dual subtree below the edge instead.  With every vertex's
+    The contour lists the 2m darts of a part: a tree dart d is followed by
+    succ(rev(d)), any other dart d by succ(d).  So every subtree of T owns
+    one segment of it: its root's darts in rotation order after the parent
+    dart, each child's segment right after the dart to that child.
+    Positions and weight prefixes count from R, which has position 0, so a
+    vertex's segment may wrap once, where its position reaches the contour
+    length M.  For a cotree edge whose darts sit at positions i < j,
+    positions i+1..j hold the darts of the faces on one side of its
+    fundamental cycle, the side of the face at j.  That interval never
+    holds R, so it is the dual subtree below the edge.  With every vertex's
     weight marked at its corner dart (its dart in its chosen face), the
-    side's weight is a difference of weight prefixes and its dart count
+    subtree's weight is a difference of weight prefixes and its dart count
     the length of the interval.
 
-    The fields travel at most two to a frame, so no payload grows wide:
-    up T, every subtree's dart count (with the offset of the dual root's
-    canonical dart, on the path that holds it), then its weight; down T,
-    every child's contour position (with the dual root's), its weight
-    prefix (with the part's total weight), then the contour length; and
-    one frame of position and weight prefix across each cotree edge.
-    Each endpoint then resolves the edge locally.  Every own dart's
-    unwrapped weight prefix stays in the store, in rotation order, for
-    the critical face's ring positions.
+    The fields travel at most two to a frame, three frames per tree edge.
+    Up T, every subtree's dart count and weight; one round later, from the
+    subtrees that hold R only, 1 + R's offset in the segment and the weight
+    marked before it.  Down T, the part's total weight W and contour
+    length M, then every child's first position and the weight prefix
+    before it.  The tree root starts at (M - R, W - c), with R its offset
+    and c the weight before it, and a vertex subtracts M and W where its
+    position reaches M.  Across each cotree edge goes one frame of position
+    and weight prefix, and each endpoint then resolves the edge locally.
+    Every own dart's weight prefix stays in the store, in rotation order,
+    for the critical face's ring positions.
     """
 
     def __init__(self, darts: DartTable):
@@ -361,104 +355,100 @@ class ContourProgram(VertexProgram):
         k = 0 if pd is None else rot.index(pd) + 1
         return {
             "order": rot[k:] + rot[:k],
-            "kid_darts": {},     # child dart -> its T_SUBD frame: subtree's dart count, root offset
-            "kid_weight": {},    # child dart -> its subtree's weight
-            "pos": None,         # own dart -> offset in the subtree's segment, then contour position
-            "root_off": 0,       # 1 + offset of the dual root's canonical dart, 0 if outside
+            "kids": {},          # child dart -> its subtree's dart count and weight
+            "holds_root": self.tail[know.store["dual_root"]] == know.vid,
+            "root_kid": None,    # child dart whose subtree holds R, its T_SUBR frame
             "darts": None,
             "weight": None,
-            "root_pos": None,
+            "root_sent": False,
             "total_weight": None,
             "total_darts": None,
-            "len_sent": False,
             "cuts": sum(know.store["cotree_flag"].values()),
+            "pos": None,         # own dart -> contour position
             "incl": {},          # own dart -> weight marks up to and including it
             "cut": {},           # cotree dart -> T_CUT frame: position and incl of its reverse
             "subtrees": {},      # face -> DualSubtree, for faces whose parent edge is here
             "child_sum": {},     # dart on a parent face's side -> weight behind the edge
-            "prefix": None,      # unwrapped weight prefix of each own dart, rotation order
+            "prefix": None,      # weight prefix of each own dart, rotation order
         }
 
-    def _segment(self, know, st) -> None:
-        """Offsets of the own darts, the subtree's dart count, and where in
-        the segment the dual root's canonical dart lies."""
-        root_face = know.store["dual_root"]
-        kids = st["kid_darts"]
-        rel = {}
-        p = 0
+    def _root_offset(self, know, st) -> tuple[int, int]:
+        """1 + R's offset in this vertex's segment, and the weight marked
+        before it there."""
+        root_face, corner = know.store["dual_root"], know.store["corner"]
+        kids = st["kids"]
+        kid = st["root_kid"]
+        p = acc = 0
         for d in st["order"]:
-            rel[d] = p
             if d == root_face:
-                st["root_off"] = p + 1
+                return p + 1, acc
+            if d == corner:
+                acc += know.weight
             p += 1
+            if kid is not None and d == kid[0]:
+                return p + kid[1], acc + kid[2]
             if d in kids:
-                _tag, count, off = kids[d]
-                if off:
-                    st["root_off"] = p + off
+                count, weight = kids[d]
                 p += count
-        st["pos"], st["darts"] = rel, p
+                acc += weight
+        raise AssertionError("the dual root's dart is not in this segment")
 
-    def _place(self, know, st, first: int, root_pos: int, out) -> None:
-        pos = st["pos"]
-        for d in pos:
-            pos[d] += first
-        st["root_pos"] = root_pos
-        for _c, d in know.store["tree_children"]:
-            out.append((d, pack((T_POS, pos[d] + 1, root_pos))))
-
-    def _prefix(self, know, st, before: int, total: int, out) -> None:
-        """Weight prefixes of the own darts, sent down T and across T*."""
-        st["total_weight"] = total
+    def _place(self, know, st, first: int, before: int, out) -> None:
+        """Positions and weight prefixes of the own darts, sent down T and
+        across T*."""
+        W, M = st["total_weight"], st["total_darts"]
         corner = know.store["corner"]
         flags = know.store["cotree_flag"]
-        kids = st["kid_weight"]
-        pos, incl = st["pos"], st["incl"]
-        acc = before
+        kids = st["kids"]
+        pos, incl = {}, st["incl"]
+        p, acc = first, before
         for d in st["order"]:
+            if p >= M:  # the contour passes R
+                p, acc = p - M, acc - W
+            pos[d] = p
             if d == corner:
                 acc += know.weight
             incl[d] = acc
+            p += 1
             if d in kids:
-                out.append((d, pack((T_PRE, acc, total))))
-                acc += kids[d]
+                out.append((d, pack((T_POS, p, acc))))
+                count, weight = kids[d]
+                p += count
+                acc += weight
             elif flags[d]:
                 out.append((d, pack((T_CUT, pos[d], acc))))
+        st["pos"] = pos
 
-    def _send_len(self, know, st, out) -> None:
-        st["len_sent"] = True
-        msg = pack((T_LEN, st["total_darts"]))
+    def _totals(self, know, st, total_weight: int, total_darts: int, out) -> None:
+        st["total_weight"], st["total_darts"] = total_weight, total_darts
+        msg = pack((T_TOT, total_weight, total_darts))
         out.extend((d, msg) for _c, d in know.store["tree_children"])
 
     def _resolve(self, know, st) -> None:
-        """Each cotree edge here: which side is the dual subtree below it,
-        and that subtree's weight, dart count and base (the unwrapped prefix
-        at the parent face's side of the edge)."""
+        """Each cotree edge here: the dual subtree below it (the side whose
+        interval (i, j] has j's face) and that subtree's weight, dart count
+        and base (the prefix at i)."""
         store = know.store
         faces, sizes = store["face"], store["size"]
-        W, M, R = st["total_weight"], st["total_darts"], st["root_pos"]
         pos, incl = st["pos"], st["incl"]
         for d, (_tag, q, q_incl) in st["cut"].items():
             p, p_incl = pos[d], incl[d]
-            i, j, weight = (p, q, q_incl - p_incl) if p < q else (q, p, p_incl - q_incl)
-            darts, inner = j - i, j
-            if i < R <= j:  # the dual root is on j's side: the subtree is i's
-                weight, darts, inner = W - weight, M - darts, i
-            if inner == p:  # d's own face is the child
-                st["subtrees"][faces[d]] = DualSubtree(
-                    weight, darts, d, sizes[d], _unwrap(q, q_incl, R, W)
-                )
+            if q < p:  # d's own face is the child
+                st["subtrees"][faces[d]] = DualSubtree(p_incl - q_incl, p - q, d, sizes[d], q_incl)
             else:  # d lies on the parent face; its successor on the child
+                weight = q_incl - p_incl
                 st["child_sum"][d] = weight
                 child_side = self.succ[d]
                 st["subtrees"][faces[child_side]] = DualSubtree(
-                    weight, darts, self.rev[d], sizes[child_side], _unwrap(p, p_incl, R, W)
+                    weight, q - p, self.rev[d], sizes[child_side], p_incl
                 )
         root_face = store["dual_root"]
-        if self.tail[root_face] == know.vid:
+        if st["holds_root"]:
             st["subtrees"][root_face] = DualSubtree(
-                W, M, root_face, sizes[root_face], incl[root_face]
+                st["total_weight"], st["total_darts"], root_face, sizes[root_face],
+                incl[root_face],
             )
-        st["prefix"] = tuple([_unwrap(pos[d], incl[d], R, W) for d in know.rotation])
+        st["prefix"] = tuple([incl[d] for d in know.rotation])
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         store = know.store
@@ -467,44 +457,38 @@ class ContourProgram(VertexProgram):
         for k, frame in inbox.items():
             tag = frame[0]
             if tag == T_SUBD:
-                st["kid_darts"][k] = frame
-            elif tag == T_SUBW:
-                st["kid_weight"][k] = frame[1]
+                st["kids"][k] = frame[1:]
+            elif tag == T_SUBR:
+                st["root_kid"] = (k, frame[1], frame[2])
+            elif tag == T_TOT:
+                self._totals(know, st, frame[1], frame[2], out)
             elif tag == T_POS:
                 self._place(know, st, frame[1], frame[2], out)
-            elif tag == T_PRE:
-                self._prefix(know, st, frame[1], frame[2], out)
-            elif tag == T_LEN:
-                st["total_darts"] = frame[1]
-                self._send_len(know, st, out)
             else:
                 st["cut"][k] = frame
-        # at most one new frame per dart and round: dart count, then weight,
-        # then (at the tree root) the contour length
-        kids = len(store["tree_children"])
-        if st["darts"] is None and len(st["kid_darts"]) == kids:
-            self._segment(know, st)
+        # at most one new frame per dart and round: the subtree's sums, then
+        # (where R lies below) R's offset, or at the tree root the totals,
+        # then the root's own start
+        if st["darts"] is None:
+            if len(st["kids"]) == len(store["tree_children"]):
+                st["darts"] = len(st["order"]) + sum(c for c, _w in st["kids"].values())
+                st["weight"] = know.weight + sum(w for _c, w in st["kids"].values())
+                if is_root:
+                    self._totals(know, st, st["weight"], st["darts"], out)
+                else:
+                    out.append((store["tree_parent_dart"], pack((T_SUBD, st["darts"], st["weight"]))))
+                # R's offset is due next round, with no message to wake it
+                # when it is already known here
+                if st["holds_root"] or st["root_kid"] is not None:
+                    st["_wake"] = True
+        elif not st["root_sent"] and (st["holds_root"] or st["root_kid"] is not None):
+            st["root_sent"] = True
+            off, before = self._root_offset(know, st)
             if is_root:
-                st["total_darts"] = st["darts"]
-                self._place(know, st, 0, st["root_off"] - 1, out)
+                self._place(know, st, st["total_darts"] + 1 - off, st["total_weight"] - before, out)
             else:
-                out.append((store["tree_parent_dart"], pack((T_SUBD, st["darts"], st["root_off"]))))
-        elif st["darts"] is not None and st["weight"] is None and len(st["kid_weight"]) == kids:
-            st["weight"] = know.weight + sum(st["kid_weight"].values())
-            if is_root:
-                self._prefix(know, st, 0, st["weight"], out)
-            else:
-                out.append((store["tree_parent_dart"], pack((T_SUBW, st["weight"]))))
-        elif is_root and st["weight"] is not None and not st["len_sent"]:
-            self._send_len(know, st, out)
-        # a leaf's weight and the root's contour length are due next round
-        # with no message to wake them
-        if st["weight"] is None:
-            if st["darts"] is not None and len(st["kid_weight"]) == kids:
-                st["_wake"] = True
-        elif is_root and not st["len_sent"]:
-            st["_wake"] = True
-        done = st["len_sent"] and len(st["cut"]) == st["cuts"]
+                out.append((store["tree_parent_dart"], pack((T_SUBR, off, before))))
+        done = st["pos"] is not None and len(st["cut"]) == st["cuts"]
         if done:
             self._resolve(know, st)
         return out, done
@@ -795,7 +779,7 @@ class DistPipeline:
     def run_learn_faces(self):
         self._run(
             "learn_faces", LearnFacesProgram(self.darts, self.wire, self.wire_index), charge_units=1,
-            publish=("face", "size", "rev_face"),
+            publish=("face", "size"),
         )
 
     def run_learn_cotree(self):

@@ -281,7 +281,8 @@ def test_learn_faces_matches_canonical_ids(grid4):
     for v in range(grid4.n):
         for d in grid4.rotation[v]:
             assert stores[v]["face"][ids[d]] == ids[faces[d]]
-            assert stores[v]["rev_face"][ids[d]] == ids[faces[d.reverse()]]
+            # the reverse side's face, kept at the reverse dart's tail
+            assert stores[d.head]["face"][ids[d.reverse()]] == ids[faces[d.reverse()]]
             assert stores[v]["size"][ids[d]] == grid4.face(faces[d]).size
 
 
@@ -299,7 +300,7 @@ def test_learn_faces_triangulation_dual_endpoints():
     for e in g.edges():
         da, db = g.darts_of_edge(e)
         assert stores[da.tail]["face"][ids[da]] == ids[faces[da]]
-        assert stores[da.tail]["rev_face"][ids[da]] == ids[faces[db]]
+        assert stores[db.tail]["face"][ids[db]] == ids[faces[db]]
         for d in (da, db):
             assert stores[d.tail]["size"][ids[d]] == g.face(faces[d]).size
 
@@ -350,8 +351,9 @@ FACE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(FACE_CASES))
 def test_learn_faces_match_installed_rings(name):
-    """Face id, size and the reverse side's face id of every installed
-    dart, virtual darts (cut3x10) and several parts (parts8x2) included."""
+    """Face id, size and the reverse side's face id (kept at the reverse
+    dart's tail) of every installed dart, virtual darts (cut3x10) and
+    several parts (parts8x2) included."""
     g, part_of = FACE_CASES[name]()
     stores, _, rotations, darts = _learn_faces(g, part_of)
     ids = darts.index
@@ -361,22 +363,25 @@ def test_learn_faces_match_installed_rings(name):
     for v, rot in enumerate(rotations):
         assert stores[v]["face"] == {ids[d]: ids[face[d]] for d in rot}
         assert stores[v]["size"] == {ids[d]: size[d] for d in rot}
-        assert stores[v]["rev_face"] == {ids[d]: ids[face[d.reverse()]] for d in rot}
+        assert {ids[d]: stores[d.head]["face"][ids[d.reverse()]] for d in rot} == {
+            ids[d]: ids[face[d.reverse()]] for d in rot
+        }
 
 
 @pytest.mark.parametrize("name", sorted(FACE_CASES))
 def test_learn_faces_costs(name):
-    """Min-filtered tokens plus one announcement lap: nothing is dropped,
-    the lap ends at round 2·max|f|, and a face costs at most
-    |f|(|f|+1)/2 tokens plus |f| announcements, below the |f|² + |f| of
-    rotating every token around the whole face."""
+    """Min-filtered tokens plus one announcement lap that stops one hop
+    short of the minimum: nothing is dropped, the phase takes 2·max|f|
+    rounds, and a face costs at most |f|(|f|+1)/2 tokens plus |f| - 1
+    announcements, below the |f|² + |f| of rotating every token around the
+    whole face."""
     g, part_of = FACE_CASES[name]()
     _, phase, rotations, _ = _learn_faces(g, part_of)
     face, size = _rings(rotations)
     sizes = [size[f] for f in set(face.values())]
     assert phase.dropped == 0
-    assert phase.honest_rounds == 2 * max(sizes) + 1
-    assert phase.messages <= sum(k * (k + 1) // 2 + k for k in sizes)
+    assert phase.honest_rounds == 2 * max(sizes)
+    assert phase.messages <= sum(k * (k + 1) // 2 + k - 1 for k in sizes)
     assert phase.messages < sum(k * k + k for k in sizes)
 
 
