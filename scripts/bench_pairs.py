@@ -26,6 +26,9 @@ end-to-end metric BENCHMARK.json declares:
 - ``same_outputs``: whether every run of both sides wrote the same
   ``fingerprint`` (``outputs_sha256`` and ``round_trace``), that is,
   whether the change left every output and every round count as it was;
+- ``same_results``: whether every run of both sides wrote the same
+  ``outputs_sha256``, so a change that moves round counts by design can
+  still show that its separators and records did not move;
 
 plus the seed, the run length, both commits and both source digests (the
 ``src_sha256`` of perfbench's stamp).  The name gains ``_seed<S>`` for a
@@ -155,6 +158,7 @@ def main(argv=None) -> int:
             w: {
                 "pairs": wanted[w],
                 "same_outputs": all(fp == fingerprints[w][0] for fp in fingerprints[w]),
+                "same_results": len({fp["outputs_sha256"] for fp in fingerprints[w]}) == 1,
                 "metrics": {
                     m: _compare(samples[w]["parent"][m], samples[w]["child"][m], better)
                     for m, better in metrics.items()

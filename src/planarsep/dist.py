@@ -7,32 +7,33 @@ part holding every vertex.
 Every phase is a vertex program run on the synchronous simulator; the
 only channels are the darts of the (per-part, augmented) rotation
 systems installed as local knowledge, numbered in a DartTable: g's own
-when the part rotations are g's, as on every bi-connected single part.
-Every program, message key and store entry names a dart, or a face by its
-minimum dart, by id; Darts are built again only for the output.  Frames
-that name a dart on the wire carry its (tail, head, copy rank), the rank
-being its place among the parallel darts from tail to head (wire_darts).
-Learning face ids works on face rings: consecutive boundary darts of a
-face share a vertex, so a face is a communication ring, and a token
-forwarded from position dart d lands at head(d), which derives the
-receiving position locally as the rotation successor of the arrival dart.
-Everything else runs on T, on single cotree edges or ring hops, or by
-part-wise aggregation.
+ids when every part keeps g's rotations filtered to the part, as every
+bi-connected part does.  Every program, message key and store entry
+names a dart, or a face by its minimum dart, by id; Darts are built
+again only for the output.  Frames that name a dart on the wire carry its
+(tail, head, copy rank), the rank being its place among the parallel
+darts from tail to head (wire_darts).  Learning face ids works on face
+rings: consecutive boundary darts of a face share a vertex, so a face is
+a communication ring, and a token forwarded from position dart d lands at
+head(d), which derives the receiving position locally as the rotation
+successor of the arrival dart.  Everything else runs on T, on single
+cotree edges or ring hops, or by part-wise aggregation.
 
 Phase order: root the given tree, learn face ids (min-filtered tokens
-around each ring, then one lap announcing the minimum, which is also the
-face-id exchange across every edge), derive cotree flags locally, transfer each vertex's weight to
-its minimum face id locally (no face total is formed), elect the maximum
-face id as dual root, compute every dual subtree's weight and dart count
-from prefix sums along the contour of T (two waves over T and one
-exchange across each cotree edge), elect a balanced or critical node in
-three part-wise aggregations, claim the endpoints up T and broadcast
-them, and mark the path locally from the claims.  In the critical case,
-every position on the chosen face's ring first reads its virtual
-triangle's enclosed weight off its own contour prefix (the suffix of
-boundary choice-weights plus hanging child subtrees, exactly the
-sequential engine's formula) and sends its heavy bit one hop along the
-ring, so the first light position knows locally that it is the endpoint u.
+around each ring, then one announcement of the minimum that stops one hop
+short of it), derive cotree flags locally, transfer each vertex's weight
+to its minimum face id locally (no face total is formed), elect the
+maximum face id as dual root, compute every dual subtree's weight and
+dart count from prefix sums along the contour of T counted from the dual
+root's canonical dart (three frames per tree edge and one exchange across
+each cotree edge), elect a balanced or critical node in three part-wise
+aggregations, claim the endpoints up T and broadcast them, and mark the
+path locally from the claims.  In the critical case, every position on
+the chosen face's ring first reads its virtual triangle's enclosed weight
+off its own contour prefix (the suffix of boundary choice-weights plus
+hanging child subtrees, exactly the sequential engine's formula) and
+sends its heavy bit one hop along the ring, so the first light position
+knows locally that it is the endpoint u.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
 parents, maximum-id elections), so results serialize byte-identically.
@@ -55,7 +56,13 @@ from .congest import (
     pa_charge,
 )
 from .embedding import Dart, DartTable, EmbeddedPlanarGraph, build_embedding, next_copy
-from .errors import ConflictingRoot, DegenerateTotal, InvalidPartition, NotBiconnected
+from .errors import (
+    ConflictingRoot,
+    DegenerateTotal,
+    InvalidPartition,
+    NotBiconnected,
+    UnknownRoot,
+)
 from .separator import (
     ClosingEdge,
     SeparatorResult,
@@ -158,13 +165,18 @@ class LocalKnowledge:
 
 
 class BfsProgram(VertexProgram):
-    """BFS flood with smallest-id parents; detects conflicting roots."""
+    """BFS flood with smallest-id parents over the smallest-id dart, as
+    bfs_tree picks them; detects conflicting roots.  The root ignores its
+    own wave, which comes back to it over parallel copies."""
 
     def __init__(self, darts: DartTable):
         self.head = darts.head
 
     def init(self, know: LocalKnowledge) -> dict:
-        return {"depth": None, "parent": None, "children": [], "announce_round": None}
+        return {
+            "depth": None, "parent": None, "parent_dart": None, "children": [],
+            "announce_round": None,
+        }
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         head = self.head
@@ -173,12 +185,12 @@ class BfsProgram(VertexProgram):
         for k, frame in inbox.items():
             if frame[0] == T_BFS:
                 root_id, d = frame[1], frame[2]
-                if root_id != know.tree_root or know.vid == know.tree_root:
+                if root_id != know.tree_root:
                     raise ConflictingRoot(
                         f"vertex {know.vid} (root {know.tree_root}) heard a wave "
                         f"rooted at {root_id} from {head[k]}"
                     )
-                announcers.append((head[k], d))
+                announcers.append((d, k))
             elif frame[0] == T_CLAIM:
                 st["children"].append(head[k])
         if r == 0 and know.vid == know.tree_root:
@@ -187,18 +199,15 @@ class BfsProgram(VertexProgram):
             wave = pack((T_BFS, know.vid, 0))
             out = [(d, wave) for d in know.rotation]
         elif announcers and st["depth"] is None:
-            d = min(dd for _, dd in announcers)
+            # own dart ids ascend by head, then copy: the least id one layer
+            # up names the smallest parent and its smallest edge
+            d, pd = min(announcers)
             st["depth"] = d + 1
-            st["parent"] = min(h for h, dd in announcers if dd == d)
+            st["parent"], st["parent_dart"] = head[pd], pd
             st["announce_round"] = r
-            claimed = False
             wave = pack((T_BFS, know.tree_root, st["depth"]))
-            for ch in know.rotation:
-                if head[ch] == st["parent"] and not claimed:
-                    claimed = True
-                    out.append((ch, pack((T_CLAIM, st["depth"]))))
-                else:
-                    out.append((ch, wave))
+            claim = pack((T_CLAIM, st["depth"]))
+            out = [(ch, claim if ch == pd else wave) for ch in know.rotation]
         ar = st["announce_round"]
         if ar is not None and r >= ar + 2:
             st["children"].sort()
@@ -506,8 +515,9 @@ class PrefixProgram(VertexProgram):
     ring order from v_1, the head of the anchor, with only the child
     subtrees hanging at earlier boundary edges between them, so position t
     reads s_t, the subtree weight of the t-th virtual triangle, off its own
-    unwrapped prefix: the face's base plus its subtree weight, less the
-    prefix at its dart.  s_1 is the face's own subtree, heavy by its
+    weight prefix (counted from the dual root's dart, so the face's
+    interval does not wrap): the face's base plus its subtree weight, less
+    the prefix at its dart.  s_1 is the face's own subtree, heavy by its
     election, and v_k (the anchor's tail) starts no triangle.
 
     At round 0 positions 1..k-1 send whether they are heavy, above 3/4 of
@@ -681,9 +691,12 @@ class DistPipeline:
     phase: each phase is one simulator run covering all parts, and the
     realized interval lengths are published in the trace.
 
-    global_rot's Darts are numbered in one DartTable (`darts`), g's own if
-    global_rot holds g's rotations; every phase program and store works on
-    those ids, and assemble turns them back into Darts.  bfs_trees, when
+    global_rot's Darts are numbered in one DartTable (`darts`).  When every
+    row is g's rotation filtered to its part, as for every part that
+    _part_knowledge keeps as it is, that is g's own table, restricted to the
+    parts' rotations; otherwise (virtual darts) the pipeline numbers them
+    itself.  Every phase program and store works on those ids, and assemble
+    turns them back into Darts.  bfs_trees, when
     given, are the partition's part_bfs_trees, which the part-wise
     aggregator then does not rebuild.
     """
@@ -712,11 +725,13 @@ class DistPipeline:
         self._unit = pa_charge(self.diameter, g.n)
 
         rows = [global_rot[v] for v in range(g.n)]
-        same = all(list(row) == rot for rot, row in zip(g.rotation, rows))
-        self.darts = darts = g.dart_table if same else DartTable(rows)
+        self.darts = darts = _shared_table(g, part_of, rows) or DartTable(rows)
         self.wire, self.wire_index = wire_darts(darts)
         # enc_face's rank field: 4 bits, or as wide as the largest rank needs
-        self.rank_bits = max(4, max(map(itemgetter(2), self.wire), default=0).bit_length())
+        wire = self.wire
+        self.rank_bits = max(4, max(
+            (wire[d][2] for ids in darts.rot for d in ids), default=0
+        ).bit_length())
         # both darts of every tree edge, from the trees' parent edges
         tree_darts: list[list[int]] = [[] for _ in range(g.n)]
         for v, pid in enumerate(part_of):
@@ -1001,6 +1016,28 @@ class DistPipeline:
         return self.assemble(per_part)
 
 
+def _shared_table(
+    g: EmbeddedPlanarGraph, part_of: Sequence[int], rows: Sequence[Sequence[Dart]]
+) -> Optional[DartTable]:
+    """g's dart table restricted to rows, when every row is g's rotation
+    filtered to its vertex's part (no virtual darts), else None."""
+    table = g.dart_table
+    head, triple = table.head, table.triple
+    rot = []
+    for v, row in enumerate(rows):
+        ids = table.rot[v]
+        if len(row) == len(ids):
+            if list(row) != g.rotation[v]:
+                return None
+        else:
+            pid = part_of[v]
+            ids = tuple([d for d in ids if part_of[head[d]] == pid])
+            if list(row) != [triple[d] for d in ids]:
+                return None
+        rot.append(ids)
+    return table if rot == table.rot else table.restricted(rot)
+
+
 # -- public operations ----------------------------------------------------------
 
 
@@ -1112,6 +1149,8 @@ def dist_bfs(
     roots_override: Optional[Sequence[int]] = None,
 ) -> tuple[SpanningTree, RoundTrace]:
     """BFS tree construction by flooding; equals the sequential bfs_tree."""
+    if not (0 <= root < g.n):
+        raise UnknownRoot(f"root {root} not in 0..{g.n - 1}")
     trace = RoundTrace()
     pt = trace.phase("bfs")
     darts = g.dart_table
@@ -1125,11 +1164,10 @@ def dist_bfs(
     ]
     sim = Simulator(darts, bit_budget=bit_budget, scramble=scramble)
     states = sim.run(BfsProgram(darts), know, pt)
-    parent = [states[v]["parent"] for v in range(g.n)]
-    depth = [states[v]["depth"] for v in range(g.n)]
+    parent = [st["parent"] for st in states]
+    depth = [st["depth"] for st in states]
     parent_edge = [
-        None if parent[v] is None else (min(v, parent[v]), max(v, parent[v]), 0)
-        for v in range(g.n)
+        None if st["parent_dart"] is None else darts.edge(st["parent_dart"]) for st in states
     ]
     edges = {e for e in parent_edge if e is not None}
     return (

@@ -22,6 +22,7 @@ g.faces only where a report names a face.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -165,7 +166,8 @@ class DartTable:
     lists map an id to its tail, head, triple (the caller's own object),
     reverse dart and rotation successor; rot[v] lists v's ids in rotation
     order, and index maps a triple back to its id.  InconsistentRotation
-    unless every dart's reverse is present.
+    unless every dart's reverse is present.  A table restricted to a
+    sub-system (restricted) shares every list but rot and succ.
     """
 
     def __init__(self, rotations: Sequence[Sequence[tuple[int, int, int]]]):
@@ -188,11 +190,23 @@ class DartTable:
             self.rev = [index[h, t, c] for t, h, c in triple]
         except KeyError as exc:
             raise InconsistentRotation(f"reverse dart {exc.args[0]} is missing") from None
-        self.rot = [tuple(map(index.__getitem__, rot)) for rot in rotations]
-        self.succ = succ = [0] * len(triple)
-        for ids in self.rot:
+        self._link([tuple(map(index.__getitem__, rot)) for rot in rotations])
+
+    def _link(self, rot: list[tuple[int, ...]]) -> None:
+        self.rot = rot
+        self.succ = succ = [0] * len(self.triple)
+        for ids in rot:
             for a, b in zip(ids, ids[1:] + ids[:1]):
                 succ[a] = b
+
+    def restricted(self, rot: list[tuple[int, ...]]) -> "DartTable":
+        """The same ids, triples and reverses with rotations rot, each v's
+        own ids in rotation order: a sub-system that keeps every dart's
+        reverse with it.  Only rot and succ are built; a dart outside rot
+        has no successor."""
+        sub = copy.copy(self)
+        sub._link(rot)
+        return sub
 
     def __len__(self) -> int:
         return len(self.triple)

@@ -37,8 +37,9 @@ from planarsep.errors import (
     NotProper,
     NotSpanningTree,
     PlanarSepError,
+    UnknownRoot,
 )
-from planarsep.biconnect import _augment_once
+from planarsep.biconnect import _augment_once, biconnect
 from planarsep.congest import log2ceil
 from planarsep.generators import (
     cycle_chords,
@@ -89,6 +90,16 @@ def _full_run(g, tree=None, scramble=None):
     return [pipe.know[v].store for v in range(g.n)], outputs[0], pipe.darts
 
 
+def _pipeline(g, part_of, trees):
+    """The pipeline dist_multi builds: the rotations _part_knowledge
+    installs, the given part trees, g's weights."""
+    return DistPipeline(
+        g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
+        tree_roots={pid: t.root for pid, t in trees.items()},
+        weights=list(g.vertex_weight), config=PipelineConfig(),
+    )
+
+
 def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
     import planarsep.congest as congest
 
@@ -127,6 +138,44 @@ def test_conflicting_roots_detected(grid4):
         dist_bfs(grid4, 0, roots_override=override)
 
 
+def _same_tree(a, b):
+    return (a.root, a.parent, a.parent_edge, a.depth, a.edges) == (
+        b.root, b.parent, b.parent_edge, b.depth, b.edges
+    )
+
+
+@pytest.mark.parametrize("copies", [[0, 1], [3, 5]])
+def test_dist_bfs_over_parallel_edges(copies):
+    """The 4-cycle 0-1-2-3 with edge 1-2 doubled: the root ignores its own
+    wave coming back over the second copy, and a parent edge is the
+    smallest copy, as bfs_tree picks it, whatever the copy labels."""
+    g = _cycle_with_copies(copies, length=4, at=1)
+    for root in range(g.n):
+        dt, _ = dist_bfs(g, root)
+        assert _same_tree(dt, bfs_tree(g, root)), root
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    length=st.integers(3, 20),
+    at=st.integers(0, 19),
+    labels=st.sets(st.integers(0, 2**40), min_size=1, max_size=6),
+    root=st.integers(0, 19),
+)
+def test_dist_bfs_equals_sequential_with_copy_labels(length, at, labels, root):
+    g = _cycle_with_copies(sorted(labels), length, at % length)
+    dt, _ = dist_bfs(g, root % length)
+    assert _same_tree(dt, bfs_tree(g, root % length))
+
+
+@pytest.mark.parametrize("root", [-1, 16])
+def test_dist_bfs_unknown_root(grid4, root):
+    with pytest.raises(UnknownRoot):
+        bfs_tree(grid4, root)
+    with pytest.raises(UnknownRoot):
+        dist_bfs(grid4, root)
+
+
 def _snake(rows, cols):
     """A Hamiltonian path through grid(rows, cols), row by row."""
     edges = [(r * cols + c, r * cols + c + 1, 0) for r in range(rows) for c in range(cols - 1)]
@@ -149,11 +198,7 @@ def test_tree_root_learns_the_given_tree(grid4):
         (g6, [0] * g6.n, {0: snake}),
         (gp, part_of, part_bfs_trees(gp, part_of)),
     ]:
-        pipe = DistPipeline(
-            g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
-            tree_roots={pid: t.root for pid, t in trees.items()},
-            weights=list(g.vertex_weight), config=PipelineConfig(),
-        )
+        pipe = _pipeline(g, part_of, trees)
         pipe.run_tree_root()
         dart = pipe.darts.dart
         children = {pid: t.children() for pid, t in trees.items()}
@@ -194,12 +239,7 @@ def test_no_dart_inside_the_pipeline(name):
         "parts8x2": lambda: two_level_parts(8, 2),
         "cut3x10": lambda: _one_part(cut_chain(3, 10, seed=1)),
     }[name]()
-    trees = part_bfs_trees(g, part_of)
-    pipe = DistPipeline(
-        g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
-        tree_roots={pid: t.root for pid, t in trees.items()},
-        weights=list(g.vertex_weight), config=PipelineConfig(),
-    )
+    pipe = _pipeline(g, part_of, part_bfs_trees(g, part_of))
     for phase in ("tree_root", "learn_faces", "learn_cotree", "face_weights",
                   "root_election", "dual_sums", "detect", "prefix", "search", "mark"):
         getattr(pipe, "run_" + phase)()
@@ -324,15 +364,10 @@ def _rings(rotations):
 def _learn_faces(g, part_of):
     """learn_faces alone on the rotations dist_multi installs; returns the
     stores, the phase's trace, the installed rotations and the dart table."""
-    rot = _part_knowledge(g, part_of)
-    trees = part_bfs_trees(g, part_of)
-    pipe = DistPipeline(
-        g=g, part_of=part_of, global_rot=rot, trees=trees,
-        tree_roots={pid: t.root for pid, t in trees.items()},
-        weights=list(g.vertex_weight), config=PipelineConfig(),
-    )
+    pipe = _pipeline(g, part_of, part_bfs_trees(g, part_of))
     pipe.run_learn_faces()
     phase, = pipe.trace.phases
+    rot = _part_knowledge(g, part_of)
     return [know.store for know in pipe.know], phase, [rot[v] for v in range(g.n)], pipe.darts
 
 
@@ -383,6 +418,41 @@ def test_learn_faces_costs(name):
     assert phase.honest_rounds == 2 * max(sizes)
     assert phase.messages <= sum(k * (k + 1) // 2 + k - 1 for k in sizes)
     assert phase.messages < sum(k * k + k for k in sizes)
+
+
+def _part_outputs(outputs):
+    return {
+        pid: (serialize_separator(out.result), out.records()) for pid, out in outputs.items()
+    }
+
+
+def test_multi_part_pipeline_runs_on_the_graphs_dart_ids(monkeypatch):
+    """Parts that keep g's rotations, filtered to the part, run on g's dart
+    ids, reverses and index; only rotations and successors are built, and
+    every counter and output equals a pipeline's that numbers its own
+    darts.  A part with virtual darts keeps a table of its own, and a
+    bi-connected single part runs on g's table itself."""
+    import planarsep.dist as dist
+
+    g, part_of = two_level_parts(8, 2)
+    trees = part_bfs_trees(g, part_of)
+    shared = _pipeline(g, part_of, trees)
+    table = shared.darts
+    assert table is not g.dart_table
+    assert table.index is g.dart_table.index and table.rev is g.dart_table.rev
+    assert sum(map(len, table.rot)) < len(table)  # inter-part darts carry nothing
+    shared_out = shared.run_all()
+    monkeypatch.setattr(dist, "_shared_table", lambda *a: None)
+    own = _pipeline(g, part_of, trees)
+    assert len(own.darts) == sum(map(len, own.darts.rot))
+    assert _part_outputs(own.run_all()) == _part_outputs(shared_out)
+    assert own.trace == shared.trace
+    monkeypatch.undo()
+
+    g = cut_chain(3, 10, seed=1)
+    assert _pipeline(g, [0] * g.n, {0: bfs_tree(g, 0)}).darts.index is not g.dart_table.index
+    g = grid(4, 4)
+    assert _pipeline(g, [0] * g.n, {0: bfs_tree(g, 0)}).darts is g.dart_table
 
 
 def test_scramble_leaves_every_store_equal(grid4):
@@ -450,24 +520,26 @@ def test_phase_rounds_within_tree_height():
                 assert p.honest_rounds <= 6 * (t.height() + 1), (n, p.name, p.honest_rounds)
 
 
-def test_dual_subtree_sums_match_sequential(tri60):
-    t = bfs_tree(tri60, 0)
-    stores, _, darts = _full_run(tri60, t)
+def _check_dual_sums(g, t, stores, darts):
+    """Every face's distributed subtree weight, dart count, anchor and
+    child sums equal the sequential dual tree's, and sit at the endpoints
+    the contour pass names.  g is the graph the pipeline runs on: the
+    bi-connected one where the input has cut vertices."""
     dart = darts.dart
-    pair = cotree(tri60, t)
-    seq = dual_subtree_sums(pair, transfer_weights(tri60).face_weight)
+    pair = cotree(g, t)
+    seq = dual_subtree_sums(pair, transfer_weights(g).face_weight)
     # the critical election ranks heavy faces by their subtree's dart count
-    face_darts = dual_subtree_sums(pair, [f.size for f in tri60.faces])
-    faces = face_ids(tri60)
+    face_darts = dual_subtree_sums(pair, [f.size for f in g.faces])
+    faces = face_ids(g)
     holders = {}
-    for v in range(tri60.n):
+    for v in range(g.n):
         for fid, sub in stores[v]["subtrees"].items():
             fid = dart(fid)
-            f = tri60.face_number(fid)
+            f = g.face_number(fid)
             holders.setdefault(f, set()).add(v)
             assert sub.weight == seq[f]
             assert sub.darts == face_darts[f]
-            assert sub.size == tri60.face(fid).size
+            assert sub.size == g.face(fid).size
             has_children = sub.darts > sub.size
             assert has_children == (f in pair.dual_parent)
             assert faces[dart(sub.parent_dart)] == fid
@@ -476,16 +548,145 @@ def test_dual_subtree_sums_match_sequential(tri60):
             else:
                 assert dart(sub.parent_dart).edge() == pair.dual_parent_edge[f]
         for d, weight in stores[v]["child_sum"].items():
-            child = tri60.face_number(faces[dart(d).reverse()])
+            child = g.face_number(faces[dart(d).reverse()])
             assert pair.dual_parent_edge[child] == dart(d).edge()
             assert weight == seq[child]
     # a face's sums sit at the endpoints of its dual parent edge, the dual
     # root's at the tail of its canonical dart
-    for f, face in enumerate(tri60.faces):
+    for f, face in enumerate(g.faces):
         if f == pair.dual_root:
             assert holders[f] == {face.id.tail}
         else:
             assert holders[f] == set(pair.dual_parent_edge[f][:2])
+
+
+def test_dual_subtree_sums_match_sequential(tri60):
+    t = bfs_tree(tri60, 0)
+    stores, _, darts = _full_run(tri60, t)
+    _check_dual_sums(tri60, t, stores, darts)
+
+
+def _contour(pipe, root):
+    """The contour of T over a one-part pipeline's installed rotations, an
+    oracle for ContourProgram: from the tree root's first dart, a tree dart
+    d is followed by succ(rev(d)), any other dart d by succ(d)."""
+    darts = pipe.darts
+    tree = {d for know in pipe.know for d in know.tree_darts}
+    start = d = darts.rot[root][0]
+    contour = []
+    while True:
+        contour.append(d)
+        d = darts.succ[darts.rev[d]] if d in tree else darts.succ[d]
+        if d == start:
+            return contour
+
+
+def _check_prefixes(pipe, contour):
+    """Every own dart's published weight prefix is the weight marked at
+    the contour positions from R up to and including the dart."""
+    know = pipe.know
+    R = know[0].store["dual_root"]
+    marks = {k.store["corner"]: k.weight for k in know}
+    start = contour.index(R)
+    prefix, acc = {}, 0
+    for d in contour[start:] + contour[:start]:
+        acc += marks.get(d, 0)
+        prefix[d] = acc
+    for k in know:
+        assert k.store["prefix"] == tuple(prefix[d] for d in k.rotation), k.vid
+
+
+def _run_one_part(g, t):
+    """run_all on the rotations dist_compute_separator installs; returns
+    the pipeline, its stores and its output, checked against the
+    sequential engine's."""
+    pipe = _pipeline(g, [0] * g.n, {0: t})
+    out = pipe.run_all()[0]
+    seq = compute_separator(g, t)
+    assert serialize_separator(out.result) == serialize_separator(seq)
+    assert out.records() == sep_records(g, t, seq)
+    return pipe, [know.store for know in pipe.know]
+
+
+WRAP_CASES = {
+    "grid4": lambda: grid(4, 4),
+    "c12c3": lambda: cycle_chords(12, 3, seed=1),
+    "tri60s3": lambda: random_triangulation(60, seed=3),
+    "cut3x10": lambda: cut_chain(3, 10, seed=1),
+}
+
+
+def test_contour_wraps_at_every_tree_root():
+    """Counted from R, the dual root's canonical dart, the contour wraps
+    inside whichever segment holds R.  Over every tree root of four graphs
+    the weight prefixes count from R, the distributed dual sums equal the
+    sequential ones and both engines agree; among these runs R is the last
+    contour position counted from the tree root, and a child's segment
+    starts exactly at R."""
+    runs = last = child_start = 0
+    for make in WRAP_CASES.values():
+        g = make()
+        gb = biconnect(g)
+        for root in range(g.n):
+            t = bfs_tree(g, root)
+            pipe, stores = _run_one_part(g, t)
+            _check_dual_sums(gb, t, stores, pipe.darts)
+            R = stores[0]["dual_root"]
+            contour = _contour(pipe, root)
+            assert len(contour) == stores[0]["total_darts"]
+            _check_prefixes(pipe, contour)
+            last += contour.index(R) == len(contour) - 1
+            pd = stores[pipe.darts.tail[R]]["tree_parent_dart"]
+            child_start += pd is not None and pipe.darts.succ[pd] == R
+            runs += 1
+    assert runs == 116
+    assert last > 0 and child_start > 0, (last, child_start)
+
+
+@pytest.mark.parametrize("make,root", [
+    (lambda: random_triangulation(20, seed=1), 11),
+    (lambda: cylinder(3, 5), 13),
+])
+def test_contour_from_the_tree_roots_first_dart(make, root):
+    """R is the tree root's first dart, so the contour counted from R is
+    the contour counted from the tree root, with no wrap."""
+    g = make()
+    t = bfs_tree(g, root)
+    pipe, stores = _run_one_part(g, t)
+    contour = _contour(pipe, root)
+    assert contour[0] == stores[root]["dual_root"]
+    _check_prefixes(pipe, contour)
+    _check_dual_sums(g, t, stores, pipe.darts)
+
+
+COUNT_CASES = {
+    "grid6": lambda: _one_part(grid(6, 6)),
+    "tri80": lambda: _one_part(random_triangulation(80, seed=4)),
+    "c30c5": lambda: _one_part(cycle_chords(30, 5, seed=1)),
+    "cut3x10": lambda: _one_part(cut_chain(3, 10, seed=1)),
+    "parts8x2": lambda: two_level_parts(8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_dual_sums_message_count(name):
+    """Three frames per tree edge (the subtree's sums up, the part's totals
+    and the segment's start down), one each way across every cotree edge,
+    and R's offset on every tree edge from R's tail up to the tree root, in
+    at most 2·height(T)+3 honest rounds."""
+    g, part_of = COUNT_CASES[name]()
+    trees = part_bfs_trees(g, part_of)
+    pipe = _pipeline(g, part_of, trees)
+    pipe.run_all()
+    phase, = (p for p in pipe.trace.phases if p.name == "dual_subtree_sums")
+    edges = sum(map(len, pipe.darts.rot)) // 2  # virtual edges (cut3x10) included
+    tree_edges = g.n - len(trees)
+    root_depth = sum(
+        trees[pid].depth[pipe.darts.tail[pipe.know[members[0]].store["dual_root"]]]
+        for pid, members in part_members(part_of).items()
+    )
+    assert phase.messages == 3 * tree_edges + 2 * (edges - tree_edges) + root_depth
+    assert phase.honest_rounds <= 2 * max(t.height() for t in trees.values()) + 3
 
 
 def test_phase_rounds_flat_at_constant_diameter():
@@ -626,11 +827,7 @@ def _check_claim_wave(g, part_of, trees):
     dart and s_t, and exactly one vertex, the sequential v_{j+1}, found
     itself to be u from its predecessor's heavy bit.  Returns the number
     of critical-virtual parts."""
-    pipe = DistPipeline(
-        g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
-        tree_roots={pid: t.root for pid, t in trees.items()},
-        weights=list(g.vertex_weight), config=PipelineConfig(),
-    )
+    pipe = _pipeline(g, part_of, trees)
     outs = pipe.run_all()
     phase = next(p for p in pipe.trace.phases if p.name == "mark_search")
     assert phase.honest_rounds == 2 * max(t.height() for t in trees.values()) + 1
