@@ -367,8 +367,7 @@ class ContourProgram(VertexProgram):
             "kids": {},          # child dart -> its subtree's dart count and weight
             "holds_root": self.tail[know.store["dual_root"]] == know.vid,
             "root_kid": None,    # child dart whose subtree holds R, its T_SUBR frame
-            "darts": None,
-            "weight": None,
+            "darts": None,       # the subtree's dart count, once its children's are in
             "root_sent": False,
             "total_weight": None,
             "total_darts": None,
@@ -481,11 +480,11 @@ class ContourProgram(VertexProgram):
         if st["darts"] is None:
             if len(st["kids"]) == len(store["tree_children"]):
                 st["darts"] = len(st["order"]) + sum(c for c, _w in st["kids"].values())
-                st["weight"] = know.weight + sum(w for _c, w in st["kids"].values())
+                weight = know.weight + sum(w for _c, w in st["kids"].values())
                 if is_root:
-                    self._totals(know, st, st["weight"], st["darts"], out)
+                    self._totals(know, st, weight, st["darts"], out)
                 else:
-                    out.append((store["tree_parent_dart"], pack((T_SUBD, st["darts"], st["weight"]))))
+                    out.append((store["tree_parent_dart"], pack((T_SUBD, st["darts"], weight))))
                 # R's offset is due next round, with no message to wake it
                 # when it is already known here
                 if st["holds_root"] or st["root_kid"] is not None:
@@ -1019,8 +1018,8 @@ class DistPipeline:
 def _shared_table(
     g: EmbeddedPlanarGraph, part_of: Sequence[int], rows: Sequence[Sequence[Dart]]
 ) -> Optional[DartTable]:
-    """g's dart table restricted to rows, when every row is g's rotation
-    filtered to its vertex's part (no virtual darts), else None."""
+    """g's dart table restricted to rows, when every row is g's rotation,
+    whole or filtered to its vertex's part (no virtual darts), else None."""
     table = g.dart_table
     head, triple = table.head, table.triple
     rot = []
