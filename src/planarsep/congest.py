@@ -6,6 +6,14 @@ Each dart carries at most one payload per round and its encoded size
 (sum of bit lengths) must stay within the per-edge budget, default
 8 * ceil(log2(n+1)) bits.
 
+A run inits every vertex but steps at round 0 only the vertices whose
+program says they start (VertexProgram.starts, every vertex unless the
+program overrides it); after round 0 a vertex steps only when a message
+reached it or it asked to be woken.  A program overrides starts only
+where a non-starter's round-0 step would send nothing and not halt, and
+where every non-starter hears a message later; a vertex that never does
+ends the run in a deadlock.
+
 Darts are plain ints inside the engine: a DartTable (see embedding.py)
 numbers the darts of a rotation system once, in ascending (tail, head,
 copy) order, so that comparing ids compares darts.  A program sends on
@@ -26,13 +34,17 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from .embedding import DartTable, EmbeddedPlanarGraph
 from .errors import BitBudgetExceeded, RoundLimitExceeded
 from .treecotree import SpanningTree, part_bfs_trees, part_members
 
 Payload = tuple[int, ...]
+
+# the inbox of every step that has no messages
+_NO_INBOX: Mapping[int, Payload] = MappingProxyType({})
 
 
 def payload_bits(p: Payload) -> int:
@@ -110,17 +122,25 @@ class RoundTrace:
 class VertexProgram:
     """Deterministic per-vertex state machine.
 
-    init builds the mutable state from read-only local knowledge; step is
-    called at round 0 and whenever the inbox is nonempty, and returns
-    (outbox, halt): (own dart id, payload) pairs.  The inbox maps the
-    receiving vertex's own dart id to the payload that arrived over it.
-    A step function must depend only on (round, knowledge, state, inbox).
+    init builds the mutable state of every vertex from its read-only local
+    knowledge; step is called at round 0 where starts(know) holds, and
+    after that whenever the inbox is nonempty, and returns (outbox, halt):
+    (own dart id, payload) pairs.  The inbox maps the receiving vertex's
+    own dart id to the payload that arrived over it; a step without
+    messages gets an empty read-only mapping.  A step function must depend
+    only on (round, knowledge, state, inbox).
     """
 
     def init(self, know) -> dict:
         return {}
 
-    def step(self, round_no: int, know, state: dict, inbox: dict[int, Payload]):
+    def starts(self, know) -> bool:
+        """Whether the vertex steps at round 0; every vertex by default.
+        Return False only where that step would send nothing and not
+        halt, and where a message reaches the vertex later."""
+        return True
+
+    def step(self, round_no: int, know, state: dict, inbox: Mapping[int, Payload]):
         raise NotImplementedError
 
     # A program may set state["_wake"] = True to be stepped next round even
@@ -168,12 +188,15 @@ class Simulator:
         n = self.n
         halted = [False] * n
         unhalted = n
-        # this round's inboxes by receiver, and the receivers; a message
-        # sent in round r is written straight into round r+1's inbox
+        # this round's and the next round's inboxes by receiver, kept for
+        # the whole run; a message sent in round r is written straight into
+        # round r+1's inbox, and a round clears only its receivers' slots
         inboxes: list[Optional[dict[int, Payload]]] = [None] * n
+        nxt: list[Optional[dict[int, Payload]]] = [None] * n
         receivers: list[int] = []
-        # only messaged or self-woken vertices step (plus everyone at round 0)
-        candidates: list[int] = list(self._order)
+        # round 0 steps the starters, later rounds messaged or self-woken vertices
+        starts = program.starts
+        candidates: list[int] = [v for v in self._order if starts(knowledge[v])]
         rank = self._rank
         round_no = 0
         # counters accumulate locally and reach the trace even when a guard raises
@@ -184,12 +207,11 @@ class Simulator:
                 if unhalted == 0:
                     dropped += sum(len(inboxes[v]) for v in receivers)
                     break
-                if round_no > max_rounds:
+                if round_no >= max_rounds:
                     raise RoundLimitExceeded(
                         f"{trace.name}: {self.n - unhalted}/{self.n} halted "
                         f"after {max_rounds} rounds"
                     )
-                nxt: list[Optional[dict[int, Payload]]] = [None] * n
                 nxt_receivers = []
                 woken = []
                 stepped = False
@@ -201,13 +223,15 @@ class Simulator:
                         continue
                     st = states[v]
                     stepped = True
-                    # a candidate without an inbox is at round 0 or was woken
-                    outbox, halt = step(round_no, knowledge[v], st, inbox or {})
+                    # a candidate without an inbox is a starter or was woken
+                    outbox, halt = step(round_no, knowledge[v], st, inbox or _NO_INBOX)
                     if halt:
                         halted[v] = True
                         unhalted -= 1
                     if st.pop("_wake", False):
                         woken.append(v)
+                    if not outbox:
+                        continue
                     first, end = lo[v], lo[v + 1]
                     for d, p in outbox:
                         if not first <= d < end:
@@ -239,7 +263,10 @@ class Simulator:
                             box[key] = p
                 if not stepped and not nxt_receivers:
                     raise AssertionError(f"{trace.name}: deadlock at round {round_no}")
-                inboxes, receivers = nxt, nxt_receivers
+                for v in receivers:
+                    inboxes[v] = None
+                inboxes, nxt = nxt, inboxes
+                receivers = nxt_receivers
                 # each receiver is listed once; only woken vertices may repeat
                 wake = set(receivers).union(woken) if woken else receivers
                 candidates = sorted(wake, key=rank.__getitem__) if rank else sorted(wake)
@@ -288,14 +315,17 @@ class _PAProgram(VertexProgram):
     A vertex knows (its id, its parent dart or None, its child darts)."""
 
     def __init__(self, op: str, inputs: Sequence[int]):
-        self.op = op
+        self.f = OPERATORS[op]
         self.inputs = inputs
 
     def init(self, know) -> dict:
         return {"acc": self.inputs[know[0]], "pending": len(know[2]), "sent": False}
 
+    def starts(self, know) -> bool:
+        return not know[2]  # a leaf; every other vertex waits for its children
+
     def step(self, r, know, st, inbox):
-        f = OPERATORS[self.op]
+        f = self.f
         _v, up, down = know
         for payload in inbox.values():
             tag, value = payload
@@ -419,6 +449,9 @@ def pa_aggregate(
 
 class _BroadcastProgram(VertexProgram):
     """A vertex knows (whether it is a root, its child darts, the value)."""
+
+    def starts(self, know) -> bool:
+        return know[0]  # every other vertex waits for the value
 
     def step(self, r, know, st, inbox):
         is_root, down, value = know

@@ -178,6 +178,9 @@ class BfsProgram(VertexProgram):
             "announce_round": None,
         }
 
+    def starts(self, know: LocalKnowledge) -> bool:
+        return know.vid == know.tree_root  # every other vertex waits for the wave
+
     def step(self, r, know: LocalKnowledge, st, inbox):
         head = self.head
         out = []
@@ -227,6 +230,9 @@ class TreeRootProgram(VertexProgram):
 
     def init(self, know: LocalKnowledge) -> dict:
         return {"depth": None, "tree_parent_dart": None, "tree_children": ()}
+
+    def starts(self, know: LocalKnowledge) -> bool:
+        return know.vid == know.tree_root  # every other vertex waits for its depth
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         if r == 0 and know.vid == know.tree_root:
@@ -379,6 +385,9 @@ class ContourProgram(VertexProgram):
             "child_sum": {},     # dart on a parent face's side -> weight behind the edge
             "prefix": None,      # weight prefix of each own dart, rotation order
         }
+
+    def starts(self, know: LocalKnowledge) -> bool:
+        return not know.store["tree_children"]  # every other vertex waits for its children
 
     def _root_offset(self, know, st) -> tuple[int, int]:
         """1 + R's offset in this vertex's segment, and the weight marked
@@ -592,6 +601,9 @@ class ClaimProgram(VertexProgram):
             "agg_uv": self._uv_claim(know), "kid_uv": {}, "sep_u": None, "sep_v": None,
             "done": False,
         }
+
+    def starts(self, know: LocalKnowledge) -> bool:
+        return not know.store["tree_children"]  # every other vertex waits for its children
 
     def _uv_claim(self, know) -> tuple[int, int]:
         """(u + 1, v + 1) where this vertex is that endpoint, else 0.  The

@@ -124,17 +124,27 @@ def require_part_tree(
     g: EmbeddedPlanarGraph, tree: SpanningTree, members: Sequence[int]
 ) -> None:
     """NotSpanningTree unless tree's edges are edges of g that join exactly
-    `members` into one tree containing tree.root."""
+    `members` into one tree containing tree.root.  Walks the tree's own
+    edges, each looked up in g.dart_table."""
     inside = set(members)
-    reached = {tree.root} & inside
-    stack = list(reached)
+    if tree.root not in inside or len(tree.edges) != len(members) - 1:
+        raise NotSpanningTree(f"tree rooted at {tree.root} does not span its part")
+    index = g.dart_table.index
+    adj: dict[int, list[int]] = {v: [] for v in inside}
+    for e in tree.edges:
+        a, b, _copy = e
+        if a < b and a in inside and b in inside and e in index:  # e is the dart a -> b
+            adj[a].append(b)
+            adj[b].append(a)
+    # with no edge to spare, connected means a tree
+    reached = {tree.root}
+    stack = [tree.root]
     while stack:
-        for d in g.rotation[stack.pop()]:
-            if d.head in inside and d.head not in reached and d.edge() in tree.edges:
-                reached.add(d.head)
-                stack.append(d.head)
-    # connected through its own edges, with no edge to spare
-    if reached != inside or len(tree.edges) != len(members) - 1:
+        for u in adj[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    if len(reached) != len(inside):
         raise NotSpanningTree(f"tree rooted at {tree.root} does not span its part")
 
 

@@ -21,7 +21,7 @@ from planarsep.errors import (
     InvalidPartition,
     RoundLimitExceeded,
 )
-from planarsep.generators import grid, random_triangulation
+from planarsep.generators import grid, random_triangulation, star
 from planarsep.treecotree import part_bfs_trees
 
 
@@ -117,6 +117,79 @@ def test_round_limit(grid4):
     tr = PhaseTrace("chatter")
     with pytest.raises(RoundLimitExceeded):
         sim(grid4).run(Chatter(), flood_knowledge(grid4), tr, max_rounds=5)
+
+
+def test_round_limit_allows_exactly_max_rounds(grid4):
+    """The flood needs 7 rounds: a limit of 7 lets it finish, a limit of 6
+    stops it after 6, and the message counts the rounds the trace holds."""
+    tr = PhaseTrace("flood")
+    sim(grid4).run(FloodProgram(), flood_knowledge(grid4), tr, max_rounds=7)
+    assert tr.honest_rounds == 7
+    tr = PhaseTrace("flood")
+    with pytest.raises(RoundLimitExceeded, match="after 6 rounds") as err:
+        sim(grid4).run(FloodProgram(), flood_knowledge(grid4), tr, max_rounds=6)
+    assert f"after {tr.honest_rounds} rounds" in str(err.value)
+
+
+def test_counters_when_a_guard_raises_mid_outbox():
+    """Vertex 0 sends three messages at round 0 and the second is too
+    wide: the trace counts the first message only."""
+    g = star(3)  # vertex 0 has three darts; budget 8 * ceil(log2 5) = 24
+    first = (5,)
+
+    class Burst(VertexProgram):
+        def step(self, r, know, st, inbox):
+            if know["vid"] != 0:
+                return [], False
+            d1, d2, d3 = know["rot"]
+            return [(d1, first), (d2, (1 << 24,)), (d3, (1,))], True
+
+    tr = PhaseTrace("burst")
+    with pytest.raises(BitBudgetExceeded):
+        sim(g).run(Burst(), flood_knowledge(g), tr)
+    assert tr.messages == 1
+    assert tr.total_bits == tr.max_bits == payload_bits(first)
+
+
+class _Steps(VertexProgram):
+    """FloodProgram that logs the rounds each vertex steps in."""
+
+    def __init__(self, starter: int):
+        self.starter = starter
+        self.flood = FloodProgram()
+
+    def init(self, know):
+        return {**self.flood.init(know), "steps": []}
+
+    def starts(self, know):
+        return know["vid"] == self.starter
+
+    def step(self, r, know, st, inbox):
+        st["steps"].append(r)
+        return self.flood.step(r, know, st, inbox)
+
+
+def test_non_starters_first_step_when_a_message_arrives(grid4):
+    """Only the flood's source steps at round 0; every other vertex steps
+    once, when the token reaches it, and the run counts as before."""
+    tr, full = PhaseTrace("flood"), PhaseTrace("flood")
+    states = sim(grid4).run(_Steps(0), flood_knowledge(grid4), tr)
+    sim(grid4).run(FloodProgram(), flood_knowledge(grid4), full)
+    depth = bfs_tree(grid4, 0).depth
+    assert [st["steps"] for st in states] == [[depth[v]] for v in range(grid4.n)]
+    assert tr == full
+
+
+def test_non_starter_that_never_hears_deadlocks(grid4):
+    """Vertex 0 halts at round 0 without a message; nobody else starts."""
+
+    class Silent(_Steps):
+        def step(self, r, know, st, inbox):
+            st["steps"].append(r)
+            return [], True
+
+    with pytest.raises(AssertionError, match="deadlock at round 1"):
+        sim(grid4).run(Silent(0), flood_knowledge(grid4), PhaseTrace("x"))
 
 
 def test_scramble_determinism(grid4):

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from dataclasses import replace
@@ -20,6 +21,8 @@ from planarsep import (
     transfer_weights,
     tree_from_edges,
 )
+from planarsep import congest, dist
+from planarsep.congest import PhaseTrace, Simulator, VertexProgram, broadcast_root, log2ceil
 from planarsep.dist import (
     CASE_BALANCED,
     DistPipeline,
@@ -40,7 +43,6 @@ from planarsep.errors import (
     UnknownRoot,
 )
 from planarsep.biconnect import _augment_once, biconnect
-from planarsep.congest import log2ceil
 from planarsep.generators import (
     cycle_chords,
     cut_chain,
@@ -101,8 +103,6 @@ def _pipeline(g, part_of, trees):
 
 
 def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
-    import planarsep.congest as congest
-
     calls = []
     real = congest.part_bfs_trees
     monkeypatch.setattr(
@@ -432,8 +432,6 @@ def test_multi_part_pipeline_runs_on_the_graphs_dart_ids(monkeypatch):
     every counter and output equals a pipeline's that numbers its own
     darts.  A part with virtual darts keeps a table of its own, and a
     bi-connected single part runs on g's table itself."""
-    import planarsep.dist as dist
-
     g, part_of = two_level_parts(8, 2)
     trees = part_bfs_trees(g, part_of)
     shared = _pipeline(g, part_of, trees)
@@ -1196,6 +1194,60 @@ def test_part_knowledge_matches_rebuild_on_random_partitions(g, parts, tiny, see
     assert list(_part_knowledge(g, part_of).items()) == list(
         _rebuilt_part_knowledge(g, part_of).items()
     )
+
+
+# the programs that step only some vertices at round 0
+STARTS_PROGRAMS = {
+    "BfsProgram", "TreeRootProgram", "ContourProgram", "ClaimProgram", "_PAProgram",
+    "_BroadcastProgram",
+}
+STARTS_CASES = {
+    "grid6": lambda: _one_part(grid(6, 6)),
+    "tri60s3": lambda: _one_part(random_triangulation(60, seed=3)),
+    "c30c5": lambda: _one_part(cycle_chords(30, 5, seed=1)),
+    "parts8x2": lambda: two_level_parts(8, 2),
+}
+
+
+@pytest.mark.parametrize("scramble", [None, 4])
+@pytest.mark.parametrize("name", sorted(STARTS_CASES))
+def test_round_0_starters_change_nothing(name, scramble, monkeypatch):
+    """Forcing every program's starts to True leaves every simulator run's
+    states and trace, every output and the RoundTrace as they are, over
+    dist_multi, dist_bfs and broadcast_root."""
+    programs = [
+        obj for mod in (congest, dist) for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, VertexProgram) and obj is not VertexProgram
+    ]
+    overriding = [cls for cls in programs if "starts" in vars(cls)]
+    assert {cls.__name__ for cls in overriding} == STARTS_PROGRAMS
+
+    runs = []
+    real = Simulator.run
+
+    def recording(sim, program, knowledge, trace, **kwargs):
+        states = real(sim, program, knowledge, trace, **kwargs)
+        runs.append((type(program).__name__, trace.name, copy.deepcopy(states), replace(trace)))
+        return states
+
+    monkeypatch.setattr(Simulator, "run", recording)
+    g, part_of = STARTS_CASES[name]()
+
+    def everything():
+        runs.clear()
+        outs, trace = dist_multi(g, part_of, part_bfs_trees(g, part_of), scramble=scramble)
+        results = {pid: (serialize_separator(o.result), o.records()) for pid, o in outs.items()}
+        tree, bfs_trace = dist_bfs(g, 0, scramble=scramble)
+        values = broadcast_root(g, tree, 5, PhaseTrace("bc"), scramble=scramble)
+        return list(runs), results, trace, bfs_trace, values
+
+    skipping = everything()
+    assert {run[0] for run in skipping[0]} == STARTS_PROGRAMS | {
+        "LearnFacesProgram", "PrefixProgram"
+    }
+    for cls in overriding:
+        monkeypatch.setattr(cls, "starts", VertexProgram.starts)
+    assert everything() == skipping
 
 
 def _golden_snapshots() -> dict:

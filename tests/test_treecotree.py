@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,7 @@ from planarsep.treecotree import (
     dot_export,
     part_bfs_trees,
     part_members,
+    require_part_tree,
     tree_path,
 )
 
@@ -395,3 +397,80 @@ def test_one_vertex_graph_has_no_dual_tree():
     g = build_embedding(1, [[]])
     with pytest.raises(NoFace):
         cotree(g, bfs_tree(g, 0))
+
+
+def _require_part_tree_by_darts(g, tree, members) -> None:
+    """The reference check: a search from the root over every dart of g
+    whose edge is a tree edge, inside the part."""
+    inside = set(members)
+    reached = {tree.root} & inside
+    stack = list(reached)
+    while stack:
+        for d in g.rotation[stack.pop()]:
+            if d.head in inside and d.head not in reached and d.edge() in tree.edges:
+                reached.add(d.head)
+                stack.append(d.head)
+    if reached != inside or len(tree.edges) != len(members) - 1:
+        raise NotSpanningTree(f"tree rooted at {tree.root} does not span its part")
+
+
+def _verdict(check, g, tree, members) -> bool:
+    try:
+        check(g, tree, members)
+    except NotSpanningTree:
+        return False
+    return True
+
+
+PART_TREE_GRAPHS = [two_level_parts(6, 2)] + [
+    (g, [0] * g.n) for g in (random_triangulation(25, seed=2), cut_chain(2, 6, seed=1))
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    which=st.integers(0, len(PART_TREE_GRAPHS) - 1),
+    seed=st.integers(0, 10**6),
+    mutations=st.lists(
+        st.sampled_from(["bogus", "reversed", "outside", "drop", "extra", "swap", "root"]),
+        max_size=3,
+    ),
+)
+def test_require_part_tree_matches_the_dart_search(which, seed, mutations):
+    """Walking the tree's own edges accepts and rejects the same trees as
+    the search over g's darts: bogus edges, edges leaving the part, a
+    wrong edge count, a root outside the part, and edges swapped for
+    other edges of the part, which may leave a tree or not."""
+    g, part_of = PART_TREE_GRAPHS[which]
+    rng = random.Random(seed)
+    trees = part_bfs_trees(g, part_of)
+    pid = rng.choice(sorted(trees))
+    members = part_members(part_of)[pid]
+    root, edges = trees[pid].root, set(trees[pid].edges)
+    inner = [e for e in g.edges() if part_of[e[0]] == part_of[e[1]] == pid]
+    leaving = [e for e in g.edges() if (part_of[e[0]] == pid) != (part_of[e[1]] == pid)]
+    for kind in mutations:
+        a, b, c = rng.choice(inner)
+        if kind == "bogus":
+            edges.add((a, b, c + 1 + rng.randrange(3)))
+        elif kind == "reversed":
+            edges.discard((a, b, c))
+            edges.add((b, a, c))
+        elif kind == "outside" and leaving:
+            edges.discard(rng.choice(sorted(edges)))
+            edges.add(rng.choice(leaving))
+        elif kind == "drop" and edges:
+            edges.discard(rng.choice(sorted(edges)))
+        elif kind == "extra":
+            edges.add((a, b, c))
+        elif kind == "swap" and edges:
+            edges.discard(rng.choice(sorted(edges)))
+            edges.add((a, b, c))
+        elif kind == "root":
+            root = rng.choice([v for v in range(-1, g.n + 1) if v not in members])
+    tree = replace(trees[pid], root=root, edges=edges)
+    assert _verdict(require_part_tree, g, tree, members) == _verdict(
+        _require_part_tree_by_darts, g, tree, members
+    )
+    if not mutations:
+        assert _verdict(require_part_tree, g, tree, members)
