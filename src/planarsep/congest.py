@@ -190,7 +190,7 @@ class Simulator:
         unhalted = n
         # this round's and the next round's inboxes by receiver, kept for
         # the whole run; a message sent in round r is written straight into
-        # round r+1's inbox, and a round clears only its receivers' slots
+        # round r+1's inbox, and a round clears the slots it reads
         inboxes: list[Optional[dict[int, Payload]]] = [None] * n
         nxt: list[Optional[dict[int, Payload]]] = [None] * n
         receivers: list[int] = []
@@ -217,6 +217,7 @@ class Simulator:
                 stepped = False
                 for v in candidates:
                     inbox = inboxes[v]
+                    inboxes[v] = None
                     if halted[v]:  # every receiver is a candidate
                         if inbox:
                             dropped += len(inbox)
@@ -263,8 +264,6 @@ class Simulator:
                             box[key] = p
                 if not stepped and not nxt_receivers:
                     raise AssertionError(f"{trace.name}: deadlock at round {round_no}")
-                for v in receivers:
-                    inboxes[v] = None
                 inboxes, nxt = nxt, inboxes
                 receivers = nxt_receivers
                 # each receiver is listed once; only woken vertices may repeat
