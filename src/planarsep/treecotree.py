@@ -127,8 +127,6 @@ def require_part_tree(
     `members` into one tree containing tree.root.  Walks the tree's own
     edges, each looked up in g.dart_table."""
     inside = set(members)
-    if tree.root not in inside or len(tree.edges) != len(members) - 1:
-        raise NotSpanningTree(f"tree rooted at {tree.root} does not span its part")
     index = g.dart_table.index
     adj: dict[int, list[int]] = {v: [] for v in inside}
     for e in tree.edges:
@@ -136,15 +134,15 @@ def require_part_tree(
         if a < b and a in inside and b in inside and e in index:  # e is the dart a -> b
             adj[a].append(b)
             adj[b].append(a)
-    # with no edge to spare, connected means a tree
-    reached = {tree.root}
-    stack = [tree.root]
+    reached = {tree.root} & inside
+    stack = list(reached)
     while stack:
         for u in adj[stack.pop()]:
             if u not in reached:
                 reached.add(u)
                 stack.append(u)
-    if len(reached) != len(inside):
+    # connected through its own edges, with no edge to spare
+    if reached != inside or len(tree.edges) != len(members) - 1:
         raise NotSpanningTree(f"tree rooted at {tree.root} does not span its part")
 
 
