@@ -129,6 +129,12 @@ class VertexProgram:
     own dart id to the payload that arrived over it; a step without
     messages gets an empty read-only mapping.  A step function must depend
     only on (round, knowledge, state, inbox).
+
+    A program makes no reference cycle: no state, message or output refers
+    back to itself, so reference counting frees all a run drops.  The
+    engine entry points pause the cyclic collector on that ground
+    (separator.collector_paused), and tests/test_collector.py holds every
+    run to it.
     """
 
     def init(self, know) -> dict:

@@ -66,6 +66,7 @@ from .errors import (
 from .separator import (
     ClosingEdge,
     SeparatorResult,
+    collector_paused,
     exceeds_beta,
     is_balanced,
     make_result,
@@ -276,7 +277,10 @@ class LearnFacesProgram(VertexProgram):
 
     def __init__(self, darts: DartTable, wire: list[tuple[int, int, int]], wire_index: dict):
         self.succ, self.index, self.triple = darts.succ, wire_index, wire
-        self.tok = [pack((T_TOK,) + d) for d in wire]  # a dart's own token
+        # a dart's own token: T_TOK's arity is checked once, and unpacking
+        # holds every wire triple to that width
+        assert _ARITY[T_TOK] == 3
+        self.tok = [(T_TOK, t, h, c) for t, h, c in wire]
 
     def init(self, know: LocalKnowledge) -> dict:
         tok = self.tok
@@ -1088,6 +1092,7 @@ def _part_knowledge(
     return global_rot
 
 
+@collector_paused
 def dist_compute_separator(
     g: EmbeddedPlanarGraph,
     tree: SpanningTree,
@@ -1098,7 +1103,8 @@ def dist_compute_separator(
     scramble: Optional[int] = None,
 ) -> tuple[DistSeparatorOutput, RoundTrace]:
     """End-to-end distributed pipeline on a single graph: dist_multi with
-    one part holding every vertex."""
+    one part holding every vertex.  The cyclic collector is paused for the
+    call (collector_paused)."""
     outputs, trace = dist_multi(
         g, [0] * g.n, {0: tree}, weights, backend=backend, bit_budget=bit_budget,
         max_rounds=max_rounds, scramble=scramble,
@@ -1106,6 +1112,7 @@ def dist_compute_separator(
     return outputs[0], trace
 
 
+@collector_paused
 def dist_multi(
     g: EmbeddedPlanarGraph,
     part_of: Sequence[int],
@@ -1120,6 +1127,7 @@ def dist_multi(
 
     Before any phase runs: InvalidPartition for a bad partition or trees not
     keyed by its part ids, NotSpanningTree for a tree not spanning its part.
+    The cyclic collector is paused for the call (collector_paused).
     """
     w = list(weights) if weights is not None else list(g.vertex_weight)
     bfs_trees = part_bfs_trees(g, part_of)  # the partition check
@@ -1152,6 +1160,7 @@ def dist_multi(
 # -- standalone BFS (spec surface) --------------------------------------------------
 
 
+@collector_paused
 def dist_bfs(
     g: EmbeddedPlanarGraph,
     root: int,
@@ -1159,7 +1168,8 @@ def dist_bfs(
     scramble: Optional[int] = None,
     roots_override: Optional[Sequence[int]] = None,
 ) -> tuple[SpanningTree, RoundTrace]:
-    """BFS tree construction by flooding; equals the sequential bfs_tree."""
+    """BFS tree construction by flooding; equals the sequential bfs_tree.
+    The cyclic collector is paused for the call (collector_paused)."""
     if not (0 <= root < g.n):
         raise UnknownRoot(f"root {root} not in 0..{g.n - 1}")
     trace = RoundTrace()
