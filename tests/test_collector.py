@@ -194,7 +194,7 @@ def test_overlapping_calls_in_threads_share_one_pause():
             for _ in range(20):
                 dist_bfs(g, 0)
                 dist_compute_separator(g, tree, backend="charged")
-        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+        except Exception as exc:  # reported by the main thread
             failures.append(exc)
 
     assert gc.isenabled()
