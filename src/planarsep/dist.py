@@ -19,9 +19,10 @@ head(d), which derives the receiving position locally as the rotation
 successor of the arrival dart.  Everything else runs on T, on single
 cotree edges or ring hops, or by part-wise aggregation.
 
-Phase order: root the given tree, learn face ids (min-filtered tokens
-around each ring, then one announcement of the minimum that stops one hop
-short of it), derive cotree flags locally, transfer each vertex's weight
+Phase order: T comes rooted, so each vertex files its parent and child
+darts locally; learn face ids (min-filtered tokens around each ring, then
+one announcement of the minimum that stops one hop short of it), derive
+cotree flags locally, transfer each vertex's weight
 to its minimum face id locally (no face total is formed), elect the
 maximum face id as dual root, compute every dual subtree's weight and
 dart count from prefix sums along the contour of T counted from the dual
@@ -82,7 +83,7 @@ from .treecotree import (
 )
 
 # message tags, with payload arity (tag excluded)
-T_BFS, T_CLAIM, T_DEPTH = 1, 2, 3
+T_BFS, T_CLAIM = 1, 2
 T_TOK, T_FACE = 4, 5
 T_CUT, T_POS, T_SUBD = 6, 9, 10
 T_HEAVY = 11
@@ -90,7 +91,7 @@ T_SUBR, T_TOT = 12, 13
 T_UV = 16
 
 _ARITY = {
-    T_BFS: 2, T_CLAIM: 1, T_DEPTH: 1,
+    T_BFS: 2, T_CLAIM: 1,
     T_TOK: 3, T_FACE: 3,
     T_CUT: 2, T_POS: 2, T_SUBD: 2,
     T_HEAVY: 1,
@@ -151,7 +152,10 @@ class LocalKnowledge:
 
     Darts are ids of the pipeline's DartTable.  A program reads the table
     only at the vertex's own darts (and at darts named in its messages
-    or store), which is what the vertex knows of its rotation.
+    or store), which is what the vertex knows of its rotation.  T comes
+    rooted, as dist_bfs leaves it: a vertex knows its parent dart (None at
+    the root) and its child darts, which run_tree_root files in the store
+    without a message.
     """
 
     vid: int
@@ -162,7 +166,7 @@ class LocalKnowledge:
     store: dict = field(default_factory=dict)
 
 
-# -- tree construction and rooting ------------------------------------------
+# -- tree construction -------------------------------------------------------
 
 
 class BfsProgram(VertexProgram):
@@ -219,36 +223,6 @@ class BfsProgram(VertexProgram):
         if ar is not None:
             st["_wake"] = True
         return out, False
-
-
-class TreeRootProgram(VertexProgram):
-    """Depth flood along tree darts only; parents are forced, no ties.  A
-    vertex's children are the heads of its tree darts other than its
-    parent dart, as (child, dart) pairs in ascending dart order."""
-
-    def __init__(self, darts: DartTable):
-        self.head = darts.head
-
-    def init(self, know: LocalKnowledge) -> dict:
-        return {"depth": None, "tree_parent_dart": None, "tree_children": ()}
-
-    def starts(self, know: LocalKnowledge) -> bool:
-        return know.vid == know.tree_root  # every other vertex waits for its depth
-
-    def step(self, r, know: LocalKnowledge, st, inbox):
-        if r == 0 and know.vid == know.tree_root:
-            st["depth"] = 0
-        elif inbox:  # only the parent sends, once
-            (k, frame), = inbox.items()
-            st["depth"], st["tree_parent_dart"] = frame[1] + 1, k
-        else:
-            return [], False
-        head = self.head
-        st["tree_children"] = tuple(
-            (head[d], d) for d in know.tree_darts if d != st["tree_parent_dart"]
-        )
-        msg = pack((T_DEPTH, st["depth"]))
-        return [(d, msg) for _c, d in st["tree_children"]], True
 
 
 # -- face discovery ----------------------------------------------------------
@@ -713,7 +687,8 @@ class DistPipeline:
     itself.  Every phase program and store works on those ids, and assemble
     turns them back into Darts.  bfs_trees, when
     given, are the partition's part_bfs_trees, which the part-wise
-    aggregator then does not rebuild.
+    aggregator then does not rebuild.  tree_roots must name each tree's own
+    root; ConflictingRoot otherwise, before any phase runs.
     """
 
     def __init__(
@@ -727,6 +702,11 @@ class DistPipeline:
         config: PipelineConfig,
         bfs_trees: Optional[dict[int, SpanningTree]] = None,
     ):
+        for pid, t in trees.items():
+            if tree_roots[pid] != t.root:
+                raise ConflictingRoot(
+                    f"part {pid}: root {tree_roots[pid]} given, its tree is rooted at {t.root}"
+                )
         self.g = g
         self.config = config
         self.n = g.n
@@ -747,12 +727,14 @@ class DistPipeline:
         self.rank_bits = max(4, max(
             (wire[d][2] for ids in darts.rot for d in ids), default=0
         ).bit_length())
-        # both darts of every tree edge, from the trees' parent edges
+        # both darts of every tree edge, and each vertex's parent dart, from
+        # the trees' parent edges
         tree_darts: list[list[int]] = [[] for _ in range(g.n)]
+        self._parent_dart: list[Optional[int]] = [None] * g.n
         for v, pid in enumerate(part_of):
             e = trees[pid].parent_edge[v]
             if e is not None:
-                d = darts.index[v, e[0] + e[1] - v, e[2]]
+                self._parent_dart[v] = d = darts.index[v, e[0] + e[1] - v, e[2]]
                 tree_darts[v].append(d)
                 tree_darts[darts.head[d]].append(darts.rev[d])
         self.know = [
@@ -801,10 +783,15 @@ class DistPipeline:
     # -- phases --------------------------------------------------------------
 
     def run_tree_root(self):
-        self._run(
-            "tree_root", TreeRootProgram(self.darts), charge_units=1,
-            publish=("tree_parent_dart", "tree_children"),
-        )
+        # T comes rooted: each vertex knows its parent dart, and its children
+        # are the heads of its other tree darts, in ascending dart order
+        self._local("tree_root")
+        self._store("tree_parent_dart", self._parent_dart)
+        head = self.darts.head
+        self._store("tree_children", [
+            tuple((head[d], d) for d in know.tree_darts if d != pd)
+            for know, pd in zip(self.know, self._parent_dart)
+        ])
 
     def run_learn_faces(self):
         self._run(
@@ -1166,7 +1153,6 @@ def dist_bfs(
     root: int,
     bit_budget: Optional[int] = None,
     scramble: Optional[int] = None,
-    roots_override: Optional[Sequence[int]] = None,
 ) -> tuple[SpanningTree, RoundTrace]:
     """BFS tree construction by flooding; equals the sequential bfs_tree.
     The cyclic collector is paused for the call (collector_paused)."""
@@ -1178,8 +1164,7 @@ def dist_bfs(
     know = [
         LocalKnowledge(
             vid=v, weight=g.vertex_weight[v],
-            rotation=darts.rot[v], tree_darts=(),
-            tree_root=(roots_override[v] if roots_override else root),
+            rotation=darts.rot[v], tree_darts=(), tree_root=root,
         )
         for v in range(g.n)
     ]

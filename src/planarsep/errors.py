@@ -71,7 +71,8 @@ class RoundLimitExceeded(PlanarSepError):
 
 
 class ConflictingRoot(PlanarSepError):
-    """More than one vertex was announced as the BFS root."""
+    """Two roots for one tree: a second BFS root was announced, or a part's
+    given root is not the root of its given tree."""
 
 
 class InvalidPartition(PlanarSepError):

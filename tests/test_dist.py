@@ -25,7 +25,9 @@ from planarsep import congest, dist
 from planarsep.congest import PhaseTrace, Simulator, VertexProgram, broadcast_root, log2ceil
 from planarsep.dist import (
     CASE_BALANCED,
+    BfsProgram,
     DistPipeline,
+    LocalKnowledge,
     PipelineConfig,
     _part_knowledge,
     part_bfs_trees,
@@ -132,10 +134,28 @@ def test_dist_bfs_path_rounds():
 
 
 def test_conflicting_roots_detected(grid4):
-    override = [0] * 16
-    override[15] = 15  # vertex 15 believes it is a second root
+    darts = grid4.dart_table
+    know = [
+        LocalKnowledge(
+            vid=v, weight=grid4.vertex_weight[v], rotation=darts.rot[v], tree_darts=(),
+            tree_root=15 if v == 15 else 0,  # vertex 15 believes it is a second root
+        )
+        for v in range(grid4.n)
+    ]
     with pytest.raises(ConflictingRoot):
-        dist_bfs(grid4, 0, roots_override=override)
+        Simulator(darts).run(BfsProgram(darts), know, PhaseTrace("bfs"))
+
+
+def test_pipeline_refuses_a_root_its_tree_does_not_have(grid4):
+    """A part's given root must be its tree's root: T is not re-rooted."""
+    tree = bfs_tree(grid4, 0)
+    with pytest.raises(ConflictingRoot):
+        DistPipeline(
+            g=grid4, part_of=[0] * grid4.n,
+            global_rot={v: tuple(grid4.rotation[v]) for v in range(grid4.n)},
+            trees={0: tree}, tree_roots={0: 5},
+            weights=list(grid4.vertex_weight), config=PipelineConfig(),
+        )
 
 
 def _same_tree(a, b):
@@ -188,18 +208,28 @@ def _snake(rows, cols):
 def test_tree_root_learns_the_given_tree(grid4):
     """After run_tree_root each vertex's parent dart and child darts are
     exactly the given tree's parent and children(), for a BFS tree, a
-    Hamiltonian path rooted mid-way and the BFS trees of a partition."""
+    Hamiltonian path rooted mid-way, the BFS trees of a partition and a
+    path through copy 1 of a tripled edge; the phase sends nothing."""
     g6 = grid(6, 6)
     snake = tree_from_edges(g6, _snake(6, 6), 14)
     assert snake.height() > bfs_tree(g6, 14).height()
     gp, part_of = two_level_parts(8, 2)
+    gc = _cycle_with_copies(3)
+    on_copy_1 = tree_from_edges(
+        gc, [(v, v + 1, 0) for v in range(11) if v not in (3, 10)] + [(10, 11, 1), (0, 11, 0)], 5
+    )
+    assert on_copy_1.parent_edge[11] == (10, 11, 1)
     for g, part_of, trees in [
         (grid4, [0] * grid4.n, {0: bfs_tree(grid4, 5)}),
         (g6, [0] * g6.n, {0: snake}),
         (gp, part_of, part_bfs_trees(gp, part_of)),
+        (gc, [0] * gc.n, {0: on_copy_1}),
     ]:
         pipe = _pipeline(g, part_of, trees)
         pipe.run_tree_root()
+        (pt,) = pipe.trace.phases
+        assert (pt.name, pt.honest_rounds, pt.messages, pt.charged_rounds) == ("tree_root", 0, 0, 0)
+        assert pipe.trace.interval_lengths == [0]
         dart = pipe.darts.dart
         children = {pid: t.children() for pid, t in trees.items()}
         for v, pid in enumerate(part_of):
@@ -1198,7 +1228,7 @@ def test_part_knowledge_matches_rebuild_on_random_partitions(g, parts, tiny, see
 
 # the programs that step only some vertices at round 0
 STARTS_PROGRAMS = {
-    "BfsProgram", "TreeRootProgram", "ContourProgram", "ClaimProgram", "_PAProgram",
+    "BfsProgram", "ContourProgram", "ClaimProgram", "_PAProgram",
     "_BroadcastProgram",
 }
 STARTS_CASES = {
