@@ -23,11 +23,11 @@ Phase order: T comes rooted, so each vertex files its parent and child
 darts locally; learn face ids (min-filtered tokens around each ring, then
 one announcement of the minimum that stops one hop short of it), derive
 cotree flags locally, transfer each vertex's weight
-to its minimum face id locally (no face total is formed), elect the
-maximum face id as dual root, compute every dual subtree's weight and
-dart count from prefix sums along the contour of T counted from the dual
-root's canonical dart (three frames per tree edge and one exchange across
-each cotree edge), elect a balanced or critical node in three part-wise
+to its minimum face id locally (no face total is formed), compute every
+dual subtree's weight and dart count from prefix sums along the contour
+of T counted from R, the tree root's first dart, whose face is the dual
+root (three frames per tree edge and one exchange across each cotree
+edge; no election), elect a balanced or critical node in three part-wise
 aggregations, claim the endpoints up T and broadcast them, and mark the
 path locally from the claims.  In the critical case, every position on
 the chosen face's ring first reads its virtual triangle's enclosed weight
@@ -37,7 +37,8 @@ sends its heavy bit one hop along the ring, so the first light position
 knows locally that it is the endpoint u.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
-parents, maximum-id elections), so results serialize byte-identically.
+parents, maximum-id elections, the dual root at R's face), so results
+serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ T_BFS, T_CLAIM = 1, 2
 T_TOK, T_FACE = 4, 5
 T_CUT, T_POS, T_SUBD = 6, 9, 10
 T_HEAVY = 11
-T_SUBR, T_TOT = 12, 13
+T_TOT = 13
 T_UV = 16
 
 _ARITY = {
@@ -95,7 +96,7 @@ _ARITY = {
     T_TOK: 3, T_FACE: 3,
     T_CUT: 2, T_POS: 2, T_SUBD: 2,
     T_HEAVY: 1,
-    T_SUBR: 2, T_TOT: 2,
+    T_TOT: 2,
     T_UV: 2,
 }
 
@@ -298,49 +299,48 @@ class LearnFacesProgram(VertexProgram):
 
 class DualSubtree(NamedTuple):
     """A face's dual subtree, as the endpoints of its dual parent edge learn
-    it (and the tail of its canonical dart, at the dual root)."""
+    it (the endpoints of R, at the dual root)."""
 
     weight: int         # face weights summed over the subtree
     darts: int          # boundary darts summed over the subtree
-    parent_dart: int    # the face's side of its dual parent edge; its canonical dart at the root
+    parent_dart: int    # the anchor: the face's side of its dual parent edge, R at the root
     size: int           # the face's own boundary length
-    base: int           # weight prefix, counted from R, where the subtree's interval starts
+    base: int           # weight prefix where the subtree's interval starts
 
 
 class ContourProgram(VertexProgram):
     """Dual subtree sums from prefix sums along the contour of T, the Euler
-    tour technique of Tarjan and Vishkin (SIAM J. Comput. 1985), with its
-    start rotated to R, the dual root's canonical dart.
+    tour technique of Tarjan and Vishkin (SIAM J. Comput. 1985), started at
+    R, the tree root's first dart.
 
     The contour lists the 2m darts of a part: a tree dart d is followed by
     succ(rev(d)), any other dart d by succ(d).  So every subtree of T owns
     one segment of it: its root's darts in rotation order after the parent
-    dart, each child's segment right after the dart to that child.
-    Positions and weight prefixes count from R, which has position 0, so a
-    vertex's segment may wrap once, where its position reaches the contour
-    length M.  For a cotree edge whose darts sit at positions i < j,
-    positions i+1..j hold the darts of the faces on one side of its
-    fundamental cycle, the side of the face at j.  That interval never
-    holds R, so it is the dual subtree below the edge.  With every vertex's
-    weight marked at its corner dart (its dart in its chosen face), the
-    subtree's weight is a difference of weight prefixes and its dart count
-    the length of the interval.
+    dart, each child's segment right after the dart to that child, and the
+    tree root's segment is the whole contour, from R at position 0.  For a
+    cotree edge whose darts sit at positions i < j, positions i+1..j hold
+    the darts of the faces on one side of its fundamental cycle, the side
+    of the face at j.  That interval never holds R, so it is the dual
+    subtree below the edge, and the face at R is the dual root.  With every
+    vertex's weight marked at its corner dart (its dart in its chosen
+    face), the subtree's weight is a difference of weight prefixes and its
+    dart count the length of the interval.
 
     The fields travel at most two to a frame, three frames per tree edge.
-    Up T, every subtree's dart count and weight; one round later, from the
-    subtrees that hold R only, 1 + R's offset in the segment and the weight
-    marked before it.  Down T, the part's total weight W and contour
-    length M, then every child's first position and the weight prefix
-    before it.  The tree root starts at (M - R, W - c), with R its offset
-    and c the weight before it, and a vertex subtracts M and W where its
-    position reaches M.  Across each cotree edge goes one frame of position
-    and weight prefix, and each endpoint then resolves the edge locally.
+    Up T, every subtree's dart count and weight.  Down T, the part's total
+    weight W and contour length M, then every child's first position and
+    the weight prefix before it; the tree root starts at (0, 0) one round
+    after it sends the totals.  Across each cotree edge goes one frame of
+    position and weight prefix, and each endpoint then resolves the edge
+    locally.  The dual root's sums sit at both ends of R, like every other
+    face's at both ends of its anchor: head(R) is the one vertex that
+    receives a child's first position 1 or a cotree frame of position 0.
     Every own dart's weight prefix stays in the store, in rotation order,
     for the critical face's ring positions.
     """
 
     def __init__(self, darts: DartTable):
-        self.succ, self.rev, self.tail = darts.succ, darts.rev, darts.tail
+        self.succ, self.rev = darts.succ, darts.rev
 
     def init(self, know: LocalKnowledge) -> dict:
         rot = know.rotation
@@ -349,16 +349,14 @@ class ContourProgram(VertexProgram):
         return {
             "order": rot[k:] + rot[:k],
             "kids": {},          # child dart -> its subtree's dart count and weight
-            "holds_root": self.tail[know.store["dual_root"]] == know.vid,
-            "root_kid": None,    # child dart whose subtree holds R, its T_SUBR frame
             "darts": None,       # the subtree's dart count, once its children's are in
-            "root_sent": False,
             "total_weight": None,
             "total_darts": None,
             "cuts": sum(know.store["cotree_flag"].values()),
             "pos": None,         # own dart -> contour position
             "incl": {},          # own dart -> weight marks up to and including it
             "cut": {},           # cotree dart -> T_CUT frame: position and incl of its reverse
+            "at_R": None,        # at either end of R: R, its face's dart here, incl[R]
             "subtrees": {},      # face -> DualSubtree, for faces whose parent edge is here
             "child_sum": {},     # dart on a parent face's side -> weight behind the edge
             "prefix": None,      # weight prefix of each own dart, rotation order
@@ -367,39 +365,15 @@ class ContourProgram(VertexProgram):
     def starts(self, know: LocalKnowledge) -> bool:
         return not know.store["tree_children"]  # every other vertex waits for its children
 
-    def _root_offset(self, know, st) -> tuple[int, int]:
-        """1 + R's offset in this vertex's segment, and the weight marked
-        before it there."""
-        root_face, corner = know.store["dual_root"], know.store["corner"]
-        kids = st["kids"]
-        kid = st["root_kid"]
-        p = acc = 0
-        for d in st["order"]:
-            if d == root_face:
-                return p + 1, acc
-            if d == corner:
-                acc += know.weight
-            p += 1
-            if kid is not None and d == kid[0]:
-                return p + kid[1], acc + kid[2]
-            if d in kids:
-                count, weight = kids[d]
-                p += count
-                acc += weight
-        raise AssertionError("the dual root's dart is not in this segment")
-
     def _place(self, know, st, first: int, before: int, out) -> None:
         """Positions and weight prefixes of the own darts, sent down T and
         across T*."""
-        W, M = st["total_weight"], st["total_darts"]
         corner = know.store["corner"]
         flags = know.store["cotree_flag"]
         kids = st["kids"]
         pos, incl = {}, st["incl"]
         p, acc = first, before
         for d in st["order"]:
-            if p >= M:  # the contour passes R
-                p, acc = p - M, acc - W
             pos[d] = p
             if d == corner:
                 acc += know.weight
@@ -422,7 +396,7 @@ class ContourProgram(VertexProgram):
     def _resolve(self, know, st) -> None:
         """Each cotree edge here: the dual subtree below it (the side whose
         interval (i, j] has j's face) and that subtree's weight, dart count
-        and base (the prefix at i)."""
+        and base (the prefix at i); at either end of R, the dual root's."""
         store = know.store
         faces, sizes = store["face"], store["size"]
         pos, incl = st["pos"], st["incl"]
@@ -437,52 +411,45 @@ class ContourProgram(VertexProgram):
                 st["subtrees"][faces[child_side]] = DualSubtree(
                     weight, q - p, self.rev[d], sizes[child_side], p_incl
                 )
-        root_face = store["dual_root"]
-        if st["holds_root"]:
-            st["subtrees"][root_face] = DualSubtree(
-                st["total_weight"], st["total_darts"], root_face, sizes[root_face],
-                incl[root_face],
+        if st["at_R"] is not None:  # the dual root: the whole contour, after R up to R
+            R, side, base = st["at_R"]
+            st["subtrees"][faces[side]] = DualSubtree(
+                st["total_weight"], st["total_darts"], R, sizes[side], base
             )
         st["prefix"] = tuple([incl[d] for d in know.rotation])
 
     def step(self, r, know: LocalKnowledge, st, inbox):
         store = know.store
-        is_root = know.vid == know.tree_root
         out = []
         for k, frame in inbox.items():
             tag = frame[0]
             if tag == T_SUBD:
                 st["kids"][k] = frame[1:]
-            elif tag == T_SUBR:
-                st["root_kid"] = (k, frame[1], frame[2])
             elif tag == T_TOT:
                 self._totals(know, st, frame[1], frame[2], out)
             elif tag == T_POS:
+                if frame[1] == 1:  # only R, at position 0, sends first position 1
+                    st["at_R"] = (self.rev[k], self.succ[k], frame[2])
                 self._place(know, st, frame[1], frame[2], out)
             else:
+                if frame[1] == 0:  # or, as a cotree dart, position 0
+                    st["at_R"] = (self.rev[k], self.succ[k], frame[2])
                 st["cut"][k] = frame
-        # at most one new frame per dart and round: the subtree's sums, then
-        # (where R lies below) R's offset, or at the tree root the totals,
-        # then the root's own start
+        # at most one new frame per dart and round: the subtree's sums, or at
+        # the tree root the totals, then the root's own start
         if st["darts"] is None:
             if len(st["kids"]) == len(store["tree_children"]):
                 st["darts"] = len(st["order"]) + sum(c for c, _w in st["kids"].values())
                 weight = know.weight + sum(w for _c, w in st["kids"].values())
-                if is_root:
+                if know.vid == know.tree_root:
                     self._totals(know, st, weight, st["darts"], out)
+                    st["_wake"] = True  # its start is due next round
                 else:
                     out.append((store["tree_parent_dart"], pack((T_SUBD, st["darts"], weight))))
-                # R's offset is due next round, with no message to wake it
-                # when it is already known here
-                if st["holds_root"] or st["root_kid"] is not None:
-                    st["_wake"] = True
-        elif not st["root_sent"] and (st["holds_root"] or st["root_kid"] is not None):
-            st["root_sent"] = True
-            off, before = self._root_offset(know, st)
-            if is_root:
-                self._place(know, st, st["total_darts"] + 1 - off, st["total_weight"] - before, out)
-            else:
-                out.append((store["tree_parent_dart"], pack((T_SUBR, off, before))))
+        elif st["pos"] is None and know.vid == know.tree_root:
+            self._place(know, st, 0, 0, out)
+            R = know.rotation[0]
+            st["at_R"] = (R, R, st["incl"][R])
         done = st["pos"] is not None and len(st["cut"]) == st["cuts"]
         if done:
             self._resolve(know, st)
@@ -501,10 +468,11 @@ class PrefixProgram(VertexProgram):
     ring order from v_1, the head of the anchor, with only the child
     subtrees hanging at earlier boundary edges between them, so position t
     reads s_t, the subtree weight of the t-th virtual triangle, off its own
-    weight prefix (counted from the dual root's dart, so the face's
-    interval does not wrap): the face's base plus its subtree weight, less
-    the prefix at its dart.  s_1 is the face's own subtree, heavy by its
-    election, and v_k (the anchor's tail) starts no triangle.
+    weight prefix: the face's base plus its subtree weight, less the prefix
+    at its dart.  The anchor is the face's side of its dual parent edge, R
+    at the dual root, and both its endpoints hold it.  s_1 is the face's
+    own subtree, heavy by its election, and v_k (the anchor's tail) starts
+    no triangle.
 
     At round 0 positions 1..k-1 send whether they are heavy, above 3/4 of
     the part's weight.  s is non-increasing, so the heavy positions are
@@ -535,8 +503,7 @@ class PrefixProgram(VertexProgram):
             return st
         i, = on_face
         st["prefix_pos"] = know.rotation[i]
-        # the anchor's endpoints hold it; at the dual root it is the face id
-        anchor = f if f == store["dual_root"] else store["case_anchor"]
+        anchor = store["case_anchor"]  # held at both of its endpoints
         if anchor is not None and know.vid == self.darts.head[anchor]:
             st["heavy"] = 1
             return st
@@ -789,7 +756,7 @@ class DistPipeline:
         self._store("tree_parent_dart", self._parent_dart)
         head = self.darts.head
         self._store("tree_children", [
-            tuple((head[d], d) for d in know.tree_darts if d != pd)
+            tuple([(head[d], d) for d in know.tree_darts if d != pd])
             for know, pd in zip(self.know, self._parent_dart)
         ])
 
@@ -815,15 +782,9 @@ class DistPipeline:
             know.store["corner"] = min(d for d in know.rotation if faces[d] == chosen)
 
     def run_root_election(self):
-        # enc_face keeps dart order, so a vertex's largest face id encodes largest
-        pt = self.trace.phase("root_election")
-        triple, bits = self.wire, self.rank_bits
-        inputs = [
-            enc_face(triple[max(know.store["face"].values())], self.n, bits) for know in self.know
-        ]
-        encs = self.aggregate(inputs, "MAX", pt)
-        self.trace.interval_lengths.append(pt.honest_rounds)
-        self._store("dual_root", self._dec_faces(encs))
+        # the dual root is the face at R, which ContourProgram finds without
+        # an election; the 0-round phase stays because perfbench names it
+        self._local("root_election")
 
     def _dec_faces(self, encs: Sequence[int]) -> list[int]:
         """The dart id of every vertex's encoded face."""
@@ -880,8 +841,8 @@ class DistPipeline:
         # every vertex decodes the chosen face from its election key; the
         # face's holders publish its case and, for a virtual critical face,
         # where its subtree's interval ends (base plus weight), and keep its
-        # anchor (the face's side of its dual parent edge, or its canonical
-        # dart at the root) next to its subtree sums
+        # anchor (the face's side of its dual parent edge, or R at the root)
+        # next to its subtree sums
         case_in = [0] * n
         faces = self._dec_faces([(b or c % space) - 1 for b, c in zip(bal, crit)])
         for v, store in enumerate(stores):

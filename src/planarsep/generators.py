@@ -290,7 +290,11 @@ def pinned_critical_instance() -> tuple[EmbeddedPlanarGraph, set, int, int]:
     keeps one edge out of the tree, hanging the ring face below the outer
     face there, so the boundary enumerates as 4,3,2,1,0,9,8,7,6,5 and the
     heavy bubbles make the fourth virtual triangle the deepest heavy one.
-    The closing virtual edge is then (0, 5).
+    The closing virtual edge is then (0, 5).  Both engines root the dual
+    tree at the face of the tree root's first dart, so vertex 0's rotation
+    is listed from Dart(0, 10): that dart lies on the pocket face at corner
+    0, the outer face's dual parent.  Listed from Dart(0, 9), the same
+    cyclic rotation would root the dual tree at the ring face itself.
 
     Returns (graph, tree edge set, expected_u, expected_v).
     """
@@ -328,6 +332,7 @@ def pinned_critical_instance() -> tuple[EmbeddedPlanarGraph, set, int, int]:
             rotation[y] = rot
         for x, y in zip(chain, chain[1:]):
             tree_edges.add((min(x, y), max(x, y), 0))
+    rotation[0] = rotation[0][2:] + rotation[0][:2]  # from Dart(0, 10): see above
     # the chain over edge (4,5) keeps its middle edge out of the tree
     y1, y2 = bubbles[4]
     tree_edges.discard((min(y1, y2), max(y1, y2), 0))

@@ -317,7 +317,7 @@ def critical_scan(
     f = verdict.face
     face = g.faces[f]
     if f == pair.dual_root:
-        anchor = face.id  # canonical dart doubles as the anchor when f has no parent
+        anchor = g.rotation[pair.tree.root][0]  # R, the tree root's first dart
     else:
         # a cotree edge is no bridge, so exactly one of its darts bounds f
         da, db = g.darts_of_edge(pair.dual_parent_edge[f])

@@ -2,11 +2,12 @@
 
 The tree/cotree pair is the duality engine: T spans the primal graph iff
 T* = E \\ T spans the dual, and the fundamental cycle of a non-tree edge
-equals the fundamental cut of its dual edge.  The dual tree is always
-rooted at the maximum face id, matching the election rule used by the
-message-passing engine so both produce identical rooted structures.
-Faces are named by their numbers (see embedding.py), so the dual tree is
-a set of flat lists indexed by face number.
+equals the fundamental cut of its dual edge.  The dual tree is rooted at
+the face of R, the tree root's first rotation dart, where the contour of
+T starts; the message-passing engine roots it there too, with no
+election, so both produce identical rooted structures.  Faces are named
+by their numbers (see embedding.py), so the dual tree is a set of flat
+lists indexed by face number.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ def tree_from_edges(g: EmbeddedPlanarGraph, edges: Iterable[EdgeId], root: int) 
 
 @dataclass
 class TreeCotreePair:
-    """T and its cotree T*, the dual tree rooted at the maximum face number.
+    """T and its cotree T*, the dual tree rooted at the face of R, the tree
+    root's first rotation dart.
 
     The dual_* lists are indexed by face number; the root's parent and
     parent edge are None.
@@ -215,7 +217,8 @@ class TreeCotreePair:
 
 
 def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
-    """T* = E \\ T, rooted at the maximum face number, with parent pointers.
+    """T* = E \\ T, rooted at the face of R (the tree root's first rotation
+    dart), with parent pointers.
 
     Everything is read off the dual's edges, which come in sorted edge
     order: the cotree is the dual edges whose primal is not in T, so the
@@ -250,7 +253,7 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
         # spanning tree, so e in T* means the tree was not spanning
         raise NotSpanningTree(f"bridge {bridge} missing from the tree")
 
-    root = len(dual.nodes) - 1
+    root = g.dart_face[g.dart_table.rot[tree.root][0]]
     parent: list[int | None] = [None] * len(dual.nodes)
     parent_edge: list[EdgeId | None] = [None] * len(dual.nodes)
     depth = [-1] * len(dual.nodes)

@@ -32,7 +32,7 @@ from planarsep.separator import find_balanced_or_critical_in_tree
 from planarsep.weights import FaceWeighting
 from planarsep.treecotree import _tree_edge_between, dual_subtree_sums, subtree_sums
 
-GOLDEN = Path(__file__).parent / "golden"
+GOLDEN = Path(__file__).parent / "golden"  # grid4.sep: run this file as a script to rewrite it
 
 
 def test_star_dual_tree_is_critical():
@@ -394,3 +394,9 @@ def test_any_incident_face_choice_reaches_every_case():
             for concentrated in (False, True):
                 cases.add(_any_choice_separator(g, seed % g.n, seed, concentrated))
     assert cases == {"balanced", "critical-virtual", "critical-leaf"}
+
+
+if __name__ == "__main__":
+    g = grid(4, 4)
+    res = compute_separator(g, bfs_tree(g, 0))
+    (GOLDEN / "grid4.sep").write_bytes(serialize_separator(res).encode())

@@ -88,10 +88,14 @@ def test_cotree_rejects_non_spanning(grid4, grid4_tree):
         tree_from_edges(grid4, edges, 0)
 
 
-def test_dual_root_is_max_face_id(grid4, grid4_tree):
-    pair = cotree(grid4, grid4_tree)
-    assert grid4.faces[pair.dual_root].id == max(f.id for f in grid4.faces)
-    assert pair.dual_parent[pair.dual_root] is None
+def test_dual_root_is_the_face_of_R(grid4):
+    """Whichever vertex roots T, the dual tree is rooted at the face of R,
+    the tree root's first rotation dart."""
+    faces = face_ids(grid4)
+    for root in range(grid4.n):
+        pair = cotree(grid4, bfs_tree(grid4, root))
+        assert grid4.faces[pair.dual_root].id == faces[grid4.rotation[root][0]]
+        assert pair.dual_parent[pair.dual_root] is None
 
 
 def test_fundamental_cycle_triangle(c3):
@@ -254,7 +258,8 @@ def _reference_cotree(g, tree):
             raise NotSpanningTree(f"bridge {e} missing from the tree")
         adj[fa].append((e, fb))
         adj[fb].append((e, fa))
-    root = max(dual.nodes)
+    number = {f.id: i for i, f in enumerate(g.faces)}
+    root = number[faces[g.rotation[tree.root][0]]]  # the face of R
     parent, parent_edge, depth = {root: None}, {root: None}, {root: 0}
     children = {fid: [] for fid in dual.nodes}
     queue = [root]
