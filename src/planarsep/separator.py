@@ -265,7 +265,8 @@ def separator_from_balanced(
 
 @dataclass(frozen=True)
 class CriticalScan:
-    """Boundary data of a critical face, anchored at its dual-parent edge."""
+    """Boundary data of a critical face, anchored at its dual-parent edge
+    (at R, the tree root's first dart, for the dual root)."""
 
     face: int                         # face number
     anchor: Dart                      # the (v_k -> v_1) dart on f's boundary

@@ -617,13 +617,13 @@ def _contour(pipe, root):
 
 def _check_prefixes(pipe, contour):
     """Every own dart's published weight prefix is the weight marked at
-    the contour positions from R up to and including the dart."""
+    the contour positions from R, the tree root's first dart, up to and
+    including the dart."""
     know = pipe.know
-    R = pipe.darts.rot[know[0].tree_root][0]
+    assert contour[0] == pipe.darts.rot[know[0].tree_root][0]  # R
     marks = {k.store["corner"]: k.weight for k in know}
-    start = contour.index(R)
     prefix, acc = {}, 0
-    for d in contour[start:] + contour[:start]:
+    for d in contour:
         acc += marks.get(d, 0)
         prefix[d] = acc
     for k in know:
