@@ -689,7 +689,8 @@ COUNT_CASES = {
 def test_dual_sums_message_count(name):
     """Three frames per tree edge (the subtree's sums up, the part's totals
     and the segment's start down) and one each way across every cotree
-    edge, in at most 2·height(T)+3 honest rounds."""
+    edge, in at most 2·height(T)+3 honest rounds.  The dual root needs no
+    election: that phase books nothing."""
     g, part_of = COUNT_CASES[name]()
     trees = part_bfs_trees(g, part_of)
     pipe = _pipeline(g, part_of, trees)
@@ -699,6 +700,10 @@ def test_dual_sums_message_count(name):
     tree_edges = g.n - len(trees)
     assert phase.messages == 3 * tree_edges + 2 * (edges - tree_edges)
     assert phase.honest_rounds <= 2 * max(t.height() for t in trees.values()) + 3
+    election, = (p for p in pipe.trace.phases if p.name == "root_election")
+    assert (
+        election.honest_rounds, election.messages, election.pa_calls, election.charged_rounds
+    ) == (0, 0, 0, 0)
 
 
 def test_phase_rounds_flat_at_constant_diameter():
