@@ -642,28 +642,26 @@ def _run_one_part(g, t):
     return pipe, [know.store for know in pipe.know]
 
 
-CONTOUR_CASES = {  # each graph with its tree roots, every root where None
-    "grid4": (lambda: grid(4, 4), None),
-    "c12c3": (lambda: cycle_chords(12, 3, seed=1), None),
-    "tri60s3": (lambda: random_triangulation(60, seed=3), None),
-    "cut3x10": (lambda: cut_chain(3, 10, seed=1), None),
-    "tri20s1": (lambda: random_triangulation(20, seed=1), (11,)),
-    "cyl3x5": (lambda: cylinder(3, 5), (13,)),
+WRAP_CASES = {
+    "grid4": lambda: grid(4, 4),
+    "c12c3": lambda: cycle_chords(12, 3, seed=1),
+    "tri60s3": lambda: random_triangulation(60, seed=3),
+    "cut3x10": lambda: cut_chain(3, 10, seed=1),
 }
 
 
-def test_contour_counts_from_the_tree_roots_first_dart():
-    """R, the tree root's first dart, sits at contour position 0 and its
-    face is the dual root, so the contour counted from R is the contour
-    counted from the tree root.  Over every tree root of four graphs, and
-    one root each of two more, the weight prefixes count from R, the dual
-    root's sums cover the whole contour, the distributed dual sums equal
-    the sequential ones and both engines agree."""
+def test_contour_wraps_at_every_tree_root():
+    """Counted from R, the tree root's first dart, the contour wraps at the
+    tree root: R sits at position 0, its face is the dual root, and the
+    last position's prefix is the total weight, so nothing carries over
+    the wrap.  Over every tree root of four graphs the weight prefixes
+    count from R, the distributed dual sums equal the sequential ones and
+    both engines agree."""
     runs = 0
-    for make, roots in CONTOUR_CASES.values():
+    for make in WRAP_CASES.values():
         g = make()
         gb = biconnect(g)
-        for root in roots or range(g.n):
+        for root in range(g.n):
             t = bfs_tree(g, root)
             pipe, stores = _run_one_part(g, t)
             _check_dual_sums(gb, t, stores, pipe.darts)
@@ -672,8 +670,29 @@ def test_contour_counts_from_the_tree_roots_first_dart():
             R = contour[0]
             assert stores[root]["subtrees"][stores[root]["face"][R]].darts == len(contour)
             _check_prefixes(pipe, contour)
+            last = contour[-1]
+            holder = pipe.know[pipe.darts.tail[last]]
+            prefix = holder.store["prefix"][holder.rotation.index(last)]
+            assert prefix == stores[0]["total_weight"]
             runs += 1
-    assert runs == 116 + 2
+    assert runs == 116
+
+
+@pytest.mark.parametrize("make,root", [
+    (lambda: random_triangulation(20, seed=1), 11),
+    (lambda: cylinder(3, 5), 13),
+])
+def test_contour_from_the_tree_roots_first_dart(make, root):
+    """R is the tree root's first dart, so the contour counted from R is
+    the contour counted from the tree root, with no wrap."""
+    g = make()
+    t = bfs_tree(g, root)
+    pipe, stores = _run_one_part(g, t)
+    contour = _contour(pipe, root)
+    assert contour[0] == pipe.darts.rot[root][0]
+    assert stores[root]["subtrees"][stores[root]["face"][contour[0]]].darts == len(contour)
+    _check_prefixes(pipe, contour)
+    _check_dual_sums(g, t, stores, pipe.darts)
 
 
 COUNT_CASES = {
