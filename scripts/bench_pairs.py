@@ -34,9 +34,10 @@ plus the seed, the run length, both commits and both source digests (the
 ``src_sha256`` of perfbench's stamp).  The name gains ``_seed<S>`` for a
 seed other than 1.
 
-The last lines of standard output sum it up, one line per workload:
-``dist_s``'s median child/parent ratio, its wins and losses,
-``same_outputs`` and ``same_results``.
+The last lines of standard output sum it up per workload: a line with
+``same_outputs`` and ``same_results``, then one line per end-to-end
+metric with its median child/parent ratio, wins and losses, so a claim
+on any of them can be read off the summary.
 
 The sources under src/ and perfbench/ must match HEAD, and an existing
 file is never overwritten; either refusal exits 2.  A run that fails the
@@ -173,10 +174,11 @@ def main(argv=None) -> int:
     }
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for w, record in report["workloads"].items():
-        dist_s = record["metrics"]["dist_s"]
-        print(f"{w}: dist_s median ratio {dist_s['median_ratio']:.3f}, "
-              f"won {dist_s['wins']} lost {dist_s['losses']} of {record['pairs']}, "
-              f"same_outputs {record['same_outputs']}, same_results {record['same_results']}")
+        print(f"{w}: {record['pairs']} pairs, same_outputs {record['same_outputs']}, "
+              f"same_results {record['same_results']}")
+        for m, cmp in record["metrics"].items():
+            print(f"  {m}: median ratio {cmp['median_ratio']:.3f}, "
+                  f"won {cmp['wins']} lost {cmp['losses']}")
     print(f"wrote {path.name}")
     return 0
 

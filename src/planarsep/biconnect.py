@@ -188,15 +188,23 @@ def _augment_once(g: EmbeddedPlanarGraph) -> EmbeddedPlanarGraph | None:
     )
 
 
+def _neighbour_ids(g: EmbeddedPlanarGraph) -> list[list[int]]:
+    """Every vertex's neighbour ids, sliced off the dart table's heads (in
+    dart order, not rotation order; the lowpoint answer does not depend on
+    the order)."""
+    head, lo = g.dart_table.head, g.dart_table.lo
+    return [head[lo[v]:lo[v + 1]] for v in range(g.n)]
+
+
 def biconnect(g: EmbeddedPlanarGraph) -> EmbeddedPlanarGraph:
     """Return g augmented with virtual edges until bi-connected.
 
     Planarity is preserved (every bridge lives inside one face corner),
     weights are unchanged, and already bi-connected graphs come back as-is.
     """
-    if biconnected([g.neighbors(v) for v in range(g.n)]):
+    if biconnected(_neighbour_ids(g)):
         return g
     out = _augment_once(g)
-    if out is None or not biconnected([out.neighbors(v) for v in range(out.n)]):
+    if out is None or not biconnected(_neighbour_ids(out)):
         raise AssertionError("corner pass left a cut vertex")
     return out

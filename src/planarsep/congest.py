@@ -133,7 +133,7 @@ class VertexProgram:
     A program makes no reference cycle: no state, message or output refers
     back to itself, so reference counting frees all a run drops.  The
     engine entry points pause the cyclic collector on that ground
-    (separator.collector_paused), and tests/test_collector.py holds every
+    (collector.collector_paused), and tests/test_collector.py holds every
     run to it.
     """
 

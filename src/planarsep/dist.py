@@ -57,6 +57,7 @@ from .congest import (
     default_bit_budget,
     pa_charge,
 )
+from .collector import collector_paused
 from .embedding import Dart, DartTable, EmbeddedPlanarGraph, build_embedding, next_copy
 from .errors import (
     ConflictingRoot,
@@ -68,7 +69,6 @@ from .errors import (
 from .separator import (
     ClosingEdge,
     SeparatorResult,
-    collector_paused,
     exceeds_beta,
     is_balanced,
     make_result,

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .collector import collector_paused
 from .errors import (
     EulerViolation,
     InconsistentRotation,
@@ -260,6 +261,7 @@ def _check_connected(n: int, table: DartTable) -> bool:
     return all(seen)
 
 
+@collector_paused
 def build_embedding(
     n: int,
     rotation: Sequence[Sequence[Dart | tuple[int, int] | tuple[int, int, int] | int]],
@@ -275,7 +277,8 @@ def build_embedding(
     raises InconsistentRotation.  Bare ints are convenient for simple
     inputs.  With strict=True the Euler check is enforced; strict=False
     admits non-planar rotation systems so validate_embedding can report
-    their residual.
+    their residual.  The cyclic collector is paused for the call
+    (collector_paused): the graph holds no reference cycle.
     """
     rot: list[list[Dart]] = []
     for v in range(n):

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import random
 
+from .collector import collector_paused
 from .embedding import Dart, EmbeddedPlanarGraph, build_embedding
 from .errors import BadParams
 
 
+@collector_paused
 def grid(rows: int, cols: int, weights=None) -> EmbeddedPlanarGraph:
     """rows x cols grid, row-major ids, clockwise rotations [up,right,down,left]."""
     if rows < 2 or cols < 2:
@@ -141,9 +143,8 @@ class _Triangulation:
         return any(d.head == q for d in self.rot[p])
 
     def flip(self, i1: int, i2: int) -> bool:
-        """Flip the edge shared by internal faces i1, i2 if legal."""
-        if i2 not in self.across[i1]:
-            return False
+        """Flip the edge shared by internal faces i1, i2 (i2 in across[i1])
+        unless the new edge would be parallel to an existing one."""
         # rotate both so f1 = (u->v, v->p, p->u), f2 = (v->u, u->q, q->v)
         k1, k2 = self.across[i1].index(i2), self.across[i2].index(i1)
         f1 = self.internal[i1][k1:] + self.internal[i1][:k1]
@@ -167,6 +168,7 @@ class _Triangulation:
         return True
 
 
+@collector_paused
 def random_triangulation(n: int, seed: int, flips: int | None = None, weights=None) -> EmbeddedPlanarGraph:
     """Seeded combinatorial triangulation on n vertices (n >= 3).
 
@@ -178,6 +180,16 @@ def random_triangulation(n: int, seed: int, flips: int | None = None, weights=No
     rarely share an edge, so at n=5000 the default lands 13 flips at seed
     1 and 16 at seed 2, and the result stays close to a random stacked
     triangulation.  Every (n, seed, flips) gives one rotation system.
+
+    The flip loop draws its two face indices per attempt straight from
+    getrandbits, as randrange(N) does (k = N.bit_length() bits, drawn
+    again while >= N); N, the number of internal faces, stays fixed while
+    the loop runs.  So the random stream, and every instance, is
+    randrange's, without its two Python frames per draw.  At n=5000 the
+    default makes all 20*n = 100,000 attempts to land about 13 flips, and
+    those 200,000 draws were most of the set-up.  The loop tests adjacency
+    itself, so flip runs only for pairs that share an edge; a face is
+    never across from itself, so i1 == i2 fails the test too.
     """
     if n < 3:
         raise BadParams("triangulation needs n >= 3")
@@ -187,19 +199,27 @@ def random_triangulation(n: int, seed: int, flips: int | None = None, weights=No
         tri.insert_vertex(rng.randrange(len(tri.internal)))
     if flips is None:
         flips = n
+    getrandbits, across = rng.getrandbits, tri.across
+    faces = len(tri.internal)
+    k = faces.bit_length()
     attempts = 0
     done = 0
     while done < flips and attempts < 20 * flips:
         attempts += 1
-        i1 = rng.randrange(len(tri.internal))
-        i2 = rng.randrange(len(tri.internal))
-        if i1 != i2 and tri.flip(i1, i2):
+        i1 = getrandbits(k)
+        while i1 >= faces:
+            i1 = getrandbits(k)
+        i2 = getrandbits(k)
+        while i2 >= faces:
+            i2 = getrandbits(k)
+        if i2 in across[i1] and tri.flip(i1, i2):
             done += 1
     rotation = tri.rot
     del tri  # its face lists are not needed to embed; free them first
     return build_embedding(n, rotation, weights, infinite_face_hint=Dart(1, 0))
 
 
+@collector_paused
 def cycle_chords(n: int, chords: int, seed: int = 0, weights=None) -> EmbeddedPlanarGraph:
     """Cycle 0..n-1 plus `chords` random non-crossing chords drawn inside."""
     if n < 3:
@@ -264,6 +284,7 @@ def joined_grids(rows: int, cols: int, weights=None) -> tuple[EmbeddedPlanarGrap
     return g, [0] * n1 + [1] * n1
 
 
+@collector_paused
 def two_level_parts(
     size: int, parts_per_side: int, weights=None
 ) -> tuple[EmbeddedPlanarGraph, list[int]]:
@@ -418,11 +439,21 @@ def unit_weights(n: int) -> list[int]:
 
 
 def proper_random_weights(n: int, seed: int) -> list[int]:
-    """Random integer weights guaranteed 1/12-proper (unit for small n)."""
+    """Random integer weights guaranteed 1/12-proper (unit for small n).
+
+    Each weight is randint(8, 16)'s draw, 8 + randrange(9), taken straight
+    from getrandbits: 4 bits, drawn again while >= 9.
+    """
     if n < 24:
         return unit_weights(n)
-    rng = random.Random(seed)
-    return [rng.randint(8, 16) for _ in range(n)]
+    getrandbits = random.Random(seed).getrandbits
+    weights = []
+    for _ in range(n):
+        r = getrandbits(4)
+        while r >= 9:
+            r = getrandbits(4)
+        weights.append(8 + r)
+    return weights
 
 
 def heavy_vertex_weights(n: int, seed: int) -> list[int]:

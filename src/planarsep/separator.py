@@ -23,14 +23,12 @@ id-based so both engines agree byte-for-byte.
 
 from __future__ import annotations
 
-import gc
-import threading
-from contextlib import ContextDecorator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .biconnect import biconnect
+from .collector import collector_paused
 from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, next_copy
 from .errors import DegenerateTotal, NotBiconnected, NotProper
 from .treecotree import (
@@ -400,42 +398,6 @@ def separator_from_critical(
         W,
         {"scan": scan, "j": j, "s": s, "triangle_weights": tri_w},
     )
-
-
-class _CollectorPause(ContextDecorator):
-    """Pause the cyclic garbage collector for a block or a call (used as a
-    decorator), then restore it.
-
-    An engine call allocates hundreds of thousands of containers (states,
-    inboxes, messages, lists of ids) and makes no reference cycle, so
-    reference counting frees all it drops, and every collection its
-    allocations would start scans a heap that holds no garbage.  The
-    collector's switch is process-wide, so there is one pause per process,
-    shared by every block that overlaps it, in any thread: the first to
-    enter switches the collector off, and the last to leave, also by an
-    exception, switches it back on if it was on when the first entered.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._was_enabled = False
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._was_enabled = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._was_enabled:
-                gc.enable()
-
-
-collector_paused = _CollectorPause()  # the one pause of the process
 
 
 @collector_paused

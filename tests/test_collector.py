@@ -1,9 +1,10 @@
-"""The engine entry points pause the cyclic garbage collector.
+"""The engine entry points and the instance builders pause the cyclic
+garbage collector.
 
-The pause is safe because an engine run makes no reference cycle, so
-reference counting frees everything it drops; these tests hold the runs to
-that, and hold the pause to restoring the collector's state and to keeping
-every collection out of a call.
+The pause is safe because an engine run or a build makes no reference
+cycle, so reference counting frees everything it drops; these tests hold
+the runs and builds to that, and hold the pause to restoring the
+collector's state and to keeping every collection out of a call.
 """
 
 import gc
@@ -22,7 +23,15 @@ from planarsep import (
     dist_multi,
 )
 from planarsep.dist import part_bfs_trees
-from planarsep.errors import InvalidPartition, NotProper, RoundLimitExceeded, UnknownRoot
+from planarsep.embedding import build_embedding
+from planarsep.errors import (
+    BadParams,
+    InconsistentRotation,
+    InvalidPartition,
+    NotProper,
+    RoundLimitExceeded,
+    UnknownRoot,
+)
 from planarsep.generators import cut_chain, cycle_chords, grid, random_triangulation, two_level_parts
 from planarsep.separator import collector_paused
 
@@ -33,6 +42,18 @@ GRAPHS = {
     "cut_chain": lambda: cut_chain(4, 12, seed=2),
 }
 BACKENDS = ["honest", "charged"]
+
+
+def _ring(n):
+    """An n-cycle's rotation system, as bare head ids."""
+    return [[(v + 1) % n, (v - 1) % n] for v in range(n)]
+
+
+BUILDS = {
+    **GRAPHS,
+    "two_level_parts": lambda: two_level_parts(16, 2),
+    "build_embedding": lambda: build_embedding(300, _ring(300)),
+}
 
 
 def _unreachable_after(run) -> int:
@@ -64,6 +85,12 @@ def test_runs_make_no_reference_cycles(name, backend):
     assert _unreachable_after(run) == 0
 
 
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_builds_make_no_reference_cycles(name):
+    # the built graph is dropped too, so a cycle inside it counts
+    assert _unreachable_after(BUILDS[name]) == 0
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_multi_part_runs_make_no_reference_cycles(backend):
     g, part_of = two_level_parts(16, 2)
@@ -72,12 +99,15 @@ def test_multi_part_runs_make_no_reference_cycles(backend):
 
 
 def _calls():
-    """(name, call, error or None) for each entry point, returning and
-    raising."""
+    """(name, call, error or None) for each entry point and paused
+    builder, returning and raising."""
     g = grid(4, 4)
     t = bfs_tree(g, 0)
     heavy = [100] + [1] * 15
-    return [
+    builds = [(name, BUILDS[name], None) for name in sorted(BUILDS)]
+    return builds + [
+        ("random_triangulation BadParams", lambda: random_triangulation(2, 0), BadParams),
+        ("build_embedding InconsistentRotation", lambda: build_embedding(3, [[1], [2], [0]]), InconsistentRotation),
         ("compute_separator", lambda: compute_separator(g, t), None),
         ("dist_compute_separator", lambda: dist_compute_separator(g, t), None),
         ("dist_multi", lambda: dist_multi(g, [0] * 16, {0: t}), None),
@@ -171,6 +201,30 @@ def test_no_collection_starts_inside_a_call():
         dist_compute_separator(g, tree, backend="charged")
         dist_multi(g2, part_of, trees)
         dist_bfs(g, 0)
+    finally:
+        gc.callbacks.remove(note)
+    assert inside == []
+
+
+def test_no_collection_starts_inside_a_build():
+    # without the pause, building these instances starts over a hundred
+    # collections, most of them in the random triangulation's flip loop
+    # and in build_embedding
+    inside = []
+
+    def note(phase, info):
+        if phase == "start" and _inside_engine(sys._getframe(1)):
+            inside.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        grid(64, 64)
+        random_triangulation(2000, seed=1)
+        cycle_chords(600, 100, seed=1)
+        two_level_parts(32, 4)
+        build_embedding(4000, _ring(4000))
     finally:
         gc.callbacks.remove(note)
     assert inside == []

@@ -107,6 +107,30 @@ def test_random_proper_weights_property(n, seed):
     assert check_proper(proper_random_weights(n, seed), Fraction(1, 12)).proper
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(24, 300), seed=st.integers(0, 2**64))
+def test_random_proper_weights_match_randint(n, seed):
+    """The inlined draws give randint(8, 16)'s stream exactly."""
+    rng = random.Random(seed)
+    assert proper_random_weights(n, seed) == [rng.randint(8, 16) for _ in range(n)]
+
+
+# sha256 of repr(proper_random_weights(n, seed)): the weights of the
+# benchmark's tri-wide (5000, seeds 1 and 2) and grid (4096, seed 1)
+# instances, identical on Python 3.10 to 3.13
+WEIGHT_DIGESTS = {
+    (5000, 1): "c0ee03e8f0b83047433ef0d1e875e32056624a4e97f1b984257d472c2e42d4f7",
+    (5000, 2): "4cfa561fc5b05f9e9072a9232e9f917ff84942c221a0d5a05e97dcf76bd02387",
+    (4096, 1): "bf73f3ab634c5b38ff1b70cb58e1c27ea5bf3704c70f3b79be5c93041c8f0c31",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(WEIGHT_DIGESTS))
+def test_benchmark_weights_pinned(n, seed):
+    weights = proper_random_weights(n, seed)
+    assert hashlib.sha256(repr(weights).encode()).hexdigest() == WEIGHT_DIGESTS[n, seed]
+
+
 # -- random_triangulation against the flip rule it replaced ----------------
 
 
@@ -167,7 +191,10 @@ class _ScanTriangulation:
 
 
 def _scan_triangulation(n, seed, flips=None):
-    """The rotation system and landed flips the oracle rule gives."""
+    """The rotation system and landed flips the oracle rule gives.
+
+    It draws with rng.randrange, so it is also the oracle for the
+    generator's flip draws taken straight from getrandbits."""
     rng = random.Random(seed)
     tri = _ScanTriangulation()
     for _ in range(n - 3):
