@@ -215,7 +215,7 @@ def random_triangulation(n: int, seed: int, flips: int | None = None, weights=No
         if i2 in across[i1] and tri.flip(i1, i2):
             done += 1
     rotation = tri.rot
-    del tri  # its face lists are not needed to embed; free them first
+    del tri, across  # its face lists are not needed to embed; free them first
     return build_embedding(n, rotation, weights, infinite_face_hint=Dart(1, 0))
 
 
