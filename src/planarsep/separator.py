@@ -115,7 +115,7 @@ def find_balanced_or_critical(pair: TreeCotreePair, face_weight: Sequence[int]) 
     number order is id order, so the picks are the id-based ones."""
     sums = dual_subtree_sums(pair, face_weight)
     kind, face, subtree, depth = _pick_node(
-        pair.dual.nodes, pair.dual_root, pair.dual_parent, sums, pair.dual_depth
+        range(len(pair.dual_parent)), pair.dual_root, pair.dual_parent, sums, pair.dual_depth
     )
     return NodeVerdict(
         kind=kind,

@@ -5,17 +5,22 @@ T* = E \\ T spans the dual, and the fundamental cycle of a non-tree edge
 equals the fundamental cut of its dual edge.  The dual tree is rooted at
 the face of R, the tree root's first rotation dart, where the contour of
 T starts; the message-passing engine roots it there too, with no
-election, so both produce identical rooted structures.  Faces are named
-by their numbers (see embedding.py), so the dual tree is a set of flat
-lists indexed by face number.
+election, so both produce identical rooted structures.  Both engines read
+T* off that contour (Euler tour; Tarjan and Vishkin 1985): `cotree`
+walks it once, with a stack of the cotree intervals open at each
+position, and lists the faces in contour pre-order.  Faces are named by
+their numbers (see embedding.py), so the dual tree is a set of flat lists
+indexed by face number; the dual graph and the cotree edge set are
+computed only when read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import Hashable, Iterable, Mapping, MutableMapping, Sequence
+from typing import Hashable, Iterable, Mapping, MutableMapping, NoReturn, Sequence
 
 from .embedding import DualGraph, EdgeId, EmbeddedPlanarGraph, build_dual
 from .errors import (
@@ -202,85 +207,119 @@ class TreeCotreePair:
     root's first rotation dart.
 
     The dual_* lists are indexed by face number; the root's parent and
-    parent edge are None.
+    parent edge are None.  dual_order is the contour pre-order: the root
+    first, then the faces as the contour of T enters them, so every face
+    comes after its parent and every dual subtree is one contiguous run
+    that starts at its root.  `dual` and `cotree_edges` are computed the
+    first time they are read (the separator reads neither) and then kept.
     """
 
     graph: EmbeddedPlanarGraph
     tree: SpanningTree
-    cotree_edges: set[EdgeId]
-    dual: DualGraph
     dual_root: int
-    dual_order: list[int]  # BFS order: the root first, every face after its parent
+    dual_order: list[int]
     dual_parent: list[int | None]
     dual_parent_edge: list[EdgeId | None]
     dual_depth: list[int]
 
+    @cached_property
+    def dual(self) -> DualGraph:
+        return build_dual(self.graph)
+
+    @cached_property
+    def cotree_edges(self) -> set[EdgeId]:
+        # T* spans the dual, so every cotree edge is some face's parent edge
+        return {e for e in self.dual_parent_edge if e is not None}
+
 
 def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     """T* = E \\ T, rooted at the face of R (the tree root's first rotation
-    dart), with parent pointers.
+    dart), with parent pointers, read off one walk of the contour of T.
 
-    Everything is read off the dual's edges, which come in sorted edge
-    order: the cotree is the dual edges whose primal is not in T, so the
-    adjacency lists (and the first bridge reported) follow that order.
-    NoFace on an edgeless graph, whose dual tree has no node to root.
+    The contour (Euler tour) starts at R; a tree dart d is followed by
+    succ(rev(d)), any other dart by succ(d), and a position lies on the
+    face of its dart.  Every cotree edge spans the interval (i, j] between
+    its two darts' positions, and the intervals nest: the first dart of an
+    edge opens its interval and lies outside it, the second closes it and
+    lies inside.  So a stack of open intervals gives each face its dual
+    parent edge (the innermost interval, opened just before the face is
+    first met), its parent (the face of that edge's opening dart) and its
+    depth (the stack height).
+
+    T is a spanning tree exactly when its n - 1 edges are edges of g and
+    the walk returns to R after all 2m darts (Euler's formula on T's own
+    embedding).  Only when that fails is the reason looked for:
+    NotSpanningTree names the first bridge missing from T in sorted edge
+    order, or says that the cotree does not span the dual.  NoFace on an
+    edgeless graph, whose dual tree has no node to root.
     """
     if not g.faces:
         raise NoFace("an edgeless graph has no face to root the dual tree at")
-    dual = build_dual(g)
-    tree_edges = tree.edges
-    in_tree = 0
-    bridge = None
-    co_edge: list[EdgeId] = []
-    co_ends: list[int] = []  # face_a ^ face_b: either end gives the other
-    adj: list[list[int]] = [[] for _ in dual.nodes]  # cotree edge indices
-    for e, fa, fb in dual.dual_edges:
-        if e in tree_edges:
-            in_tree += 1
-        elif fa == fb:
-            if bridge is None:
-                bridge = e
-        else:
-            adj[fa].append(len(co_edge))
-            adj[fb].append(len(co_edge))
-            co_edge.append(e)
-            co_ends.append(fa ^ fb)
-    # primal edges are distinct, so T lies in E iff all |T| edges are met
-    if in_tree != len(tree_edges) or len(tree_edges) != g.n - 1:
+    table = g.dart_table
+    index, rev, triple = table.index, table.rev, table.triple
+    face = g.dart_face
+    # nxt is the contour successor, in_tree the tree darts by id
+    nxt = table.succ[:]
+    in_tree = [False] * len(table)
+    for e in tree.edges:
+        d = index.get(e)
+        if d is None or e[0] > e[1]:  # an edge is named by its dart a -> b, a < b
+            raise NotSpanningTree("tree is not a spanning tree of the graph")
+        r = rev[d]
+        in_tree[d] = in_tree[r] = True
+        nxt[d], nxt[r] = nxt[r], nxt[d]
+    if len(tree.edges) != g.n - 1:
         raise NotSpanningTree("tree is not a spanning tree of the graph")
-    if bridge is not None:
-        # a bridge can never be a cotree edge: bridges lie in every
-        # spanning tree, so e in T* means the tree was not spanning
-        raise NotSpanningTree(f"bridge {bridge} missing from the tree")
 
-    root = g.dart_face[g.dart_table.rot[tree.root][0]]
-    parent: list[int | None] = [None] * len(dual.nodes)
-    parent_edge: list[EdgeId | None] = [None] * len(dual.nodes)
-    depth = [-1] * len(dual.nodes)
-    depth[root] = 0
-    order = [root]
-    for f in order:
-        below = depth[f] + 1
-        for k in adj[f]:
-            h = co_ends[k] ^ f
-            if depth[h] < 0:
-                depth[h] = below
-                parent[h] = f
-                parent_edge[h] = co_edge[k]
-                order.append(h)
-    if len(order) != len(dual.nodes):
-        raise NotSpanningTree("cotree does not span the dual graph")
+    n_faces = len(g.faces)
+    parent: list[int | None] = [None] * n_faces
+    parent_edge: list[EdgeId | None] = [None] * n_faces
+    depth = [0] * n_faces
+    start = table.rot[tree.root][0]  # R
+    order = [face[start]]
+    stack: list[int] = []  # opening darts of the open intervals, innermost last
+    d = start
+    # the walk is a permutation of the darts, so it is back at R by step 2m
+    for steps in range(1, len(table) + 1):
+        if not in_tree[d]:
+            r = rev[d]
+            if stack and stack[-1] == r:
+                stack.pop()
+            else:
+                stack.append(d)
+                # the face inside the interval is first met at the next position
+                f = face[r]
+                parent[f] = face[d]
+                a, b, c = triple[d]
+                parent_edge[f] = (a, b, c) if a < b else (b, a, c)
+                depth[f] = len(stack)
+                order.append(f)
+        d = nxt[d]
+        if d == start:
+            break
+    if steps < len(table):
+        _not_spanning(g, in_tree)
     return TreeCotreePair(
         graph=g,
         tree=tree,
-        cotree_edges=set(co_edge),
-        dual=dual,
-        dual_root=root,
+        dual_root=order[0],
         dual_order=order,
         dual_parent=parent,
         dual_parent_edge=parent_edge,
         dual_depth=depth,
     )
+
+
+def _not_spanning(g: EmbeddedPlanarGraph, in_tree: Sequence[bool]) -> NoReturn:
+    """Why n - 1 edges of g do not form a spanning tree: a bridge left out
+    of T (the first in sorted edge order; a bridge lies in every spanning
+    tree, and its dual edge is a self-loop), or else a cycle in T, which
+    cuts the cotree apart."""
+    face, rev = g.dart_face, g.dart_table.rev
+    for d, (a, b, c) in enumerate(g.dart_table.triple):
+        if a < b and not in_tree[d] and face[d] == face[rev[d]]:
+            raise NotSpanningTree(f"bridge {(a, b, c)} missing from the tree")
+    raise NotSpanningTree("cotree does not span the dual graph")
 
 
 def tree_path(tree: SpanningTree, u: int, v: int) -> list[int]:
@@ -336,12 +375,14 @@ def interior_faces(pair: TreeCotreePair, e_star: EdgeId) -> set[int]:
     if e_star not in pair.cotree_edges:
         raise EdgeNotInCotree(f"{e_star} is not a cotree edge")
     child = pair.dual_parent_edge.index(e_star)
-    below = {child}
-    # BFS order lists every face of the subtree after its root
-    for f in pair.dual_order[pair.dual_order.index(child) + 1 :]:
-        if pair.dual_parent[f] in below:
-            below.add(f)
-    return below
+    order, depth = pair.dual_order, pair.dual_depth
+    # the subtree is the run of the contour pre-order that starts at child
+    # and ends before the next face no deeper than child
+    first = end = order.index(child)
+    end += 1
+    while end < len(order) and depth[order[end]] > depth[child]:
+        end += 1
+    return set(order[first:end])
 
 
 def top_down(
@@ -414,7 +455,8 @@ def dot_export(pair: TreeCotreePair, path: Iterable[int] = ()) -> str:
     for i, face in enumerate(g.faces):
         fid = face.id
         out.append(f'  f{i} [label="{fid.tail},{fid.head},{fid.copy}", shape=box];')
-    for f in pair.dual_order[1:]:
-        out.append(f'  f{f} -- f{pair.dual_parent[f]} [kind="dualtree", style="dotted"];')
+    for f, p in enumerate(pair.dual_parent):
+        if p is not None:
+            out.append(f'  f{f} -- f{p} [kind="dualtree", style="dotted"];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from planarsep import (
     biconnect,
     build_dual,
     build_embedding,
+    compute_separator,
     cotree,
     dual_subtree_sums,
     fundamental_cut,
@@ -35,7 +37,8 @@ from planarsep.generators import (
     random_triangulation,
     two_level_parts,
 )
-from planarsep.oracles import enclosed_faces, face_ids
+from planarsep.harness import generate, standard_suite
+from planarsep.oracles import contour_dual_tree, enclosed_faces, face_ids
 from planarsep.treecotree import (
     SpanningTree,
     dot_export,
@@ -213,10 +216,25 @@ def test_tree_path_endpoints(grid4, grid4_tree):
     assert len(p) <= 2 * grid4_tree.height() + 1
 
 
+GOLDEN = Path(__file__).parent / "golden"  # grid4.dot: run this file as a script to rewrite it
+
+
+def _grid4_dot():
+    g = grid(4, 4)
+    tree = bfs_tree(g, 0)
+    return dot_export(cotree(g, tree), compute_separator(g, tree).path)
+
+
 def test_dot_export_mentions_kinds(grid4, grid4_tree):
     pair = cotree(grid4, grid4_tree)
     dot = dot_export(pair)
     assert 'kind="tree"' in dot and 'kind="cotree"' in dot and "graph" in dot
+
+
+def test_dot_export_golden_bytes():
+    """The dual-tree lines come in face-number order, so the bytes do not
+    depend on the order cotree meets the faces in."""
+    assert _grid4_dot().encode() == (GOLDEN / "grid4.dot").read_bytes()
 
 
 # -- build_dual and cotree against the per-edge reference ------------------------
@@ -224,9 +242,11 @@ def test_dot_export_mentions_kinds(grid4, grid4_tree):
 # The reference below finds each edge's two faces with oracles.face_ids (a
 # walk with g.face_succ that reads neither g.dart_table nor g.dart_face),
 # edge by edge in sorted order, numbers them by their place in g.faces, and
-# roots the cotree from that in dicts; build_dual and cotree must give every
-# DualGraph and TreeCotreePair field the same value, BFS order included, and
-# raise NotSpanningTree with the same message.
+# roots the cotree from that in dicts by a BFS; build_dual and cotree must
+# give every DualGraph and TreeCotreePair field the same value, children
+# compared as sorted lists, and raise NotSpanningTree with the same message.
+# cotree lists the faces in contour pre-order, not in the reference's BFS
+# order, so dual_order is held to the pre-order property instead.
 
 
 def _reference_endpoints(g, faces, e):
@@ -286,17 +306,35 @@ def _assert_matches_reference(g, tree):
     assert pair.cotree_edges == ref_co
     assert pair.dual == ref_dual
     assert pair.dual_root == root
-    assert pair.dual_order == list(parent)
     for got, want in (
         (pair.dual_parent, parent),
         (pair.dual_parent_edge, parent_edge),
         (pair.dual_depth, depth),
     ):
         assert got == [want[f] for f in ref_dual.nodes]
+    assert all(type(e) is tuple for e in pair.dual_parent_edge if e is not None)
+    _assert_contour_preorder(pair)
     got_children = {f: [] for f in ref_dual.nodes}
     for h in pair.dual_order[1:]:
         got_children[pair.dual_parent[h]].append((pair.dual_parent_edge[h], h))
-    assert list(got_children.items()) == list(children.items())
+    assert {f: sorted(kids) for f, kids in got_children.items()} == children
+
+
+def _assert_contour_preorder(pair):
+    """dual_order lists every face once, the dual root first, and each
+    face's subtree (found from the parent pointers alone) is the one
+    contiguous run of dual_order that starts at the face."""
+    order, parent = pair.dual_order, pair.dual_parent
+    assert sorted(order) == list(range(len(parent)))
+    assert order[0] == pair.dual_root and parent[order[0]] is None
+    subtree = {f: {f} for f in order}
+    for h in order:
+        p = parent[h]
+        while p is not None:
+            subtree[p].add(h)
+            p = parent[p]
+    for i, f in enumerate(order):
+        assert set(order[i : i + len(subtree[f])]) == subtree[f]
 
 
 def _random_spanning_tree(g, rng):
@@ -364,7 +402,60 @@ def test_dual_parent_lists_every_face_after_its_parent(g):
         position = {f: i for i, f in enumerate(order)}
         for f in order[1:]:
             assert position[pair.dual_parent[f]] < position[f]
-        assert [pair.dual_depth[f] for f in order] == sorted(pair.dual_depth)
+        _assert_contour_preorder(pair)
+
+
+# -- the contour-interval oracle ---------------------------------------------------
+#
+# oracles.contour_dual_tree walks the contour of T with g.face_succ and
+# g.rot_next, checks that the cotree intervals nest, name the faces, give
+# their sizes and leaves, and that D is a +-1 prefix sum; its dual tree
+# must be cotree's.
+
+
+def _assert_cotree_matches_contour(g, tree):
+    oracle = contour_dual_tree(g, tree)
+    pair = cotree(g, tree)
+    ids = [f.id for f in g.faces]
+    assert oracle.parent == {
+        ids[f]: None if p is None else ids[p] for f, p in enumerate(pair.dual_parent)
+    }
+    assert oracle.parent_edge == dict(zip(ids, pair.dual_parent_edge))
+    assert oracle.depth == dict(zip(ids, pair.dual_depth))
+    assert set(oracle.intervals) == pair.cotree_edges
+
+
+def _single_part_suite_sample():
+    """Every fourth single-part suite instance up to 250 vertices, bi-connected."""
+    for spec in standard_suite(max_n=250)[::4]:
+        g, part_of = generate(spec.generator, spec.params, spec.seed)
+        if part_of is None:
+            yield pytest.param(biconnect(g), id=spec.name)
+
+
+@pytest.mark.parametrize("g", list(_single_part_suite_sample()))
+def test_contour_intervals_name_the_faces_on_suite_graphs(g):
+    for root in (0, g.n // 2, g.n - 1):
+        _assert_cotree_matches_contour(g, bfs_tree(g, root))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["grid", "triangulation", "chords", "cut-chain"]),
+    size=st.integers(3, 9),
+    seed=st.integers(0, 10**6),
+)
+def test_contour_intervals_name_the_faces_on_random_trees(family, size, seed):
+    rng = random.Random(seed)
+    if family == "grid":
+        g = grid(size, rng.randint(2, 9))
+    elif family == "triangulation":
+        g = random_triangulation(size * 8, seed)
+    elif family == "chords":
+        g = cycle_chords(size * 4, rng.randint(0, size * 2), seed)
+    else:
+        g = biconnect(cut_chain(2 + size % 3, size, seed))
+    _assert_cotree_matches_contour(g, _random_spanning_tree(g, rng))
 
 
 def _bare_tree(edges, root=0):
@@ -396,6 +487,63 @@ def test_cotree_rejections_keep_their_messages(graph, edges, message):
         _reference_cotree(graph, _bare_tree(edges))
     with pytest.raises(NotSpanningTree, match=f"^{re.escape(message)}$"):
         cotree(graph, _bare_tree(edges))
+
+
+def _with_pendant(g):
+    """g with one more vertex, hanging from vertex 0 by a bridge."""
+    rot = [list(row) for row in g.rotation]
+    rot[0].insert(0, Dart(0, g.n, 0))
+    rot.append([Dart(g.n, 0, 0)])
+    return build_embedding(g.n + 1, rot)
+
+
+REJECTION_GRAPHS = [
+    grid(3, 4),
+    grid(4, 4),
+    random_triangulation(12, 1),
+    random_triangulation(20, 4),
+    cycle_chords(14, 3, 2),
+    biconnect(cut_chain(2, 5, 3)),
+    _with_pendant(grid(3, 3)),
+    _with_pendant(random_triangulation(10, 2)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, len(REJECTION_GRAPHS) - 1),
+    seed=st.integers(0, 10**6),
+    draw=st.sampled_from(["subset", "tree", "swapped"]),
+    flaw=st.sampled_from([None, None, "reversed", "non-edge"]),
+)
+def test_cotree_rejects_as_the_reference_does(which, seed, draw, flaw):
+    """n - 1 edges of g drawn at random (a subset, a spanning tree, or a
+    spanning tree with one edge swapped), perhaps with one triple reversed
+    or one edge g does not have: cotree raises exactly the reference's
+    message, bridges printed as plain tuples, or both accept and agree."""
+    g = REJECTION_GRAPHS[which]
+    rng = random.Random(seed)
+    if draw == "subset":
+        edges = rng.sample(g.edges(), g.n - 1)
+    else:
+        edges = sorted(_random_spanning_tree(g, rng).edges)
+        if draw == "swapped":
+            edges.remove(rng.choice(edges))
+            edges.append(rng.choice(sorted(set(g.edges()) - set(edges))))
+    i = rng.randrange(len(edges))
+    a, b, c = edges[i]
+    if flaw == "reversed":
+        edges[i] = (b, a, c)
+    elif flaw == "non-edge":
+        edges[i] = (a, b, c + 1)
+    tree = _bare_tree(edges, rng.randrange(g.n))
+    try:
+        _reference_cotree(g, tree)
+    except NotSpanningTree as exc:
+        with pytest.raises(NotSpanningTree, match=f"^{re.escape(str(exc))}$"):
+            cotree(g, tree)
+    else:
+        _assert_matches_reference(g, tree)
 
 
 def test_one_vertex_graph_has_no_dual_tree():
@@ -479,3 +627,7 @@ def test_require_part_tree_matches_the_dart_search(which, seed, mutations):
     )
     if not mutations:
         assert _verdict(require_part_tree, g, tree, members)
+
+
+if __name__ == "__main__":
+    (GOLDEN / "grid4.dot").write_bytes(_grid4_dot().encode())
