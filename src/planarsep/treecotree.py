@@ -375,14 +375,12 @@ def interior_faces(pair: TreeCotreePair, e_star: EdgeId) -> set[int]:
     if e_star not in pair.cotree_edges:
         raise EdgeNotInCotree(f"{e_star} is not a cotree edge")
     child = pair.dual_parent_edge.index(e_star)
-    order, depth = pair.dual_order, pair.dual_depth
-    # the subtree is the run of the contour pre-order that starts at child
-    # and ends before the next face no deeper than child
-    first = end = order.index(child)
-    end += 1
-    while end < len(order) and depth[order[end]] > depth[child]:
-        end += 1
-    return set(order[first:end])
+    below = {child}
+    # dual_order lists every face of the subtree after its root
+    for f in pair.dual_order[pair.dual_order.index(child) + 1 :]:
+        if pair.dual_parent[f] in below:
+            below.add(f)
+    return below
 
 
 def top_down(
