@@ -18,6 +18,7 @@ from .generators import WEIGHT_SCHEMES
 from .graphio import parse_graph, write_graph
 from .harness import (
     ENGINES,
+    GENERATOR_PARAMS,
     ExperimentSpec,
     _instance_weights,
     generate,
@@ -30,40 +31,45 @@ from .separator import compute_separator, require_proper
 from .treecotree import bfs_tree
 from .verify import verify_separator
 
-_GEN_PARAMS = {
-    "grid": ("rows", "cols"),
-    "cylinder": ("height", "width"),
-    "random-triangulation": ("n",),
-    "cycle-chords": ("n", "chords"),
-    "two-level-parts": ("size", "parts_per_side"),
-    "joined-grids": ("rows", "cols"),
-    "cut-chain": ("blobs", "blob_size"),
-    "pinned-critical": (),
-}
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
 
-def _gen_params(args) -> dict:
-    """The generator parameters of --kind; BadParams when one is missing."""
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    """One int flag per generator parameter name in GENERATOR_PARAMS."""
+    for name in dict.fromkeys(k for params in GENERATOR_PARAMS.values() for k in params):
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=None)
+
+
+def _kind_spec(args) -> ExperimentSpec:
+    """The one instance that gen or run --kind names; --seed seeds both the
+    generator and the weights.  BadParams when a required parameter of the
+    kind has no flag."""
     if args.kind is None:
         raise BadParams("give --spec, --suite or --kind")
-    params = {k: getattr(args, k) for k in _GEN_PARAMS[args.kind]}
-    missing = ["--" + k.replace("_", "-") for k, x in params.items() if x is None]
+    given = {k: getattr(args, k) for k in GENERATOR_PARAMS[args.kind]}
+    missing = [
+        "--" + k.replace("_", "-") for k, x in given.items()
+        if x is None and GENERATOR_PARAMS[args.kind][k] is None
+    ]
     if missing:
         raise BadParams(f"--kind {args.kind} needs {' '.join(missing)}")
-    return params
+    return ExperimentSpec(
+        name=f"{args.kind}-cli",
+        generator=args.kind,
+        params={k: x for k, x in given.items() if x is not None},
+        weights=args.weights,
+        weight_seed=args.seed,
+        seed=args.seed,
+    )
 
 
 def cmd_gen(args) -> int:
-    params = _gen_params(args)
-    g, part_of = generate(args.kind, params, args.seed)
-    if args.weights != "unit":
-        w = WEIGHT_SCHEMES[args.weights](g.n, args.seed)
-        g.vertex_weight = list(w)
+    spec = _kind_spec(args)
+    g, part_of = generate(spec.generator, spec.params, spec.seed)
+    if spec.weights != "unit":
+        g.vertex_weight = list(_instance_weights(spec, g))
     text = write_graph(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -86,15 +92,7 @@ def cmd_run(args) -> int:
     elif args.suite:
         specs = standard_suite(max_n=args.max_n)
     else:
-        specs = [
-            ExperimentSpec(
-                name=f"{args.kind}-cli",
-                generator=args.kind,
-                params=_gen_params(args),
-                weights=args.weights,
-                seed=args.seed,
-            )
-        ]
+        specs = [_kind_spec(args)]
     # a flag overrides the specs only when it is given
     overrides = {
         key: getattr(args, key)
@@ -215,24 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("kind", choices=sorted(_GEN_PARAMS))
-    for kind, names in _GEN_PARAMS.items():
-        for name in names:
-            flag = "--" + name.replace("_", "-")
-            if not any(flag == a.option_strings[0] for a in g._actions if a.option_strings):
-                g.add_argument(flag, type=int, default=None)
+    g.add_argument("kind", choices=sorted(GENERATOR_PARAMS))
+    _add_generator_flags(g)
     g.add_argument("--weights", choices=sorted(WEIGHT_SCHEMES), default="unit")
     g.add_argument("--parts-out", type=str, default=None)
     _add_common(g)
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("run", help="run experiments and verification")
-    r.add_argument("--kind", choices=sorted(_GEN_PARAMS), default=None)
-    for kind, names in _GEN_PARAMS.items():
-        for name in names:
-            flag = "--" + name.replace("_", "-")
-            if not any(flag == a.option_strings[0] for a in r._actions if a.option_strings):
-                r.add_argument(flag, type=int, default=None)
+    r.add_argument("--kind", choices=sorted(GENERATOR_PARAMS), default=None)
+    _add_generator_flags(r)
     r.add_argument("--spec", type=str, default=None, help="NDJSON spec file")
     r.add_argument("--suite", action="store_true", help="run the standard suite")
     r.add_argument("--max-n", type=int, default=5000)

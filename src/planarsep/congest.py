@@ -35,7 +35,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .embedding import DartTable, EmbeddedPlanarGraph
 from .errors import BitBudgetExceeded, RoundLimitExceeded
@@ -315,51 +315,69 @@ class Partition:
 _UP, _DOWN = 1, 2
 
 
-class _PAProgram(VertexProgram):
-    """Convergecast to each part root, then broadcast the fold back down.
-    A vertex knows (its id, its parent dart or None, its child darts)."""
+class TreeView(NamedTuple):
+    """What a vertex knows of a rooted forest: its id, its dart to its
+    parent (None at a root) and its darts to its children, ascending."""
 
-    def __init__(self, op: str, inputs: Sequence[int]):
+    vid: int
+    parent_dart: Optional[int]
+    child_darts: tuple[int, ...]
+
+
+class TreeFold(VertexProgram):
+    """Folds every vertex's tuple up a rooted forest, elementwise under
+    `op`, then sends each root's fold back down.
+
+    A vertex reads the TreeView fields of its knowledge.  It keeps the
+    fold of its subtree ("acc") and each child's partial by child dart
+    ("kids"), and learns its tree's fold ("fold").  Frames are
+    pack((tag,) + value): the up tag with a partial to the parent, the
+    down tag with the fold to the children; a frame that arrives over the
+    parent dart is the fold, so the two tags may be equal.
+    """
+
+    def __init__(
+        self, op: str, inputs: Sequence[tuple[int, ...]],
+        tags: tuple[int, int] = (_UP, _DOWN), pack: Callable = tuple,
+    ):
         self.f = OPERATORS[op]
         self.inputs = inputs
+        self.up_tag, self.down_tag = tags
+        self.pack = pack
 
     def init(self, know) -> dict:
-        return {"acc": self.inputs[know[0]], "pending": len(know[2]), "sent": False}
+        return {"acc": self.inputs[know.vid], "kids": {}, "fold": None}
 
     def starts(self, know) -> bool:
-        return not know[2]  # a leaf; every other vertex waits for its children
+        return not know.child_darts  # a leaf; every other vertex waits for its children
 
     def step(self, r, know, st, inbox):
-        f = self.f
-        _v, up, down = know
-        for payload in inbox.values():
-            tag, value = payload
-            if tag == _UP:
-                st["acc"] = f(st["acc"], value)
-                st["pending"] -= 1
-            else:
-                st["result"] = value
-                return [(d, payload) for d in down], True
-        if st["pending"] == 0 and not st["sent"]:
-            st["sent"] = True
-            if up is None:
-                st["result"] = st["acc"]
-                msg = (_DOWN, st["acc"])
-                return [(d, msg) for d in down], True
-            return [(up, (_UP, st["acc"]))], False
-        return [], False
+        up, down = know.parent_dart, know.child_darts
+        kids = st["kids"]
+        for k, frame in inbox.items():
+            if k == up:
+                st["fold"] = frame[1:]
+                return [(d, frame) for d in down], True
+            kids[k] = part = frame[1:]
+            st["acc"] = tuple(map(self.f, st["acc"], part))
+        if len(kids) < len(down):
+            return [], False
+        # the last partial is in: this step is the vertex's only one to send up
+        if up is None:
+            st["fold"] = st["acc"]
+            msg = self.pack((self.down_tag,) + st["acc"])
+            return [(d, msg) for d in down], True
+        return [(up, self.pack((self.up_tag,) + st["acc"]))], False
 
 
 PA_BACKENDS = ("honest", "charged")
 
 
-def _tree_channels(
-    darts: DartTable, parent: Sequence[Optional[int]]
-) -> tuple[list[Optional[int]], list[tuple[int, ...]]]:
-    """Each vertex's dart to its parent in a forest (None at a root) and a
-    tuple of its darts to its children, in ascending child id.  A tree
-    edge's channel is the smallest-id dart from the child to the parent,
-    and its reverse."""
+def tree_views(darts: DartTable, parent: Sequence[Optional[int]]) -> list[TreeView]:
+    """Every vertex's TreeView of the forest given by parent pointers.  A
+    tree edge's channel is the smallest-id dart from the child to the
+    parent, and its reverse; children come in ascending id, which is
+    ascending dart id."""
     up: list[Optional[int]] = [None] * len(parent)
     down: list[list[int]] = [[] for _ in parent]
     for v, p in enumerate(parent):
@@ -367,7 +385,7 @@ def _tree_channels(
             up[v] = d = bisect_left(darts.head, p, darts.lo[v], darts.lo[v + 1])
             down[p].append(darts.rev[d])
     # tuples of ints drop out of the collector's tracking; lists never do
-    return up, list(map(tuple, down))
+    return list(map(TreeView, range(len(parent)), up, map(tuple, down)))
 
 
 class PartAggregator:
@@ -403,10 +421,9 @@ class PartAggregator:
         self.sim: Optional[Simulator] = None
         if backend == "charged":
             return
-        up, down = _tree_channels(
+        self.know = tree_views(
             g.dart_table, [trees[pid].parent[v] for v, pid in enumerate(self.part_of)]
         )
-        self.know = list(zip(range(g.n), up, down))
         self.sim = Simulator(g.dart_table, bit_budget=self.budget, scramble=scramble)
 
     def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
@@ -428,9 +445,10 @@ class PartAggregator:
             trace.charged_rounds += self.charge
             return folds
         before = trace.honest_rounds
-        states = self.sim.run(_PAProgram(operator, inputs), self.know, trace, allow_wide=wide)
+        program = TreeFold(operator, [(x,) for x in inputs])
+        states = self.sim.run(program, self.know, trace, allow_wide=wide)
         trace.charged_rounds += max(self.charge, trace.honest_rounds - before)
-        results = [st["result"] for st in states]
+        results = [st["fold"][0] for st in states]
         assert results == folds
         return results
 
@@ -453,23 +471,23 @@ def pa_aggregate(
 
 
 class _BroadcastProgram(VertexProgram):
-    """A vertex knows (whether it is a root, its child darts, the value)."""
+    """Each root sends the value down its tree; a vertex reads the
+    TreeView fields of its knowledge."""
+
+    def __init__(self, value: int):
+        self.msg = (value,)
 
     def starts(self, know) -> bool:
-        return know[0]  # every other vertex waits for the value
+        return know.parent_dart is None  # every other vertex waits for the value
 
     def step(self, r, know, st, inbox):
-        is_root, down, value = know
-        if r == 0 and is_root:
-            st["value"] = value
-            msg = (value,)
-            return [(d, msg) for d in down], True
+        if know.parent_dart is None:  # a root steps once, at round 0
+            st["value"] = self.msg[0]
+            return [(d, self.msg) for d in know.child_darts], True
         for payload in inbox.values():
             st["value"] = payload[0]
-            return [(d, payload) for d in down], True
-        return [], is_root
-
-    # a vertex with a parent keeps waiting until the value arrives
+            return [(d, payload) for d in know.child_darts], True
+        return [], False  # a vertex with a parent waits until the value arrives
 
 
 def broadcast_root(
@@ -481,8 +499,6 @@ def broadcast_root(
     scramble: Optional[int] = None,
 ) -> list[int]:
     """All vertices learn `value` by flooding down the spanning tree."""
-    up, down = _tree_channels(g.dart_table, tree.parent)
-    know = [(d is None, ids, value) for d, ids in zip(up, down)]
     sim = Simulator(g.dart_table, bit_budget=bit_budget, scramble=scramble)
-    states = sim.run(_BroadcastProgram(), know, trace)
+    states = sim.run(_BroadcastProgram(value), tree_views(g.dart_table, tree.parent), trace)
     return [states[v].get("value") for v in range(g.n)]

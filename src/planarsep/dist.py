@@ -19,22 +19,28 @@ head(d), which derives the receiving position locally as the rotation
 successor of the arrival dart.  Everything else runs on T, on single
 cotree edges or ring hops, or by part-wise aggregation.
 
-Phase order: T comes rooted, so each vertex files its parent and child
-darts locally; learn face ids (min-filtered tokens around each ring, then
-one announcement of the minimum that stops one hop short of it), derive
-cotree flags locally, transfer each vertex's weight
-to its minimum face id locally (no face total is formed), compute every
-dual subtree's weight and dart count from prefix sums along the contour
-of T counted from R, the tree root's first dart, whose face is the dual
-root (three frames per tree edge and one exchange across each cotree
-edge; no election), elect a balanced or critical node in three part-wise
-aggregations, claim the endpoints up T and broadcast them, and mark the
-path locally from the claims.  In the critical case, every position on
-the chosen face's ring first reads its virtual triangle's enclosed weight
-off its own contour prefix (the suffix of boundary choice-weights plus
-hanging child subtrees, exactly the sequential engine's formula) and
-sends its heavy bit one hop along the ring, so the first light position
-knows locally that it is the endpoint u.
+T is its edges and its root, the fields the sequential cotree reads too:
+DistPipeline orients it once, and each vertex knows its parent dart and
+its child darts (LocalKnowledge); each of its other darts is a cotree
+dart.
+
+Phase order: T comes rooted, so the tree_root and learn_cotree phases
+are local and empty; learn face ids (min-filtered tokens around each
+ring, then one announcement of the minimum that stops one hop short of
+it), transfer each vertex's weight to its minimum face id locally (no
+face total is formed), compute every dual subtree's weight and dart
+count from prefix sums along the contour of T counted from R, the tree
+root's first dart, whose face is the dual root (three frames per tree
+edge and one exchange across each cotree edge; no election), elect a
+balanced or critical node in three part-wise aggregations, claim the
+endpoints up T and broadcast them (one congest.TreeFold, the program the
+honest aggregation runs on its BFS trees), and mark the path locally
+from the claims.  In the critical case, every position on the chosen
+face's ring first reads its virtual triangle's enclosed weight off its
+own contour prefix (the suffix of boundary choice-weights plus hanging
+child subtrees, exactly the sequential engine's formula) and sends its
+heavy bit one hop along the ring, so the first light position knows
+locally that it is the endpoint u.
 
 All tie-breaks mirror the sequential engine (minimum-id faces and
 parents, maximum-id elections, the dual root at R's face), so results
@@ -53,6 +59,7 @@ from .congest import (
     Partition,
     RoundTrace,
     Simulator,
+    TreeFold,
     VertexProgram,
     default_bit_budget,
     pa_charge,
@@ -155,14 +162,17 @@ class LocalKnowledge:
     only at the vertex's own darts (and at darts named in its messages
     or store), which is what the vertex knows of its rotation.  T comes
     rooted, as dist_bfs leaves it: a vertex knows its parent dart (None at
-    the root) and its child darts, which run_tree_root files in the store
-    without a message.
+    the root) and its child darts, ascending, as DistPipeline finds them
+    from T's edges and root.  Every other own dart is a cotree dart.  So
+    a LocalKnowledge is also the congest.TreeView of T that TreeFold
+    reads.
     """
 
     vid: int
     weight: int
     rotation: tuple[int, ...]       # own dart ids in rotation order
-    tree_darts: tuple[int, ...]     # own dart ids on T, ascending
+    parent_dart: Optional[int]      # own dart id to the parent on T, None at the root
+    child_darts: tuple[int, ...]    # own dart ids to the children on T, ascending
     tree_root: int
     store: dict = field(default_factory=dict)
 
@@ -344,7 +354,7 @@ class ContourProgram(VertexProgram):
 
     def init(self, know: LocalKnowledge) -> dict:
         rot = know.rotation
-        pd = know.store["tree_parent_dart"]
+        pd = know.parent_dart
         k = 0 if pd is None else rot.index(pd) + 1
         return {
             "order": rot[k:] + rot[:k],
@@ -352,7 +362,7 @@ class ContourProgram(VertexProgram):
             "darts": None,       # the subtree's dart count, once its children's are in
             "total_weight": None,
             "total_darts": None,
-            "cuts": sum(know.store["cotree_flag"].values()),
+            "cuts": len(rot) - len(know.child_darts) - (pd is not None),
             "pos": None,         # own dart -> contour position
             "incl": {},          # own dart -> weight marks up to and including it
             "cut": {},           # cotree dart -> T_CUT frame: position and incl of its reverse
@@ -363,13 +373,12 @@ class ContourProgram(VertexProgram):
         }
 
     def starts(self, know: LocalKnowledge) -> bool:
-        return not know.store["tree_children"]  # every other vertex waits for its children
+        return not know.child_darts  # every other vertex waits for its children
 
     def _place(self, know, st, first: int, before: int, out) -> None:
         """Positions and weight prefixes of the own darts, sent down T and
         across T*."""
         corner = know.store["corner"]
-        flags = know.store["cotree_flag"]
         kids = st["kids"]
         pos, incl = {}, st["incl"]
         p, acc = first, before
@@ -384,14 +393,14 @@ class ContourProgram(VertexProgram):
                 count, weight = kids[d]
                 p += count
                 acc += weight
-            elif flags[d]:
+            elif d != know.parent_dart:  # neither a child's dart nor the parent's
                 out.append((d, pack((T_CUT, pos[d], acc))))
         st["pos"] = pos
 
     def _totals(self, know, st, total_weight: int, total_darts: int, out) -> None:
         st["total_weight"], st["total_darts"] = total_weight, total_darts
         msg = pack((T_TOT, total_weight, total_darts))
-        out.extend((d, msg) for _c, d in know.store["tree_children"])
+        out.extend((d, msg) for d in know.child_darts)
 
     def _resolve(self, know, st) -> None:
         """Each cotree edge here: the dual subtree below it (the side whose
@@ -419,7 +428,6 @@ class ContourProgram(VertexProgram):
         st["prefix"] = tuple([incl[d] for d in know.rotation])
 
     def step(self, r, know: LocalKnowledge, st, inbox):
-        store = know.store
         out = []
         for k, frame in inbox.items():
             tag = frame[0]
@@ -438,14 +446,14 @@ class ContourProgram(VertexProgram):
         # at most one new frame per dart and round: the subtree's sums, or at
         # the tree root the totals, then the root's own start
         if st["darts"] is None:
-            if len(st["kids"]) == len(store["tree_children"]):
+            if len(st["kids"]) == len(know.child_darts):
                 st["darts"] = len(st["order"]) + sum(c for c, _w in st["kids"].values())
                 weight = know.weight + sum(w for _c, w in st["kids"].values())
                 if know.vid == know.tree_root:
                     self._totals(know, st, weight, st["darts"], out)
                     st["_wake"] = True  # its start is due next round
                 else:
-                    out.append((store["tree_parent_dart"], pack((T_SUBD, st["darts"], weight))))
+                    out.append((know.parent_dart, pack((T_SUBD, st["darts"], weight))))
         elif st["pos"] is None and know.vid == know.tree_root:
             self._place(know, st, 0, 0, out)
             R = know.rotation[0]
@@ -526,76 +534,29 @@ class PrefixProgram(VertexProgram):
         return [], True
 
 
-# -- endpoint claims and dissemination ------------------------------------------
+# -- endpoint claims -------------------------------------------------------------
 
 
-class ClaimProgram(VertexProgram):
-    """Endpoint claims up T, then the endpoints down T.
-
-    Every vertex knows its own claim at round 0 (see _uv_claim), so one
-    convergecast folds the claims to the tree root, which broadcasts both
-    endpoints.  Each vertex keeps its children's claims: they mark the
-    path.
-    """
-
-    def __init__(self, darts: DartTable):
-        self.tail, self.head = darts.tail, darts.head
-
-    def init(self, know: LocalKnowledge) -> dict:
-        return {
-            "agg_uv": self._uv_claim(know), "kid_uv": {}, "sep_u": None, "sep_v": None,
-            "done": False,
-        }
-
-    def starts(self, know: LocalKnowledge) -> bool:
-        return not know.store["tree_children"]  # every other vertex waits for its children
-
-    def _uv_claim(self, know) -> tuple[int, int]:
-        """(u + 1, v + 1) where this vertex is that endpoint, else 0.  The
-        endpoints of the chosen face's anchor know it; a balanced face is
-        never the dual root, so its anchor is its dual parent dart.  In the
-        virtual case, u learned it from its predecessor's heavy bit."""
-        store = know.store
-        ad = store["case_anchor"]
-        code = store["case_code"]
-        u = v = None
-        if code == CASE_VIRTUAL:
-            u = know.vid if store["prefix_u"] else None
-            v = self.tail[ad] if ad is not None else None
-        elif ad is None:
-            return 0, 0
-        elif code == CASE_BALANCED:
-            u, v = sorted((self.tail[ad], self.head[ad]))
-        else:
-            u, v = self.head[ad], self.tail[ad]
-        me = know.vid
-        return (me + 1 if me == u else 0), (me + 1 if me == v else 0)
-
-    def _broadcast(self, know, st, u: int, v: int, out):
-        st["sep_u"], st["sep_v"] = u - 1, v - 1
-        msg = pack((T_UV, u, v))
-        out.extend((d, msg) for _c, d in know.store["tree_children"])
-        st["done"] = True
-
-    def step(self, r, know: LocalKnowledge, st, inbox):
-        store = know.store
-        out = []
-        heard = r == 0  # a leaf's claim is complete at once
-        for k, frame in inbox.items():
-            if k == store["tree_parent_dart"]:
-                self._broadcast(know, st, frame[1], frame[2], out)
-                continue
-            cu, cv = st["agg_uv"]
-            st["agg_uv"] = (max(cu, frame[1]), max(cv, frame[2]))
-            st["kid_uv"][k] = frame[1:]
-            heard = True
-        if heard and len(st["kid_uv"]) == len(store["tree_children"]):
-            if know.vid == know.tree_root:
-                assert all(st["agg_uv"]), "an endpoint claim is missing"
-                self._broadcast(know, st, *st["agg_uv"], out)
-            else:
-                out.append((store["tree_parent_dart"], pack((T_UV, *st["agg_uv"]))))
-        return out, st["done"]
+def _uv_claim(know: LocalKnowledge, tail: Sequence[int], head: Sequence[int]) -> tuple[int, int]:
+    """(u + 1, v + 1) where this vertex is that endpoint, else 0.  The
+    endpoints of the chosen face's anchor know it; a balanced face is
+    never the dual root, so its anchor is its dual parent dart.  In the
+    virtual case, u learned it from its predecessor's heavy bit."""
+    store = know.store
+    ad = store["case_anchor"]
+    code = store["case_code"]
+    u = v = None
+    if code == CASE_VIRTUAL:
+        u = know.vid if store["prefix_u"] else None
+        v = tail[ad] if ad is not None else None
+    elif ad is None:
+        return 0, 0
+    elif code == CASE_BALANCED:
+        u, v = sorted((tail[ad], head[ad]))
+    else:
+        u, v = head[ad], tail[ad]
+    me = know.vid
+    return (me + 1 if me == u else 0), (me + 1 if me == v else 0)
 
 
 def _one_end(claim: tuple[int, int]) -> bool:
@@ -655,7 +616,9 @@ class DistPipeline:
     turns them back into Darts.  bfs_trees, when
     given, are the partition's part_bfs_trees, which the part-wise
     aggregator then does not rebuild.  tree_roots must name each tree's own
-    root; ConflictingRoot otherwise, before any phase runs.
+    root; ConflictingRoot otherwise, and NotSpanningTree unless each tree's
+    edges span its part (require_part_tree, whose walk orients T), both
+    before any phase runs.
     """
 
     def __init__(
@@ -674,6 +637,9 @@ class DistPipeline:
                 raise ConflictingRoot(
                     f"part {pid}: root {tree_roots[pid]} given, its tree is rooted at {t.root}"
                 )
+        self.members = part_members(part_of)
+        # T is its edges and root: the check's walk orients every tree edge
+        ups = [require_part_tree(g, trees[pid], ms) for pid, ms in self.members.items()]
         self.g = g
         self.config = config
         self.n = g.n
@@ -694,22 +660,20 @@ class DistPipeline:
         self.rank_bits = max(4, max(
             (wire[d][2] for ids in darts.rot for d in ids), default=0
         ).bit_length())
-        # both darts of every tree edge, and each vertex's parent dart, from
-        # the trees' parent edges
-        tree_darts: list[list[int]] = [[] for _ in range(g.n)]
-        self._parent_dart: list[Optional[int]] = [None] * g.n
-        for v, pid in enumerate(part_of):
-            e = trees[pid].parent_edge[v]
-            if e is not None:
-                self._parent_dart[v] = d = darts.index[v, e[0] + e[1] - v, e[2]]
-                tree_darts[v].append(d)
-                tree_darts[darts.head[d]].append(darts.rev[d])
+        # each vertex's parent dart and child darts, from the orientation
+        parent_dart: list[Optional[int]] = [None] * g.n
+        child_darts: list[list[int]] = [[] for _ in range(g.n)]
+        for up in ups:
+            for v, (a, b, c) in up.items():
+                parent_dart[v] = d = darts.index[v, a + b - v, c]
+                child_darts[darts.head[d]].append(darts.rev[d])
         self.know = [
             LocalKnowledge(
                 vid=v,
                 weight=weights[v],
                 rotation=darts.rot[v],
-                tree_darts=tuple(sorted(tree_darts[v])),
+                parent_dart=parent_dart[v],
+                child_darts=tuple(sorted(child_darts[v])),
                 tree_root=tree_roots[pid],
             )
             for v, pid in enumerate(part_of)
@@ -719,7 +683,6 @@ class DistPipeline:
             g, Partition(tuple(part_of)), config.backend, bit_budget=self.budget,
             diameter=self.diameter, scramble=config.scramble, bfs_trees=bfs_trees,
         )
-        self.members = part_members(part_of)
 
     # -- small helpers ------------------------------------------------------
 
@@ -743,22 +706,12 @@ class DistPipeline:
         self.trace.phase(name)
         self.trace.interval_lengths.append(0)
 
-    def _store(self, key: str, values) -> None:
-        for v in range(self.n):
-            self.know[v].store[key] = values[v]
-
     # -- phases --------------------------------------------------------------
 
     def run_tree_root(self):
-        # T comes rooted: each vertex knows its parent dart, and its children
-        # are the heads of its other tree darts, in ascending dart order
+        # T comes rooted: each vertex already knows its parent and child
+        # darts; the 0-round phase stays because perfbench names it
         self._local("tree_root")
-        self._store("tree_parent_dart", self._parent_dart)
-        head = self.darts.head
-        self._store("tree_children", [
-            tuple([(head[d], d) for d in know.tree_darts if d != pd])
-            for know, pd in zip(self.know, self._parent_dart)
-        ])
 
     def run_learn_faces(self):
         self._run(
@@ -767,10 +720,9 @@ class DistPipeline:
         )
 
     def run_learn_cotree(self):
+        # a cotree dart is one that is neither the parent dart nor a child
+        # dart; the 0-round phase stays because perfbench names it
         self._local("learn_cotree")
-        self._store("cotree_flag", [
-            {d: d not in know.tree_darts for d in know.rotation} for know in self.know
-        ])
 
     def run_face_weights(self):
         # each vertex hands its weight to its minimum face id, marked at its
@@ -870,14 +822,26 @@ class DistPipeline:
             publish=("prefix_pos", "prefix_u", "prefix_s"),
         )
 
-    def run_search(self) -> dict[int, dict]:
-        """The endpoint claim wave, as phase mark_search; returns each
-        part's tree-root state, which holds both endpoints."""
+    def run_search(self) -> dict[int, tuple[int, int]]:
+        """The endpoint claim wave, as phase mark_search: every vertex knows
+        its own claim (see _uv_claim), so one TreeFold on T takes the
+        elementwise MAX of the claims up to the tree root and sends both
+        endpoints back down.  Each vertex keeps its subtree's fold and its
+        children's partials, which mark the path.  Returns each part's
+        endpoints (u, v)."""
+        tail, head = self.darts.tail, self.darts.head
+        claims = [_uv_claim(know, tail, head) for know in self.know]
         states = self._run(
-            "mark_search", ClaimProgram(self.darts), charge_units=1,
-            publish=("agg_uv", "kid_uv"),
+            "mark_search", TreeFold("MAX", claims, (T_UV, T_UV), pack), charge_units=1,
         )
-        return {pid: states[self.know[ms[0]].tree_root] for pid, ms in self.members.items()}
+        ends = {}
+        for pid, ms in self.members.items():
+            fold = states[ms[0]]["fold"]
+            assert all(fold), "an endpoint claim is missing"
+            ends[pid] = (fold[0] - 1, fold[1] - 1)
+        for know, st in zip(self.know, states):
+            know.store["agg_uv"], know.store["kid_uv"] = st["acc"], st["kids"]
+        return ends
 
     def run_mark(self):
         # a tree edge is on the path iff the subtree below it holds exactly
@@ -885,25 +849,22 @@ class DistPipeline:
         self._local("mark_path")
         for know in self.know:
             store = know.store
-            darts = [d for _c, d in store["tree_children"] if _one_end(store["kid_uv"][d])]
+            darts = [d for d in know.child_darts if _one_end(store["kid_uv"][d])]
             if _one_end(store["agg_uv"]):  # never at the root, which holds both
-                darts.append(store["tree_parent_dart"])
+                darts.append(know.parent_dart)
             store["path_darts"] = tuple(sorted(darts))
 
     # -- assembly -------------------------------------------------------------
 
-    def assemble(self, per_part_search: dict[int, dict]) -> dict[int, DistSeparatorOutput]:
-        return {
-            pid: self._assemble_part(pid, per_part_search[pid]) for pid in self.members
-        }
+    def assemble(self, ends: dict[int, tuple[int, int]]) -> dict[int, DistSeparatorOutput]:
+        return {pid: self._assemble_part(pid, *ends[pid]) for pid in self.members}
 
-    def _assemble_part(self, pid: int, root_state: dict) -> DistSeparatorOutput:
+    def _assemble_part(self, pid: int, u: int, v: int) -> DistSeparatorOutput:
         """One part's output, where the dart ids turn back into Darts."""
         dart = self.darts.dart
         members = self.members[pid]
         any_store = self.know[members[0]].store
         code = any_store["case_code"]
-        u, v = root_state["sep_u"], root_state["sep_v"]
 
         views = {}
         for x in members:
@@ -1083,7 +1044,6 @@ def dist_multi(
     if sorted(trees) != list(parts):
         raise InvalidPartition(f"trees for parts {sorted(trees)}, partition has {list(parts)}")
     for pid, members in parts.items():
-        require_part_tree(g, trees[pid], members)
         require_proper([w[v] for v in members], f"part {pid}: ")
     global_rot = _part_knowledge(g, part_of)
     config = PipelineConfig(
@@ -1125,7 +1085,7 @@ def dist_bfs(
     know = [
         LocalKnowledge(
             vid=v, weight=g.vertex_weight[v],
-            rotation=darts.rot[v], tree_darts=(), tree_root=root,
+            rotation=darts.rot[v], parent_dart=None, child_darts=(), tree_root=root,
         )
         for v in range(g.n)
     ]

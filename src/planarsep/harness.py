@@ -36,6 +36,20 @@ from .weights import transfer_weights
 
 ENGINES = ("sequential", "distributed", "both")
 
+# every generator's int parameters with their defaults (None: required);
+# the CLI gives each name one int flag.  cylinder's bool `capped`
+# (default True) is set in a spec only
+GENERATOR_PARAMS: dict[str, dict[str, Optional[int]]] = {
+    "grid": {"rows": None, "cols": None},
+    "cylinder": {"height": None, "width": None},
+    "random-triangulation": {"n": None},
+    "cycle-chords": {"n": None, "chords": 0},
+    "two-level-parts": {"size": None, "parts_per_side": 2},
+    "joined-grids": {"rows": None, "cols": None},
+    "cut-chain": {"blobs": None, "blob_size": None},
+    "pinned-critical": {},
+}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -91,10 +105,12 @@ class ExperimentSpec:
 def generate(kind: str, params: dict, seed: int = 0):
     """Instance dispatcher; returns (graph, partition-or-None).  BadParams
     for an unknown kind, or for a parameter the kind needs that params
-    lacks or that is not of its type (int sizes, bool flags)."""
+    lacks (with no default in GENERATOR_PARAMS) or that is not of its type
+    (int sizes, bool flags)."""
+    defaults = GENERATOR_PARAMS.get(kind, {})
 
     def need(key: str, default=None, typ=int):
-        value = params.get(key, default)
+        value = params.get(key, defaults.get(key, default))
         if value is None:
             raise BadParams(f"generator {kind!r} needs parameter {key!r}")
         if type(value) is not typ:
@@ -109,9 +125,9 @@ def generate(kind: str, params: dict, seed: int = 0):
     if kind == "random-triangulation":
         return random_triangulation(need("n"), seed), None
     if kind == "cycle-chords":
-        return cycle_chords(need("n"), need("chords", 0), seed), None
+        return cycle_chords(need("n"), need("chords"), seed), None
     if kind == "two-level-parts":
-        g, part_of = two_level_parts(need("size"), need("parts_per_side", 2))
+        g, part_of = two_level_parts(need("size"), need("parts_per_side"))
         return g, part_of
     if kind == "joined-grids":
         g, part_of = joined_grids(need("rows"), need("cols"))

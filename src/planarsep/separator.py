@@ -36,10 +36,10 @@ from .treecotree import (
     TreeCotreePair,
     cotree,
     dual_subtree_sums,
+    path_edges,
     sum_up,
     top_down,
     tree_path,
-    _tree_edge_between,
 )
 from .weights import FaceWeighting, check_proper, transfer_weights
 
@@ -227,17 +227,16 @@ def require_proper(weights: Sequence[int], where: str = "") -> None:
 
 
 def sep_records(g: EmbeddedPlanarGraph, tree: SpanningTree, res: SeparatorResult) -> str:
-    """Per-vertex view of the marked path, one canonical line per vertex."""
-    path_edges = {
-        _tree_edge_between(tree, x, y) for x, y in zip(res.path, res.path[1:])
-    }
+    """Per-vertex view of the marked path, one canonical line per vertex.
+    Path edges are looked up in tree.edges by their ends."""
+    marked = path_edges(tree, res.path)
     on_path = set(res.path)
     lines = []
     for x in range(g.n):
         role = "u" if x == res.u else "v" if x == res.v else "p" if x in on_path else "-"
         darts = sorted(
             Dart(x, b if a == x else a, c)
-            for (a, b, c) in path_edges
+            for (a, b, c) in marked
             if x in (a, b)
         )
         lines.append(sep_line(x, role, darts))
@@ -254,7 +253,7 @@ def separator_from_balanced(
     u, v = (a, b) if a < b else (b, a)
     return make_result(
         "balanced",
-        tree_path(pair.tree, u, v),
+        tree_path(pair.tree_parent, u, v),
         ClosingEdge(kind="real", endpoints=(u, v), copy=cp),
         verdict.subtree_weight,
         verdict.total,
@@ -363,7 +362,7 @@ def separator_from_critical(
         # leaf critical face: its boundary minus the anchor edge is a tree
         # path and the strict interior of the face is empty
         u, v = scan.vs[0], scan.vs[-1]
-        path = tree_path(pair.tree, u, v)
+        path = tree_path(pair.tree_parent, u, v)
         assert set(path) == set(scan.vs), "leaf face boundary is not the tree path"
         return make_result(
             "critical-leaf",
@@ -392,7 +391,7 @@ def separator_from_critical(
     )
     return make_result(
         "critical-virtual",
-        tree_path(pair.tree, u, v),
+        tree_path(pair.tree_parent, u, v),
         closing,
         s_next,
         W,

@@ -35,6 +35,11 @@ from .errors import (
 
 @dataclass
 class SpanningTree:
+    """A rooted spanning tree.  Both engines read only edges and root, and
+    orient T from them; parent, parent_edge and depth are its builder's
+    orientation, which the BFS trees of part-wise aggregation and
+    broadcast_root use."""
+
     root: int
     parent: list[int | None]
     parent_edge: list[EdgeId | None]
@@ -128,28 +133,33 @@ def part_bfs_trees(
 
 def require_part_tree(
     g: EmbeddedPlanarGraph, tree: SpanningTree, members: Sequence[int]
-) -> None:
+) -> dict[int, EdgeId]:
     """NotSpanningTree unless tree's edges are edges of g that join exactly
     `members` into one tree containing tree.root.  Walks the tree's own
-    edges, each looked up in g.dart_table."""
+    edges from tree.root, each looked up in g.dart_table, and returns the
+    orientation the walk finds: every member but the root maps to its edge
+    towards the root.  tree.parent, parent_edge and depth are not read."""
     inside = set(members)
     index = g.dart_table.index
-    adj: dict[int, list[int]] = {v: [] for v in inside}
+    adj: dict[int, list[tuple[int, EdgeId]]] = {v: [] for v in inside}
     for e in tree.edges:
         a, b, _copy = e
         if a < b and a in inside and b in inside and e in index:  # e is the dart a -> b
-            adj[a].append(b)
-            adj[b].append(a)
+            adj[a].append((b, e))
+            adj[b].append((a, e))
+    up: dict[int, EdgeId] = {}
     reached = {tree.root} & inside
     stack = list(reached)
     while stack:
-        for u in adj[stack.pop()]:
+        for u, e in adj[stack.pop()]:
             if u not in reached:
                 reached.add(u)
+                up[u] = e
                 stack.append(u)
     # connected through its own edges, with no edge to spare
     if reached != inside or len(tree.edges) != len(members) - 1:
         raise NotSpanningTree(f"tree rooted at {tree.root} does not span its part")
+    return up
 
 
 def diameter_estimate(g: EmbeddedPlanarGraph) -> int:
@@ -206,8 +216,11 @@ class TreeCotreePair:
     """T and its cotree T*, the dual tree rooted at the face of R, the tree
     root's first rotation dart.
 
-    The dual_* lists are indexed by face number; the root's parent and
-    parent edge are None.  dual_order is the contour pre-order: the root
+    tree_parent is each vertex's parent on T as the contour walk finds it,
+    from T's edges and root alone (None at the root); tree_path and the
+    separator read T's orientation there, not in tree.parent.  The dual_*
+    lists are indexed by face number; the root's parent and parent edge
+    are None.  dual_order is the contour pre-order: the root
     first, then the faces as the contour of T enters them, so every face
     comes after its parent and every dual subtree is one contiguous run
     that starts at its root.  `dual` and `cotree_edges` are computed the
@@ -216,6 +229,7 @@ class TreeCotreePair:
 
     graph: EmbeddedPlanarGraph
     tree: SpanningTree
+    tree_parent: list[int | None]
     dual_root: int
     dual_order: list[int]
     dual_parent: list[int | None]
@@ -244,7 +258,9 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     lies inside.  So a stack of open intervals gives each face its dual
     parent edge (the innermost interval, opened just before the face is
     first met), its parent (the face of that edge's opening dart) and its
-    depth (the stack height).
+    depth (the stack height).  The walk goes down each tree edge before it
+    comes back up, so the dart over which it first reaches a vertex comes
+    from the vertex's parent.
 
     T is a spanning tree exactly when its n - 1 edges are edges of g and
     the walk returns to R after all 2m darts (Euler's formula on T's own
@@ -255,8 +271,10 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     """
     if not g.faces:
         raise NoFace("an edgeless graph has no face to root the dual tree at")
+    if not 0 <= tree.root < g.n:
+        raise NotSpanningTree(f"tree root {tree.root} is not a vertex of the graph")
     table = g.dart_table
-    index, rev, triple = table.index, table.rev, table.triple
+    index, rev, triple, head = table.index, table.rev, table.triple, table.head
     face = g.dart_face
     # nxt is the contour successor, in_tree the tree darts by id
     nxt = table.succ[:]
@@ -278,10 +296,15 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     start = table.rot[tree.root][0]  # R
     order = [face[start]]
     stack: list[int] = []  # opening darts of the open intervals, innermost last
+    tree_parent: list[int | None] = [-1] * g.n  # -1: not yet reached
+    tree_parent[tree.root] = None
     d = start
     # the walk is a permutation of the darts, so it is back at R by step 2m
     for steps in range(1, len(table) + 1):
-        if not in_tree[d]:
+        if in_tree[d]:
+            if tree_parent[head[d]] == -1:
+                tree_parent[head[d]] = triple[d][0]
+        else:
             r = rev[d]
             if stack and stack[-1] == r:
                 stack.pop()
@@ -302,6 +325,7 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     return TreeCotreePair(
         graph=g,
         tree=tree,
+        tree_parent=tree_parent,
         dual_root=order[0],
         dual_order=order,
         dual_parent=parent,
@@ -322,22 +346,25 @@ def _not_spanning(g: EmbeddedPlanarGraph, in_tree: Sequence[bool]) -> NoReturn:
     raise NotSpanningTree("cotree does not span the dual graph")
 
 
-def tree_path(tree: SpanningTree, u: int, v: int) -> list[int]:
-    """The unique u-to-v path in the tree, via upward walks to the LCA."""
-    pu, pv = [u], [v]
-    a, b = u, v
-    while tree.depth[a] > tree.depth[b]:
-        a = tree.parent[a]
-        pu.append(a)
-    while tree.depth[b] > tree.depth[a]:
-        b = tree.parent[b]
-        pv.append(b)
-    while a != b:
-        a = tree.parent[a]
-        b = tree.parent[b]
-        pu.append(a)
-        pv.append(b)
-    return pu + pv[-2::-1]
+def tree_path(parent: Sequence[int | None], u: int, v: int) -> list[int]:
+    """The unique u-to-v path in the tree given by parent pointers: up from
+    u to the root, then up from v to the first vertex on that walk."""
+    up = [u]
+    while parent[up[-1]] is not None:
+        up.append(parent[up[-1]])
+    at = {x: i for i, x in enumerate(up)}
+    down = [v]
+    while down[-1] not in at:
+        down.append(parent[down[-1]])
+    return up[: at[down[-1]]] + down[::-1]
+
+
+def path_edges(tree: SpanningTree, path: Sequence[int]) -> list[EdgeId]:
+    """The edges of tree.edges between consecutive vertices of path, in path
+    order; a tree has at most one edge between two vertices.  KeyError
+    where two consecutive vertices share no tree edge."""
+    between = {(a, b): (a, b, c) for a, b, c in tree.edges}
+    return [between[min(x, y), max(x, y)] for x, y in zip(path, path[1:])]
 
 
 def fundamental_cycle(pair: TreeCotreePair, e: EdgeId) -> tuple[list[int], set[EdgeId]]:
@@ -345,19 +372,8 @@ def fundamental_cycle(pair: TreeCotreePair, e: EdgeId) -> tuple[list[int], set[E
     if e in pair.tree.edges:
         raise EdgeInTree(f"{e} is a tree edge")
     a, b, _ = e
-    path = tree_path(pair.tree, a, b)
-    cycle_edges = {e}
-    for x, y in zip(path, path[1:]):
-        cycle_edges.add(_tree_edge_between(pair.tree, x, y))
-    return path, cycle_edges
-
-
-def _tree_edge_between(tree: SpanningTree, x: int, y: int) -> EdgeId:
-    if tree.parent[x] == y:
-        return tree.parent_edge[x]
-    if tree.parent[y] == x:
-        return tree.parent_edge[y]
-    raise AssertionError(f"{x},{y} not adjacent in tree")
+    path = tree_path(pair.tree_parent, a, b)
+    return path, {e, *path_edges(pair.tree, path)}
 
 
 def fundamental_cut(pair: TreeCotreePair, e_star: EdgeId) -> set[EdgeId]:
@@ -434,20 +450,18 @@ def dot_export(pair: TreeCotreePair, path: Iterable[int] = ()) -> str:
     """
     g = pair.graph
     on_path = list(path)
-    path_edges = {
-        _tree_edge_between(pair.tree, x, y) for x, y in zip(on_path, on_path[1:])
-    }
+    marked = set(path_edges(pair.tree, on_path))
     out = ["graph treecotree {"]
     for v in range(g.n):
         peri = 2 if v in set(on_path) else 1
         out.append(f'  v{v} [label="{v}", peripheries={peri}];')
     for e in g.edges():
         a, b, c = e
-        kind = "separator" if e in path_edges else (
+        kind = "separator" if e in marked else (
             "tree" if e in pair.tree.edges else "cotree"
         )
         style = "dashed" if e in g.virtual_edges else (
-            "bold" if e in path_edges else "solid"
+            "bold" if e in marked else "solid"
         )
         out.append(f'  v{a} -- v{b} [kind="{kind}", style="{style}", copy="{c}"];')
     for i, face in enumerate(g.faces):

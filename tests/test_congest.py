@@ -14,7 +14,7 @@ from planarsep import (
     broadcast_root,
     pa_aggregate,
 )
-from planarsep.congest import fold, payload_bits
+from planarsep.congest import TreeFold, fold, payload_bits, tree_views
 from planarsep.errors import (
     BitBudgetExceeded,
     InconsistentRotation,
@@ -430,3 +430,65 @@ def test_pa_operators_property(seed, op):
     for r in range(4):
         members = list(range(5 * r, 5 * r + 5))
         assert res[5 * r] == fold(op, [inputs[v] for v in members])
+
+
+def _random_forest(g, rng):
+    """Parent pointers of a random spanning forest of g: a search from a
+    random root that takes its next vertex from anywhere on the frontier,
+    then a random third or less of the vertices cut from their parents."""
+    root = rng.randrange(g.n)
+    parent = [None] * g.n
+    seen = {root}
+    frontier = [(root, u) for u in g.neighbors(root)]
+    while frontier:
+        p, v = frontier.pop(rng.randrange(len(frontier)))
+        if v not in seen:
+            seen.add(v)
+            parent[v] = p
+            frontier.extend((v, u) for u in g.neighbors(v))
+    for v in rng.sample(range(g.n), rng.randrange(g.n // 3 + 1)):
+        parent[v] = None
+    return parent
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.one_of(
+        st.builds(grid, st.integers(2, 6), st.integers(2, 6)),
+        st.builds(random_triangulation, st.integers(4, 40), st.integers(0, 10**6)),
+    ),
+    width=st.integers(1, 3),
+    op=st.sampled_from(["SUM", "MAX"]),
+    tags=st.sampled_from([(1, 2), (16, 16)]),
+    seed=st.integers(0, 10**6),
+    scramble=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_tree_fold_matches_brute_force(g, width, op, tags, seed, scramble):
+    """On a random forest, with tuple inputs: every vertex's subtree fold,
+    each child's partial and its tree's fold are the brute-force folds,
+    with one frame up and one down each tree edge."""
+    rng = random.Random(seed)
+    parent = _random_forest(g, rng)
+    inputs = [tuple(rng.randrange(1024) for _ in range(width)) for _ in range(g.n)]
+    tr = PhaseTrace("fold")
+    sim = Simulator(g.dart_table, bit_budget=10**4, scramble=scramble)
+    states = sim.run(TreeFold(op, inputs, tags), tree_views(g.dart_table, parent), tr)
+
+    below = [[x] for x in range(g.n)]  # each vertex's subtree, by walks up
+    top = list(range(g.n))
+    for x in range(g.n):
+        a = parent[x]
+        while a is not None:
+            below[a].append(x)
+            top[x], a = a, parent[a]
+
+    def brute(vs):
+        return tuple(fold(op, [inputs[x][i] for x in vs]) for i in range(width))
+
+    head = g.dart_table.head
+    for v, st_ in enumerate(states):
+        assert st_["acc"] == brute(below[v])
+        kids = {head[d]: partial for d, partial in st_["kids"].items()}
+        assert kids == {c: brute(below[c]) for c in range(g.n) if parent[c] == v}
+        assert st_["fold"] == brute(below[top[v]])
+    assert tr.messages == 2 * sum(p is not None for p in parent)

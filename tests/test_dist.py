@@ -137,7 +137,8 @@ def test_conflicting_roots_detected(grid4):
     darts = grid4.dart_table
     know = [
         LocalKnowledge(
-            vid=v, weight=grid4.vertex_weight[v], rotation=darts.rot[v], tree_darts=(),
+            vid=v, weight=grid4.vertex_weight[v], rotation=darts.rot[v],
+            parent_dart=None, child_darts=(),
             tree_root=15 if v == 15 else 0,  # vertex 15 believes it is a second root
         )
         for v in range(grid4.n)
@@ -209,7 +210,8 @@ def test_tree_root_learns_the_given_tree(grid4):
     """After run_tree_root each vertex's parent dart and child darts are
     exactly the given tree's parent and children(), for a BFS tree, a
     Hamiltonian path rooted mid-way, the BFS trees of a partition and a
-    path through copy 1 of a tripled edge; the phase sends nothing."""
+    path through copy 1 of a tripled edge; the phase sends nothing, and
+    the child darts ascend."""
     g6 = grid(6, 6)
     snake = tree_from_edges(g6, _snake(6, 6), 14)
     assert snake.height() > bfs_tree(g6, 14).height()
@@ -233,17 +235,16 @@ def test_tree_root_learns_the_given_tree(grid4):
         dart = pipe.darts.dart
         children = {pid: t.children() for pid, t in trees.items()}
         for v, pid in enumerate(part_of):
-            tree, store = trees[pid], pipe.know[v].store
-            pd = store["tree_parent_dart"]
+            tree, know = trees[pid], pipe.know[v]
+            pd = know.parent_dart
             if tree.parent[v] is None:
                 assert pd is None
             else:
                 assert (dart(pd).tail, dart(pd).head) == (v, tree.parent[v])
                 assert dart(pd).edge() == tree.parent_edge[v]
-            assert [c for c, _d in store["tree_children"]] == children[pid][v]
-            assert all(
-                dart(d).tail == v and dart(d).head == c for c, d in store["tree_children"]
-            )
+            assert [dart(d).head for d in know.child_darts] == children[pid][v]
+            assert all(dart(d).tail == v for d in know.child_darts)
+            assert list(know.child_darts) == sorted(know.child_darts)
 
 
 def _darts_in(x):
@@ -275,7 +276,7 @@ def test_no_dart_inside_the_pipeline(name):
         getattr(pipe, "run_" + phase)()
     for know in pipe.know:
         assert list(_darts_in(know.store)) == [], know.vid
-        assert list(_darts_in((know.rotation, know.tree_darts))) == [], know.vid
+        assert list(_darts_in((know.rotation, know.parent_dart, know.child_darts))) == [], know.vid
     assert "path_darts" in pipe.know[0].store
 
 
@@ -495,11 +496,14 @@ def test_scramble_leaves_every_store_equal(grid4):
 
 
 def test_learn_cotree_flags(grid4):
+    """A dart is a cotree dart iff it is neither the parent dart nor a
+    child dart."""
     t = bfs_tree(grid4, 0)
-    stores, _, darts = _full_run(grid4, t)
-    for v in range(grid4.n):
-        for d, is_cotree in stores[v]["cotree_flag"].items():
-            assert is_cotree == (darts.dart(d).edge() not in t.edges)
+    pipe = _pipeline(grid4, [0] * grid4.n, {0: t})
+    for know in pipe.know:
+        for d in know.rotation:
+            is_cotree = d != know.parent_dart and d not in know.child_darts
+            assert is_cotree == (pipe.darts.dart(d).edge() not in t.edges)
 
 
 def test_face_weights_match_sequential(grid4, tri60):
@@ -605,7 +609,8 @@ def _contour(pipe, root):
     oracle for ContourProgram: from the tree root's first dart, a tree dart
     d is followed by succ(rev(d)), any other dart d by succ(d)."""
     darts = pipe.darts
-    tree = {d for know in pipe.know for d in know.tree_darts}
+    tree = {d for know in pipe.know for d in know.child_darts}
+    tree |= {darts.rev[d] for d in tree}
     start = d = darts.rot[root][0]
     contour = []
     while True:
@@ -1235,10 +1240,7 @@ def test_part_knowledge_matches_rebuild_on_random_partitions(g, parts, tiny, see
 
 
 # the programs that step only some vertices at round 0
-STARTS_PROGRAMS = {
-    "BfsProgram", "ContourProgram", "ClaimProgram", "_PAProgram",
-    "_BroadcastProgram",
-}
+STARTS_PROGRAMS = {"BfsProgram", "ContourProgram", "TreeFold", "_BroadcastProgram"}
 STARTS_CASES = {
     "grid6": lambda: _one_part(grid(6, 6)),
     "tri60s3": lambda: _one_part(random_triangulation(60, seed=3)),

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
-from planarsep.cli import main
+from planarsep import cli
+from planarsep.cli import build_parser, main
 from planarsep.errors import BadParams, InsufficientData
 from planarsep.graphio import parse_graph, write_graph
 from planarsep.harness import (
+    GENERATOR_PARAMS,
     ExperimentSpec,
+    _instance_weights,
     generate,
     render_report,
     run_experiment,
@@ -219,6 +222,40 @@ def test_cli_gen_parts(tmp_path):
     ])
     assert rc == 0
     assert parts.read_text().startswith("part 0 0")
+
+
+def test_cli_gen_and_run_seed_the_weights_alike(tmp_path, monkeypatch):
+    """--seed seeds the weights as well as the generator, in gen and in
+    run --kind alike."""
+    from planarsep.generators import WEIGHT_SCHEMES
+
+    params = ["--rows", "6", "--cols", "6", "--weights", "random-proper", "--seed", "3"]
+    out = tmp_path / "g.txt"
+    assert main(["gen", "grid", *params, "--out", str(out)]) == 0
+    written = parse_graph(out.read_text()).vertex_weight
+    assert written == WEIGHT_SCHEMES["random-proper"](36, 3)
+    assert written != WEIGHT_SCHEMES["random-proper"](36, 0)
+    specs = []
+    monkeypatch.setattr(cli, "run_suite", lambda ss: specs.extend(ss) or run_suite(ss))
+    rc = main(["run", "--kind", "grid", *params, "--out", str(tmp_path / "r.ndjson")])
+    assert rc == 0
+    (spec,) = specs
+    g, _ = generate(spec.generator, spec.params, spec.seed)
+    assert _instance_weights(spec, g) == written
+
+
+def test_cli_generator_flags_come_from_the_harness_table(tmp_path):
+    """The CLI's int flags are GENERATOR_PARAMS' names, and a parameter
+    with a default there may be left out on the command line."""
+    names = {k for params in GENERATOR_PARAMS.values() for k in params}
+    for command in ("gen", "run"):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        assert names <= {a.dest for a in sub._actions if a.type is int}
+    out = tmp_path / "g.txt"
+    assert main(["gen", "two-level-parts", "--size", "8", "--out", str(out)]) == 0
+    assert parse_graph(out.read_text()).n == generate("two-level-parts", {"size": 8})[0].n
+    rc = main(["run", "--kind", "cycle-chords", "--n", "12", "--out", str(tmp_path / "r.ndjson")])
+    assert rc == 0
 
 
 def test_cli_run_single(tmp_path):

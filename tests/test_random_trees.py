@@ -5,6 +5,10 @@ Anything the distributed engine derives from the shape of T, such as the
 order in which a walk around the tree meets the darts, must hold for any
 spanning tree, so these draw trees that BFS never produces: Kruskal over
 shuffled edges and randomized depth-first search, rooted anywhere.
+
+A SpanningTree is its edges and its root: both engines orient T from
+those alone, so a tree whose parent, parent_edge or depth disagree with
+its edges, or whose root was moved, gives both the same answer.
 """
 
 import random
@@ -12,6 +16,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from planarsep import (
+    bfs_tree,
     compute_separator,
     dist_compute_separator,
     sep_records,
@@ -26,6 +31,7 @@ from planarsep.generators import (
     proper_random_weights,
     random_triangulation,
 )
+from planarsep.errors import PlanarSepError
 from planarsep.verify import verify_separator
 
 
@@ -96,3 +102,52 @@ def test_engines_agree_on_random_trees(g, tree_kind, seed, scramble):
     assert out.records() == sep_records(g, t, seq)
     assert verify_separator(g, w, seq.path).passed
     assert len(seq.path) <= 2 * t.height() + 1
+
+
+PERTURBED_GRAPHS = st.one_of(
+    st.builds(grid, st.integers(3, 7), st.integers(4, 7)),
+    st.builds(random_triangulation, st.integers(12, 60), st.integers(0, 10**6)),
+    st.builds(cycle_chords, st.integers(12, 40), st.integers(0, 8), st.integers(0, 10**6)),
+)
+
+
+def _outcome(run):
+    """The typed error a run raises, or what it returns."""
+    try:
+        return run()
+    except PlanarSepError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=PERTURBED_GRAPHS,
+    field=st.sampled_from(["root", "parent", "parent_edge", "depth"]),
+    seed=st.integers(0, 10**6),
+)
+def test_engines_agree_on_perturbed_tree_fields(g, field, seed):
+    """One of a BFS tree's root, parent, parent_edge or depth perturbed:
+    both engines raise the same PlanarSepError subclass, or return the
+    same separator and the same sep records.  No other exception escapes
+    either engine."""
+    rng = random.Random(seed)
+    t = bfs_tree(g, 0)
+    v = rng.randrange(1, g.n)
+    if field == "root":
+        t.root = rng.choice([-1, g.n, rng.randrange(g.n)])
+    elif field == "parent":
+        t.parent[v] = rng.choice([None, v, rng.randrange(g.n)])
+    elif field == "parent_edge":
+        t.parent_edge[v] = rng.choice([None, rng.choice(g.edges()), rng.choice(sorted(t.edges))])
+    else:
+        t.depth[v] = rng.choice([-1, 0, t.depth[v] + rng.randrange(1, 4), rng.randrange(g.n)])
+
+    def seq():
+        res = compute_separator(g, t)
+        return serialize_separator(res), sep_records(g, t, res)
+
+    def dist():
+        out, _ = dist_compute_separator(g, t)
+        return serialize_separator(out.result), out.records()
+
+    assert _outcome(seq) == _outcome(dist)

@@ -30,7 +30,7 @@ from planarsep.generators import (
 )
 from planarsep.separator import find_balanced_or_critical_in_tree
 from planarsep.weights import FaceWeighting
-from planarsep.treecotree import _tree_edge_between, dual_subtree_sums, subtree_sums
+from planarsep.treecotree import dual_subtree_sums, path_edges, subtree_sums
 
 GOLDEN = Path(__file__).parent / "golden"  # grid4.sep: run this file as a script to rewrite it
 
@@ -177,7 +177,8 @@ def test_size_bound_large_grid():
 def test_path_is_contiguous_in_tree(grid4, grid4_tree):
     res = compute_separator(grid4, grid4_tree)
     for x, y in zip(res.path, res.path[1:]):
-        assert _tree_edge_between(grid4_tree, x, y) in grid4_tree.edges
+        (e,) = path_edges(grid4_tree, [x, y])  # KeyError unless a tree edge joins them
+        assert e in grid4_tree.edges
 
 
 def test_determinism_bytes(tri60):
