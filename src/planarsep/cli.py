@@ -48,20 +48,14 @@ def _kind_spec(args) -> ExperimentSpec:
     kind has no flag."""
     if args.kind is None:
         raise BadParams("give --spec, --suite or --kind")
-    given = {k: getattr(args, k) for k in GENERATOR_PARAMS[args.kind]}
-    missing = [
-        "--" + k.replace("_", "-") for k, x in given.items()
-        if x is None and GENERATOR_PARAMS[args.kind][k] is None
-    ]
+    table = GENERATOR_PARAMS[args.kind]
+    params = {k: getattr(args, k) for k in table if getattr(args, k) is not None}
+    missing = ["--" + k.replace("_", "-") for k in table if table[k] is None and k not in params]
     if missing:
         raise BadParams(f"--kind {args.kind} needs {' '.join(missing)}")
     return ExperimentSpec(
-        name=f"{args.kind}-cli",
-        generator=args.kind,
-        params={k: x for k, x in given.items() if x is not None},
-        weights=args.weights,
-        weight_seed=args.seed,
-        seed=args.seed,
+        name=f"{args.kind}-cli", generator=args.kind, params=params,
+        weights=args.weights, weight_seed=args.seed, seed=args.seed,
     )
 
 

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from functools import reduce
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .embedding import DartTable, EmbeddedPlanarGraph
 from .errors import BitBudgetExceeded, RoundLimitExceeded
@@ -297,11 +298,7 @@ OPERATORS: dict[str, Callable[[int, int], int]] = {
 
 
 def fold(op: str, values: Sequence[int]) -> int:
-    f = OPERATORS[op]
-    acc = values[0]
-    for x in values[1:]:
-        acc = f(acc, x)
-    return acc
+    return reduce(OPERATORS[op], values)
 
 
 # -- partitions ------------------------------------------------------------
@@ -315,9 +312,12 @@ class Partition:
 _UP, _DOWN = 1, 2
 
 
-class TreeView(NamedTuple):
+@dataclass(slots=True)
+class TreeView:
     """What a vertex knows of a rooted forest: its id, its dart to its
-    parent (None at a root) and its darts to its children, ascending."""
+    parent (None at a root) and its darts to its children, ascending.
+    Slots, not a NamedTuple: programs read the fields as attributes, and
+    slot reads are the fast ones."""
 
     vid: int
     parent_dart: Optional[int]
@@ -331,8 +331,8 @@ class TreeFold(VertexProgram):
     A vertex reads the TreeView fields of its knowledge.  It keeps the
     fold of its subtree ("acc") and each child's partial by child dart
     ("kids"), and learns its tree's fold ("fold").  Frames are
-    pack((tag,) + value): the up tag with a partial to the parent, the
-    down tag with the fold to the children; a frame that arrives over the
+    pack((tag, *value)): the up tag with a partial to the parent, the down
+    tag with the fold to the children; a frame that arrives over the
     parent dart is the fold, so the two tags may be equal.
     """
 
@@ -346,7 +346,7 @@ class TreeFold(VertexProgram):
         self.pack = pack
 
     def init(self, know) -> dict:
-        return {"acc": self.inputs[know.vid], "kids": {}, "fold": None}
+        return {"acc": self.inputs[know.vid], "kids": {}}
 
     def starts(self, know) -> bool:
         return not know.child_darts  # a leaf; every other vertex waits for its children
@@ -363,11 +363,12 @@ class TreeFold(VertexProgram):
         if len(kids) < len(down):
             return [], False
         # the last partial is in: this step is the vertex's only one to send up
+        acc = st["acc"]
         if up is None:
-            st["fold"] = st["acc"]
-            msg = self.pack((self.down_tag,) + st["acc"])
+            st["fold"] = acc
+            msg = self.pack((self.down_tag, *acc))
             return [(d, msg) for d in down], True
-        return [(up, self.pack((self.up_tag,) + st["acc"]))], False
+        return [(up, self.pack((self.up_tag, *acc)))], False
 
 
 PA_BACKENDS = ("honest", "charged")

@@ -19,13 +19,9 @@ head(d), which derives the receiving position locally as the rotation
 successor of the arrival dart.  Everything else runs on T, on single
 cotree edges or ring hops, or by part-wise aggregation.
 
-T is its edges and its root, the fields the sequential cotree reads too:
-DistPipeline orients it once, and each vertex knows its parent dart and
-its child darts (LocalKnowledge); each of its other darts is a cotree
-dart.
-
-Phase order: T comes rooted, so the tree_root and learn_cotree phases
-are local and empty; learn face ids (min-filtered tokens around each
+Phase order: T comes rooted, as DistPipeline orients it once from its
+edges and root (LocalKnowledge), so the tree_root and learn_cotree
+phases are local and empty; learn face ids (min-filtered tokens around each
 ring, then one announcement of the minimum that stops one hop short of
 it), transfer each vertex's weight to its minimum face id locally (no
 face total is formed), compute every dual subtree's weight and dart

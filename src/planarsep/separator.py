@@ -39,7 +39,6 @@ from .treecotree import (
     path_edges,
     sum_up,
     top_down,
-    tree_path,
 )
 from .weights import FaceWeighting, check_proper, transfer_weights
 
@@ -253,7 +252,7 @@ def separator_from_balanced(
     u, v = (a, b) if a < b else (b, a)
     return make_result(
         "balanced",
-        tree_path(pair.tree_parent, u, v),
+        pair.path(u, v),
         ClosingEdge(kind="real", endpoints=(u, v), copy=cp),
         verdict.subtree_weight,
         verdict.total,
@@ -362,7 +361,7 @@ def separator_from_critical(
         # leaf critical face: its boundary minus the anchor edge is a tree
         # path and the strict interior of the face is empty
         u, v = scan.vs[0], scan.vs[-1]
-        path = tree_path(pair.tree_parent, u, v)
+        path = pair.path(u, v)
         assert set(path) == set(scan.vs), "leaf face boundary is not the tree path"
         return make_result(
             "critical-leaf",
@@ -391,7 +390,7 @@ def separator_from_critical(
     )
     return make_result(
         "critical-virtual",
-        tree_path(pair.tree_parent, u, v),
+        pair.path(u, v),
         closing,
         s_next,
         W,

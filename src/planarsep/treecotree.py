@@ -35,10 +35,10 @@ from .errors import (
 
 @dataclass
 class SpanningTree:
-    """A rooted spanning tree.  Both engines read only edges and root, and
-    orient T from them; parent, parent_edge and depth are its builder's
-    orientation, which the BFS trees of part-wise aggregation and
-    broadcast_root use."""
+    """A rooted spanning tree.  T is its edges and its root: parent,
+    parent_edge and depth are its builder's orientation, which neither
+    engine trusts (tree_path checks every step it takes on parent_edge
+    against edges; the distributed engine orients T itself)."""
 
     root: int
     parent: list[int | None]
@@ -216,11 +216,8 @@ class TreeCotreePair:
     """T and its cotree T*, the dual tree rooted at the face of R, the tree
     root's first rotation dart.
 
-    tree_parent is each vertex's parent on T as the contour walk finds it,
-    from T's edges and root alone (None at the root); tree_path and the
-    separator read T's orientation there, not in tree.parent.  The dual_*
-    lists are indexed by face number; the root's parent and parent edge
-    are None.  dual_order is the contour pre-order: the root
+    The dual_* lists are indexed by face number; the root's parent and
+    parent edge are None.  dual_order is the contour pre-order: the root
     first, then the faces as the contour of T enters them, so every face
     comes after its parent and every dual subtree is one contiguous run
     that starts at its root.  `dual` and `cotree_edges` are computed the
@@ -229,7 +226,6 @@ class TreeCotreePair:
 
     graph: EmbeddedPlanarGraph
     tree: SpanningTree
-    tree_parent: list[int | None]
     dual_root: int
     dual_order: list[int]
     dual_parent: list[int | None]
@@ -245,6 +241,14 @@ class TreeCotreePair:
         # T* spans the dual, so every cotree edge is some face's parent edge
         return {e for e in self.dual_parent_edge if e is not None}
 
+    def path(self, u: int, v: int) -> list[int]:
+        """The u-to-v path in T: tree_path, or, where tree.parent_edge does
+        not orient T's edges, tree_path on the orientation tree_from_edges
+        gives them from the root."""
+        return tree_path(self.tree, u, v) or tree_path(
+            tree_from_edges(self.graph, self.tree.edges, self.tree.root), u, v
+        )
+
 
 def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     """T* = E \\ T, rooted at the face of R (the tree root's first rotation
@@ -258,9 +262,7 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     lies inside.  So a stack of open intervals gives each face its dual
     parent edge (the innermost interval, opened just before the face is
     first met), its parent (the face of that edge's opening dart) and its
-    depth (the stack height).  The walk goes down each tree edge before it
-    comes back up, so the dart over which it first reaches a vertex comes
-    from the vertex's parent.
+    depth (the stack height).
 
     T is a spanning tree exactly when its n - 1 edges are edges of g and
     the walk returns to R after all 2m darts (Euler's formula on T's own
@@ -274,7 +276,7 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     if not 0 <= tree.root < g.n:
         raise NotSpanningTree(f"tree root {tree.root} is not a vertex of the graph")
     table = g.dart_table
-    index, rev, triple, head = table.index, table.rev, table.triple, table.head
+    index, rev, triple = table.index, table.rev, table.triple
     face = g.dart_face
     # nxt is the contour successor, in_tree the tree darts by id
     nxt = table.succ[:]
@@ -296,15 +298,10 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     start = table.rot[tree.root][0]  # R
     order = [face[start]]
     stack: list[int] = []  # opening darts of the open intervals, innermost last
-    tree_parent: list[int | None] = [-1] * g.n  # -1: not yet reached
-    tree_parent[tree.root] = None
     d = start
     # the walk is a permutation of the darts, so it is back at R by step 2m
     for steps in range(1, len(table) + 1):
-        if in_tree[d]:
-            if tree_parent[head[d]] == -1:
-                tree_parent[head[d]] = triple[d][0]
-        else:
+        if not in_tree[d]:
             r = rev[d]
             if stack and stack[-1] == r:
                 stack.pop()
@@ -325,7 +322,6 @@ def cotree(g: EmbeddedPlanarGraph, tree: SpanningTree) -> TreeCotreePair:
     return TreeCotreePair(
         graph=g,
         tree=tree,
-        tree_parent=tree_parent,
         dual_root=order[0],
         dual_order=order,
         dual_parent=parent,
@@ -346,17 +342,30 @@ def _not_spanning(g: EmbeddedPlanarGraph, in_tree: Sequence[bool]) -> NoReturn:
     raise NotSpanningTree("cotree does not span the dual graph")
 
 
-def tree_path(parent: Sequence[int | None], u: int, v: int) -> list[int]:
-    """The unique u-to-v path in the tree given by parent pointers: up from
-    u to the root, then up from v to the first vertex on that walk."""
-    up = [u]
-    while parent[up[-1]] is not None:
-        up.append(parent[up[-1]])
-    at = {x: i for i, x in enumerate(up)}
-    down = [v]
-    while down[-1] not in at:
-        down.append(parent[down[-1]])
-    return up[: at[down[-1]]] + down[::-1]
+def tree_path(tree: SpanningTree, u: int, v: int) -> list[int] | None:
+    """The unique u-to-v path in T along tree.parent_edge: up from u to the
+    vertex without one, then up from v to the first vertex on that walk.
+    None where parent_edge does not orient T's edges: a step's edge is not
+    in tree.edges or does not hold the vertex, a walk runs past n steps,
+    or v's walk misses u's.  The path is the same from any root."""
+    edges, up = tree.edges, tree.parent_edge
+
+    def walk(x: int, stop) -> list[int] | None:
+        out = [x]
+        while x not in stop and up[x] is not None:
+            e = up[x]
+            if e not in edges or x not in e[:2] or len(out) > len(up):
+                return None
+            x = e[0] + e[1] - x
+            out.append(x)
+        return out
+
+    above = walk(u, ())
+    at = {x: i for i, x in enumerate(above or ())}
+    below = walk(v, at)
+    if not at or below is None or below[-1] not in at:
+        return None
+    return above[: at[below[-1]]] + below[::-1]
 
 
 def path_edges(tree: SpanningTree, path: Sequence[int]) -> list[EdgeId]:
@@ -372,7 +381,7 @@ def fundamental_cycle(pair: TreeCotreePair, e: EdgeId) -> tuple[list[int], set[E
     if e in pair.tree.edges:
         raise EdgeInTree(f"{e} is a tree edge")
     a, b, _ = e
-    path = tree_path(pair.tree_parent, a, b)
+    path = pair.path(a, b)
     return path, {e, *path_edges(pair.tree, path)}
 
 

@@ -211,7 +211,7 @@ def test_dual_subtree_total(grid4, grid4_tree):
 
 
 def test_tree_path_endpoints(grid4, grid4_tree):
-    p = tree_path(grid4_tree.parent, 12, 3)
+    p = tree_path(grid4_tree, 12, 3)
     assert p[0] == 12 and p[-1] == 3
     assert len(p) <= 2 * grid4_tree.height() + 1
 
