@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from functools import reduce
 from dataclasses import dataclass, field
+from functools import reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
