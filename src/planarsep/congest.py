@@ -18,15 +18,15 @@ Darts are plain ints inside the engine: a DartTable (see embedding.py)
 numbers the darts of a rotation system once, in ascending (tail, head,
 copy) order, so that comparing ids compares darts.  A program sends on
 its own dart ids, and a payload lands in the receiver's inbox under the
-receiver's own id of the reverse dart.  Aggregation and broadcast route
-over g.dart_table, so no call numbers darts of its own.  Dart objects
-appear only where callers hand darts in or read them out.
+receiver's own id of the reverse dart.  pa_aggregate and broadcast
+route over g.dart_table, so no call numbers darts of its own.  Dart
+objects appear only where callers hand darts in or read them out.
 
-Two part-wise aggregation backends share one result contract: "honest"
-executes a convergecast + broadcast on a BFS tree of every part and
-counts true rounds; "charged" computes the folds out-of-band and books
-D * ceil(log2(n+1))^2 rounds per call (pa_charge), the cost model for the
-shortcut-based aggregation the literature provides.
+Two part-wise aggregation backends share one PartAggregator: "honest"
+executes a convergecast + broadcast on a forest of one tree per part (T
+in the pipeline) and counts true rounds; "charged" computes the folds
+out-of-band and books D * ceil(log2(n+1))^2 rounds per call (pa_charge),
+the cost model for the shortcut-based aggregation the literature provides.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .embedding import DartTable, EmbeddedPlanarGraph
-from .errors import BitBudgetExceeded, RoundLimitExceeded
-from .treecotree import SpanningTree, part_bfs_trees, part_members
+from .errors import BadParams, BitBudgetExceeded, RoundLimitExceeded
+from .treecotree import part_bfs_trees, part_members
 
 Payload = tuple[int, ...]
 
@@ -374,6 +374,12 @@ class TreeFold(VertexProgram):
 PA_BACKENDS = ("honest", "charged")
 
 
+def require_backend(backend: str) -> None:
+    """BadParams unless backend names a part-wise aggregation backend."""
+    if backend not in PA_BACKENDS:
+        raise BadParams(f"unknown backend {backend!r}, expected one of {PA_BACKENDS}")
+
+
 def tree_views(darts: DartTable, parent: Sequence[Optional[int]]) -> list[TreeView]:
     """Every vertex's TreeView of the forest given by parent pointers.  A
     tree edge's channel is the smallest-id dart from the child to the
@@ -389,43 +395,25 @@ def tree_views(darts: DartTable, parent: Sequence[Optional[int]]) -> list[TreeVi
     return list(map(TreeView, range(len(parent)), up, map(tuple, down)))
 
 
+@dataclass
 class PartAggregator:
-    """Part-wise aggregation over one fixed partition of g.
+    """Part-wise aggregation on a forest of one tree per part: each call is
+    one aggregation, and every vertex learns the fold of its part's inputs.
 
-    Built once per partition: the partition check, the per-part BFS trees
-    (children in ascending id), each tree edge's channel in g.dart_table
-    and, for the honest backend, the simulator.  A caller that has already
-    run the check passes its result, part_bfs_trees(g, partition.part_of),
-    as bfs_trees.  Each call is one aggregation: every vertex learns the
-    fold of its part's inputs.
+    `sim` runs TreeFold on `forest`, every vertex's TreeView (or any object
+    with its fields); the charged backend has no simulator.  A call books
+    `charge` rounds, or its honest rounds where they are more, and flags
+    inputs too wide for `budget`, which then may exceed it.
     """
 
-    def __init__(
-        self,
-        g: EmbeddedPlanarGraph,
-        partition: Partition,
-        backend: str,
-        bit_budget: Optional[int] = None,
-        diameter: Optional[int] = None,
-        scramble: Optional[int] = None,
-        bfs_trees: Optional[dict[int, SpanningTree]] = None,
-    ):
-        trees = bfs_trees
-        if trees is None:
-            trees = part_bfs_trees(g, partition.part_of)  # also the partition check
-        if backend not in PA_BACKENDS:
-            raise ValueError(f"unknown backend {backend}")
-        self.part_of = partition.part_of
-        self.members = part_members(partition.part_of)
-        self.budget = bit_budget if bit_budget is not None else default_bit_budget(g.n)
-        self.charge = pa_charge(diameter if diameter is not None else g.n, g.n)
-        self.sim: Optional[Simulator] = None
-        if backend == "charged":
-            return
-        self.know = tree_views(
-            g.dart_table, [trees[pid].parent[v] for v, pid in enumerate(self.part_of)]
-        )
-        self.sim = Simulator(g.dart_table, bit_budget=self.budget, scramble=scramble)
+    part_of: Sequence[int]
+    forest: Optional[Sequence]
+    sim: Optional[Simulator]
+    budget: int
+    charge: int
+
+    def __post_init__(self):
+        self.members = part_members(self.part_of)
 
     def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
         if operator not in OPERATORS:
@@ -447,7 +435,7 @@ class PartAggregator:
             return folds
         before = trace.honest_rounds
         program = TreeFold(operator, [(x,) for x in inputs])
-        states = self.sim.run(program, self.know, trace, allow_wide=wide)
+        states = self.sim.run(program, self.forest, trace, allow_wide=wide)
         trace.charged_rounds += max(self.charge, trace.honest_rounds - before)
         results = [st["fold"][0] for st in states]
         assert results == folds
@@ -466,8 +454,19 @@ def pa_aggregate(
     scramble: Optional[int] = None,
 ) -> list[int]:
     """Every vertex learns the fold of its part's inputs; returns the list.
-    One call of a PartAggregator built for this call alone."""
-    agg = PartAggregator(g, partition, backend, bit_budget, diameter, scramble)
+    BadParams for an unknown backend.  The honest backend folds on each
+    part's BFS tree (part_bfs_trees, also the partition check)."""
+    require_backend(backend)
+    trees = part_bfs_trees(g, partition.part_of)
+    budget = bit_budget if bit_budget is not None else default_bit_budget(g.n)
+    forest = sim = None
+    if backend == "honest":
+        forest = tree_views(
+            g.dart_table, [trees[pid].parent[v] for v, pid in enumerate(partition.part_of)]
+        )
+        sim = Simulator(g.dart_table, bit_budget=budget, scramble=scramble)
+    charge = pa_charge(diameter if diameter is not None else g.n, g.n)
+    agg = PartAggregator(partition.part_of, forest, sim, budget, charge)
     return agg(inputs, operator, trace)
 
 

@@ -16,8 +16,8 @@ darts from tail to head (wire_darts).  Learning face ids works on face
 rings: consecutive boundary darts of a face share a vertex, so a face is
 a communication ring, and a token forwarded from position dart d lands at
 head(d), which derives the receiving position locally as the rotation
-successor of the arrival dart.  Everything else runs on T, on single
-cotree edges or ring hops, or by part-wise aggregation.
+successor of the arrival dart.  Everything else runs on T (part-wise
+aggregation too) or on single cotree edges or ring hops.
 
 Phase order: T comes rooted, as DistPipeline orients it once from its
 edges and root (LocalKnowledge), so the tree_root and learn_cotree
@@ -28,10 +28,10 @@ face total is formed), compute every dual subtree's weight and dart
 count from prefix sums along the contour of T counted from R, the tree
 root's first dart, whose face is the dual root (three frames per tree
 edge and one exchange across each cotree edge; no election), elect a
-balanced or critical node in three part-wise aggregations, claim the
-endpoints up T and broadcast them (one congest.TreeFold, the program the
-honest aggregation runs on its BFS trees), and mark the path locally
-from the claims.  In the critical case, every position on the chosen
+balanced or critical node in three part-wise aggregations on T, claim
+the endpoints up T and broadcast them (one TreeFold, the program the
+honest aggregation runs too), and mark the path locally from the claims.
+In the critical case, every position on the chosen
 face's ring first reads its virtual triangle's enclosed weight off its
 own contour prefix (the suffix of boundary choice-weights plus hanging
 child subtrees, exactly the sequential engine's formula) and sends its
@@ -52,13 +52,13 @@ from typing import NamedTuple, Optional, Sequence
 from .biconnect import biconnect, biconnected
 from .congest import (
     PartAggregator,
-    Partition,
     RoundTrace,
     Simulator,
     TreeFold,
     VertexProgram,
     default_bit_budget,
     pa_charge,
+    require_backend,
 )
 from .collector import collector_paused
 from .embedding import Dart, DartTable, EmbeddedPlanarGraph, build_embedding, next_copy
@@ -609,12 +609,11 @@ class DistPipeline:
     _part_knowledge keeps as it is, that is g's own table, restricted to the
     parts' rotations; otherwise (virtual darts) the pipeline numbers them
     itself.  Every phase program and store works on those ids, and assemble
-    turns them back into Darts.  bfs_trees, when
-    given, are the partition's part_bfs_trees, which the part-wise
-    aggregator then does not rebuild.  tree_roots must name each tree's own
-    root; ConflictingRoot otherwise, and NotSpanningTree unless each tree's
-    edges span its part (require_part_tree, whose walk orients T), both
-    before any phase runs.
+    turns them back into Darts.  The part-wise aggregations run on T in
+    the same simulator.  tree_roots must name each tree's own root;
+    ConflictingRoot otherwise, and NotSpanningTree unless each tree's edges
+    span its part (require_part_tree, whose walk orients T), both before
+    any phase runs.
     """
 
     def __init__(
@@ -626,7 +625,6 @@ class DistPipeline:
         tree_roots: dict[int, int],
         weights: Sequence[int],
         config: PipelineConfig,
-        bfs_trees: Optional[dict[int, SpanningTree]] = None,
     ):
         for pid, t in trees.items():
             if tree_roots[pid] != t.root:
@@ -676,8 +674,8 @@ class DistPipeline:
         ]
         self.sim = Simulator(darts, bit_budget=self.budget, scramble=config.scramble)
         self.aggregate = PartAggregator(
-            g, Partition(tuple(part_of)), config.backend, bit_budget=self.budget,
-            diameter=self.diameter, scramble=config.scramble, bfs_trees=bfs_trees,
+            part_of, self.know, None if config.backend == "charged" else self.sim,
+            self.budget, self._unit,
         )
 
     # -- small helpers ------------------------------------------------------
@@ -1030,12 +1028,14 @@ def dist_multi(
 ) -> tuple[dict[int, DistSeparatorOutput], RoundTrace]:
     """Concurrent separator runs in every part of a vertex-disjoint partition.
 
-    Before any phase runs: InvalidPartition for a bad partition or trees not
-    keyed by its part ids, NotSpanningTree for a tree not spanning its part.
-    The cyclic collector is paused for the call (collector_paused).
+    Before any phase runs: BadParams for an unknown backend,
+    InvalidPartition for a bad partition or trees not keyed by its part
+    ids, NotSpanningTree for a tree not spanning its part.  The cyclic
+    collector is paused for the call (collector_paused).
     """
+    require_backend(backend)
     w = list(weights) if weights is not None else list(g.vertex_weight)
-    bfs_trees = part_bfs_trees(g, part_of)  # the partition check
+    part_bfs_trees(g, part_of)  # the partition check
     parts = part_members(part_of)
     if sorted(trees) != list(parts):
         raise InvalidPartition(f"trees for parts {sorted(trees)}, partition has {list(parts)}")
@@ -1053,7 +1053,6 @@ def dist_multi(
         tree_roots={pid: t.root for pid, t in trees.items()},
         weights=w,
         config=config,
-        bfs_trees=bfs_trees,
     )
     # installing the augmentation into local knowledge is charged
     pipeline.trace.phase("biconnect").charged_rounds += 2 * pipeline._unit

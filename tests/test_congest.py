@@ -5,17 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from planarsep import (
     DartTable,
-    PartAggregator,
     Partition,
     PhaseTrace,
     Simulator,
     VertexProgram,
     bfs_tree,
     broadcast_root,
+    default_bit_budget,
     pa_aggregate,
 )
+from planarsep import congest
 from planarsep.congest import TreeFold, fold, payload_bits, tree_views
+from planarsep.dist import DistPipeline, PipelineConfig, _part_knowledge
 from planarsep.errors import (
+    BadParams,
     BitBudgetExceeded,
     InconsistentRotation,
     InvalidPartition,
@@ -322,9 +325,23 @@ def test_pa_charged_same_values(grid4):
 
 @pytest.mark.parametrize("backend, scramble", [("honest", None), ("charged", None), ("honest", 7)])
 def test_reused_aggregator_matches_fresh_calls(backend, scramble):
+    """A pipeline's aggregator folds on T in the pipeline's own simulator;
+    with T the parts' BFS trees, its calls equal fresh pa_aggregate calls
+    in values and in every PhaseTrace field."""
     g = grid(6, 6)
-    bands = Partition(tuple(v // 12 for v in range(g.n)))  # three 2x6 bands
-    agg = PartAggregator(g, bands, backend, diameter=10, scramble=scramble)
+    part_of = [v // 12 for v in range(g.n)]  # three 2x6 bands
+    bands = Partition(tuple(part_of))
+    trees = part_bfs_trees(g, part_of)
+    budget = default_bit_budget(g.n)
+    pipe = DistPipeline(
+        g=g, part_of=part_of, global_rot=_part_knowledge(g, part_of), trees=trees,
+        tree_roots={pid: t.root for pid, t in trees.items()},
+        weights=list(g.vertex_weight),
+        config=PipelineConfig(backend=backend, bit_budget=budget, scramble=scramble),
+    )
+    agg = pipe.aggregate
+    assert agg.forest is pipe.know
+    assert agg.sim is (pipe.sim if backend == "honest" else None)
     rng = random.Random(2)
     reused, fresh = PhaseTrace("pa"), PhaseTrace("pa")
     for i, op in enumerate(("SUM", "MIN", "MAX", "OR", "AND", "SUM")):
@@ -332,10 +349,23 @@ def test_reused_aggregator_matches_fresh_calls(backend, scramble):
         if i == 5:
             inputs = [x << 45 for x in inputs]  # sums wider than the 48-bit budget
         got = agg(inputs, op, reused)
-        want = pa_aggregate(g, bands, inputs, op, backend, fresh, diameter=10, scramble=scramble)
+        want = pa_aggregate(
+            g, bands, inputs, op, backend, fresh, bit_budget=budget,
+            diameter=pipe.diameter, scramble=scramble,
+        )
         assert got == want
         assert reused == fresh
     assert reused.pa_calls == 6 and reused.overflow_flags >= 1
+
+
+def test_pa_unknown_backend_is_bad_params(grid4, monkeypatch):
+    """An unknown backend is refused before the partition check runs."""
+    def started(*args):
+        raise AssertionError("the partition check ran")
+
+    monkeypatch.setattr(congest, "part_bfs_trees", started)
+    with pytest.raises(BadParams):
+        pa_aggregate(grid4, Partition((0,) * 16), [1] * 16, "SUM", "bogus", PhaseTrace("pa"))
 
 
 def test_pa_random_partition_matches_fold():

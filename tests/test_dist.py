@@ -21,7 +21,7 @@ from planarsep import (
     transfer_weights,
     tree_from_edges,
 )
-from planarsep import congest, dist
+from planarsep import congest, dist, treecotree
 from planarsep.congest import PhaseTrace, Simulator, VertexProgram, broadcast_root, log2ceil
 from planarsep.dist import (
     CASE_BALANCED,
@@ -35,6 +35,7 @@ from planarsep.dist import (
 from planarsep.embedding import Dart, build_embedding
 from planarsep.oracles import face_ids
 from planarsep.errors import (
+    BadParams,
     BitBudgetExceeded,
     ConflictingRoot,
     DegenerateTotal,
@@ -105,14 +106,38 @@ def _pipeline(g, part_of, trees):
 
 
 def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
+    """The only BFS trees a run builds are dist_multi's partition check,
+    one per part: the aggregations run on T."""
+    t = bfs_tree(grid4, 0)
+    g, part_of = two_level_parts(8, 2)
+    trees = part_bfs_trees(g, part_of)
     calls = []
-    real = congest.part_bfs_trees
+    real = treecotree._layered_tree
     monkeypatch.setattr(
-        congest, "part_bfs_trees", lambda *a: calls.append(1) or real(*a)
+        treecotree, "_layered_tree", lambda *a: calls.append(a[1]) or real(*a)
     )
-    _, out, _ = _full_run(grid4)
+    _, out, _ = _full_run(grid4, t)
     assert out.case == "critical-virtual"
     assert len(calls) <= 1
+    assert calls == []
+    dist_multi(g, part_of, trees)
+    assert calls == [ms[0] for ms in part_members(part_of).values()]
+
+
+def test_unknown_backend_is_refused_before_any_work(grid4, monkeypatch):
+    """An unknown backend raises BadParams at dist_multi's entry, before
+    the partition check, biconnect or any phase."""
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("part_bfs_trees", "require_proper", "_part_knowledge", "biconnect"):
+        monkeypatch.setattr(dist, name, started)
+    monkeypatch.setattr(Simulator, "run", started)
+    t = bfs_tree(grid4, 0)
+    with pytest.raises(BadParams):
+        dist_compute_separator(grid4, t, backend="bogus")
+    with pytest.raises(BadParams):
+        dist_multi(grid4, [0] * 16, {0: t}, backend="bogus")
 
 
 def test_dist_bfs_equals_sequential(grid4):
@@ -555,6 +580,24 @@ def test_phase_rounds_within_tree_height():
         for p in trace.phases:
             if p.name != "learn_faces":
                 assert p.honest_rounds <= 6 * (t.height() + 1), (n, p.name, p.honest_rounds)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid(12, 12),
+    lambda: random_triangulation(300, 2),
+    lambda: cycle_chords(120, 20, 1),
+], ids=["grid12", "tri300", "cycle120"])
+def test_detect_follows_t(make):
+    """Detect's three aggregations run on T, whatever its root: each is
+    one convergecast and one broadcast, 2·height(T)+1 honest rounds, and
+    the separator serializes as the sequential engine's."""
+    g = make()
+    for root in (0, g.n // 2):
+        t = bfs_tree(g, root)
+        out, trace = dist_compute_separator(g, t)
+        detect = next(p for p in trace.phases if p.name == "detect")
+        assert detect.honest_rounds == 3 * (2 * t.height() + 1), root
+        assert serialize_separator(out.result) == serialize_separator(compute_separator(g, t))
 
 
 def _check_dual_sums(g, t, stores, darts):
