@@ -400,33 +400,31 @@ class PartAggregator:
     """Part-wise aggregation on a forest of one tree per part: each call is
     one aggregation, and every vertex learns the fold of its part's inputs.
 
-    `sim` runs TreeFold on `forest`, every vertex's TreeView (or any object
-    with its fields); the charged backend has no simulator.  A call books
-    `charge` rounds, or its honest rounds where they are more, and flags
-    inputs too wide for `budget`, which then may exceed it.
+    `members` lists each part's vertices (part_members).  `sim` runs
+    TreeFold on `forest`, every vertex's TreeView (or any object with its
+    fields); the charged backend has no simulator.  A call books `charge`
+    rounds, or its honest rounds where they are more, and flags inputs too
+    wide for `budget`, which then may exceed it.
     """
 
-    part_of: Sequence[int]
+    members: dict[int, list[int]]
     forest: Optional[Sequence]
     sim: Optional[Simulator]
     budget: int
     charge: int
 
-    def __post_init__(self):
-        self.members = part_members(self.part_of)
-
     def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
         if operator not in OPERATORS:
             raise ValueError(f"unknown operator {operator}")
-        expected = {
-            pid: fold(operator, [inputs[v] for v in members])
-            for pid, members in self.members.items()
-        }
-        folds = [expected[pid] for pid in self.part_of]
+        folds = [0] * len(inputs)
+        for members in self.members.values():
+            part = fold(operator, [inputs[v] for v in members])
+            for v in members:
+                folds[v] = part
         trace.pa_calls += 1
         # a MIN or AND convergecast forwards partial folds wider than its
         # result, so the widest input bounds the payload as well
-        widest = max(max(inputs, default=0), max(expected.values(), default=0))
+        widest = max(max(inputs, default=0), max(folds, default=0))
         wide = widest.bit_length() + 4 > self.budget
         if wide:
             trace.overflow_flags += 1
@@ -466,7 +464,7 @@ def pa_aggregate(
         )
         sim = Simulator(g.dart_table, bit_budget=budget, scramble=scramble)
     charge = pa_charge(diameter if diameter is not None else g.n, g.n)
-    agg = PartAggregator(partition.part_of, forest, sim, budget, charge)
+    agg = PartAggregator(part_members(partition.part_of), forest, sim, budget, charge)
     return agg(inputs, operator, trace)
 
 

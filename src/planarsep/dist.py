@@ -594,6 +594,9 @@ class PipelineConfig:
     max_rounds: int = 10**6
     scramble: Optional[int] = None
 
+    def __post_init__(self):
+        require_backend(self.backend)
+
 
 class DistPipeline:
     """Runs the phase programs over one graph holding one or more parts.
@@ -674,7 +677,7 @@ class DistPipeline:
         ]
         self.sim = Simulator(darts, bit_budget=self.budget, scramble=config.scramble)
         self.aggregate = PartAggregator(
-            part_of, self.know, None if config.backend == "charged" else self.sim,
+            self.members, self.know, None if config.backend == "charged" else self.sim,
             self.budget, self._unit,
         )
 
@@ -1033,7 +1036,9 @@ def dist_multi(
     ids, NotSpanningTree for a tree not spanning its part.  The cyclic
     collector is paused for the call (collector_paused).
     """
-    require_backend(backend)
+    config = PipelineConfig(
+        backend=backend, bit_budget=bit_budget, max_rounds=max_rounds, scramble=scramble,
+    )
     w = list(weights) if weights is not None else list(g.vertex_weight)
     part_bfs_trees(g, part_of)  # the partition check
     parts = part_members(part_of)
@@ -1042,9 +1047,6 @@ def dist_multi(
     for pid, members in parts.items():
         require_proper([w[v] for v in members], f"part {pid}: ")
     global_rot = _part_knowledge(g, part_of)
-    config = PipelineConfig(
-        backend=backend, bit_budget=bit_budget, max_rounds=max_rounds, scramble=scramble,
-    )
     pipeline = DistPipeline(
         g=g,
         part_of=part_of,

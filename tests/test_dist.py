@@ -138,6 +138,8 @@ def test_unknown_backend_is_refused_before_any_work(grid4, monkeypatch):
         dist_compute_separator(grid4, t, backend="bogus")
     with pytest.raises(BadParams):
         dist_multi(grid4, [0] * 16, {0: t}, backend="bogus")
+    with pytest.raises(BadParams):  # a pipeline built directly checks it too
+        PipelineConfig(backend="bogus")
 
 
 def test_dist_bfs_equals_sequential(grid4):
