@@ -62,17 +62,17 @@ def _kind_spec(args) -> ExperimentSpec:
 def cmd_gen(args) -> int:
     spec = _kind_spec(args)
     g, part_of = generate(spec.generator, spec.params, spec.seed)
+    if args.parts_out and part_of is None:
+        raise BadParams(f"{args.kind} makes no partition for --parts-out")
     if spec.weights != "unit":
         g.vertex_weight = list(_instance_weights(spec, g))
     text = write_graph(g)
     if args.out:
         Path(args.out).write_text(text)
-        if part_of is not None and args.parts_out:
-            Path(args.parts_out).write_text(
-                "".join(f"part {v} {p}\n" for v, p in enumerate(part_of))
-            )
     else:
         sys.stdout.write(text)
+    if args.parts_out:
+        Path(args.parts_out).write_text("".join(f"part {v} {p}\n" for v, p in enumerate(part_of)))
     return 0
 
 

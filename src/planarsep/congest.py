@@ -23,10 +23,11 @@ route over g.dart_table, so no call numbers darts of its own.  Dart
 objects appear only where callers hand darts in or read them out.
 
 Two part-wise aggregation backends share one PartAggregator: "honest"
-executes a convergecast + broadcast on a forest of one tree per part (T
-in the pipeline) and counts true rounds; "charged" computes the folds
-out-of-band and books D * ceil(log2(n+1))^2 rounds per call (pa_charge),
-the cost model for the shortcut-based aggregation the literature provides.
+folds one int per vertex in a convergecast + broadcast (TreeFold) on a
+forest of one tree per part (T in the pipeline) and counts true rounds;
+"charged" computes the folds out-of-band and books D * ceil(log2(n+1))^2
+rounds per call (pa_charge), the cost model for the shortcut-based
+aggregation the literature provides.
 """
 
 from __future__ import annotations
@@ -325,25 +326,19 @@ class TreeView:
 
 
 class TreeFold(VertexProgram):
-    """Folds every vertex's tuple up a rooted forest, elementwise under
-    `op`, then sends each root's fold back down.
+    """Folds every vertex's int up a rooted forest under `op`, then sends
+    each root's fold back down: the convergecast and broadcast of one
+    part-wise aggregation.
 
     A vertex reads the TreeView fields of its knowledge.  It keeps the
     fold of its subtree ("acc") and each child's partial by child dart
     ("kids"), and learns its tree's fold ("fold").  Frames are
-    pack((tag, *value)): the up tag with a partial to the parent, the down
-    tag with the fold to the children; a frame that arrives over the
-    parent dart is the fold, so the two tags may be equal.
+    (_UP, partial) to the parent and (_DOWN, fold) to the children.
     """
 
-    def __init__(
-        self, op: str, inputs: Sequence[tuple[int, ...]],
-        tags: tuple[int, int] = (_UP, _DOWN), pack: Callable = tuple,
-    ):
+    def __init__(self, op: str, inputs: Sequence[int]):
         self.f = OPERATORS[op]
         self.inputs = inputs
-        self.up_tag, self.down_tag = tags
-        self.pack = pack
 
     def init(self, know) -> dict:
         return {"acc": self.inputs[know.vid], "kids": {}}
@@ -356,19 +351,19 @@ class TreeFold(VertexProgram):
         kids = st["kids"]
         for k, frame in inbox.items():
             if k == up:
-                st["fold"] = frame[1:]
+                st["fold"] = frame[1]
                 return [(d, frame) for d in down], True
-            kids[k] = part = frame[1:]
-            st["acc"] = tuple(map(self.f, st["acc"], part))
+            kids[k] = part = frame[1]
+            st["acc"] = self.f(st["acc"], part)
         if len(kids) < len(down):
             return [], False
         # the last partial is in: this step is the vertex's only one to send up
         acc = st["acc"]
         if up is None:
             st["fold"] = acc
-            msg = self.pack((self.down_tag, *acc))
+            msg = (_DOWN, acc)
             return [(d, msg) for d in down], True
-        return [(up, self.pack((self.up_tag, *acc)))], False
+        return [(up, (_UP, acc))], False
 
 
 PA_BACKENDS = ("honest", "charged")
@@ -432,10 +427,9 @@ class PartAggregator:
             trace.charged_rounds += self.charge
             return folds
         before = trace.honest_rounds
-        program = TreeFold(operator, [(x,) for x in inputs])
-        states = self.sim.run(program, self.forest, trace, allow_wide=wide)
+        states = self.sim.run(TreeFold(operator, inputs), self.forest, trace, allow_wide=wide)
         trace.charged_rounds += max(self.charge, trace.honest_rounds - before)
-        results = [st["fold"][0] for st in states]
+        results = [st["fold"] for st in states]
         assert results == folds
         return results
 

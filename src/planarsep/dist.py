@@ -29,8 +29,9 @@ count from prefix sums along the contour of T counted from R, the tree
 root's first dart, whose face is the dual root (three frames per tree
 edge and one exchange across each cotree edge; no election), elect a
 balanced or critical node in three part-wise aggregations on T, claim
-the endpoints up T and broadcast them (one TreeFold, the program the
-honest aggregation runs too), and mark the path locally from the claims.
+the endpoints up T and broadcast them (one OR TreeFold of one-int
+claims, the program the honest aggregation runs too), and mark the path
+locally from the claims.
 In the critical case, every position on the chosen
 face's ring first reads its virtual triangle's enclosed weight off its
 own contour prefix (the suffix of boundary choice-weights plus hanging
@@ -67,6 +68,7 @@ from .errors import (
     DegenerateTotal,
     InvalidPartition,
     NotBiconnected,
+    NotConnected,
     UnknownRoot,
 )
 from .separator import (
@@ -92,7 +94,6 @@ T_TOK, T_FACE = 4, 5
 T_CUT, T_POS, T_SUBD = 6, 9, 10
 T_HEAVY = 11
 T_TOT = 13
-T_UV = 16
 
 _ARITY = {
     T_BFS: 2, T_CLAIM: 1,
@@ -100,7 +101,6 @@ _ARITY = {
     T_CUT: 2, T_POS: 2, T_SUBD: 2,
     T_HEAVY: 1,
     T_TOT: 2,
-    T_UV: 2,
 }
 
 
@@ -364,7 +364,6 @@ class ContourProgram(VertexProgram):
             "cut": {},           # cotree dart -> T_CUT frame: position and incl of its reverse
             "at_R": None,        # at either end of R: R, its face's dart here, incl[R]
             "subtrees": {},      # face -> DualSubtree, for faces whose parent edge is here
-            "child_sum": {},     # dart on a parent face's side -> weight behind the edge
             "prefix": None,      # weight prefix of each own dart, rotation order
         }
 
@@ -410,11 +409,9 @@ class ContourProgram(VertexProgram):
             if q < p:  # d's own face is the child
                 st["subtrees"][faces[d]] = DualSubtree(p_incl - q_incl, p - q, d, sizes[d], q_incl)
             else:  # d lies on the parent face; its successor on the child
-                weight = q_incl - p_incl
-                st["child_sum"][d] = weight
                 child_side = self.succ[d]
                 st["subtrees"][faces[child_side]] = DualSubtree(
-                    weight, q - p, self.rev[d], sizes[child_side], p_incl
+                    q_incl - p_incl, q - p, self.rev[d], sizes[child_side], p_incl
                 )
         if st["at_R"] is not None:  # the dual root: the whole contour, after R up to R
             R, side, base = st["at_R"]
@@ -533,11 +530,13 @@ class PrefixProgram(VertexProgram):
 # -- endpoint claims -------------------------------------------------------------
 
 
-def _uv_claim(know: LocalKnowledge, tail: Sequence[int], head: Sequence[int]) -> tuple[int, int]:
-    """(u + 1, v + 1) where this vertex is that endpoint, else 0.  The
-    endpoints of the chosen face's anchor know it; a balanced face is
-    never the dual root, so its anchor is its dual parent dart.  In the
-    virtual case, u learned it from its predecessor's heavy bit."""
+def _uv_claim(know: LocalKnowledge, tail: Sequence[int], head: Sequence[int], shift: int) -> int:
+    """This vertex's claim as one int: (v + 1) << shift where it is v, u + 1
+    (below 2**shift, for shift = n.bit_length()) where it is u, else 0; the
+    OR of a part's claims holds both.  The endpoints of the chosen face's
+    anchor know it; a balanced face is never the dual root, so its anchor
+    is its dual parent dart.  In the virtual case, u learned it from its
+    predecessor's heavy bit."""
     store = know.store
     ad = store["case_anchor"]
     code = store["case_code"]
@@ -546,18 +545,19 @@ def _uv_claim(know: LocalKnowledge, tail: Sequence[int], head: Sequence[int]) ->
         u = know.vid if store["prefix_u"] else None
         v = tail[ad] if ad is not None else None
     elif ad is None:
-        return 0, 0
+        return 0
     elif code == CASE_BALANCED:
         u, v = sorted((tail[ad], head[ad]))
     else:
         u, v = head[ad], tail[ad]
     me = know.vid
-    return (me + 1 if me == u else 0), (me + 1 if me == v else 0)
+    return ((me + 1) << shift if me == v else 0) | (me + 1 if me == u else 0)
 
 
-def _one_end(claim: tuple[int, int]) -> bool:
-    """Whether a claim (u + 1 or 0, v + 1 or 0) names exactly one endpoint."""
-    return (claim[0] > 0) != (claim[1] > 0)
+def _one_end(claim: int, shift: int) -> bool:
+    """Whether a claim or an OR of claims names exactly one endpoint."""
+    v1, u1 = divmod(claim, 1 << shift)
+    return (u1 > 0) != (v1 > 0)
 
 
 # -- per-vertex output and assembly -------------------------------------------
@@ -727,7 +727,7 @@ class DistPipeline:
         self._local("face_weights")
         for know in self.know:
             faces = know.store["face"]
-            know.store["chosen"] = chosen = min(faces.values())
+            chosen = min(faces.values())
             know.store["corner"] = min(d for d in know.rotation if faces[d] == chosen)
 
     def run_root_election(self):
@@ -743,7 +743,7 @@ class DistPipeline:
     def run_dual_sums(self):
         self._run(
             "dual_subtree_sums", ContourProgram(self.darts), charge_units=2,
-            publish=("subtrees", "child_sum", "total_weight", "total_darts", "prefix"),
+            publish=("subtrees", "total_weight", "total_darts", "prefix"),
         )
 
     def run_detect(self):
@@ -821,21 +821,19 @@ class DistPipeline:
 
     def run_search(self) -> dict[int, tuple[int, int]]:
         """The endpoint claim wave, as phase mark_search: every vertex knows
-        its own claim (see _uv_claim), so one TreeFold on T takes the
-        elementwise MAX of the claims up to the tree root and sends both
-        endpoints back down.  Each vertex keeps its subtree's fold and its
-        children's partials, which mark the path.  Returns each part's
-        endpoints (u, v)."""
-        tail, head = self.darts.tail, self.darts.head
-        claims = [_uv_claim(know, tail, head) for know in self.know]
-        states = self._run(
-            "mark_search", TreeFold("MAX", claims, (T_UV, T_UV), pack), charge_units=1,
-        )
+        its own claim (see _uv_claim), so one TreeFold on T takes the OR
+        of the claims up to the tree root and sends both endpoints back
+        down.  Each vertex keeps its subtree's fold and its children's
+        partials, which mark the path.  Returns each part's endpoints
+        (u, v)."""
+        tail, head, shift = self.darts.tail, self.darts.head, self.n.bit_length()
+        claims = [_uv_claim(know, tail, head, shift) for know in self.know]
+        states = self._run("mark_search", TreeFold("OR", claims), charge_units=1)
         ends = {}
         for pid, ms in self.members.items():
-            fold = states[ms[0]]["fold"]
-            assert all(fold), "an endpoint claim is missing"
-            ends[pid] = (fold[0] - 1, fold[1] - 1)
+            v1, u1 = divmod(states[ms[0]]["fold"], 1 << shift)
+            assert u1 and v1, "an endpoint claim is missing"
+            ends[pid] = (u1 - 1, v1 - 1)
         for know, st in zip(self.know, states):
             know.store["agg_uv"], know.store["kid_uv"] = st["acc"], st["kids"]
         return ends
@@ -844,10 +842,11 @@ class DistPipeline:
         # a tree edge is on the path iff the subtree below it holds exactly
         # one endpoint, as the claim wave told both of its ends
         self._local("mark_path")
+        shift = self.n.bit_length()
         for know in self.know:
             store = know.store
-            darts = [d for d in know.child_darts if _one_end(store["kid_uv"][d])]
-            if _one_end(store["agg_uv"]):  # never at the root, which holds both
+            darts = [d for d in know.child_darts if _one_end(store["kid_uv"][d], shift)]
+            if _one_end(store["agg_uv"], shift):  # never at the root, which holds both
                 darts.append(know.parent_dart)
             store["path_darts"] = tuple(sorted(darts))
 
@@ -972,8 +971,9 @@ def _part_knowledge(
     them as they are.  Any other part's induced sub-embedding is built
     (locally relabeled in ascending member order, which preserves the
     relative id order and hence canonical-dart comparisons), bi-connected,
-    and mapped back.  A part holding every vertex induces g itself, so g
-    is bi-connected directly, without a rebuild or relabelling.
+    and mapped back; InvalidPartition where it is not connected.  A part
+    holding every vertex induces g itself, so g is bi-connected directly,
+    without a rebuild or relabelling.
     """
     global_rot: dict[int, tuple[Dart, ...]] = {}
     for pid, members in part_members(part_of).items():
@@ -987,9 +987,10 @@ def _part_knowledge(
             global_rot.update((v, tuple(row)) for v, row in zip(members, rows))
             continue
         rot = [[Dart(i, to_local[d.head], d.copy) for d in row] for i, row in enumerate(rows)]
-        sub = build_embedding(
-            len(members), rot, [g.vertex_weight[v] for v in members]
-        )
+        try:  # the connectivity check comes before any face is traced
+            sub = build_embedding(len(members), rot, [g.vertex_weight[v] for v in members])
+        except NotConnected:
+            raise InvalidPartition(f"part {pid} induces a disconnected subgraph") from None
         sub = biconnect(sub)
         for i, v in enumerate(members):
             global_rot[v] = tuple(
@@ -1040,13 +1041,14 @@ def dist_multi(
         backend=backend, bit_budget=bit_budget, max_rounds=max_rounds, scramble=scramble,
     )
     w = list(weights) if weights is not None else list(g.vertex_weight)
-    part_bfs_trees(g, part_of)  # the partition check
+    if len(part_of) != g.n:
+        raise InvalidPartition(f"partition covers {len(part_of)} of {g.n} vertices")
     parts = part_members(part_of)
     if sorted(trees) != list(parts):
         raise InvalidPartition(f"trees for parts {sorted(trees)}, partition has {list(parts)}")
+    global_rot = _part_knowledge(g, part_of)  # InvalidPartition for a disconnected part
     for pid, members in parts.items():
         require_proper([w[v] for v in members], f"part {pid}: ")
-    global_rot = _part_knowledge(g, part_of)
     pipeline = DistPipeline(
         g=g,
         part_of=part_of,

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .congest import PA_BACKENDS, default_bit_budget, pa_charge
+from .congest import PA_BACKENDS, default_bit_budget
 from .dist import dist_compute_separator
 from .embedding import EmbeddedPlanarGraph
 from .errors import BadParams, InsufficientData, NotProper
@@ -265,24 +265,23 @@ def render_report(records: list[dict], summary: dict) -> str:
 
 
 def scaling_report(records: list[dict]) -> dict:
-    """Fit charged_rounds = c * D * ceil(log2 n)^2 across one family.
+    """Fit honest_rounds = c * (height(T) + 1) across one family.
 
     Needs at least four sizes; flags failure when the fitted constant
-    drifts by more than 2x.
+    drifts by more than 2x (charged rounds, a fixed count of units, cannot).
     """
-    rows = [r for r in records if "charged_rounds" in r]
+    rows = [r for r in records if "honest_rounds" in r]
     if len({r["n"] for r in rows}) < 4:
         raise InsufficientData("need at least four sizes of one family")
     fits = []
     for r in sorted(rows, key=lambda r: r["n"]):
-        denom = pa_charge(r["diameter"], r["n"])
         fits.append(
             {
                 "n": r["n"],
-                "diameter": r["diameter"],
+                "tree_depth": r["tree_depth"],
                 "charged_rounds": r["charged_rounds"],
-                "honest_rounds": r.get("honest_rounds"),
-                "c": r["charged_rounds"] / denom,
+                "honest_rounds": r["honest_rounds"],
+                "c": r["honest_rounds"] / (r["tree_depth"] + 1),
             }
         )
     cs = [f["c"] for f in fits]

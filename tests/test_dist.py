@@ -105,9 +105,9 @@ def _pipeline(g, part_of, trees):
     )
 
 
-def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
-    """The only BFS trees a run builds are dist_multi's partition check,
-    one per part: the aggregations run on T."""
+def test_pipeline_builds_no_bfs_tree(grid4, monkeypatch):
+    """A run builds no BFS tree: the aggregations run on T, and
+    dist_multi's partition check builds no trees."""
     t = bfs_tree(grid4, 0)
     g, part_of = two_level_parts(8, 2)
     trees = part_bfs_trees(g, part_of)
@@ -121,7 +121,7 @@ def test_pipeline_builds_part_trees_once(grid4, monkeypatch):
     assert len(calls) <= 1
     assert calls == []
     dist_multi(g, part_of, trees)
-    assert calls == [ms[0] for ms in part_members(part_of).values()]
+    assert calls == []
 
 
 def test_unknown_backend_is_refused_before_any_work(grid4, monkeypatch):
@@ -540,21 +540,23 @@ def test_face_weights_match_sequential(grid4, tri60):
         seq = transfer_weights(g)
         ids = [f.id for f in g.faces]
         faces = face_ids(g)
-        assert [dart(st["chosen"]) for st in stores] == [ids[f] for f in seq.chosen_face]
+        # the corner's face is the chosen face
+        assert [faces[dart(st["corner"])] for st in stores] == [ids[f] for f in seq.chosen_face]
         for v, st in enumerate(stores):
             assert dart(st["corner"]) == min(
-                d for d in g.rotation[v] if faces[d] == dart(st["chosen"])
+                d for d in g.rotation[v] if faces[d] == ids[seq.chosen_face[v]]
             )
         # no store holds a face total: a face's weight is its dual
-        # subtree's weight minus the subtrees behind its dual child edges
-        face_weight = {}
+        # subtree's weight minus the subtrees of its dual children
+        subtree = {}
         for st in stores:
             for fid, sub in st["subtrees"].items():
-                face_weight[dart(fid)] = sub.weight
-        for st in stores:
-            for d, weight in st["child_sum"].items():
-                face_weight[dart(st["face"][d])] -= weight
-        assert face_weight == dict(zip(ids, seq.face_weight))
+                subtree[g.face_number(dart(fid))] = sub.weight
+        face_weight = dict(subtree)
+        for f, parent in enumerate(cotree(g, bfs_tree(g, 0)).dual_parent):
+            if parent is not None:
+                face_weight[parent] -= subtree[f]
+        assert face_weight == dict(enumerate(seq.face_weight))
 
 
 def test_face_rings_stay_subquadratic():
@@ -603,8 +605,8 @@ def test_detect_follows_t(make):
 
 
 def _check_dual_sums(g, t, stores, darts):
-    """Every face's distributed subtree weight, dart count, anchor and
-    child sums equal the sequential dual tree's, and sit at the endpoints
+    """Every face's distributed subtree weight, dart count and anchor
+    equal the sequential dual tree's, and sit at the endpoints
     the contour pass names.  g is the graph the pipeline runs on: the
     bi-connected one where the input has cut vertices."""
     dart = darts.dart
@@ -630,10 +632,6 @@ def _check_dual_sums(g, t, stores, darts):
                 assert dart(sub.parent_dart) == R
             else:
                 assert dart(sub.parent_dart).edge() == pair.dual_parent_edge[f]
-        for d, weight in stores[v]["child_sum"].items():
-            child = g.face_number(faces[dart(d).reverse()])
-            assert pair.dual_parent_edge[child] == dart(d).edge()
-            assert weight == seq[child]
     # a face's sums sit at the endpoints of its anchor: its dual parent
     # edge, or R at the dual root
     for f in range(len(g.faces)):
@@ -955,6 +953,33 @@ def test_probe_monotonicity_and_count():
         assert _check_claim_wave(g, [0] * g.n, {0: tree}) == 1
     g, part_of = two_level_parts(8, 2)
     assert _check_claim_wave(g, part_of, part_bfs_trees(g, part_of)) >= 1
+
+
+@pytest.mark.parametrize("n", [31, 32, 33])
+def test_claims_pack_into_one_int(n):
+    """A claim puts v + 1 above n.bit_length() bits and u + 1 below them,
+    so the OR of u's and v's claims decodes to (u, v), and a claim names
+    one endpoint alone, none at 0 and both in the OR."""
+    shift = n.bit_length()
+    ends = {0, 1, n - 2, n - 1}
+    for u in ends:
+        for v in ends - {u}:
+            # a critical-leaf face's anchor runs from v to u
+            store = {"case_anchor": 0, "case_code": dist.CASE_LEAF}
+
+            def claim(me):
+                know = LocalKnowledge(
+                    vid=me, weight=0, rotation=(), parent_dart=None, child_darts=(),
+                    tree_root=0, store=store,
+                )
+                return dist._uv_claim(know, [v], [u], shift)
+
+            both = claim(u) | claim(v)
+            assert divmod(both, 1 << shift) == (v + 1, u + 1)
+            assert dist._one_end(claim(u), shift) and dist._one_end(claim(v), shift)
+            assert not dist._one_end(0, shift) and not dist._one_end(both, shift)
+            others = set(range(n)) - {u, v}
+            assert claim(min(others)) == claim(max(others)) == 0
 
 
 def test_not_proper_surfaces(grid4):

@@ -192,6 +192,18 @@ def test_scaling_report_fit():
     assert fit["stable"] and len(fit["sizes"]) == 4
 
 
+def test_scaling_report_flags_drift():
+    """The fit reads honest rounds per tree level: rounds that double
+    from size to size at a fixed depth drift past 2x."""
+    records = [
+        {"n": n, "diameter": 6, "tree_depth": 4, "charged_rounds": 500, "honest_rounds": r}
+        for n, r in ((16, 40), (32, 80), (64, 160), (128, 320))
+    ]
+    fit = scaling_report(records)
+    assert [f["c"] for f in fit["sizes"]] == [8.0, 16.0, 32.0, 64.0]
+    assert fit["drift"] == 8.0 and fit["stable"] is False
+
+
 def test_scaling_insufficient_data():
     spec = ExperimentSpec(
         name="g8", generator="grid", params={"rows": 8, "cols": 8},
@@ -222,6 +234,30 @@ def test_cli_gen_parts(tmp_path):
     ])
     assert rc == 0
     assert parts.read_text().startswith("part 0 0")
+
+
+def test_cli_gen_parts_with_graph_to_stdout(tmp_path, capsys):
+    parts = tmp_path / "p.txt"
+    rc = main([
+        "gen", "two-level-parts", "--size", "8", "--parts-per-side", "2",
+        "--parts-out", str(parts),
+    ])
+    assert rc == 0
+    assert parse_graph(capsys.readouterr().out).n == 64
+    lines = parts.read_text().splitlines()
+    assert len(lines) == 64 and lines[0] == "part 0 0"
+
+
+def test_cli_gen_parts_out_needs_a_partition(tmp_path, capsys):
+    parts = tmp_path / "p.txt"
+    out = tmp_path / "g.txt"
+    rc = main([
+        "gen", "grid", "--rows", "4", "--cols", "4", "--out", str(out),
+        "--parts-out", str(parts),
+    ])
+    assert rc == 2
+    assert "--parts-out" in capsys.readouterr().err
+    assert not parts.exists() and not out.exists()
 
 
 def test_cli_gen_and_run_seed_the_weights_alike(tmp_path, monkeypatch):
