@@ -1046,7 +1046,8 @@ def dist_multi(
     parts = part_members(part_of)
     if sorted(trees) != list(parts):
         raise InvalidPartition(f"trees for parts {sorted(trees)}, partition has {list(parts)}")
-    global_rot = _part_knowledge(g, part_of)  # InvalidPartition for a disconnected part
+    # InvalidPartition for a disconnected part, before its weights are read
+    global_rot = _part_knowledge(g, part_of)
     for pid, members in parts.items():
         require_proper([w[v] for v in members], f"part {pid}: ")
     pipeline = DistPipeline(
