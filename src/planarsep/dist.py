@@ -10,14 +10,15 @@ systems installed as local knowledge, numbered in a DartTable: g's own
 ids when every part keeps g's rotations filtered to the part, as every
 bi-connected part does.  Every program, message key and store entry
 names a dart, or a face by its minimum dart, by id; Darts are built
-again only for the output.  Frames that name a dart on the wire carry its
-(tail, head, copy rank), the rank being its place among the parallel
-darts from tail to head (wire_darts).  Learning face ids works on face
-rings: consecutive boundary darts of a face share a vertex, so a face is
-a communication ring, and a token forwarded from position dart d lands at
-head(d), which derives the receiving position locally as the rotation
-successor of the arrival dart.  Everything else runs on T (part-wise
-aggregation too) or on single cotree edges or ring hops.
+again only for the output.  Frames that name a dart on the wire carry one
+int, its name tail * width + rank: the rank is the dart's place among its
+tail's darts, width the table's largest degree (dart_names).  Learning
+face ids works on face rings: consecutive boundary darts of a face share
+a vertex, so a face is a communication ring, and a token forwarded from
+position dart d lands at head(d), which derives the receiving position
+locally as the rotation successor of the arrival dart.  Everything else
+runs on T (part-wise aggregation too) or on single cotree edges or ring
+hops.
 
 Phase order: T comes rooted, as DistPipeline orients it once from its
 edges and root (LocalKnowledge), so the tree_root and learn_cotree
@@ -47,7 +48,6 @@ serialize byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .biconnect import biconnect, biconnected
@@ -97,7 +97,7 @@ T_TOT = 13
 
 _ARITY = {
     T_BFS: 2, T_CLAIM: 1,
-    T_TOK: 3, T_FACE: 3,
+    T_TOK: 1, T_FACE: 1,
     T_CUT: 2, T_POS: 2, T_SUBD: 2,
     T_HEAVY: 1,
     T_TOT: 2,
@@ -110,36 +110,25 @@ def pack(frame: tuple) -> tuple[int, ...]:
     return tuple(frame)
 
 
-def wire_darts(darts: DartTable) -> tuple[list[tuple[int, int, int]], dict]:
-    """Each dart id's (tail, head, copy rank), and the map back to ids.
+def dart_names(darts: DartTable) -> tuple[list[int], int]:
+    """Each dart id's name on the wire, tail * width + rank, and width.
 
-    The copy rank is the dart's place among the parallel darts from its
-    tail to its head.  Ranks order as copies do, so wire triples compare as
-    darts do, but a rank stays below the edge's multiplicity whatever labels
-    the copies carry.  Where every copy is 0, as on every graph without
-    parallel edges that the generators make, each copy is its rank, and
-    these are the table's own triple and index.
+    The rank is the dart's place among its tail's darts, d - lo[tail],
+    which the tail reads off its own rotation; width is the table's largest
+    degree, one global constant.  Names ascend as ids do, in a restricted
+    table or one with virtual darts too, so a min-filter or maximum-id
+    tie-break over names picks the dart it picks over ids, and a name takes
+    O(log n) bits whatever labels a caller gives the copies.  dart_of_name
+    is the inverse.
     """
-    triple = darts.triple
-    if not any(map(itemgetter(2), triple)):
-        return triple, darts.index
-    wire = []
-    for t, h, _ in triple:
-        rank = wire[-1][2] + 1 if wire and wire[-1][:2] == (t, h) else 0
-        wire.append((t, h, rank))
-    return wire, dict(zip(wire, range(len(wire))))
+    lo = darts.lo
+    width = max(b - a for a, b in zip(lo, lo[1:]))
+    return [t * width + d - lo[t] for d, t in enumerate(darts.tail)], width
 
 
-def enc_face(f: tuple[int, int, int], n: int, bits: int) -> int:
-    """A face id's wire triple (tail, head, copy rank) as one int, in the
-    same order; the rank takes the low `bits` bits."""
-    tail, head, rank = f
-    return ((tail * (n + 1) + head) << bits) | rank
-
-
-def dec_face(x: int, n: int, bits: int) -> tuple[int, int, int]:
-    th = x >> bits
-    return (th // (n + 1), th % (n + 1), x & ((1 << bits) - 1))
+def dart_of_name(darts: DartTable, width: int, x: int) -> int:
+    """The dart id named x (see dart_names)."""
+    return darts.lo[x // width] + x % width
 
 
 CASE_BALANCED, CASE_LEAF, CASE_VIRTUAL = 1, 2, 3
@@ -239,10 +228,10 @@ class LearnFacesProgram(VertexProgram):
     """Face ids by min-filtered tokens (Chang and Roberts, CACM 1979) and
     one announcement lap.
 
-    Every position (dart) sends its own id as a token to its successor on
-    the face ring.  A position forwards a token only if it is smaller than
-    every id it has seen, its own included, and notes the round; larger
-    tokens are dropped.  So only the face minimum's token gets back to
+    Every position (dart) sends its own name (dart_names), which orders as
+    its id does, as a token to its successor on the face ring.  A position
+    forwards a token only if it is smaller than every name it has seen, its
+    own included, and notes the round; larger tokens are dropped.  So only the face minimum's token gets back to
     its origin, at round |f|: that position knows the face id and size and
     sends the id on around the ring.  The announcement reaches the
     position i hops on at round |f| + i, and the minimum's token reached it
@@ -252,16 +241,12 @@ class LearnFacesProgram(VertexProgram):
     announcements, in 2|f| rounds.  A token never passes the minimum, so it
     never meets the announcement on a dart.
 
-    Tokens and announcements carry a dart's wire triple (wire_darts); the
-    store keeps face ids as dart ids.
+    Announcements carry a name too; the store keeps face ids as dart ids.
     """
 
-    def __init__(self, darts: DartTable, wire: list[tuple[int, int, int]], wire_index: dict):
-        self.succ, self.index, self.triple = darts.succ, wire_index, wire
-        # a dart's own token: T_TOK's arity is checked once, and unpacking
-        # holds every wire triple to that width
-        assert _ARITY[T_TOK] == 3
-        self.tok = [(T_TOK, t, h, c) for t, h, c in wire]
+    def __init__(self, darts: DartTable, names: list[int], width: int):
+        self.darts, self.succ, self.names, self.width = darts, darts.succ, names, width
+        self.tok = [(T_TOK, x) for x in names]  # a dart's own token
 
     def init(self, know: LocalKnowledge) -> dict:
         tok = self.tok
@@ -280,20 +265,20 @@ class LearnFacesProgram(VertexProgram):
         out = []
         best, best_round, face, size = st["best"], st["best_round"], st["face"], st["size"]
         # every payload is one packed frame, read and forwarded in place;
-        # tokens share their tag, so they compare as their darts do
+        # tokens share their tag, so they compare as their darts' ids do
         for k, payload in inbox.items():
             slot = succ[k]
             if payload[0] == T_TOK:
                 if payload == tok[slot]:  # once around: slot is the face minimum
                     face[slot] = slot
                     size[slot] = r
-                    out.append((slot, pack((T_FACE,) + self.triple[slot])))
+                    out.append((slot, pack((T_FACE, self.names[slot]))))
                 elif payload < best[slot]:
                     best[slot] = payload
                     best_round[slot] = r
                     out.append((slot, payload))
             else:
-                face[slot] = self.index[payload[1:]]
+                face[slot] = dart_of_name(self.darts, self.width, payload[1])
                 size[slot] = r - best_round[slot]
                 if best_round[slot] < size[slot] - 1:  # the lap ends before the minimum
                     out.append((slot, payload))
@@ -651,12 +636,7 @@ class DistPipeline:
 
         rows = [global_rot[v] for v in range(g.n)]
         self.darts = darts = _shared_table(g, part_of, rows) or DartTable(rows)
-        self.wire, self.wire_index = wire_darts(darts)
-        # enc_face's rank field: 4 bits, or as wide as the largest rank needs
-        wire = self.wire
-        self.rank_bits = max(4, max(
-            (wire[d][2] for ids in darts.rot for d in ids), default=0
-        ).bit_length())
+        self.names, self.width = dart_names(darts)
         # each vertex's parent dart and child darts, from the orientation
         parent_dart: list[Optional[int]] = [None] * g.n
         child_darts: list[list[int]] = [[] for _ in range(g.n)]
@@ -712,7 +692,7 @@ class DistPipeline:
 
     def run_learn_faces(self):
         self._run(
-            "learn_faces", LearnFacesProgram(self.darts, self.wire, self.wire_index), charge_units=1,
+            "learn_faces", LearnFacesProgram(self.darts, self.names, self.width), charge_units=1,
             publish=("face", "size"),
         )
 
@@ -735,11 +715,6 @@ class DistPipeline:
         # an election; the 0-round phase stays because perfbench names it
         self._local("root_election")
 
-    def _dec_faces(self, encs: Sequence[int]) -> list[int]:
-        """The dart id of every vertex's encoded face."""
-        index, bits = self.wire_index, self.rank_bits
-        return [index[dec_face(e, self.n, bits)] for e in encs]
-
     def run_dual_sums(self):
         self._run(
             "dual_subtree_sums", ContourProgram(self.darts), charge_units=2,
@@ -754,13 +729,13 @@ class DistPipeline:
             if stores[members[0]]["total_weight"] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
-        triple, bits = self.wire, self.rank_bits
+        names, width = self.names, self.width
         # every election input comes from the holders of a face's subtree
         # sums.  Balanced election: maximum face id among balanced candidates
         bal = self.aggregate([
             max(
                 (
-                    enc_face(triple[f], n, bits) + 1 for f, sub in store["subtrees"].items()
+                    names[f] + 1 for f, sub in store["subtrees"].items()
                     if is_balanced(sub.weight, store["total_weight"])
                 ),
                 default=0,
@@ -772,12 +747,12 @@ class DistPipeline:
         # heavy faces form a chain down from the dual root along which the
         # subtree's dart count strictly drops, so the deepest one has the
         # fewest darts: the largest key (M + 1 - darts) * space + id
-        space = enc_face((n, n, (1 << bits) - 1), n, bits) + 2
+        space = n * width + 1
 
         def heavy_key(store, f: int, sub: DualSubtree) -> int:
             if exceeds_beta(sub.weight, store["total_weight"]):
                 rank = store["total_darts"] + 1 - sub.darts
-                return rank * space + enc_face(triple[f], n, bits) + 1
+                return rank * space + names[f] + 1
             return 0
 
         crit = self.aggregate([
@@ -793,9 +768,8 @@ class DistPipeline:
         # anchor (the face's side of its dual parent edge, or R at the root)
         # next to its subtree sums
         case_in = [0] * n
-        faces = self._dec_faces([(b or c % space) - 1 for b, c in zip(bal, crit)])
         for v, store in enumerate(stores):
-            store["case_face"] = faces[v]
+            store["case_face"] = dart_of_name(self.darts, width, (bal[v] or crit[v] % space) - 1)
             store["case_anchor"] = None
             sub = store["subtrees"].get(store["case_face"])
             if sub is None:

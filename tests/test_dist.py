@@ -56,6 +56,7 @@ from planarsep.generators import (
     proper_random_weights,
     random_triangulation,
     two_level_parts,
+    wheel,
 )
 from planarsep.separator import find_balanced_or_critical
 from planarsep.treecotree import SpanningTree, dual_subtree_sums, part_members
@@ -321,8 +322,8 @@ def _cycle_with_copies(copies, length=12, at=10, weights=None):
 
 @pytest.mark.parametrize("copies", [16, 17, 40])
 def test_many_parallel_copies_agree(copies):
-    """Face ids with a copy of 16 or more still encode into the elections:
-    the copy field widens with the largest copy."""
+    """Many parallel copies still name their darts on the wire: every copy
+    is one more dart at its tail, so the name width grows with the degree."""
     g = _cycle_with_copies(copies)
     tree = bfs_tree(g, 0)
     seq = compute_separator(g, tree)
@@ -352,8 +353,9 @@ def _outcome(run):
 def test_arbitrary_copy_labels_agree(length, at, labels, root, data):
     """Copies at arbitrary, non-consecutive labels, however wide: both
     engines and both backends give the same separator and records, or the
-    same typed error.  Dart names go on the wire as copy ranks, so a wide
-    label costs no bits."""
+    same typed error.  A dart's name on the wire is its tail and its place
+    among its tail's darts (dist.dart_names), so a wide label costs no
+    bits."""
     weight = st.integers(8, 16) if length >= 24 else st.just(1)
     weights = data.draw(st.lists(weight, min_size=length, max_size=length))
     g = _cycle_with_copies(sorted(labels), length, at % length, weights)
@@ -444,7 +446,26 @@ FACE_CASES = {
     "cut3x10": lambda: _one_part(cut_chain(3, 10, seed=1)),
     "c40c6": lambda: _one_part(cycle_chords(40, 6, seed=1)),
     "parts8x2": lambda: two_level_parts(8, 2),
+    "wheel24": lambda: _one_part(wheel(24)),  # the hub's degree sets the name width
 }
+
+
+@pytest.mark.parametrize("name", ["grid4", "parts8x2", "cut3x10"])
+def test_dart_names_sort_as_ids_and_decode(name):
+    """A dart's name on the wire, tail * width + rank, holds its tail,
+    ascends as ids do and decodes back to its id: on g's own table, on g's
+    table restricted to several parts and on a table with virtual darts."""
+    g, part_of = FACE_CASES[name]()
+    darts = _pipeline(g, part_of, part_bfs_trees(g, part_of)).darts
+    if name == "parts8x2":
+        assert darts is not g.dart_table and darts.index is g.dart_table.index
+    if name == "cut3x10":
+        assert len(darts) > 2 * g.m
+    names, width = dist.dart_names(darts)
+    assert width == max(darts.lo[v + 1] - darts.lo[v] for v in range(g.n))
+    assert [x // width for x in names] == darts.tail
+    assert all(a < b for a, b in zip(names, names[1:]))
+    assert [dist.dart_of_name(darts, width, x) for x in names] == list(range(len(darts)))
 
 
 @pytest.mark.parametrize("name", sorted(FACE_CASES))
@@ -472,11 +493,14 @@ def test_learn_faces_costs(name):
     short of the minimum: nothing is dropped, the phase takes 2·max|f|
     rounds, and a face costs at most |f|(|f|+1)/2 tokens plus |f| - 1
     announcements, below the |f|² + |f| of rotating every token around the
-    whole face."""
+    whole face.  The widest frame is a token of the largest installed
+    dart's name, behind a 3-bit tag."""
     g, part_of = FACE_CASES[name]()
-    _, phase, rotations, _ = _learn_faces(g, part_of)
+    _, phase, rotations, darts = _learn_faces(g, part_of)
     face, size = _rings(rotations)
     sizes = [size[f] for f in set(face.values())]
+    names, _ = dist.dart_names(darts)
+    assert phase.max_bits == 3 + max(names[d] for ids in darts.rot for d in ids).bit_length()
     assert phase.dropped == 0
     assert phase.honest_rounds == 2 * max(sizes)
     assert phase.messages <= sum(k * (k + 1) // 2 + k - 1 for k in sizes)

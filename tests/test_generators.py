@@ -18,6 +18,7 @@ from planarsep.generators import (
     proper_random_weights,
     random_triangulation,
     two_level_parts,
+    wheel,
 )
 
 
@@ -59,6 +60,13 @@ def test_cycle_chords_count():
     assert g.f == 7 + 2
 
 
+def test_wheel_counts():
+    g = wheel(12)
+    assert (g.n, g.m, g.f) == (13, 24, 13) and g.euler_residual() == 0
+    assert g.degree(0) == 12 and {g.degree(v) for v in range(1, 13)} == {3}
+    assert sorted(f.size for f in g.faces) == [3] * 12 + [12]
+
+
 def test_bad_params():
     with pytest.raises(BadParams):
         grid(1, 5)
@@ -68,6 +76,8 @@ def test_bad_params():
         random_triangulation(2, 0)
     with pytest.raises(BadParams):
         two_level_parts(9, 2)
+    with pytest.raises(BadParams):
+        wheel(2)
 
 
 def test_two_level_parts_partition():
