@@ -62,7 +62,14 @@ from .congest import (
     require_backend,
 )
 from .collector import collector_paused
-from .embedding import Dart, DartTable, EmbeddedPlanarGraph, build_embedding, next_copy
+from .embedding import (
+    Dart,
+    DartTable,
+    EmbeddedPlanarGraph,
+    build_embedding,
+    next_copy,
+    require_weights,
+)
 from .errors import (
     ConflictingRoot,
     DegenerateTotal,
@@ -1006,7 +1013,8 @@ def dist_multi(
 ) -> tuple[dict[int, DistSeparatorOutput], RoundTrace]:
     """Concurrent separator runs in every part of a vertex-disjoint partition.
 
-    Before any phase runs: BadParams for an unknown backend,
+    Before any phase runs: BadParams for an unknown backend, NegativeWeight
+    unless the weights are one non-negative int per vertex,
     InvalidPartition for a bad partition or trees not keyed by its part
     ids, NotSpanningTree for a tree not spanning its part.  The cyclic
     collector is paused for the call (collector_paused).
@@ -1014,7 +1022,7 @@ def dist_multi(
     config = PipelineConfig(
         backend=backend, bit_budget=bit_budget, max_rounds=max_rounds, scramble=scramble,
     )
-    w = list(weights) if weights is not None else list(g.vertex_weight)
+    w = require_weights(g.n, weights if weights is not None else g.vertex_weight)
     if len(part_of) != g.n:
         raise InvalidPartition(f"partition covers {len(part_of)} of {g.n} vertices")
     parts = part_members(part_of)

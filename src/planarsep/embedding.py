@@ -261,6 +261,20 @@ def _check_connected(n: int, table: DartTable) -> bool:
     return all(seen)
 
 
+def require_weights(n: int, weights: Iterable[int]) -> list[int]:
+    """weights as a list, checked to hold one non-negative int per vertex
+    of an n-vertex graph; NegativeWeight otherwise."""
+    weights = list(weights)
+    if len(weights) != n:
+        raise NegativeWeight(f"expected {n} weights, got {len(weights)}")
+    for v, w in enumerate(weights):
+        if not isinstance(w, int):
+            raise NegativeWeight(f"vertex {v} has weight {w!r}, not an int")
+        if w < 0:
+            raise NegativeWeight(f"vertex {v} has weight {w}")
+    return weights
+
+
 @collector_paused
 def build_embedding(
     n: int,
@@ -309,14 +323,7 @@ def build_embedding(
 
     table = DartTable(rot)  # InconsistentRotation unless every reverse is present
 
-    if weights is None:
-        weights = [1] * n
-    weights = list(weights)
-    if len(weights) != n:
-        raise NegativeWeight(f"expected {n} weights, got {len(weights)}")
-    for v, w in enumerate(weights):
-        if w < 0:
-            raise NegativeWeight(f"vertex {v} has weight {w}")
+    weights = require_weights(n, [1] * n if weights is None else weights)
 
     if not _check_connected(n, table):
         raise NotConnected("graph is not connected")

@@ -18,7 +18,7 @@ class EulerViolation(PlanarSepError):
 
 
 class NegativeWeight(PlanarSepError):
-    """A vertex weight is negative."""
+    """A weight list does not hold one non-negative int per vertex."""
 
 
 class UnknownRoot(PlanarSepError):

@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .biconnect import biconnect
 from .collector import collector_paused
-from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, next_copy
+from .embedding import Dart, EdgeId, EmbeddedPlanarGraph, next_copy, require_weights
 from .errors import DegenerateTotal, NotBiconnected, NotProper
 from .treecotree import (
     SpanningTree,
@@ -407,10 +407,12 @@ def compute_separator(
     """Run the full pipeline on g (bi-connecting first) with tree T.
 
     The tree must span g; the result path lies in T, hence in g, and is a
-    3/4-balanced separator of the original graph.  The cyclic collector is
-    paused for the call (collector_paused).
+    3/4-balanced separator of the original graph.  NegativeWeight unless
+    the weights are one non-negative int per vertex, then DegenerateTotal
+    or NotProper (require_proper).  The cyclic collector is paused for the
+    call (collector_paused).
     """
-    w = list(weights) if weights is not None else list(g.vertex_weight)
+    w = require_weights(g.n, weights if weights is not None else g.vertex_weight)
     require_proper(w)
     gp = biconnect(g)
     pair = cotree(gp, tree)

@@ -40,6 +40,7 @@ from planarsep.errors import (
     ConflictingRoot,
     DegenerateTotal,
     InvalidPartition,
+    NegativeWeight,
     NotProper,
     NotSpanningTree,
     PlanarSepError,
@@ -1010,6 +1011,35 @@ def test_not_proper_surfaces(grid4):
     t = bfs_tree(grid4, 0)
     with pytest.raises(NotProper):
         dist_compute_separator(grid4, t, [100] + [1] * 15)
+
+
+def _negative_weights(g, seed):
+    """Weights with a few negatives that still pass 1/12-properness."""
+    rng = random.Random(seed)
+    return [rng.choice([10, 10, 10, -rng.randint(1, 10), 3]) for _ in range(g.n)]
+
+
+@pytest.mark.parametrize("make,weights", [
+    (lambda: grid(8, 8), lambda g: [1] * 64 + [100]),
+    (lambda: grid(8, 8), lambda g: [1] * 63),
+    (lambda: cycle_chords(50, 8, seed=8), lambda g: _negative_weights(g, 8)),
+    (lambda: random_triangulation(60, seed=10), lambda g: _negative_weights(g, 10)),
+    (lambda: grid(8, 8), lambda g: [1.5] * 64),
+], ids=["long", "short", "negative-c50", "negative-tri60", "float"])
+def test_both_engines_check_the_weights_list(make, weights):
+    """An override weights list passes the check build_embedding makes, one
+    non-negative int per vertex, in both engines and before properness:
+    NegativeWeight for a list too long or too short, a negative weight
+    (here in totals that are 1/12-proper) or a float."""
+    g = make()
+    w, t = weights(g), bfs_tree(g, 0)
+    with pytest.raises(NegativeWeight):
+        compute_separator(g, t, w)
+    with pytest.raises(NegativeWeight):
+        dist_compute_separator(g, t, w)
+    if len(w) == g.n:
+        with pytest.raises(NegativeWeight):
+            build_embedding(g.n, g.rotation, w)
 
 
 @pytest.mark.parametrize("weight,error", [(1, NotProper), (0, DegenerateTotal)])
