@@ -63,12 +63,7 @@ from .congest import (
 )
 from .collector import collector_paused
 from .embedding import (
-    Dart,
-    DartTable,
-    EmbeddedPlanarGraph,
-    build_embedding,
-    next_copy,
-    require_weights,
+    Dart, DartTable, EmbeddedPlanarGraph, build_embedding, next_copy, require_weights,
 )
 from .errors import (
     ConflictingRoot,
@@ -238,17 +233,16 @@ class LearnFacesProgram(VertexProgram):
     Every position (dart) sends its own name (dart_names), which orders as
     its id does, as a token to its successor on the face ring.  A position
     forwards a token only if it is smaller than every name it has seen, its
-    own included, and notes the round; larger tokens are dropped.  So only the face minimum's token gets back to
-    its origin, at round |f|: that position knows the face id and size and
-    sends the id on around the ring.  The announcement reaches the
-    position i hops on at round |f| + i, and the minimum's token reached it
-    at round i, so the difference of the two rounds is the face size.  The
-    position |f| - 1 hops on is the last to learn: it does not forward the
-    announcement, so a face costs |f|(|f|+1)/2 tokens at most plus |f| - 1
-    announcements, in 2|f| rounds.  A token never passes the minimum, so it
-    never meets the announcement on a dart.
-
-    Announcements carry a name too; the store keeps face ids as dart ids.
+    own included, and notes the round; larger tokens are dropped.  So only
+    the face minimum's token gets back to its origin, at round |f|: that
+    position knows the face id and size and sends its name on around the
+    ring.  The announcement reaches the position i hops on at round
+    |f| + i, and the minimum's token reached it at round i, so the
+    difference of the two rounds is the face size.  The position |f| - 1
+    hops on is the last to learn: it does not forward the announcement, so
+    a face costs |f|(|f|+1)/2 tokens at most plus |f| - 1 announcements, in
+    2|f| rounds.  A token never passes the minimum, so it never meets the
+    announcement on a dart.  The store keeps face ids as dart ids.
     """
 
     def __init__(self, darts: DartTable, names: list[int], width: int):
