@@ -115,9 +115,10 @@ def pack(frame: tuple) -> tuple[int, ...]:
 def dart_names(darts: DartTable) -> tuple[list[int], int]:
     """Each dart id's name on the wire, tail * width + rank, and width.
 
-    The rank is the dart's place among its tail's darts, d - lo[tail],
-    which the tail reads off its own rotation; width is the table's largest
-    degree, one global constant.  Names ascend as ids do, in a restricted
+    The rank is the dart's place among its tail's darts in (head, copy)
+    order, d - lo[tail], which the tail gets by sorting its own darts (not
+    their rotation order); width is the table's largest degree, one global
+    constant.  Names ascend as ids do, in a restricted
     table or one with virtual darts too, so a min-filter or maximum-id
     tie-break over names picks the dart it picks over ids, and a name takes
     O(log n) bits whatever labels a caller gives the copies.  dart_of_name

@@ -379,7 +379,7 @@ def star(leaves: int) -> EmbeddedPlanarGraph:
     return build_embedding(leaves + 1, rotation)
 
 
-def wheel(w: int, weights=None) -> EmbeddedPlanarGraph:
+def wheel(w: int) -> EmbeddedPlanarGraph:
     """A hub 0 joined to each vertex of a rim 1..w: the hub has degree w,
     and the rim bounds a face of w darts."""
     if w < 3:
@@ -387,7 +387,7 @@ def wheel(w: int, weights=None) -> EmbeddedPlanarGraph:
     rotation = [[Dart(0, i) for i in range(1, w + 1)]]
     for i in range(1, w + 1):
         rotation.append([Dart(i, 0), Dart(i, i - 1 if i > 1 else w), Dart(i, i % w + 1)])
-    return build_embedding(w + 1, rotation, weights)
+    return build_embedding(w + 1, rotation)
 
 
 def path_graph(n: int) -> EmbeddedPlanarGraph:
