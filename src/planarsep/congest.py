@@ -23,11 +23,13 @@ route over g.dart_table, so no call numbers darts of its own.  Dart
 objects appear only where callers hand darts in or read them out.
 
 Two part-wise aggregation backends share one PartAggregator: "honest"
-folds one int per vertex in a convergecast + broadcast (TreeFold) on a
-forest of one tree per part (T in the pipeline) and counts true rounds;
+folds one int per vertex in a convergecast + broadcast (TreeFold) of
+one-int frames on a forest of one tree per part (T in the pipeline) and
+counts true rounds;
 "charged" computes the folds out-of-band and books D * ceil(log2(n+1))^2
 rounds per call (pa_charge), the cost model for the shortcut-based
-aggregation the literature provides.
+aggregation the literature provides.  A part may sit a call out: its
+vertices send nothing, and a call no part takes books nothing.
 """
 
 from __future__ import annotations
@@ -310,9 +312,6 @@ class Partition:
     part_of: tuple[int, ...]
 
 
-_UP, _DOWN = 1, 2
-
-
 @dataclass(slots=True)
 class TreeView:
     """What a vertex knows of a rooted forest: its id, its dart to its
@@ -332,11 +331,14 @@ class TreeFold(VertexProgram):
 
     A vertex reads the TreeView fields of its knowledge.  It keeps the
     fold of its subtree ("acc") and each child's partial by child dart
-    ("kids"), and learns its tree's fold ("fold").  Frames are
-    (_UP, partial) to the parent and (_DOWN, fold) to the children.
+    ("kids"), and learns its tree's fold ("fold").  A frame is one int,
+    (x,): a partial when it arrives over a child dart, the fold when it
+    arrives over the parent dart.  A vertex whose input is None sits the
+    call out, as its whole tree must: it halts at round 0, sends nothing
+    and learns no fold.
     """
 
-    def __init__(self, op: str, inputs: Sequence[int]):
+    def __init__(self, op: str, inputs: Sequence[Optional[int]]):
         self.f = OPERATORS[op]
         self.inputs = inputs
 
@@ -344,26 +346,30 @@ class TreeFold(VertexProgram):
         return {"acc": self.inputs[know.vid], "kids": {}}
 
     def starts(self, know) -> bool:
-        return not know.child_darts  # a leaf; every other vertex waits for its children
+        # a leaf, or a vertex sitting the call out; every other vertex
+        # waits for its children
+        return not know.child_darts or self.inputs[know.vid] is None
 
     def step(self, r, know, st, inbox):
+        if st["acc"] is None:
+            return [], True
         up, down = know.parent_dart, know.child_darts
         kids = st["kids"]
         for k, frame in inbox.items():
             if k == up:
-                st["fold"] = frame[1]
+                st["fold"] = frame[0]
                 return [(d, frame) for d in down], True
-            kids[k] = part = frame[1]
+            kids[k] = part = frame[0]
             st["acc"] = self.f(st["acc"], part)
         if len(kids) < len(down):
             return [], False
         # the last partial is in: this step is the vertex's only one to send up
         acc = st["acc"]
+        msg = (acc,)
         if up is None:
             st["fold"] = acc
-            msg = (_DOWN, acc)
             return [(d, msg) for d in down], True
-        return [(up, (_UP, acc))], False
+        return [(up, msg)], False
 
 
 PA_BACKENDS = ("honest", "charged")
@@ -397,9 +403,11 @@ class PartAggregator:
 
     `members` lists each part's vertices (part_members).  `sim` runs
     TreeFold on `forest`, every vertex's TreeView (or any object with its
-    fields); the charged backend has no simulator.  A call books `charge`
-    rounds, or its honest rounds where they are more, and flags inputs too
-    wide for `budget`, which then may exceed it.
+    fields); the charged backend has no simulator.  A part whose inputs
+    are all None sits the call out: its vertices send nothing and learn
+    None.  A call books `charge` rounds, or its honest rounds where they
+    are more, and flags inputs too wide for `budget`, which then may
+    exceed it; a call that no part takes books nothing.
     """
 
     members: dict[int, list[int]]
@@ -408,19 +416,29 @@ class PartAggregator:
     budget: int
     charge: int
 
-    def __call__(self, inputs: Sequence[int], operator: str, trace: PhaseTrace) -> list[int]:
+    def __call__(
+        self, inputs: Sequence[Optional[int]], operator: str, trace: PhaseTrace
+    ) -> list[Optional[int]]:
         if operator not in OPERATORS:
             raise ValueError(f"unknown operator {operator}")
-        folds = [0] * len(inputs)
-        for members in self.members.values():
-            part = fold(operator, [inputs[v] for v in members])
+        folds: list[Optional[int]] = [None] * len(inputs)
+        widths = []  # the widest value of each part that takes the call
+        for pid, members in self.members.items():
+            values = [inputs[v] for v in members]
+            if None in values:
+                if values.count(None) < len(values):
+                    raise ValueError(f"part {pid} sits the call out at some members only")
+                continue
+            part = fold(operator, values)
             for v in members:
                 folds[v] = part
+            # a MIN or AND convergecast forwards partial folds wider than
+            # its result, so the widest input bounds the payload as well
+            widths.append(max(part, max(values)))
+        if not widths:  # every part sits the call out
+            return folds
         trace.pa_calls += 1
-        # a MIN or AND convergecast forwards partial folds wider than its
-        # result, so the widest input bounds the payload as well
-        widest = max(max(inputs, default=0), max(folds, default=0))
-        wide = widest.bit_length() + 4 > self.budget
+        wide = payload_bits((max(widths),)) > self.budget  # the one-int frame as sent
         if wide:
             trace.overflow_flags += 1
         if self.sim is None:
@@ -429,7 +447,7 @@ class PartAggregator:
         before = trace.honest_rounds
         states = self.sim.run(TreeFold(operator, inputs), self.forest, trace, allow_wide=wide)
         trace.charged_rounds += max(self.charge, trace.honest_rounds - before)
-        results = [st["fold"] for st in states]
+        results = [st.get("fold") for st in states]
         assert results == folds
         return results
 

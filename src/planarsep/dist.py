@@ -29,10 +29,13 @@ face total is formed), compute every dual subtree's weight and dart
 count from prefix sums along the contour of T counted from R, the tree
 root's first dart, whose face is the dual root (three frames per tree
 edge and one exchange across each cotree edge; no election), elect a
-balanced or critical node in three part-wise aggregations on T, claim
-the endpoints up T and broadcast them (one OR TreeFold of one-int
-claims, the program the honest aggregation runs too), and mark the path
-locally from the claims.
+balanced or critical node in one MAX part-wise aggregation on T whose
+keys rank every balanced face above every heavy one (only a part whose
+critical node has dual children aggregates again, to tell every vertex
+the face; every other part sits that call out), claim the endpoints up
+T and broadcast them (one OR TreeFold of one-int claims, the program
+the honest aggregation runs too), and mark the path locally from the
+claims.
 In the critical case, every position on the chosen
 face's ring first reads its virtual triangle's enclosed weight off its
 own contour prefix (the suffix of boundary choice-weights plus hanging
@@ -725,68 +728,61 @@ class DistPipeline:
 
     def run_detect(self):
         pt = self.trace.phase("detect")
-        n = self.n
         stores = [know.store for know in self.know]
         for pid, members in self.members.items():
             if stores[members[0]]["total_weight"] == 0:
                 raise DegenerateTotal(f"part {pid}: total face weight is zero")
 
-        names, width = self.names, self.width
-        # every election input comes from the holders of a face's subtree
-        # sums.  Balanced election: maximum face id among balanced candidates
-        bal = self.aggregate([
-            max(
-                (
-                    names[f] + 1 for f, sub in store["subtrees"].items()
-                    if is_balanced(sub.weight, store["total_weight"])
-                ),
-                default=0,
-            )
-            for store in stores
-        ], "MAX", pt)
+        darts, names, width = self.darts, self.names, self.width
+        space = self.n * width + 1  # above every dart name + 1
 
-        # critical election: the deepest face with subtree above 3/4.  The
-        # heavy faces form a chain down from the dual root along which the
-        # subtree's dart count strictly drops, so the deepest one has the
-        # fewest darts: the largest key (M + 1 - darts) * space + id
-        space = n * width + 1
-
-        def heavy_key(store, f: int, sub: DualSubtree) -> int:
-            if exceeds_beta(sub.weight, store["total_weight"]):
-                rank = store["total_darts"] + 1 - sub.darts
-                return rank * space + names[f] + 1
+        # one MAX election over keys from the holders of each face's
+        # subtree sums, with M the part's contour length.  A balanced face
+        # keys 2M + 3 + its name.  A heavy face (subtree above 3/4) keys
+        # 2(M + 1 - darts) + 1 if it has dual children, else + 0: the heavy
+        # faces form a chain down from the dual root along which the
+        # subtree's dart count strictly drops, so these ranks are distinct
+        # and the deepest heavy face has the largest.  Every balanced key
+        # ranks above every heavy key, at most 2M + 1.
+        def key(store, f: int, sub: DualSubtree) -> int:
+            W, M = store["total_weight"], store["total_darts"]
+            if is_balanced(sub.weight, W):
+                return 2 * M + 3 + names[f]
+            if exceeds_beta(sub.weight, W):
+                return 2 * (M + 1 - sub.darts) + (sub.darts > sub.size)
             return 0
 
-        crit = self.aggregate([
-            0 if bal[v] else max(
-                (heavy_key(store, f, sub) for f, sub in store["subtrees"].items()), default=0
-            )
-            for v, store in enumerate(stores)
-        ], "MAX", pt)
+        keys = [
+            {f: key(store, f, sub) for f, sub in store["subtrees"].items()} for store in stores
+        ]
+        won = self.aggregate([max(ks.values(), default=0) for ks in keys], "MAX", pt)
 
-        # every vertex decodes the chosen face from its election key; the
-        # face's holders publish its case and, for a virtual critical face,
-        # where its subtree's interval ends (base plus weight), and keep its
-        # anchor (the face's side of its dual parent edge, or R at the root)
-        # next to its subtree sums
-        case_in = [0] * n
-        for v, store in enumerate(stores):
-            store["case_face"] = dart_of_name(self.darts, width, (bal[v] or crit[v] % space) - 1)
-            store["case_anchor"] = None
-            sub = store["subtrees"].get(store["case_face"])
-            if sub is None:
-                continue
-            if bal[v]:
-                code = CASE_BALANCED
+        # every vertex reads the case off the winning key; a balanced key
+        # names its face, a heavy one only its face's holders recognise.
+        # They keep its anchor (the face's side of its dual parent edge, or
+        # R at the root) next to its subtree sums
+        face_in: list[Optional[int]] = [None] * self.n
+        for v, (store, ks) in enumerate(zip(stores, keys)):
+            k, M = won[v], store["total_darts"]
+            if k > 2 * M + 1:
+                code, face = CASE_BALANCED, dart_of_name(darts, width, k - 2 * M - 3)
             else:
-                # a face has dual children iff its subtree has more darts
-                code = CASE_VIRTUAL if sub.darts > sub.size else CASE_LEAF
-            store["case_anchor"] = sub.parent_dart
-            base_sum = sub.weight + sub.base if code == CASE_VIRTUAL else 0
-            case_in[v] = (base_sum << 2) | code
-        case = self.aggregate(case_in, "MAX", pt)
-        for v, store in enumerate(stores):
-            store["case_code"], store["case_base"] = case[v] & 3, case[v] >> 2
+                code = CASE_VIRTUAL if k & 1 else CASE_LEAF
+                face = next((f for f, key_f in ks.items() if key_f == k), None)
+            sub = store["subtrees"].get(face)
+            store["case_code"], store["case_face"], store["case_base"] = code, face, 0
+            store["case_anchor"] = None if sub is None else sub.parent_dart
+            if code == CASE_VIRTUAL:
+                face_in[v] = 0 if sub is None else (sub.weight + sub.base) * space + names[face] + 1
+
+        # only a virtual critical part aggregates again: its face's holders
+        # tell every vertex the face and where its subtree's interval ends
+        # (base plus weight), for the prefix pass; every other part sits out
+        told = self.aggregate(face_in, "MAX", pt)
+        for store, x in zip(stores, told):
+            if x is not None:
+                store["case_base"], name = divmod(x, space)
+                store["case_face"] = dart_of_name(darts, width, name - 1)
         self.trace.interval_lengths.append(pt.honest_rounds)
 
     def run_prefix(self):

@@ -429,6 +429,47 @@ def test_wide_partial_folds_widen_the_budget(grid4):
         assert tr.overflow_flags >= 1
 
 
+def test_wide_flag_counts_the_frame_as_sent(grid4):
+    """A fold of exactly the budget's 40 bits travels in a one-int frame
+    of 40 bits and is not flagged; one bit more is."""
+    budget = default_bit_budget(grid4.n)
+    for backend in ("honest", "charged"):
+        for bits, flagged in ((budget, False), (budget + 1, True)):
+            tr = PhaseTrace("pa")
+            inputs = [0] * 15 + [2 ** (bits - 1)]
+            res = pa_aggregate(grid4, Partition((0,) * 16), inputs, "MAX", backend, tr, diameter=6)
+            assert res == [2 ** (bits - 1)] * 16
+            # the simulator flags each wide frame too
+            assert (tr.overflow_flags > 0) == flagged, (backend, bits)
+            if backend == "honest":
+                assert tr.max_bits == bits
+
+
+def test_parts_sit_a_call_out():
+    """Three 2x6 bands, the middle one sitting out: both backends fold the
+    other two alike, the middle band learns None and sends nothing.  A
+    call that every part sits out books nothing."""
+    g = grid(6, 6)
+    bands = Partition(tuple(v // 12 for v in range(g.n)))
+    inputs = [None if v // 12 == 1 else v for v in range(g.n)]
+    want = [11] * 12 + [None] * 12 + [35] * 12
+    traces = {}
+    for backend in ("honest", "charged"):
+        traces[backend] = tr = PhaseTrace("pa")
+        assert pa_aggregate(g, bands, inputs, "MAX", backend, tr, diameter=10) == want
+        assert tr.pa_calls == 1
+    # one frame each way on each tree edge of the two bands that take the call
+    assert traces["honest"].messages == 2 * (11 + 11)
+    assert traces["charged"].messages == 0
+    assert traces["honest"].charged_rounds == traces["charged"].charged_rounds
+    for backend in ("honest", "charged"):
+        tr = PhaseTrace("pa")
+        assert pa_aggregate(g, bands, [None] * g.n, "MAX", backend, tr) == [None] * g.n
+        assert tr == PhaseTrace("pa")
+    with pytest.raises(ValueError):
+        pa_aggregate(g, bands, [None] + [1] * (g.n - 1), "MAX", "honest", PhaseTrace("pa"))
+
+
 def test_broadcast_rounds(grid4):
     t = bfs_tree(grid4, 0)
     tr = PhaseTrace("bc")

@@ -53,6 +53,7 @@ from planarsep.generators import (
     cylinder,
     grid,
     joined_grids,
+    merge_at_vertex,
     pinned_critical_instance,
     proper_random_weights,
     random_triangulation,
@@ -615,17 +616,20 @@ def test_phase_rounds_within_tree_height():
     lambda: grid(12, 12),
     lambda: random_triangulation(300, 2),
     lambda: cycle_chords(120, 20, 1),
-], ids=["grid12", "tri300", "cycle120"])
+    lambda: cycle_chords(12, 0),
+], ids=["grid12", "tri300", "cycle120", "c12"])
 def test_detect_follows_t(make):
-    """Detect's three aggregations run on T, whatever its root: each is
-    one convergecast and one broadcast, 2·height(T)+1 honest rounds, and
-    the separator serializes as the sequential engine's."""
+    """Detect's aggregations run on T, whatever its root: one election,
+    and a second only in the virtual critical case, each one convergecast
+    and one broadcast, 2·height(T)+1 honest rounds; the separator
+    serializes as the sequential engine's."""
     g = make()
     for root in (0, g.n // 2):
         t = bfs_tree(g, root)
         out, trace = dist_compute_separator(g, t)
         detect = next(p for p in trace.phases if p.name == "detect")
-        assert detect.honest_rounds == 3 * (2 * t.height() + 1), root
+        calls = 2 if out.result.case == "critical-virtual" else 1
+        assert detect.honest_rounds == calls * (2 * t.height() + 1), root
         assert serialize_separator(out.result) == serialize_separator(compute_separator(g, t))
 
 
@@ -820,9 +824,11 @@ def test_detect_matches_sequential(grid4, tri60, c12):
         t = bfs_tree(g, 0)
         stores, _, darts = _full_run(g, t)
         kind = "balanced" if stores[0]["case_code"] == CASE_BALANCED else "critical"
-        # the weight sits with the face's subtree sums, at its holders
-        face = stores[0]["case_face"]
-        subtree = next(s["subtrees"][face].weight for s in stores if face in s["subtrees"])
+        # the face and its weight sit with its subtree sums, at its holders
+        # (in a critical-leaf part only they learn the face)
+        holder = next(s for s in stores if s["case_face"] in s["subtrees"])
+        face = holder["case_face"]
+        subtree = holder["subtrees"][face].weight
         pair = cotree(g, t)
         seq = find_balanced_or_critical(pair, transfer_weights(g).face_weight)
         assert (kind, darts.dart(face), subtree) == (
@@ -1308,6 +1314,45 @@ def test_multi_parts_match_sequential_engine(g, parts, tiny, max_weight, seed):
     assert sorted(outputs) == sorted(members)
     for pid, out in outputs.items():
         assert (serialize_separator(out.result), out.records()) == expected[pid], pid
+
+
+def test_balanced_part_sits_out_the_virtual_call(monkeypatch):
+    """A triangulation glued at one vertex to a grid: a balanced part next
+    to a critical-virtual one.  Detect makes two calls; in the second the
+    balanced part sends nothing and learns no fold, and the other part
+    sends one frame each way on each of its tree edges.  Each part equals
+    the sequential engine on its relabelled part."""
+    a = random_triangulation(30, 1)
+    g = merge_at_vertex(a, grid(5, 5))
+    part_of = [0] * a.n + [1] * (g.n - a.n)
+    trees = part_bfs_trees(g, part_of)
+    members = part_members(part_of)
+    folds = []
+    real = Simulator.run
+
+    def recording(sim, program, knowledge, trace, **kwargs):
+        before = trace.messages
+        states = real(sim, program, knowledge, trace, **kwargs)
+        if trace.name == "detect":
+            folds.append((program.inputs, states, trace.messages - before))
+        return states
+
+    monkeypatch.setattr(Simulator, "run", recording)
+    outputs, trace = dist_multi(g, part_of, trees)
+    assert [outputs[pid].case for pid in (0, 1)] == ["balanced", "critical-virtual"]
+    detect, = (p for p in trace.phases if p.name == "detect")
+    assert detect.pa_calls == 2 and len(folds) == 2
+    inputs, states, messages = folds[1]
+    assert all(inputs[v] is None and states[v] == {"acc": None, "kids": {}} for v in members[0])
+    assert all(inputs[v] is not None and "fold" in states[v] for v in members[1])
+    assert messages == 2 * (len(members[1]) - 1)
+    for pid, ms in members.items():
+        sub, tree = _part_graph(g, ms, trees[pid])
+        res = compute_separator(sub, tree)
+        assert (serialize_separator(outputs[pid].result), outputs[pid].records()) == (
+            serialize_separator(_globalize(res, ms)),
+            _globalize_records(sep_records(sub, tree, res), ms),
+        ), pid
 
 
 # _part_knowledge against the rebuild path: every part relabelled, built with
