@@ -743,32 +743,36 @@ class DistPipeline:
         # faces form a chain down from the dual root along which the
         # subtree's dart count strictly drops, so these ranks are distinct
         # and the deepest heavy face has the largest.  Every balanced key
-        # ranks above every heavy key, at most 2M + 1.
-        def key(store, f: int, sub: DualSubtree) -> int:
+        # ranks above every heavy key, at most 2M + 1.  Each vertex sends
+        # its largest key and remembers whose it is
+        best = []
+        for store in stores:
             W, M = store["total_weight"], store["total_darts"]
-            if is_balanced(sub.weight, W):
-                return 2 * M + 3 + names[f]
-            if exceeds_beta(sub.weight, W):
-                return 2 * (M + 1 - sub.darts) + (sub.darts > sub.size)
-            return 0
-
-        keys = [
-            {f: key(store, f, sub) for f, sub in store["subtrees"].items()} for store in stores
-        ]
-        won = self.aggregate([max(ks.values(), default=0) for ks in keys], "MAX", pt)
+            top = (0, None)
+            for f, sub in store["subtrees"].items():
+                if is_balanced(sub.weight, W):
+                    k = 2 * M + 3 + names[f]
+                elif exceeds_beta(sub.weight, W):
+                    k = 2 * (M + 1 - sub.darts) + (sub.darts > sub.size)
+                else:
+                    continue
+                if k > top[0]:
+                    top = (k, f)
+            best.append(top)
+        won = self.aggregate([k for k, _f in best], "MAX", pt)
 
         # every vertex reads the case off the winning key; a balanced key
-        # names its face, a heavy one only its face's holders recognise.
-        # They keep its anchor (the face's side of its dual parent edge, or
-        # R at the root) next to its subtree sums
+        # names its face, a heavy one only its face's holders recognise, as
+        # their own largest.  They keep its anchor (the face's side of its
+        # dual parent edge, or R at the root) next to its subtree sums
         face_in: list[Optional[int]] = [None] * self.n
-        for v, (store, ks) in enumerate(zip(stores, keys)):
+        for v, (store, (own, own_face)) in enumerate(zip(stores, best)):
             k, M = won[v], store["total_darts"]
             if k > 2 * M + 1:
                 code, face = CASE_BALANCED, dart_of_name(darts, width, k - 2 * M - 3)
             else:
                 code = CASE_VIRTUAL if k & 1 else CASE_LEAF
-                face = next((f for f, key_f in ks.items() if key_f == k), None)
+                face = own_face if own == k else None
             sub = store["subtrees"].get(face)
             store["case_code"], store["case_face"], store["case_base"] = code, face, 0
             store["case_anchor"] = None if sub is None else sub.parent_dart
