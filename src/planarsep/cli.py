@@ -94,7 +94,7 @@ def cmd_run(args) -> int:
         if getattr(args, key) is not None
     }
     specs = [replace(s, **overrides) for s in specs]
-    records, summary = run_suite(specs, phases=args.phases)
+    records, summary = run_suite(specs)
     text = render_report(records, summary)
     if args.out:
         Path(args.out).write_text(text)
@@ -230,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a DOT rendering of G, T, T* and P (single instance)")
     r.add_argument("--trace-out", type=str, default=None,
                    help="write the per-phase round trace (single instance)")
-    r.add_argument("--phases", action="store_true",
-                   help="add each distributed record's per-phase round trace counters")
     r.add_argument("--weights", choices=sorted(WEIGHT_SCHEMES), default="unit")
     _add_common(r)
     r.set_defaults(func=cmd_run)

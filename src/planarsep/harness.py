@@ -148,15 +148,8 @@ def _instance_weights(spec: ExperimentSpec, g: EmbeddedPlanarGraph) -> list[int]
     return scheme(g.n, spec.weight_seed)
 
 
-# the RoundTrace counters that `phases` adds to a record, per phase
-PHASE_FIELDS = (
-    "name", "honest_rounds", "charged_rounds", "messages", "total_bits", "max_bits", "pa_calls",
-)
-
-
-def run_experiment(spec: ExperimentSpec, deep_checks: bool = True, phases: bool = False) -> dict:
-    """One instance end to end; returns a JSON-able record.  With `phases`,
-    a distributed record also lists every phase's PHASE_FIELDS counters."""
+def run_experiment(spec: ExperimentSpec, deep_checks: bool = True) -> dict:
+    """One instance end to end; returns a JSON-able record."""
     g, _partition = generate(spec.generator, spec.params, spec.seed)
     w = _instance_weights(spec, g)
     tree = bfs_tree(g, 0)
@@ -203,12 +196,6 @@ def run_experiment(spec: ExperimentSpec, deep_checks: bool = True, phases: bool 
         record["max_bits"] = trace.max_bits_per_edge_per_round
         if trace.max_bits_per_edge_per_round > record["bit_budget"]:
             fail("bit-budget")
-        if phases:
-            record["phases"] = [{k: getattr(p, k) for k in PHASE_FIELDS} for p in trace.phases]
-        # detect elects once, and only a virtual critical part aggregates again
-        detect, = (p for p in trace.phases if p.name == "detect")
-        if detect.pa_calls != (2 if dist_out.result.case == "critical-virtual" else 1):
-            fail("detect-calls")
 
     result = seq if seq is not None else dist_out.result
     record["case"] = result.case
@@ -247,11 +234,9 @@ def run_experiment(spec: ExperimentSpec, deep_checks: bool = True, phases: bool 
     return record
 
 
-def run_suite(
-    specs: list[ExperimentSpec], deep_checks: bool = True, phases: bool = False
-) -> tuple[list[dict], dict]:
+def run_suite(specs: list[ExperimentSpec], deep_checks: bool = True) -> tuple[list[dict], dict]:
     """Run every spec; returns (records, summary with coverage counters)."""
-    records = [run_experiment(s, deep_checks=deep_checks, phases=phases) for s in specs]
+    records = [run_experiment(s, deep_checks=deep_checks) for s in specs]
     coverage = {"balanced": 0, "critical-virtual": 0, "critical-leaf": 0, "not-proper": 0}
     failures = 0
     for r in records:

@@ -6,10 +6,8 @@ from planarsep import cli
 from planarsep.cli import build_parser, main
 from planarsep.errors import BadParams, InsufficientData
 from planarsep.graphio import parse_graph, write_graph
-from planarsep import harness
 from planarsep.harness import (
     GENERATOR_PARAMS,
-    PHASE_FIELDS,
     ExperimentSpec,
     _instance_weights,
     generate,
@@ -274,7 +272,7 @@ def test_cli_gen_and_run_seed_the_weights_alike(tmp_path, monkeypatch):
     assert written == WEIGHT_SCHEMES["random-proper"](36, 3)
     assert written != WEIGHT_SCHEMES["random-proper"](36, 0)
     specs = []
-    monkeypatch.setattr(cli, "run_suite", lambda ss, **kw: specs.extend(ss) or run_suite(ss, **kw))
+    monkeypatch.setattr(cli, "run_suite", lambda ss: specs.extend(ss) or run_suite(ss))
     rc = main(["run", "--kind", "grid", *params, "--out", str(tmp_path / "r.ndjson")])
     assert rc == 0
     (spec,) = specs
@@ -314,65 +312,6 @@ def test_cli_run_exit_code_on_not_proper(tmp_path):
         "--out", str(tmp_path / "r.ndjson"),
     ])
     assert rc == 1
-
-
-def test_cli_run_phases(tmp_path):
-    """--phases adds each distributed record's per-phase counters, whose
-    rounds sum to the record's and whose widest frame is the record's;
-    without the flag, and with "phases" dropped from each record, the
-    report is the same bytes.  A sequential record gets no phases."""
-    specs = [
-        ExperimentSpec(name="tri", generator="random-triangulation", params={"n": 60}, seed=2),
-        ExperimentSpec(name="g4", generator="grid", params={"rows": 4, "cols": 4}),
-        ExperimentSpec(name="c12", generator="cycle-chords", params={"n": 12, "chords": 0}),
-        ExperimentSpec(name="seq", generator="grid", params={"rows": 4, "cols": 4},
-                       engine="sequential"),
-    ]
-    spec_file = tmp_path / "specs.ndjson"
-    spec_file.write_text("".join(s.to_json() + "\n" for s in specs))
-    plain, phased = tmp_path / "plain.ndjson", tmp_path / "phased.ndjson"
-    assert main(["run", "--spec", str(spec_file), "--out", str(plain)]) == 0
-    assert main(["run", "--spec", str(spec_file), "--phases", "--out", str(phased)]) == 0
-    plain_lines = plain.read_text().splitlines()
-    assert all("phases" not in json.loads(line) for line in plain_lines)
-    stripped = []
-    for line in phased.read_text().splitlines():
-        rec = json.loads(line)
-        rows = rec.pop("phases", None)
-        stripped.append(json.dumps(rec, sort_keys=True))
-        if "honest_rounds" not in rec:
-            assert rows is None
-            continue
-        assert [tuple(row) for row in rows] == [tuple(sorted(PHASE_FIELDS))] * len(rows)
-        assert sum(row["honest_rounds"] for row in rows) == rec["honest_rounds"]
-        assert sum(row["charged_rounds"] for row in rows) == rec["charged_rounds"]
-        assert max(row["max_bits"] for row in rows) == rec["max_bits"]
-        assert sum(row["messages"] for row in rows) > 0
-        detect, = (row for row in rows if row["name"] == "detect")
-        assert detect["pa_calls"] == (2 if rec["case"] == "critical-virtual" else 1)
-    assert "\n".join(stripped) + "\n" == plain.read_text()
-    assert len(stripped) == len(specs) + 1  # and the summary line
-
-
-def test_detect_calls_guard(monkeypatch):
-    """A record fails with detect-calls when detect makes another
-    aggregation than its case needs: one, two for critical-virtual."""
-    specs = [
-        ExperimentSpec(name="tri", generator="random-triangulation", params={"n": 60}, seed=2),
-        ExperimentSpec(name="g4", generator="grid", params={"rows": 4, "cols": 4}),
-        ExperimentSpec(name="c12", generator="cycle-chords", params={"n": 12, "chords": 0}),
-    ]
-    assert all(run_experiment(s, deep_checks=False)["ok"] for s in specs)
-    real = harness.dist_compute_separator
-
-    def one_call_more(*args, **kwargs):
-        out, trace = real(*args, **kwargs)
-        next(p for p in trace.phases if p.name == "detect").pa_calls += 1
-        return out, trace
-
-    monkeypatch.setattr(harness, "dist_compute_separator", one_call_more)
-    for spec in specs:
-        assert run_experiment(spec, deep_checks=False)["failures"] == ["detect-calls"]
 
 
 def test_cli_verify(tmp_path, capsys):
