@@ -251,12 +251,14 @@ class LearnFacesProgram(VertexProgram):
 
     def __init__(self, darts: DartTable, names: list[int], width: int):
         self.darts, self.succ, self.names, self.width = darts, darts.succ, names, width
+        self.head = darts.head
         self.tok = [(T_TOK, x) for x in names]  # a dart's own token
 
     def init(self, know: LocalKnowledge) -> dict:
-        tok = self.tok
+        tok, head, width = self.tok, self.head, self.width
         return {
-            "best": {d: tok[d] for d in know.rotation},
+            # below the own name and below every name with a tail past head(d)
+            "best": {d: min(tok[d], (T_TOK, (head[d] + 1) * width)) for d in know.rotation},
             "best_round": {},
             "face": {},
             "size": {},
@@ -265,7 +267,8 @@ class LearnFacesProgram(VertexProgram):
     def step(self, r, know: LocalKnowledge, st, inbox):
         tok = self.tok
         if r == 0:
-            return [(d, tok[d]) for d in know.rotation], False
+            head, v = self.head, know.vid
+            return [(d, tok[d]) for d in know.rotation if head[d] > v], False
         succ = self.succ
         out = []
         best, best_round, face, size = st["best"], st["best_round"], st["face"], st["size"]

@@ -412,20 +412,58 @@ def test_learn_faces_triangulation_dual_endpoints():
             assert stores[d.tail]["size"][ids[d]] == g.face(faces[d]).size
 
 
-def _rings(rotations):
-    """Face id (minimum dart) and size of every dart's ring, walked over
-    the installed per-vertex rotations."""
+def _ring_walks(rotations):
+    """Every face ring, walked over the installed per-vertex rotations: its
+    darts in ring order, each followed by the rotation successor of its
+    reverse."""
     succ = {a: b for rot in rotations for a, b in zip(rot, rot[1:] + rot[:1])}
-    face, size = {}, {}
+    seen, rings = set(), []
     for d in succ:
-        if d in face:
+        if d in seen:
             continue
         ring = [d]
         while (x := succ[ring[-1].reverse()]) != d:
             ring.append(x)
+        seen.update(ring)
+        rings.append(ring)
+    return rings
+
+
+def _rings(rotations):
+    """Face id (minimum dart) and size of every installed dart's ring."""
+    face, size = {}, {}
+    for ring in _ring_walks(rotations):
         for x in ring:
             face[x], size[x] = min(ring), len(ring)
     return face, size
+
+
+def _ring_tokens(ring, names, width):
+    """The token sends of learn_faces' filtered min rule on one ring of
+    Darts with their wire names, round by round, as (token, receiving
+    dart) pairs.
+
+    A position's filter starts at min(own name, (head + 1) * width): its
+    successor's name, tail head, is below every name whose tail is larger.
+    At round 0 a position sends its own name if that is below its filter,
+    i.e. if its head exceeds its tail; later it forwards an arriving token
+    below its filter, which then takes the token's value.  A token back at
+    its origin stops there."""
+    k = len(ring)
+    x = [names[d] for d in ring]
+    best = [min(x[i], (d.head + 1) * width) for i, d in enumerate(ring)]
+    moving = [i for i, d in enumerate(ring) if d.head > d.tail]
+    sends = []
+    for t in range(1, k + 1):  # round t delivers what round t - 1 sent
+        alive = []
+        for i in moving:
+            j = (i + t) % k
+            sends.append((x[i], ring[j]))
+            if j != i and x[i] < best[j]:
+                best[j] = x[i]
+                alive.append(i)
+        moving = alive
+    return sends
 
 
 def _learn_faces(g, part_of):
@@ -490,19 +528,40 @@ def test_learn_faces_match_installed_rings(name):
 
 
 @pytest.mark.parametrize("name", sorted(FACE_CASES))
-def test_learn_faces_costs(name):
-    """Min-filtered tokens plus one announcement lap that stops one hop
-    short of the minimum: nothing is dropped, the phase takes 2·max|f|
+def test_learn_faces_costs(name, monkeypatch):
+    """Min-filtered tokens that go only where the ring successor keeps
+    them, plus one announcement lap that stops one hop short of the
+    minimum.  Every token the program receives is one the ring oracle
+    sends, where it sends it, and none reaches a position whose own name is
+    smaller; so the phase's messages are the oracle's tokens plus |f| - 1
+    announcements per face.  Nothing is dropped, the phase takes 2·max|f|
     rounds, and a face costs at most |f|(|f|+1)/2 tokens plus |f| - 1
     announcements, below the |f|² + |f| of rotating every token around the
-    whole face.  The widest frame is a token of the largest installed
-    dart's name, behind a 3-bit tag."""
+    whole face.  The widest frame is a token of the widest name the oracle
+    sends, behind a 3-bit tag; the largest name is never sent."""
     g, part_of = FACE_CASES[name]()
+    received = []
+    step = dist.LearnFacesProgram.step
+
+    def recording_step(self, r, know, st, inbox):
+        received.extend(
+            (payload[1], self.succ[k]) for k, payload in inbox.items() if payload[0] == dist.T_TOK
+        )
+        return step(self, r, know, st, inbox)
+
+    monkeypatch.setattr(dist.LearnFacesProgram, "step", recording_step)
     _, phase, rotations, darts = _learn_faces(g, part_of)
-    face, size = _rings(rotations)
-    sizes = [size[f] for f in set(face.values())]
-    names, _ = dist.dart_names(darts)
-    assert phase.max_bits == 3 + max(names[d] for ids in darts.rot for d in ids).bit_length()
+    ids = darts.index
+    rings = _ring_walks(rotations)
+    sizes = [len(ring) for ring in rings]
+    names, width = dist.dart_names(darts)
+    by_dart = {d: names[ids[d]] for ring in rings for d in ring}
+    sends = [s for ring in rings for s in _ring_tokens(ring, by_dart, width)]
+    assert sorted(received) == sorted((x, ids[d]) for x, d in sends)
+    assert all(x <= names[slot] for x, slot in received)
+    assert phase.messages == len(sends) + sum(k - 1 for k in sizes)
+    assert phase.max_bits == 3 + max(x for x, _ in sends).bit_length()
+    assert max(x for x, _ in sends) < max(by_dart.values())
     assert phase.dropped == 0
     assert phase.honest_rounds == 2 * max(sizes)
     assert phase.messages <= sum(k * (k + 1) // 2 + k - 1 for k in sizes)
