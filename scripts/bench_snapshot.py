@@ -22,10 +22,13 @@ repository root holds:
 The sources under src/ and perfbench/ must match the commit, and an
 existing snapshot is never overwritten; either refusal exits 2.  A run
 that fails the benchmark's correctness gate exits 1 and writes nothing.
+The script takes no arguments: ``--help`` prints this text, and any other
+argument exits 2 before git or any run starts.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -84,7 +87,10 @@ def _tier1() -> dict:
     return {"wall_s": wall, "exit": proc.returncode, **counts}
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args(argv)
     if _git("status", "--porcelain", "--", "src", "perfbench"):
         print("bench_snapshot: src/ or perfbench/ differs from HEAD", file=sys.stderr)
         return 2
