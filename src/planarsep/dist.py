@@ -16,16 +16,18 @@ tail's darts, width the table's largest degree (dart_names).  Learning
 face ids works on face rings: consecutive boundary darts of a face share
 a vertex, so a face is a communication ring, and a token forwarded from
 position dart d lands at head(d), which derives the receiving position
-locally as the rotation successor of the arrival dart.  Everything else
-runs on T (part-wise aggregation too) or on single cotree edges or ring
-hops.
+locally as the rotation successor of the arrival dart.  So d knows that
+its successor's name has tail head(d), and sends no token that this
+name would filter out.  Everything else runs on T (part-wise
+aggregation too) or on single cotree edges or ring hops.
 
 Phase order: T comes rooted, as DistPipeline orients it once from its
 edges and root (LocalKnowledge), so the tree_root and learn_cotree
-phases are local and empty; learn face ids (min-filtered tokens around each
-ring, then one announcement of the minimum that stops one hop short of
-it), transfer each vertex's weight to its minimum face id locally (no
-face total is formed), compute every dual subtree's weight and dart
+phases are local and empty; learn face ids (min-filtered tokens around
+each ring, each sent only if the ring successor keeps it, then one
+announcement of the minimum that stops one hop short of it), transfer
+each vertex's weight to its minimum face id locally (no face total is
+formed), compute every dual subtree's weight and dart
 count from prefix sums along the contour of T counted from R, the tree
 root's first dart, whose face is the dual root (three frames per tree
 edge and one exchange across each cotree edge; no election), elect a
@@ -234,18 +236,26 @@ class LearnFacesProgram(VertexProgram):
     """Face ids by min-filtered tokens (Chang and Roberts, CACM 1979) and
     one announcement lap.
 
-    Every position (dart) sends its own name (dart_names), which orders as
-    its id does, as a token to its successor on the face ring.  A position
-    forwards a token only if it is smaller than every name it has seen, its
-    own included, and notes the round; larger tokens are dropped.  So only
-    the face minimum's token gets back to its origin, at round |f|: that
-    position knows the face id and size and sends its name on around the
-    ring.  The announcement reaches the position i hops on at round
-    |f| + i, and the minimum's token reached it at round i, so the
-    difference of the two rounds is the face size.  The position |f| - 1
-    hops on is the last to learn: it does not forward the announcement, so
-    a face costs |f|(|f|+1)/2 tokens at most plus |f| - 1 announcements, in
-    2|f| rounds.  A token never passes the minimum, so it never meets the
+    Tokens are names (dart_names), which order as ids do and rise with the
+    tail.  A position d's successor on the face ring sits at head(d), so
+    its own name is below (head(d) + 1) * width, and it would drop any
+    token whose tail is past head(d): such a token is never sent.  A
+    position's filter starts at min(own name, (head + 1) * width).  At
+    round 0 a position sends its own name to its successor only if its
+    head exceeds its tail, one dart of every edge.  Later it forwards a
+    token only if it is below the filter, which then takes the token's
+    value, and notes the round; other tokens are dropped.  The face
+    minimum passes every filter, and only its token gets back to its
+    origin, at round |f|: that position knows the face id and size and
+    sends its name on around the ring.  The announcement reaches the
+    position i hops on at round |f| + i, and the minimum's token reached
+    it at round i, so the difference of the two rounds is the face size.
+    The position |f| - 1 hops on is the last to learn: it does not forward
+    the announcement, so a face costs |f|(|f|+1)/2 tokens at most plus
+    |f| - 1 announcements, in 2|f| rounds.  That worst case still holds,
+    less the |f| - 1 tokens into the minimum's position, on a face whose
+    names rise along the ring, such as a long cycle's outer face or a
+    wheel's rim.  A token never passes the minimum, so it never meets the
     announcement on a dart.  The store keeps face ids as dart ids.
     """
 
