@@ -267,7 +267,7 @@ class LearnFacesProgram(VertexProgram):
     def init(self, know: LocalKnowledge) -> dict:
         tok, head, width = self.tok, self.head, self.width
         return {
-            # below the own name and below every name with a tail past head(d)
+            # a token passes below the own name, and only with a tail up to head(d)
             "best": {d: min(tok[d], (T_TOK, (head[d] + 1) * width)) for d in know.rotation},
             "best_round": {},
             "face": {},
