@@ -263,12 +263,15 @@ class LearnFacesProgram(VertexProgram):
         self.darts, self.succ, self.names, self.width = darts, darts.succ, names, width
         self.head = darts.head
         self.tok = [(T_TOK, x) for x in names]  # a dart's own token
+        # above every name with tail v, at most any name with a larger tail
+        self.cap = [(T_TOK, (v + 1) * width) for v in range(len(darts.rot))]
 
     def init(self, know: LocalKnowledge) -> dict:
-        tok, head, width = self.tok, self.head, self.width
+        tok, head, cap, v = self.tok, self.head, self.cap, know.vid
         return {
-            # a token passes below the own name, and only with a tail up to head(d)
-            "best": {d: min(tok[d], (T_TOK, (head[d] + 1) * width)) for d in know.rotation},
+            # min(own token, cap[head(d)]): a token passes below the own
+            # name, and only with a tail up to head(d)
+            "best": {d: tok[d] if (h := head[d]) > v else cap[h] for d in know.rotation},
             "best_round": {},
             "face": {},
             "size": {},
