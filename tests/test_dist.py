@@ -445,9 +445,9 @@ def _ring_tokens(ring, names, width):
 
     A position's filter starts at min(own name, (head + 1) * width): its
     successor's name, tail head, is below every name whose tail is larger.
-    At round 0 a position sends its own name if that is below its filter,
-    i.e. if its head exceeds its tail; later it forwards an arriving token
-    below its filter, which then takes the token's value.  A token back at
+    At round 0 a position sends its own name only if its head exceeds its
+    tail, i.e. if its name is below (head + 1) * width; later it forwards
+    an arriving token below its filter, which then takes the token's value.  A token back at
     its origin stops there."""
     k = len(ring)
     x = [names[d] for d in ring]
